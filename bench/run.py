@@ -8,7 +8,10 @@ Usage, from the repository root:
 One process runs one thing at a time (one caller, closed loop: each
 iteration waits for the previous one). Inputs come from --seed only.
 With --trace 0 the run repeats its workload for --seconds and reports the
-end-to-end metrics of BENCHMARK.json as medians over iterations. With
+end-to-end metrics of BENCHMARK.json as medians over iterations. Times
+are seconds at reference host speed: each timed region's seconds divided
+by the host's slowness sampled inside it (hostspeed.py); the seconds as
+measured are printed after them and kept in the result file. With
 --trace 1 it alternates untraced and traced iterations for --seconds and
 reports the per-layer metrics; tracing overhead is the difference of their
 median wall times. The last stdout line is the JSON result. The exit status
@@ -37,9 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
-# set-up repeats at least this often and for at least this long (median kept)
-SETUP_MIN_REPEATS = 3
-SETUP_MIN_SECONDS = 2.0
+# set-up repeats at least SETUP_MIN_REPEATS times and until SETUP_SECONDS
+# have passed, but at most SETUP_MAX_REPEATS times (median kept)
+SETUP_MIN_REPEATS = 5
+SETUP_MAX_REPEATS = 25
+SETUP_SECONDS = 4.0
 
 
 def load_package():
@@ -158,13 +163,17 @@ def check_counters(key, counters_by_iteration):
     return errors
 
 
-def end_to_end(iterations, setup_times):
-    """Metrics of an untraced run: medians over iterations."""
-    summary = {name: [r[name] for r in iterations]
-               for name in ("wall_s", "train_s", "score_s", "ibs")}
-    summary["setup_s"] = setup_times
+def end_to_end(iterations, setups):
+    """Metrics of an untraced run: medians over iterations of the times at
+    reference host speed; and the times as measured."""
+    names = ("wall_s", "train_s", "score_s")
+    measured = {name: [r[name] for r in iterations] for name in names}
+    measured["setup_s"] = [clock.seconds["setup"] for clock in setups]
+    summary = {name: [r["scaled"][name] for r in iterations] for name in names}
+    summary["setup_s"] = [clock.scaled["setup"] for clock in setups]
+    summary["ibs"] = [r["ibs"] for r in iterations]
     summary["peak_rss_mb"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]
-    return summary
+    return summary, measured
 
 
 def per_layer(tracer, untraced, traced, counter_key, run_ops):
@@ -197,6 +206,7 @@ def per_layer(tracer, untraced, traced, counter_key, run_ops):
 
 
 def run_workload(args, spec):
+    import hostspeed
     import numpy as np
     import tracing
     import workloads
@@ -235,14 +245,17 @@ def run_workload(args, spec):
         metric_specs = spec["per_layer"]
         tracer.write(WORK / ("trace-%s-s%d.json" % (args.workload, args.seed)))
     else:
-        setup_times = []
-        while (len(setup_times) < SETUP_MIN_REPEATS
-               or sum(setup_times) < SETUP_MIN_SECONDS):
+        setups = []
+        with hostspeed.sampling():
             t0 = time.perf_counter()
-            workload.setup(run_ops)
-            setup_times.append(time.perf_counter() - t0)
-        iterations = run_loop(workload.iterate, args.seconds)
-        summary = end_to_end(iterations, setup_times)
+            while len(setups) < SETUP_MIN_REPEATS or (
+                    time.perf_counter() - t0 < SETUP_SECONDS
+                    and len(setups) < SETUP_MAX_REPEATS):
+                setups.append(hostspeed.Clock())
+                with setups[-1].region("setup"):
+                    workload.setup(run_ops)
+            iterations = run_loop(workload.iterate, args.seconds)
+        summary, measured = end_to_end(iterations, setups)
         metric_specs = spec["end_to_end"]
 
     reference = ibs_reference(args.workload, args.seed)
@@ -269,12 +282,21 @@ def run_workload(args, spec):
         print("  %-28s %-6s median %-12.6g q1 %-12.6g q3 %-12.6g n=%d"
               % (m["name"], m["unit"], med, q1, q3, len(values)))
     print("  %-28s %-6s %.6g" % ("failed_frac", "1", failed / max(attempted, 1)))
+    if not args.trace:
+        print("  as measured, with the host %.4gx as slow as at reference speed:"
+              % hostspeed.slowness())
+        for name, values in measured.items():
+            q1, med, q3 = quartiles(values)
+            print("  %-28s %-6s median %-12.6g q1 %-12.6g q3 %-12.6g n=%d"
+                  % (name, "s", med, q1, q3, len(values)))
     for e in errors:
         print("FAILED: %s" % e)
 
     record = {"workload": args.workload, "trace": args.trace,
               "provenance": prov, "summary": summary, "errors": errors,
               "attempted": attempted, "failed": failed}
+    if not args.trace:
+        record["measured"] = {"seconds": measured, "slowness": hostspeed.slowness()}
     (WORK / ("result-%s-s%d-t%d.json" % (args.workload, args.seed, args.trace))
      ).write_text(json.dumps(record, sort_keys=True, indent=1))
     print(json.dumps({"correct": correct, "attempted": attempted,
