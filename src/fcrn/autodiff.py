@@ -1,336 +1,22 @@
-"""Minimal reverse-mode automatic differentiation over dense numpy arrays.
+"""Hand-derived forward and backward of the FCRN graph, and Adam.
 
-Sized for small MLPs: a dynamic tape of Var nodes, each holding a float64
-array, with gradients available for parameters and for designated input
-leaves (needed by the gradient-based imputation step). All arithmetic is
-64-bit for reproducibility.
+The graph is fixed: gather the batch rows of the normalized covariates and
+of each signal's basis coefficients, append the time feature, run a ReLU
+MLP, end in a softmax (csm) or sigmoid (sdm) head and a weighted negative
+log-likelihood. All parameters live in one flat float64 vector; `Params`
+hands out named views of it (and, with the same layout, of a gradient).
+Each signal's D micro-networks are stacked as (D, fan_out, fan_in)
+tensors, so its (J, D) basis matrix B(theta) is one evaluation. All
+arithmetic is 64-bit for reproducibility.
 """
 from __future__ import annotations
 
+import math
+from collections import namedtuple
+
 import numpy as np
 
-
-class Var:
-    """One node on the compute tape.
-
-    Holds the forward value (float64 ndarray), the accumulated gradient
-    after backward(), parent references, and the local backward rule.
-    """
-
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, value, requires_grad=False):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # -- helpers -----------------------------------------------------------
-
-    @staticmethod
-    def _lift(other):
-        return other if isinstance(other, Var) else Var(other)
-
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
-
-    # -- operators ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, self._lift(other))
-
-    def __radd__(self, other):
-        return add(self._lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(self._lift(other)))
-
-    def __rsub__(self, other):
-        return add(self._lift(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, self._lift(other))
-
-    def __rmul__(self, other):
-        return mul(self._lift(other), self)
-
-    def __truediv__(self, c):
-        if isinstance(c, Var):
-            raise TypeError("division only supported by constants")
-        return mul(self, Var(1.0 / np.asarray(c, dtype=np.float64)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, self._lift(other))
-
-    def item(self):
-        return float(self.value)
-
-
-def _unbroadcast(g, shape):
-    """Sum gradient g down to the given broadcast-source shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _node(value, parents, backward):
-    out = Var(value)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    return out
-
-
-def add(a, b):
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-
-    return _node(a.value + b.value, (a, b), backward)
-
-
-def neg(a):
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _node(-a.value, (a,), backward)
-
-
-def mul(a, b):
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.value, b.value.shape))
-
-    return _node(a.value * b.value, (a, b), backward)
-
-
-def matmul(a, b):
-    def backward(g, out):
-        if a.requires_grad:
-            if b.value.ndim == 1:
-                a._accumulate(np.outer(g, b.value) if a.value.ndim == 2 else g * b.value)
-            else:
-                a._accumulate(np.atleast_2d(g) @ b.value.T if a.value.ndim == 2 else b.value @ g)
-        if b.requires_grad:
-            if a.value.ndim == 1:
-                b._accumulate(np.outer(a.value, g) if b.value.ndim == 2 else g * a.value)
-            else:
-                b._accumulate(a.value.T @ np.atleast_2d(g) if b.value.ndim == 2 else a.value.T @ g)
-
-    return _node(a.value @ b.value, (a, b), backward)
-
-
-def relu(a):
-    mask = a.value > 0
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _node(np.where(mask, a.value, 0.0), (a,), backward)
-
-
-def tanh(a):
-    t = np.tanh(a.value)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - t * t))
-
-    return _node(t, (a,), backward)
-
-
-def sigmoid(a):
-    # stable for large |u|
-    v = np.where(a.value >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(a.value))),
-                 np.exp(-np.abs(a.value)) / (1.0 + np.exp(-np.abs(a.value))))
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g * v * (1.0 - v))
-
-    return _node(v, (a,), backward)
-
-
-def log(a):
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g / a.value)
-
-    return _node(np.log(a.value), (a,), backward)
-
-
-def exp(a):
-    v = np.exp(a.value)
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g * v)
-
-    return _node(v, (a,), backward)
-
-
-def reshape_flat(a):
-    shape = a.value.shape
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g.reshape(shape))
-
-    return _node(a.value.reshape(-1), (a,), backward)
-
-
-def clamp_min(a, floor):
-    mask = a.value > floor
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
-    return _node(np.maximum(a.value, floor), (a,), backward)
-
-
-def vsum(a, axis=None, keepdims=False):
-    def backward(g, out):
-        if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.full_like(a.value, g))
-            else:
-                a._accumulate(np.broadcast_to(
-                    g if keepdims else np.expand_dims(g, axis), a.value.shape).copy())
-
-    return _node(a.value.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def vmean(a):
-    n = a.value.size
-
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.value, g / n))
-
-    return _node(a.value.mean(), (a,), backward)
-
-
-def softmax(a, axis=-1):
-    shifted = a.value - a.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g, out):
-        if a.requires_grad:
-            dot = (g * p).sum(axis=axis, keepdims=True)
-            a._accumulate(p * (g - dot))
-
-    return _node(p, (a,), backward)
-
-
-def logsumexp(a, axis=-1, keepdims=False):
-    m = a.value.max(axis=axis, keepdims=True)
-    e = np.exp(a.value - m)
-    s = e.sum(axis=axis, keepdims=True)
-    p = e / s
-    v = m + np.log(s)
-    if not keepdims:
-        v = np.squeeze(v, axis=axis)
-
-    def backward(g, out):
-        if a.requires_grad:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(gk * p)
-
-    return _node(v, (a,), backward)
-
-
-def take_rows(a, idx):
-    """Gather rows a[idx]; backward scatter-adds into the source rows."""
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def backward(g, out):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, idx, g)
-
-    return _node(a.value[idx], (a,), backward)
-
-
-def pick(a, col_idx):
-    """Select one column per row: out[i] = a[i, col_idx[i]]."""
-    col_idx = np.asarray(col_idx, dtype=np.intp)
-    rows = np.arange(a.value.shape[0])
-
-    def backward(g, out):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            np.add.at(a.grad, (rows, col_idx), g)
-
-    return _node(a.value[rows, col_idx], (a,), backward)
-
-
-def concat(parts, axis=1):
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g, out):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(sl)])
-
-    return _node(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
-
-
-def backward(loss):
-    """Reverse accumulation from a scalar loss node through the whole tape."""
-    if loss.value.ndim != 0 and loss.value.size != 1:
-        raise ValueError("backward expects a scalar loss")
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    loss._accumulate(np.ones_like(loss.value))
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad, node)
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
+PROB_FLOOR = 1e-12
 
 
 def glorot_uniform(fan_out, fan_in, rng):
@@ -341,41 +27,273 @@ def glorot_uniform(fan_out, fan_in, rng):
 
 def dense(x, w, b):
     """Affine map x @ w.T + b for a batch (or single row) of inputs."""
-    return add(matmul(x, transpose(w)), b)
+    return x @ w.T + b
 
 
-def transpose(a):
-    def backward(g, out):
-        if a.requires_grad:
-            a._accumulate(g.T)
+def relu(u):
+    return np.maximum(u, 0.0)
 
-    return _node(a.value.T, (a,), backward)
 
+def sigmoid(u):
+    """Logistic function, stable for large |u|."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+
+
+def softmax(u):
+    """Row-wise softmax over the last axis."""
+    e = np.exp(u - np.maximum.reduce(u, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector
+# ---------------------------------------------------------------------------
+
+def micro_shapes(n_basis, width, depth):
+    """(weight, bias) shapes of a signal's stacked micro-network sublayers."""
+    shapes, fan_in = [], 1
+    for _ in range(depth):
+        shapes.append(((n_basis, width, fan_in), (n_basis, width)))
+        fan_in = width
+    shapes.append(((n_basis, 1, fan_in), (n_basis, 1)))
+    return shapes
+
+
+class Params:
+    """Named views of one flat float64 vector.
+
+    Blocks in order: (W, b) per MLP layer, then for each signal (W, b) per
+    micro-network sublayer. `mlp_w[k]` is (fan_out, fan_in); a signal's
+    `basis[s] = (weights, biases)` holds (D, fan_out, fan_in) and
+    (D, fan_out) stacks.
+    """
+
+    def __init__(self, mlp_shapes, basis_shapes, flat=None):
+        self.mlp_shapes = mlp_shapes
+        self.basis_shapes = basis_shapes
+        blocks = [s for layer in mlp_shapes for s in layer]
+        blocks += [s for signal in basis_shapes for layer in signal for s in layer]
+        self.flat = np.zeros(sum(math.prod(s) for s in blocks)) if flat is None else flat
+        views, offset = [], 0
+        for shape in blocks:
+            n = math.prod(shape)
+            views.append(self.flat[offset:offset + n].reshape(shape))
+            offset += n
+        k = 2 * len(mlp_shapes)
+        self.mlp_w, self.mlp_b = views[0:k:2], views[1:k:2]
+        self.basis = []
+        for signal in basis_shapes:
+            layer = views[k:k + 2 * len(signal)]
+            self.basis.append((layer[0::2], layer[1::2]))
+            k += len(layer)
+        self._grad = None
+
+    def like(self, flat):
+        """The same views over another vector of this size."""
+        return Params(self.mlp_shapes, self.basis_shapes, flat)
+
+    def grad_buffer(self):
+        """Views of one gradient vector kept for this parameter vector; every
+        backward pass overwrites all of it."""
+        if self._grad is None:
+            self._grad = self.like(np.zeros(self.flat.size))
+        return self._grad
+
+
+# ---------------------------------------------------------------------------
+# basis layer: stacked micro-networks tau -> B_d(tau)
+# ---------------------------------------------------------------------------
+
+def micro_forward(weights, biases, taus):
+    """(J, D) basis matrix from stacked tanh micro-networks, and the input of
+    every sublayer, which the backward pass needs."""
+    h = np.asarray(taus, dtype=np.float64).reshape(1, -1, 1)
+    acts = [h]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ w.transpose(0, 2, 1) + b[:, None, :])
+        acts.append(h)
+    out = h @ weights[-1].transpose(0, 2, 1) + biases[-1][:, None, :]
+    return out[:, :, 0].T, acts
+
+
+def micro_backward(weights, acts, d_basis, g_weights, g_biases):
+    """Write the micro-network gradients of d loss / d B (J, D) in place."""
+    d = d_basis.T[:, :, None]
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(d.transpose(0, 2, 1), acts[k], out=g_weights[k])
+        d.sum(axis=1, out=g_biases[k])
+        if k:
+            h = acts[k]
+            d = (d @ weights[k]) * (1.0 - h * h)
+
+
+# Basis coefficients of some subjects' curves for one signal,
+# coef[i, d] = sum_j w_j B_d(tau_j) x_i(tau_j), with the trapezoid-weighted
+# curves, sublayer inputs and micro-network weights the backward pass reads.
+Projection = namedtuple("Projection", "coef weighted acts weights")
+
+# Per-signal projections of a set of subjects; rows maps each person-period
+# row to its subject's row in every coefficient matrix.
+Projections = namedtuple("Projections", "rows parts")
+
+# Logits of a batch and, when kept, what the backward pass reads.
+Forward = namedtuple("Forward", "logits params head xn_shape subj_idx projections inputs")
+
+# Batch loss value and its gradient with respect to the logits.
+Loss = namedtuple("Loss", "value d_logits fwd")
+
+
+def project(weighted, weights, biases, taus):
+    """Projection of trapezoid-weighted curve rows onto the basis B(theta)."""
+    basis, acts = micro_forward(weights, biases, taus)
+    return Projection(weighted @ basis, weighted, acts, weights)
+
+
+# ---------------------------------------------------------------------------
+# trunk, heads, loss
+# ---------------------------------------------------------------------------
+
+def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
+    """Assemble [xn rows | coefficient rows | time] and run the ReLU MLP.
+
+    keep=False drops every intermediate as soon as it is used, so the
+    result cannot be differentiated (prediction).
+    """
+    parts = [xn[subj_idx]]
+    if projections is not None:
+        parts += [p.coef[projections.rows] for p in projections.parts]
+    h = np.concatenate(parts + [time_feature], axis=1)
+    inputs = [] if keep else None
+    z = None
+    for w, b in zip(params.mlp_w, params.mlp_b):
+        if z is not None:
+            h = relu(z)
+        if keep:
+            inputs.append(h)
+        z = dense(h, w, b)
+    return Forward(z, params, head, xn.shape, subj_idx, projections, inputs)
+
+
+def hazards(fwd):
+    """Head probabilities: softmax rows (csm) or sigmoid hazards (sdm)."""
+    return softmax(fwd.logits) if fwd.head == "csm" else sigmoid(fwd.logits)
+
+
+def nll(head, probs, target, weight=None):
+    """Mean multinomial NLL (csm) or weighted binary cross-entropy averaged
+    over the rows (sdm; binary targets) of head probabilities, each
+    probability floored at PROB_FLOOR."""
+    n = len(target)
+    if head == "csm":
+        picked = probs[np.arange(n), target]
+    else:
+        xi = probs.reshape(-1)
+        picked = np.where(np.asarray(target) == 1, xi, 1.0 - xi)
+    ll = np.log(np.maximum(picked, PROB_FLOOR))
+    if head == "sdm":
+        ll *= weight
+    return -np.add.reduce(ll) / n
+
+
+def head_loss(fwd, target, weight):
+    """The batch's nll and, when the forward pass kept its cache,
+    d loss / d logits."""
+    probs = hazards(fwd)
+    value = nll(fwd.head, probs, target, weight)
+    if fwd.inputs is None:
+        return Loss(value, None, fwd)
+    n = len(target)
+    if fwd.head == "csm":
+        rows = np.arange(n)
+        scale = (probs[rows, target] > PROB_FLOOR) / n
+        d = probs
+        d[rows, target] -= 1.0
+    else:
+        # xi - y, unless the floor clamps the probability of the target
+        y = (np.asarray(target) == 1)[:, None]
+        d = probs - y
+        live = np.where(y, probs, 1.0 - probs)[:, 0] > PROB_FLOOR
+        scale = live * (np.asarray(weight, dtype=np.float64) / n)
+    d *= scale[:, None]
+    return Loss(value, d, fwd)
+
+
+def backward(loss, want_param_grad=True, want_input_grad=False):
+    """Reverse pass of the graph from a batch loss.
+
+    Returns (flat parameter gradient or None, d loss / d xn or None); the
+    input gradient has one row per subject of xn, zero for subjects not in
+    the batch.
+    """
+    fwd = loss.fwd
+    if fwd.inputs is None:
+        raise ValueError("the forward pass kept no backward cache")
+    params = fwd.params
+    grad = params.grad_buffer() if want_param_grad else None
+    into_basis = grad is not None and fwd.projections is not None
+    d = loss.d_logits
+    for k in range(len(params.mlp_w) - 1, -1, -1):
+        h = fwd.inputs[k]
+        if grad is not None:
+            np.matmul(d.T, h, out=grad.mlp_w[k])
+            d.sum(axis=0, out=grad.mlp_b[k])
+        if k == 0 and not (want_input_grad or into_basis):
+            break
+        d = d @ params.mlp_w[k]
+        if k:
+            d *= h > 0.0
+    n_tab = fwd.xn_shape[1]
+    d_xn = None
+    if want_input_grad:
+        d_xn = scatter_rows(fwd.subj_idx, d[:, :n_tab], fwd.xn_shape[0])
+    if into_basis:
+        col = n_tab
+        for part, (g_w, g_b) in zip(fwd.projections.parts, grad.basis):
+            n_basis = part.coef.shape[1]
+            d_coef = scatter_rows(fwd.projections.rows, d[:, col:col + n_basis],
+                                  part.coef.shape[0])
+            micro_backward(part.weights, part.acts, part.weighted.T @ d_coef, g_w, g_b)
+            col += n_basis
+    return (None if grad is None else grad.flat.copy()), d_xn
+
+
+def scatter_rows(idx, values, n):
+    """(n, k) sums of the rows of values by target row idx (a gather's
+    backward), accumulated in row order."""
+    out = np.empty((n, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+# ---------------------------------------------------------------------------
 
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """First/second moment accumulators over the flat vector, step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def adam_step(params, state, lr):
-    """Standard bias-corrected Adam update in place; skips grad-less params."""
+def adam_step(theta, grad, state, lr):
+    """Standard bias-corrected Adam update of the flat vector, in place."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for i, p in enumerate(params):
-        g = p.grad
-        if g is None:
-            continue
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    g2 = (1.0 - b2) * grad
+    g2 *= grad
+    state.v *= b2
+    state.v += g2
+    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)

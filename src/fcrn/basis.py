@@ -2,7 +2,7 @@
 
 Each basis node is a tiny tau -> B_d(tau) network; curve projections are
 trapezoid-weighted inner products between the sampled curve and the basis
-values, differentiable through the micro-network parameters.
+values. Gradients into the micro-networks come from autodiff.backward.
 """
 from __future__ import annotations
 
@@ -28,66 +28,54 @@ def trapezoid_weights(taus):
     return w
 
 
-class MicroNetwork:
-    """Scalar tau -> scalar B_d(tau) stack of tanh sublayers + linear output."""
-
-    def __init__(self, rng, width=MICRO_WIDTH, depth=MICRO_DEPTH):
-        self.width = width
-        self.depth = depth
-        self.weights = []
-        self.biases = []
-        fan_in = 1
-        for _ in range(depth):
-            self.weights.append(ad.Var(ad.glorot_uniform(width, fan_in, rng), requires_grad=True))
-            self.biases.append(ad.Var(np.zeros(width), requires_grad=True))
-            fan_in = width
-        self.weights.append(ad.Var(ad.glorot_uniform(1, fan_in, rng), requires_grad=True))
-        self.biases.append(ad.Var(np.zeros(1), requires_grad=True))
-
-    def parameters(self):
-        return self.weights + self.biases
-
-    def forward(self, taus):
-        """Evaluate B_d at a (J,) array of taus, returning a (J, 1) Var."""
-        h = ad.Var(np.asarray(taus, dtype=np.float64).reshape(-1, 1))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = ad.tanh(ad.dense(h, w, b))
-        return ad.dense(h, self.weights[-1], self.biases[-1])
-
-
 class BasisLayer:
-    """D micro-networks over one functional signal plus its integration rule."""
+    """D micro-networks tau -> B_d(tau) over one functional signal, plus its
+    integration rule.
 
-    def __init__(self, n_basis, taus, rng, width=MICRO_WIDTH, depth=MICRO_DEPTH):
+    The micro-networks are stacked: weights[k] is (D, fan_out, fan_in) and
+    biases[k] is (D, fan_out), for the tanh sublayers and then the linear
+    output. Inside a model they are views into its flat parameter vector;
+    a layer built alone owns zero-filled arrays.
+    """
+
+    def __init__(self, n_basis, taus, width=MICRO_WIDTH, depth=MICRO_DEPTH,
+                 params=None):
         if n_basis < 1:
             raise ValueError("need at least one basis node")
         self.taus = np.asarray(taus, dtype=np.float64)
         self.int_weights = trapezoid_weights(self.taus)
-        self.nets = [MicroNetwork(rng, width=width, depth=depth) for _ in range(n_basis)]
+        self.n_basis = n_basis
+        self.width = width
+        self.depth = depth
+        if params is None:
+            shapes = ad.micro_shapes(n_basis, width, depth)
+            params = ([np.zeros(w) for w, _ in shapes], [np.zeros(b) for _, b in shapes])
+        self.weights, self.biases = params
 
-    @property
-    def n_basis(self):
-        return len(self.nets)
-
-    def parameters(self):
-        return [p for net in self.nets for p in net.parameters()]
+    def init(self, rng):
+        """Glorot weights and zero biases, drawn net by net, sublayer by sublayer."""
+        for d in range(self.n_basis):
+            for w in self.weights:
+                w[d] = ad.glorot_uniform(w.shape[1], w.shape[2], rng)
+        for b in self.biases:
+            b[...] = 0.0
 
     def basis_matrix(self):
-        """(J, D) Var of basis values on the canonical tau grid."""
-        return ad.concat([net.forward(self.taus) for net in self.nets], axis=1)
+        """(J, D) basis values on the canonical tau grid."""
+        return ad.micro_forward(self.weights, self.biases, self.taus)[0]
 
     def project(self, curve_values):
         """Project curves sampled on the canonical grid onto the learned basis.
 
-        curve_values: (n, J) array of x(tau_j) per subject. Returns an
-        (n, D) Var of coefficients a_d = sum_j w_j B_d(tau_j) x(tau_j).
+        curve_values: (n, J) array of x(tau_j), one row per subject to
+        project. Returns a Projection whose (n, D) coef holds
+        a_d = sum_j w_j B_d(tau_j) x(tau_j).
         """
         vals = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
         if vals.shape[1] != self.taus.size:
             raise ValueError("curve sampled on %d points, layer expects %d"
                              % (vals.shape[1], self.taus.size))
-        weighted = ad.Var(vals * self.int_weights)
-        return ad.matmul(weighted, self.basis_matrix())
+        return ad.project(vals * self.int_weights, self.weights, self.biases, self.taus)
 
 
 def resample_curve(curve, taus):

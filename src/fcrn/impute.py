@@ -14,7 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import covariate_matrix
-from .model import NumericError, build_table, censoring_survival, train_model
+from .model import (NumericError, build_table, censoring_survival, table_batch,
+                    train_model)
 
 COND_VAR_FLOOR = 1e-8
 
@@ -130,27 +131,19 @@ def grad_log_prior(X, mask, ggm):
     return grad
 
 
-def grad_log_pred(model, xn_var, projections_fn, table, rows, batch_size=256):
+def grad_log_pred(model, xn, curve_mats, table, rows, batch_size=4096):
     """Gradient of the summed log-likelihood w.r.t. the covariate matrix.
 
     Accumulates -d(sum loss)/d(xn) over the given person-period rows; the
     returned array has one entry per covariate cell (observed cells get
-    gradients too, callers mask them out).
+    gradients too, callers mask them out). No parameter gradient is formed.
     """
-    xn_var.grad = None
-    xn_var.requires_grad = True
-    try:
-        for start in range(0, len(rows), batch_size):
-            sel = rows[start:start + batch_size]
-            logits = model.forward_logits(xn_var, projections_fn(),
-                                          table.subject_idx[sel], table.interval[sel])
-            loss = model.batch_loss(logits, table, sel) * float(len(sel))
-            ad.zero_grads(model.parameters())
-            ad.backward(loss)
-    finally:
-        xn_var.requires_grad = False
-    g = xn_var.grad if xn_var.grad is not None else np.zeros_like(xn_var.value)
-    xn_var.grad = None
+    g = np.zeros_like(xn)
+    for start in range(0, len(rows), batch_size):
+        sel = rows[start:start + batch_size]
+        _, _, d_xn = model.loss_and_grads(table_batch(xn, curve_mats, table, sel),
+                                          want_input_grad=True, want_param_grad=False)
+        g += len(sel) * d_xn
     return -g
 
 
@@ -232,19 +225,15 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
     g = censoring_survival(subjects, grid) if head == "sdm" else None
     table = build_table(subjects, grid, model, g=g)
     rows = np.arange(len(table))
-    xn_var = ad.Var(Xn)
     curve_mats = model.curve_matrices(subjects) if model.signal_specs else {}
-
-    def projections_fn():
-        return model.project_signals(curve_mats) if model.signal_specs else {}
-
     ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
-    adam = ad.AdamState(model.parameters())
+    adam = ad.AdamState(model.theta.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     sgld_rng = np.random.RandomState(rng.randint(2 ** 31))
 
     best_loss = np.inf
     recent = []
+    settings.log = []
     for epoch in range(imp.max_epochs):
         # I-Step
         eta = eta_at(epoch, imp)
@@ -252,14 +241,16 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
             pred_grad = None
             if imp.pred_weight != 0.0:
                 pred_grad = imp.pred_weight * grad_log_pred(
-                    model, xn_var, projections_fn, table, rows)
-            i_step(xn_var.value, mask, ggm, eta, sgld_rng,
+                    model, Xn, curve_mats, table, rows)
+            i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
         # RO-Step: one Adam epoch on theta, then refit the graphical model
-        tr_loss = _epoch_loss(model, xn_var, projections_fn, table, rows,
+        tr_loss = _epoch_loss(model, Xn, curve_mats, table, rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng)
-        ggm = fit_ggm(xn_var.value, imp.corr_threshold, imp.k_max, imp.ridge)
+        ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
+        # no validation rows here: the train loss is also the monitored one
+        settings.log.append((epoch, tr_loss, tr_loss))
 
         if tr_loss < best_loss:
             best_loss = tr_loss
@@ -276,7 +267,7 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
                 break
 
     X_out = np.array(X_raw, copy=True)
-    denorm = model.denormalize(xn_var.value)
+    denorm = model.denormalize(Xn)
     X_out[mask] = denorm[mask]
     model.fill_values = np.median(X_out, axis=0)
     return model, X_out

@@ -8,18 +8,30 @@ target cause. The interval index enters as a scalar t/L feature by default
 """
 from __future__ import annotations
 
-import copy
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .basis import BasisLayer, resample_curve
-from .data import (PersonPeriodTable, TimeGrid, augment_cause_specific,
-                   augment_subdistribution, censoring_survival, covariate_matrix)
+from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, resample_curve
+from .data import (TimeGrid, augment_cause_specific, augment_subdistribution,
+                   censoring_survival, covariate_matrix)
 
-PROB_FLOOR = 1e-12
+# person-period rows predicted per forward pass; bounds prediction memory
+PREDICT_ROWS = 16384
+
+# Person-period rows of one step: the full normalized covariate matrix xn,
+# the normalized curve matrices by signal name, and the rows' subject
+# indices, intervals, targets and weights.
+Batch = namedtuple("Batch", "xn curves subj_idx interval target weight")
+
+
+def table_batch(xn, curve_mats, table, rows):
+    """The Batch of the given person-period table rows."""
+    return Batch(xn, curve_mats, table.subject_idx[rows], table.interval[rows],
+                 table.target[rows], table.weight[rows])
 
 
 class NumericError(RuntimeError):
@@ -70,39 +82,46 @@ class FCRNModel:
         self.fill_values = np.zeros(n_tabular)
 
         self.signal_specs = [dict(s) for s in signal_specs]
-        self.basis_layers = {}
         for spec in self.signal_specs:
-            self.basis_layers[spec["name"]] = BasisLayer(
-                spec["n_basis"], np.asarray(spec["taus"], dtype=np.float64), rng)
+            spec.setdefault("micro_width", MICRO_WIDTH)
+            spec.setdefault("micro_depth", MICRO_DEPTH)
 
         time_width = grid.n_intervals if time_encoding == "onehot" else 1
         width_in = (n_tabular
                     + sum(s["n_basis"] for s in self.signal_specs)
                     + time_width)
         n_out = (n_causes + 1) if head == "csm" else 1
-        self.mlp_w, self.mlp_b = [], []
-        fan_in = width_in
+        mlp_shapes, fan_in = [], width_in
         for w_out in list(self.hidden) + [n_out]:
-            self.mlp_w.append(ad.Var(ad.glorot_uniform(w_out, fan_in, rng), requires_grad=True))
-            self.mlp_b.append(ad.Var(np.zeros(w_out), requires_grad=True))
+            mlp_shapes.append(((w_out, fan_in), (w_out,)))
             fan_in = w_out
+        self.params = ad.Params(mlp_shapes, [
+            ad.micro_shapes(s["n_basis"], s["micro_width"], s["micro_depth"])
+            for s in self.signal_specs])
+        # initialization draws: basis layers first, then the MLP
+        self.basis_layers = {}
+        for spec, views in zip(self.signal_specs, self.params.basis):
+            layer = BasisLayer(spec["n_basis"], spec["taus"], spec["micro_width"],
+                               spec["micro_depth"], params=views)
+            layer.init(rng)
+            self.basis_layers[spec["name"]] = layer
+        for w in self.mlp_w:
+            w[...] = ad.glorot_uniform(w.shape[0], w.shape[1], rng)
 
     # -- parameters --------------------------------------------------------
 
-    def parameters(self):
-        params = []
-        for w, b in zip(self.mlp_w, self.mlp_b):
-            params.extend([w, b])
-        for spec in self.signal_specs:
-            params.extend(self.basis_layers[spec["name"]].parameters())
-        return params
+    @property
+    def theta(self):
+        """The flat float64 vector holding every parameter."""
+        return self.params.flat
 
-    def clone_parameter_values(self):
-        return [p.value.copy() for p in self.parameters()]
+    @property
+    def mlp_w(self):
+        return self.params.mlp_w
 
-    def restore_parameter_values(self, values):
-        for p, v in zip(self.parameters(), values):
-            p.value = v.copy()
+    @property
+    def mlp_b(self):
+        return self.params.mlp_b
 
     # -- feature assembly ----------------------------------------------------
 
@@ -155,40 +174,47 @@ class FCRNModel:
             return f
         return (np.asarray(intervals, dtype=np.float64) / L).reshape(-1, 1)
 
-    def project_signals(self, curve_mats):
-        """Basis-layer projections for every subject, one (n, D) Var per signal."""
-        return {spec["name"]: self.basis_layers[spec["name"]].project(curve_mats[spec["name"]])
-                for spec in self.signal_specs}
+    def project_signals(self, curve_mats, subj_idx):
+        """Basis coefficients of the subjects subj_idx names, each projected
+        once; None without signals."""
+        if not self.signal_specs:
+            return None
+        subjects, rows = np.unique(subj_idx, return_inverse=True)
+        return ad.Projections(rows, [
+            self.basis_layers[spec["name"]].project(curve_mats[spec["name"]][subjects])
+            for spec in self.signal_specs])
 
-    def forward_logits(self, xn_var, projections, subj_idx, intervals):
-        """Logits for person-period rows given the normalized covariate Var.
+    def forward_logits(self, xn, projections, subj_idx, intervals, keep=True):
+        """Logits for person-period rows.
 
-        xn_var is the full (n_subjects, P) normalized matrix; rows are
-        gathered per person-period row so input gradients flow back to it.
+        xn is the full (n_subjects, P) normalized matrix and projections
+        come from project_signals(curve_mats, subj_idx); keep=False skips
+        the backward cache.
         """
-        parts = [ad.take_rows(xn_var, subj_idx)]
-        for spec in self.signal_specs:
-            parts.append(ad.take_rows(projections[spec["name"]], subj_idx))
-        parts.append(ad.Var(self._time_feature(intervals)))
-        h = ad.concat(parts, axis=1)
-        h = ad.dense(h, self.mlp_w[0], self.mlp_b[0])
-        for w, b in zip(self.mlp_w[1:], self.mlp_b[1:]):
-            h = ad.dense(ad.relu(h), w, b)
-        return h
+        return ad.forward(self.params, self.head, xn, projections, subj_idx,
+                          self._time_feature(intervals), keep)
 
     # -- heads and losses ----------------------------------------------------
 
-    def hazard_probs(self, logits):
-        """Head activation: softmax probabilities (CSM) or sigmoid hazard (SDM)."""
-        if self.head == "csm":
-            return ad.softmax(logits, axis=1)
-        return ad.sigmoid(logits)
+    def batch_loss(self, fwd, target, weight):
+        """Mean NLL of the forward pass's rows (weighted for SDM)."""
+        return ad.head_loss(fwd, target, weight)
 
-    def batch_loss(self, logits, table, rows):
-        probs = self.hazard_probs(logits)
-        if self.head == "csm":
-            return loss_cs(probs, table.target[rows])
-        return loss_sub(probs, table.target[rows], table.weight[rows])
+    def loss_and_grads(self, batch, want_input_grad=False, want_param_grad=True):
+        """Batch loss, its gradient over theta, and d loss / d xn on request.
+
+        Returns (loss, flat gradient or None, (n, P) input gradient or None);
+        the I-step asks for the input gradient alone.
+        """
+        projections = self.project_signals(batch.curves, batch.subj_idx)
+        want = want_param_grad or want_input_grad
+        fwd = self.forward_logits(batch.xn, projections, batch.subj_idx,
+                                  batch.interval, keep=want)
+        loss = self.batch_loss(fwd, batch.target, batch.weight)
+        grad = d_xn = None
+        if want:
+            grad, d_xn = ad.backward(loss, want_param_grad, want_input_grad)
+        return loss.value, grad, d_xn
 
     # -- prediction ----------------------------------------------------------
 
@@ -207,16 +233,18 @@ class FCRNModel:
             if np.any(~np.isfinite(X)):
                 raise ValueError("unimputed missing covariates reached prediction")
             xn = self.normalize(X)
-        xn_var = ad.Var(xn)
-        projections = self.project_signals(self.curve_matrices(subjects)) \
-            if self.signal_specs else {}
-        subj_idx = np.repeat(np.arange(n), L)
-        intervals = np.tile(np.arange(1, L + 1), n)
-        logits = self.forward_logits(xn_var, projections, subj_idx, intervals)
-        probs = self.hazard_probs(logits).value
-        if self.head == "csm":
-            return probs.reshape(n, L, self.n_causes + 1)
-        return probs.reshape(n, L)
+        curve_mats = self.curve_matrices(subjects) if self.signal_specs else {}
+        n_out = self.n_causes + 1 if self.head == "csm" else 1
+        probs = np.empty((n, L, n_out))
+        step = max(1, PREDICT_ROWS // L)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            subj_idx = np.repeat(np.arange(lo, hi), L)
+            intervals = np.tile(np.arange(1, L + 1), hi - lo)
+            fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
+                                      subj_idx, intervals, keep=False)
+            probs[lo:hi] = ad.hazards(fwd).reshape(hi - lo, L, n_out)
+        return probs if self.head == "csm" else probs[:, :, 0]
 
     def predict_cif(self, subjects, xn=None):
         """Survival and cumulative incidence curves per subject.
@@ -241,10 +269,12 @@ class FCRNModel:
                 "n_basis": spec["n_basis"],
                 "mean": spec.get("mean", 0.0),
                 "std": spec.get("std", 1.0),
-                "micro_width": layer.nets[0].width,
-                "micro_depth": layer.nets[0].depth,
-                "weights": [[w.value.tolist() for w in net.weights] for net in layer.nets],
-                "biases": [[b.value.tolist() for b in net.biases] for net in layer.nets],
+                "micro_width": layer.width,
+                "micro_depth": layer.depth,
+                "weights": [[w[d].tolist() for w in layer.weights]
+                            for d in range(layer.n_basis)],
+                "biases": [[b[d].tolist() for b in layer.biases]
+                           for d in range(layer.n_basis)],
             })
         return {
             "head": self.head,
@@ -257,8 +287,8 @@ class FCRNModel:
             "norm_mean": self.norm_mean.tolist(),
             "norm_std": self.norm_std.tolist(),
             "fill_values": self.fill_values.tolist(),
-            "mlp_w": [w.value.tolist() for w in self.mlp_w],
-            "mlp_b": [b.value.tolist() for b in self.mlp_b],
+            "mlp_w": [w.tolist() for w in self.mlp_w],
+            "mlp_b": [b.tolist() for b in self.mlp_b],
             "basis_layers": basis,
         }
 
@@ -267,7 +297,10 @@ class FCRNModel:
         grid = TimeGrid(width=d["grid"]["width"],
                         cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
         specs = [{"name": b["name"], "taus": b["taus"], "n_basis": b["n_basis"],
-                  "mean": b["mean"], "std": b["std"]} for b in d["basis_layers"]]
+                  "mean": b["mean"], "std": b["std"],
+                  "micro_width": b.get("micro_width", MICRO_WIDTH),
+                  "micro_depth": b.get("micro_depth", MICRO_DEPTH)}
+                 for b in d["basis_layers"]]
         model = cls(head=d["head"], grid=grid, n_tabular=d["n_tabular"],
                     n_causes=d["n_causes"], target_cause=d["target_cause"],
                     signal_specs=specs, hidden=d["hidden"],
@@ -275,17 +308,13 @@ class FCRNModel:
         model.norm_mean = np.asarray(d["norm_mean"], dtype=np.float64)
         model.norm_std = np.asarray(d["norm_std"], dtype=np.float64)
         model.fill_values = np.asarray(d["fill_values"], dtype=np.float64)
-        for w, v in zip(model.mlp_w, d["mlp_w"]):
-            w.value = np.asarray(v, dtype=np.float64)
-        for b, v in zip(model.mlp_b, d["mlp_b"]):
-            b.value = np.asarray(v, dtype=np.float64)
+        for view, v in zip(model.mlp_w + model.mlp_b, d["mlp_w"] + d["mlp_b"]):
+            view[...] = v
         for bdict in d["basis_layers"]:
             layer = model.basis_layers[bdict["name"]]
-            for net, ws, bs in zip(layer.nets, bdict["weights"], bdict["biases"]):
-                net.weights = [ad.Var(np.asarray(w, dtype=np.float64), requires_grad=True)
-                               for w in ws]
-                net.biases = [ad.Var(np.asarray(b, dtype=np.float64), requires_grad=True)
-                              for b in bs]
+            for k, (ws, bs) in enumerate(zip(bdict["weights"], bdict["biases"])):
+                for view, v in zip(layer.weights + layer.biases, ws + bs):
+                    view[k] = v
         return model
 
     def save(self, path):
@@ -297,26 +326,6 @@ class FCRNModel:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-def loss_cs(probs, targets):
-    """Mean multinomial negative log-likelihood over person-period rows."""
-    picked = ad.pick(probs, np.asarray(targets, dtype=np.intp))
-    return -ad.vmean(ad.log(ad.clamp_min(picked, PROB_FLOOR)))
-
-
-def loss_sub(probs, targets, weights):
-    """Weighted binary cross-entropy, averaged over the batch rows."""
-    xi = probs if probs.value.ndim == 1 else ad.reshape_flat(probs)
-    y = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    ll = (ad.Var(y) * ad.log(ad.clamp_min(xi, PROB_FLOOR))
-          + ad.Var(1.0 - y) * ad.log(ad.clamp_min(1.0 - xi, PROB_FLOOR)))
-    return -ad.vsum(ad.Var(w) * ll) / len(y)
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +369,23 @@ def build_table(subjects, grid, model, g=None):
     return augment_subdistribution(subjects, grid, model.target_cause, g)
 
 
-def _epoch_loss(model, xn_var, projections_fn, table, rows, batch_size,
+def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
                 adam=None, lr=None, shuffle_rng=None):
     """One pass over the table; updates parameters when adam is given."""
     order = np.arange(len(rows))
     if shuffle_rng is not None:
         shuffle_rng.shuffle(order)
     total, count = 0.0, 0
-    params = model.parameters() if adam is not None else None
     for start in range(0, len(order), batch_size):
         sel = rows[order[start:start + batch_size]]
-        projections = projections_fn()
-        logits = model.forward_logits(xn_var, projections,
-                                      table.subject_idx[sel], table.interval[sel])
-        loss = model.batch_loss(logits, table, sel)
-        if not np.isfinite(loss.value):
+        loss, grad, _ = model.loss_and_grads(table_batch(xn, curve_mats, table, sel),
+                                             want_param_grad=adam is not None)
+        if not np.isfinite(loss):
             raise NumericError("non-finite loss (lr=%s, batch starting at row %d)"
                                % (lr, start))
         if adam is not None:
-            ad.zero_grads(params)
-            ad.backward(loss)
-            ad.adam_step(params, adam, lr)
-        total += float(loss.value) * len(sel)
+            ad.adam_step(model.theta, grad, adam, lr)
+        total += float(loss) * len(sel)
         count += len(sel)
     return total / max(count, 1)
 
@@ -446,35 +450,29 @@ def _fit_loop(model, subjects, xn, settings, rng):
     train_rows = np.where(~in_val)[0]
     val_rows = np.where(in_val)[0]
 
-    xn_var = ad.Var(xn)
     curve_mats = model.curve_matrices(subjects) if model.signal_specs else {}
-
-    def projections_fn():
-        return model.project_signals(curve_mats) if model.signal_specs else {}
-
-    params = model.parameters()
-    adam = ad.AdamState(params)
+    adam = ad.AdamState(model.theta.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
-    best_loss, best_values, since_best = np.inf, model.clone_parameter_values(), 0
+    best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
     history = []
     for epoch in range(settings.max_epochs):
-        tr_loss = _epoch_loss(model, xn_var, projections_fn, table, train_rows,
+        tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng)
         if len(val_rows):
-            monitored = _epoch_loss(model, xn_var, projections_fn, table,
+            monitored = _epoch_loss(model, xn, curve_mats, table,
                                     val_rows, settings.batch_size)
         else:
             monitored = tr_loss
         history.append((epoch, tr_loss, monitored))
         if monitored < best_loss - 1e-12:
             best_loss = monitored
-            best_values = model.clone_parameter_values()
+            best_values = model.theta.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= settings.patience:
                 break
-    model.restore_parameter_values(best_values)
+    model.theta[:] = best_values
     settings.log = history
     return model

@@ -1,45 +1,39 @@
 """Shared oracles: finite-difference gradients and direct likelihood forms."""
 import numpy as np
-import pytest
 
-from fcrn import autodiff as ad
 from fcrn.data import assign_interval
 
 
-def finite_diff(loss_fn, variables, step=1e-5):
-    """Central finite-difference gradients of a scalar loss_fn() per Var."""
-    grads = []
-    for v in variables:
-        g = np.zeros_like(v.value)
-        flat = v.value.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            up = float(loss_fn().value)
-            flat[k] = orig - step
-            down = float(loss_fn().value)
-            flat[k] = orig
-            gflat[k] = (up - down) / (2.0 * step)
-        grads.append(g)
-    return grads
+def finite_diff(loss_fn, flat, step=1e-5):
+    """Central finite-difference gradient of a scalar loss_fn() over a flat
+    float64 vector, perturbed in place entry by entry and restored."""
+    grad = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + step
+        up = float(loss_fn())
+        flat[k] = orig - step
+        down = float(loss_fn())
+        flat[k] = orig
+        grad[k] = (up - down) / (2.0 * step)
+    return grad
 
 
 def max_rel_err(analytic, numeric, floor=1e-3):
-    """Max |a - n| / max(|n|, floor) over all parameter entries."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.abs(n), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    """Max |a - n| / max(|n|, floor) over all entries."""
+    analytic, numeric = np.asarray(analytic), np.asarray(numeric)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), floor)))
 
 
-def collect_grads(loss_fn, variables):
-    loss = loss_fn()
-    ad.zero_grads(variables)
-    ad.backward(loss)
-    return [np.zeros_like(v.value) if v.grad is None else v.grad.copy()
-            for v in variables]
+def collect_grads(model, batch):
+    """Analytic gradient of the batch loss over the model's flat theta."""
+    return model.loss_and_grads(batch)[1]
+
+
+def batch_loss_fn(model, batch):
+    """The batch loss as a function of the model's current theta and the
+    batch's xn, both read at call time."""
+    return lambda: model.loss_and_grads(batch, want_param_grad=False)[0]
 
 
 def direct_nll_cs(hazards, subjects, grid):

@@ -9,10 +9,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (collect_grads, direct_nll_cs, direct_nll_sd, finite_diff,
-                      max_rel_err)
+from conftest import (batch_loss_fn, collect_grads, direct_nll_cs, direct_nll_sd,
+                      finite_diff, max_rel_err)
 
-from fcrn import autodiff as ad
 from fcrn.baseline import intercept_only_cif
 from fcrn.cli import main as cli_main
 from fcrn.data import (FunctionalCurve, SubjectRecord, augment_subdistribution,
@@ -20,7 +19,7 @@ from fcrn.data import (FunctionalCurve, SubjectRecord, augment_subdistribution,
 from fcrn.impute import ImputeSettings, iro_train, median_init, sgld_impute
 from fcrn.metrics import brier, brier_ipcw, score_cif
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
-                        cif_from_subdistribution, train_model)
+                        cif_from_subdistribution, table_batch, train_model)
 from fcrn.simulate import SimConfig, simulate
 
 
@@ -73,17 +72,9 @@ def test_gradient_oracle():
             table = build_table(subjects, grid, model, g=g)
         xn = model.normalize(np.vstack([s.x for s in subjects]))
         curve_mats = model.curve_matrices(subjects)
-        rows = np.arange(len(table))
-
-        def loss_fn():
-            proj = model.project_signals(curve_mats)
-            logits = model.forward_logits(ad.Var(xn), proj,
-                                          table.subject_idx, table.interval)
-            return model.batch_loss(logits, table, rows)
-
-        params = model.parameters()
-        err = max_rel_err(collect_grads(loss_fn, params),
-                          finite_diff(loss_fn, params))
+        batch = table_batch(xn, curve_mats, table, np.arange(len(table)))
+        err = max_rel_err(collect_grads(model, batch),
+                          finite_diff(batch_loss_fn(model, batch), model.theta))
         worst = max(worst, err)
         checked += 1
     elapsed = time.monotonic() - start
@@ -114,10 +105,9 @@ def test_likelihood_oracle():
         if len(table) == 0:
             continue
         xn = model.normalize(np.vstack([s.x for s in subjects]))
-        logits = model.forward_logits(ad.Var(xn), {}, table.subject_idx,
-                                      table.interval)
-        summed = float(model.batch_loss(logits, table,
-                                        np.arange(len(table))).value) * len(table)
+        fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+        summed = float(model.batch_loss(fwd, table.target,
+                                        table.weight).value) * len(table)
         hz = model.predict_hazards(subjects)
         if head == "csm":
             direct = direct_nll_cs(hz, subjects, grid)

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
-from conftest import collect_grads, finite_diff, max_rel_err
+from conftest import finite_diff, max_rel_err
 
 from fcrn import autodiff as ad
-from fcrn.basis import BasisLayer, MicroNetwork, trapezoid_weights
+from fcrn.basis import BasisLayer, trapezoid_weights
+from fcrn.data import PersonPeriodTable, build_time_grid
+from fcrn.model import FCRNModel, table_batch
+
+
+def initialized_layer(n_basis, taus, rng, **kwargs):
+    layer = BasisLayer(n_basis, taus, **kwargs)
+    layer.init(rng)
+    return layer
 
 
 def frozen_constant_layer(n_basis, taus, value=1.0):
     """Basis layer with every micro-network pinned to a constant output."""
-    layer = BasisLayer(n_basis, taus, np.random.RandomState(0))
-    for net in layer.nets:
-        for w in net.weights:
-            w.value = np.zeros_like(w.value)
-        for b in net.biases:
-            b.value = np.zeros_like(b.value)
-        net.biases[-1].value = np.array([value])
+    layer = BasisLayer(n_basis, taus)
+    layer.biases[-1][:] = value
     return layer
 
 
@@ -45,24 +48,25 @@ class TestTrapezoidWeights:
 
 class TestMicroNetwork:
     def test_zero_network_outputs_zero(self):
-        net = MicroNetwork(np.random.RandomState(0))
-        for w in net.weights:
-            w.value = np.zeros_like(w.value)
         taus = np.linspace(0, 1, 11)
-        assert np.all(net.forward(taus).value == 0.0)
+        layer = initialized_layer(1, taus, np.random.RandomState(0))
+        for w in layer.weights:
+            w[...] = 0.0
+        assert np.all(layer.basis_matrix() == 0.0)
 
     def test_gradient_matches_finite_differences(self):
+        # loss = mean of the (J, D) basis matrix, every stacked net at once
         rng = np.random.RandomState(3)
-        net = MicroNetwork(rng, width=4, depth=2)
         taus = np.linspace(0, 1, 7)
-
-        def loss_fn():
-            return ad.vmean(net.forward(taus))
-
-        params = net.parameters()
-        analytic = collect_grads(loss_fn, params)
-        numeric = finite_diff(loss_fn, params)
-        assert max_rel_err(analytic, numeric) < 1e-5
+        layer = initialized_layer(2, taus, rng, width=4, depth=2)
+        arrays = layer.weights + layer.biases
+        grads = [np.zeros_like(a) for a in arrays]
+        _, acts = ad.micro_forward(layer.weights, layer.biases, taus)
+        d_basis = np.full((len(taus), 2), 1.0 / (2 * len(taus)))
+        ad.micro_backward(layer.weights, acts, d_basis, grads[:3], grads[3:])
+        for a, g in zip(arrays, grads):
+            numeric = finite_diff(lambda: layer.basis_matrix().mean(), a.reshape(-1))
+            assert max_rel_err(g.reshape(-1), numeric) < 1e-5
 
 
 class TestProjection:
@@ -71,12 +75,12 @@ class TestProjection:
         layer = frozen_constant_layer(2, taus)
         c = 3.7
         out = layer.project(np.full((1, 51), c))
-        assert np.allclose(out.value, c, atol=1e-12)
+        assert np.allclose(out.coef, c, atol=1e-12)
 
     def test_zero_curve_projects_to_zero(self):
-        layer = BasisLayer(3, np.linspace(0, 1, 21), np.random.RandomState(4))
+        layer = initialized_layer(3, np.linspace(0, 1, 21), np.random.RandomState(4))
         out = layer.project(np.zeros((2, 21)))
-        assert np.all(out.value == 0.0)
+        assert np.all(out.coef == 0.0)
 
     def test_linear_basis_against_exact_integral(self):
         # B(tau) = tau, curve = 1: integral is 1/2; trapezoid exact for linears
@@ -89,26 +93,31 @@ class TestProjection:
     def test_linearity_in_the_curve(self):
         rng = np.random.RandomState(5)
         taus = np.linspace(0, 1, 31)
-        layer = BasisLayer(3, taus, rng)
+        layer = initialized_layer(3, taus, rng)
         x1, x2 = rng.randn(31), rng.randn(31)
         a, b = 1.7, -0.4
-        combo = layer.project((a * x1 + b * x2).reshape(1, -1)).value
-        parts = (a * layer.project(x1.reshape(1, -1)).value
-                 + b * layer.project(x2.reshape(1, -1)).value)
+        combo = layer.project((a * x1 + b * x2).reshape(1, -1)).coef
+        parts = (a * layer.project(x1.reshape(1, -1)).coef
+                 + b * layer.project(x2.reshape(1, -1)).coef)
         assert np.allclose(combo, parts, atol=1e-10)
 
     def test_gradient_flows_to_micro_weights(self):
+        # through the whole model: the loss gradient reaches every sublayer
         rng = np.random.RandomState(6)
         taus = np.linspace(0, 1, 21)
-        layer = BasisLayer(2, taus, rng)
-        curve = rng.randn(1, 21)
-        loss = ad.vsum(layer.project(curve))
-        ad.zero_grads(layer.parameters())
-        ad.backward(loss)
-        assert any(p.grad is not None and np.any(p.grad != 0)
-                   for p in layer.parameters())
+        model = FCRNModel(head="csm", grid=build_time_grid(4, 2), n_tabular=1,
+                          n_causes=1, hidden=(3,), rng=rng,
+                          signal_specs=[{"name": "s", "n_basis": 2, "taus": taus}])
+        table = PersonPeriodTable(subject_idx=np.array([0, 0, 1]),
+                                  interval=np.array([1, 2, 1]),
+                                  target=np.array([0, 1, 1]), weight=np.ones(3))
+        batch = table_batch(rng.randn(2, 1), {"s": rng.randn(2, 21)}, table,
+                            np.arange(3))
+        grad = model.params.like(model.loss_and_grads(batch)[1])
+        weights, biases = grad.basis[0]
+        assert all(np.any(g != 0) for g in weights + biases)
 
     def test_grid_mismatch_rejected(self):
-        layer = BasisLayer(2, np.linspace(0, 1, 21), np.random.RandomState(7))
+        layer = BasisLayer(2, np.linspace(0, 1, 21))
         with pytest.raises(ValueError):
             layer.project(np.zeros((1, 20)))

@@ -125,6 +125,23 @@ class TestTrainCommand:
         assert "basis count 2" in out and "basis count 3" in out
         assert "selected basis count" in out
 
+    def test_basis_grid_search_with_missing_data(self, tmp_path, capsys):
+        # the imputation path logs one row per epoch, so selection has losses
+        simulate_small(tmp_path / "sim", n=40, functional=True, missing_rate=0.2,
+                       seed=5)
+        code = run(train_args(
+            tmp_path / "run", tmp_path / "sim", functional=True,
+            extra=["--set", "train.basis_grid_search=true",
+                   "--set", "train.basis_grid=[2,3]",
+                   "--set", "mvi.max_epochs=2"]))
+        assert code == 0
+        assert "selected basis count" in capsys.readouterr().out
+        with open(tmp_path / "run" / "training_log.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "train_loss", "val_loss"]
+        assert [int(r[0]) for r in rows[1:]] == [0, 1]
+        assert all(r[1] == r[2] for r in rows[1:])
+
 
 class TestPredictCommand:
     def _train(self, tmp_path, head="csm"):

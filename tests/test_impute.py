@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import finite_diff, max_rel_err
+from conftest import batch_loss_fn, finite_diff, max_rel_err
 
-from fcrn import autodiff as ad
 from fcrn.data import SubjectRecord, build_time_grid
 from fcrn.impute import (ImputeSettings, eta_at, fit_ggm, grad_log_pred,
                          grad_log_prior, i_step, iro_train, median_init,
                          sgld_impute)
-from fcrn.model import TrainSettings, build_table
+from fcrn.model import TrainSettings, build_table, table_batch
 
 
 def gaussian_chain(rng, n, p, rho=0.7):
@@ -103,30 +102,21 @@ class TestPredictionGradient:
         model.fit_normalization(np.vstack([s.x for s in subjects]))
         table = build_table(subjects, grid, model)
         xn = model.normalize(np.vstack([s.x for s in subjects]))
-        return model, ad.Var(xn), table
+        return model, xn, table
 
     def test_matches_finite_differences(self):
-        model, xn_var, table = self._setup()
+        model, xn, table = self._setup()
         rows = np.arange(len(table))
-        analytic = -grad_log_pred(model, xn_var, lambda: {}, table, rows)
-
-        class Wrapper:
-            value = xn_var.value
-
-        def loss_fn():
-            logits = model.forward_logits(ad.Var(xn_var.value), {},
-                                          table.subject_idx, table.interval)
-            return model.batch_loss(logits, table, rows) * float(len(rows))
-
-        numeric = finite_diff(loss_fn, [Wrapper])[0]
-        assert max_rel_err([analytic], [numeric]) < 1e-5
+        analytic = -grad_log_pred(model, xn, {}, table, rows, batch_size=7)
+        mean_loss = batch_loss_fn(model, table_batch(xn, {}, table, rows))
+        # finite differences of the summed loss, perturbing xn in place
+        numeric = finite_diff(lambda: mean_loss() * len(rows), xn.reshape(-1))
+        assert max_rel_err(analytic, numeric.reshape(xn.shape)) < 1e-5
 
     def test_dead_network_gives_zero_gradient(self):
-        model, xn_var, table = self._setup(seed=1)
-        for p in model.parameters():
-            p.value = np.zeros_like(p.value)
-        g = grad_log_pred(model, xn_var, lambda: {}, table,
-                          np.arange(len(table)))
+        model, xn, table = self._setup(seed=1)
+        model.theta[:] = 0.0
+        g = grad_log_pred(model, xn, {}, table, np.arange(len(table)))
         assert np.all(g == 0.0)
 
 
@@ -229,8 +219,7 @@ class TestIroTrain:
         s2 = TrainSettings(max_epochs=3, patience=5, seed=2)
         m1, X_out = iro_train(subjects, grid, "csm", s1, n_causes=2)
         m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
-        for p1, p2 in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(p1.value, p2.value)
+        assert np.array_equal(m1.theta, m2.theta)
         assert np.array_equal(X_out, np.vstack([s.x for s in subjects]))
 
     def test_observed_cells_preserved_and_missing_filled(self):
@@ -261,5 +250,4 @@ class TestIroTrain:
         m1, x1 = run()
         m2, x2 = run()
         assert np.array_equal(x1, x2)
-        for p1, p2 in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(p1.value, p2.value)
+        assert np.array_equal(m1.theta, m2.theta)

@@ -1,0 +1,95 @@
+"""Property tests of the fused loss_and_grads against central finite
+differences, over random FCRN graphs: csm or sdm head, scalar or one-hot
+time, 0-2 functional signals, random hidden and micro-network widths."""
+import numpy as np
+from conftest import batch_loss_fn, finite_diff, max_rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fcrn.data import (FunctionalCurve, SubjectRecord, build_time_grid,
+                       censoring_survival)
+from fcrn.model import FCRNModel, build_table, table_batch
+
+
+@st.composite
+def graphs(draw):
+    return {
+        "head": draw(st.sampled_from(["csm", "sdm"])),
+        "time_encoding": draw(st.sampled_from(["scalar", "onehot"])),
+        "n_signals": draw(st.integers(0, 2)),
+        "hidden": tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))),
+        "n_basis": draw(st.integers(1, 3)),
+        "micro_width": draw(st.integers(1, 4)),
+        "micro_depth": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 2 ** 31 - 1)),
+    }
+
+
+def build(g):
+    """A model and the batch of all its person-period rows."""
+    rng = np.random.RandomState(g["seed"])
+    L = int(rng.randint(2, 5))
+    grid = build_time_grid(float(L), 1.0)
+    taus = np.linspace(0.0, 1.0, int(rng.randint(3, 7)))
+    names = ["sig%d" % k for k in range(g["n_signals"])]
+    subjects = [SubjectRecord(id="s%d" % i, x=rng.randn(2),
+                              missing_mask=np.zeros(2, dtype=bool),
+                              time=float(rng.uniform(0.0, L)),
+                              cause=int(rng.randint(0, 3)),
+                              curves=[FunctionalCurve(n, taus, rng.randn(len(taus)))
+                                      for n in names])
+                for i in range(4)]
+    subjects[0].time, subjects[0].cause = float(L), 1  # a nonempty sdm table
+    specs = [{"name": n, "taus": taus, "n_basis": g["n_basis"],
+              "micro_width": g["micro_width"], "micro_depth": g["micro_depth"]}
+             for n in names]
+    model = FCRNModel(head=g["head"], grid=grid, n_tabular=2, n_causes=2,
+                      target_cause=1, signal_specs=specs, hidden=g["hidden"],
+                      time_encoding=g["time_encoding"], rng=rng)
+    # random biases too: with zero biases a dead ReLU unit puts the next
+    # layer's pre-activation exactly on the kink, where differences fail
+    model.theta[:] = rng.randn(model.theta.size) * 0.5
+    X = np.vstack([s.x for s in subjects])
+    model.fit_normalization(X)
+    model.fit_curve_normalization(subjects)
+    cg = censoring_survival(subjects, grid) if g["head"] == "sdm" else None
+    table = build_table(subjects, grid, model, g=cg)
+    curve_mats = model.curve_matrices(subjects) if names else {}
+    rows = rng.permutation(len(table))
+    return model, table_batch(model.normalize(X), curve_mats, table, rows)
+
+
+# Derandomized: central differences with step 1e-5 are wrong wherever a
+# ReLU pre-activation lies within about 1e-5 of its kink, which a few random
+# graphs in a thousand hit; a fixed example set keeps the suite repeatable.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+def test_parameter_gradient_matches_finite_differences(g):
+    model, batch = build(g)
+    _, grad, d_xn = model.loss_and_grads(batch)
+    assert d_xn is None
+    assert max_rel_err(grad, finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs())
+def test_input_gradient_matches_finite_differences(g):
+    model, batch = build(g)
+    _, grad, d_xn = model.loss_and_grads(batch, want_input_grad=True,
+                                         want_param_grad=False)
+    assert grad is None
+    numeric = finite_diff(batch_loss_fn(model, batch), batch.xn.reshape(-1))
+    assert max_rel_err(d_xn, numeric.reshape(batch.xn.shape)) < 1e-5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graphs(), st.integers(1, 12))
+def test_batch_projection_equals_project_all_then_gather(g, n_rows):
+    model, batch = build(dict(g, n_signals=max(g["n_signals"], 1)))
+    subj_idx = batch.subj_idx[:n_rows]
+    projections = model.project_signals(batch.curves, subj_idx)
+    for spec, part in zip(model.signal_specs, projections.parts):
+        everyone = model.basis_layers[spec["name"]].project(batch.curves[spec["name"]])
+        gathered = everyone.coef[subj_idx]
+        assert np.max(np.abs(part.coef[projections.rows] - gathered)) <= 1e-12
+        assert part.coef.shape[0] == len(np.unique(subj_idx))

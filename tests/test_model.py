@@ -1,13 +1,19 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from conftest import (collect_grads, direct_nll_cs, direct_nll_sd, finite_diff,
-                      max_rel_err)
+from conftest import (batch_loss_fn, collect_grads, direct_nll_cs, direct_nll_sd,
+                      finite_diff, max_rel_err)
 
 from fcrn import autodiff as ad
-from fcrn.data import (SubjectRecord, build_time_grid, censoring_survival)
+from fcrn.data import (SubjectRecord, build_time_grid, censoring_survival,
+                       read_curves_csv, read_subjects_csv)
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
                         cif_from_cause_specific, cif_from_subdistribution,
-                        loss_cs, loss_sub, train_model)
+                        table_batch, train_model)
+
+FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
 
 
 def subj(id, time, cause, x):
@@ -25,8 +31,15 @@ def make_model(head, n_tabular=2, n_causes=2, target_cause=1, hidden=(4,),
 
 
 def zero_params(model):
-    for p in model.parameters():
-        p.value = np.zeros_like(p.value)
+    model.theta[:] = 0.0
+
+
+def loss_cs(probs, targets):
+    return ad.nll("csm", probs, targets)
+
+
+def loss_sub(probs, targets, weights):
+    return ad.nll("sdm", probs, targets, weights)
 
 
 def random_dataset(rng, n, n_causes=2, max_time=20.0, p=2):
@@ -41,19 +54,19 @@ class TestFeatureAssembly:
                           signal_specs=[{"name": "s1", "n_basis": 3,
                                          "taus": np.linspace(0, 1, 11)}],
                           rng=np.random.RandomState(0))
-        assert model.mlp_w[0].value.shape[1] == 2 + 3 + 1
+        assert model.mlp_w[0].shape[1] == 2 + 3 + 1
         assert model._time_feature([10])[0, 0] == pytest.approx(0.5)
         assert model._time_feature([20])[0, 0] == pytest.approx(1.0)
 
     def test_no_signals_width(self):
         model = make_model("csm", n_tabular=3)
-        assert model.mlp_w[0].value.shape[1] == 4
+        assert model.mlp_w[0].shape[1] == 4
 
     def test_onehot_time_encoding(self):
         grid = build_time_grid(20, 5)
         model = FCRNModel(head="csm", grid=grid, n_tabular=1, n_causes=1,
                           time_encoding="onehot", rng=np.random.RandomState(0))
-        assert model.mlp_w[0].value.shape[1] == 1 + 4
+        assert model.mlp_w[0].shape[1] == 1 + 4
         f = model._time_feature([2])
         assert f.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
@@ -85,7 +98,7 @@ class TestHeads:
         model = make_model("csm", n_causes=2, hidden=(2,))
         zero_params(model)
         g = np.array([0.0, 0.4, -1.1])
-        model.mlp_b[-1].value = g.copy()
+        model.mlp_b[-1][:] = g
         hz = model.predict_hazards([subj("a", 3.0, 1, [0.0, 0.0])])
         expected = np.exp(g[1:]) / (1.0 + np.exp(g[1:]).sum())
         assert np.allclose(hz[0, 0, 1:], expected, atol=1e-14)
@@ -100,7 +113,7 @@ class TestHeads:
     def test_sdm_closed_form_logit(self):
         model = make_model("sdm", hidden=(2,))
         zero_params(model)
-        model.mlp_b[-1].value = np.array([np.log(3.0)])
+        model.mlp_b[-1][:] = np.log(3.0)
         hz = model.predict_hazards([subj("a", 3.0, 1, [0.0, 0.0])])
         assert np.allclose(hz, 0.75)
 
@@ -113,30 +126,30 @@ class TestHeads:
 
 class TestLosses:
     def test_loss_cs_perfect_prediction(self):
-        probs = ad.Var(np.array([[1.0 - 2e-13, 1e-13, 1e-13]]))
-        assert float(loss_cs(probs, [0]).value) == pytest.approx(0.0, abs=1e-10)
+        probs = np.array([[1.0 - 2e-13, 1e-13, 1e-13]])
+        assert float(loss_cs(probs, [0])) == pytest.approx(0.0, abs=1e-10)
 
     def test_loss_cs_uniform(self):
-        probs = ad.Var(np.full((4, 3), 1.0 / 3.0))
-        assert float(loss_cs(probs, [0, 1, 2, 0]).value) == pytest.approx(np.log(3.0))
+        probs = np.full((4, 3), 1.0 / 3.0)
+        assert float(loss_cs(probs, [0, 1, 2, 0])) == pytest.approx(np.log(3.0))
 
     def test_loss_sub_all_zero_weights(self):
-        probs = ad.Var(np.full((3, 1), 0.3))
+        probs = np.full((3, 1), 0.3)
         out = loss_sub(probs, [1, 0, 1], [0.0, 0.0, 0.0])
-        assert float(out.value) == 0.0
+        assert float(out) == 0.0
 
     def test_loss_sub_bce_value(self):
-        probs = ad.Var(np.full((2, 1), 0.5))
+        probs = np.full((2, 1), 0.5)
         out = loss_sub(probs, [1, 0], [1.0, 1.0])
-        assert float(out.value) == pytest.approx(np.log(2.0))
+        assert float(out) == pytest.approx(np.log(2.0))
 
     def test_loss_sub_linear_in_weights(self):
         rng = np.random.RandomState(3)
-        probs = ad.Var(rng.uniform(0.1, 0.9, size=(5, 1)))
+        probs = rng.uniform(0.1, 0.9, size=(5, 1))
         y = rng.randint(0, 2, size=5)
         w = rng.uniform(0, 2, size=5)
-        single = float(loss_sub(probs, y, w).value)
-        double = float(loss_sub(probs, y, 2 * w).value)
+        single = float(loss_sub(probs, y, w))
+        double = float(loss_sub(probs, y, 2 * w))
         assert double == pytest.approx(2 * single)
 
 
@@ -153,10 +166,9 @@ class TestLikelihoodOracle:
             model.fit_normalization(np.vstack([s.x for s in subjects]))
             table = build_table(subjects, grid, model)
             xn = model.normalize(np.vstack([s.x for s in subjects]))
-            logits = model.forward_logits(ad.Var(xn), {}, table.subject_idx,
-                                          table.interval)
-            summed = float(model.batch_loss(logits, table,
-                                            np.arange(len(table))).value) * len(table)
+            fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+            summed = float(model.batch_loss(fwd, table.target,
+                                            table.weight).value) * len(table)
             hz = model.predict_hazards(subjects)
             assert summed == pytest.approx(direct_nll_cs(hz, subjects, grid),
                                            abs=1e-10)
@@ -174,10 +186,9 @@ class TestLikelihoodOracle:
             if len(table) == 0:
                 continue
             xn = model.normalize(np.vstack([s.x for s in subjects]))
-            logits = model.forward_logits(ad.Var(xn), {}, table.subject_idx,
-                                          table.interval)
-            summed = float(model.batch_loss(logits, table,
-                                            np.arange(len(table))).value) * len(table)
+            fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+            summed = float(model.batch_loss(fwd, table.target,
+                                            table.weight).value) * len(table)
             hz = model.predict_hazards(subjects)
             assert summed == pytest.approx(
                 direct_nll_sd(hz, subjects, grid, 1, g), abs=1e-10)
@@ -235,16 +246,9 @@ class TestHeadGradients:
         model.fit_normalization(np.vstack([s.x for s in subjects]))
         table = build_table(subjects, grid, model)
         xn = model.normalize(np.vstack([s.x for s in subjects]))
-        rows = np.arange(len(table))
-
-        def loss_fn():
-            logits = model.forward_logits(ad.Var(xn), {}, table.subject_idx,
-                                          table.interval)
-            return model.batch_loss(logits, table, rows)
-
-        params = model.parameters()
-        assert max_rel_err(collect_grads(loss_fn, params),
-                           finite_diff(loss_fn, params)) < 1e-5
+        batch = table_batch(xn, {}, table, np.arange(len(table)))
+        assert max_rel_err(collect_grads(model, batch),
+                           finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
 
     def test_sdm_loss_gradients_match_finite_differences(self):
         rng = np.random.RandomState(7)
@@ -255,16 +259,9 @@ class TestHeadGradients:
         g = censoring_survival(subjects, grid)
         table = build_table(subjects, grid, model, g=g)
         xn = model.normalize(np.vstack([s.x for s in subjects]))
-        rows = np.arange(len(table))
-
-        def loss_fn():
-            logits = model.forward_logits(ad.Var(xn), {}, table.subject_idx,
-                                          table.interval)
-            return model.batch_loss(logits, table, rows)
-
-        params = model.parameters()
-        assert max_rel_err(collect_grads(loss_fn, params),
-                           finite_diff(loss_fn, params)) < 1e-5
+        batch = table_batch(xn, {}, table, np.arange(len(table)))
+        assert max_rel_err(collect_grads(model, batch),
+                           finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
 
 
 class TestTraining:
@@ -285,8 +282,7 @@ class TestTraining:
         s2 = TrainSettings(max_epochs=5, patience=10, seed=3)
         m1 = train_model(subjects, grid, "csm", s1, n_causes=2)
         m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
-        for p1, p2 in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(p1.value, p2.value)
+        assert np.array_equal(m1.theta, m2.theta)
 
     def test_loss_decreases_after_first_epoch(self):
         rng = np.random.RandomState(9)
@@ -312,3 +308,22 @@ class TestSerialization:
         S2, F2 = loaded.predict_cif(subjects)
         assert np.array_equal(S1, S2)
         assert np.array_equal(F1, F2)
+
+    def test_parent_model_files_predict_parent_cifs(self):
+        # model.json files and CIFs written by the per-parameter tape code
+        # that preceded the flat parameter vector
+        subjects, _ = read_subjects_csv(FIXTURES / "subjects.csv")
+        read_curves_csv(FIXTURES / "curves.csv", subjects)
+        expected = json.loads((FIXTURES / "expected_cif.json").read_text())
+        csm = FCRNModel.load(FIXTURES / "model_csm.json")
+        S, F = csm.predict_cif(subjects)
+        assert np.max(np.abs(S - expected["csm_S"])) <= 1e-12
+        assert np.max(np.abs(F - expected["csm_F"])) <= 1e-12
+        sdm = FCRNModel.load(FIXTURES / "model_sdm.json")
+        assert np.max(np.abs(sdm.predict_cif(subjects) - expected["sdm_F"])) <= 1e-12
+
+    def test_saved_keys_match_parent_model_file(self, tmp_path):
+        for name in ("model_csm.json", "model_sdm.json"):
+            parent = json.loads((FIXTURES / name).read_text())
+            FCRNModel.load(FIXTURES / name).save(tmp_path / name)
+            assert json.loads((tmp_path / name).read_text()) == parent
