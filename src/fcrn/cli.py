@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import dump_config, load_config
+from .config import ConfigError, dump_config, load_config
 from .data import (DataError, build_time_grid, read_curves_csv,
                    read_subjects_csv, write_curves_csv, write_subjects_csv,
                    censoring_survival)
@@ -121,6 +121,9 @@ def _fit_one(cfg, subjects, grid, signal_names, n_basis):
 def cmd_train(cfg):
     out = _ensure_outdir(cfg)
     subjects, _ = _load_dataset(cfg, need_curves=cfg["train"]["use_functional"])
+    if not subjects:
+        raise CliError(EXIT_SCHEMA, "%s: no subjects to train on"
+                       % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
     for s in subjects:
         if s.time > grid.max_time:
@@ -226,20 +229,29 @@ def _read_predictions(path):
 def cmd_evaluate(cfg, predictions_path):
     out = _ensure_outdir(cfg)
     subjects, _ = _load_dataset(cfg, need_curves=False)
+    if not subjects:
+        raise CliError(EXIT_SCHEMA, "%s: no subjects to score"
+                       % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
     header, causes, rows = _read_predictions(predictions_path)
     L = grid.n_intervals
     order = {s.id: i for i, s in enumerate(subjects)}
     # F[cause][i, t]; column 0 stays 0 (no event by time 0)
     F = {m: np.zeros((len(subjects), L + 1)) for m in causes}
+    n_rows = [0] * len(subjects)
     for r in rows:
         if r[0] not in order:
             raise CliError(EXIT_COMPAT, "prediction for unknown subject %r" % r[0])
         i, t = order[r[0]], int(r[1])
         if t > L:
             raise CliError(EXIT_COMPAT, "prediction interval %d beyond grid" % t)
+        n_rows[i] += 1
         for k, m in enumerate(causes):
             F[m][i, t] = float(r[3 + k])
+    unpredicted = [s.id for s, k in zip(subjects, n_rows) if k == 0]
+    if unpredicted:
+        raise CliError(EXIT_COMPAT, "no predictions for %d subject(s), first %r"
+                       % (len(unpredicted), unpredicted[0]))
 
     g = censoring_survival(subjects, grid)
     t0 = cfg["evaluate"]["t0"]
@@ -298,6 +310,9 @@ def main(argv=None):
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
+    except ConfigError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_SCHEMA
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_IO

@@ -56,34 +56,49 @@ DEFAULTS = {
 }
 
 
+class ConfigError(ValueError):
+    """A config file, override or key that does not fit DEFAULTS."""
+
+
 def load_config(path=None, overrides=()):
-    """Merge defaults, an optional JSON file, and dotted-path overrides."""
+    """Merge defaults, an optional JSON file, and dotted-path overrides.
+
+    Raises ConfigError for unparsable JSON, a malformed override, or a key
+    that DEFAULTS does not have.
+    """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
         with open(path) as fh:
-            _deep_update(cfg, json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError("%s: invalid JSON: %s" % (path, e))
+        if not isinstance(doc, dict):
+            raise ConfigError("%s: config must be a JSON object" % path)
+        _deep_update(cfg, doc)
     for item in overrides:
         if "=" not in item:
-            raise ValueError("override %r is not of the form key.path=value" % item)
+            raise ConfigError("override %r is not of the form key.path=value" % item)
         key, _, raw = item.partition("=")
-        _set_dotted(cfg, key.strip(), _parse_value(raw.strip()))
+        value = _parse_value(raw.strip())
+        for part in reversed(key.strip().split(".")):
+            value = {part: value}
+        _deep_update(cfg, value)
     return cfg
 
 
-def _deep_update(base, update):
+def _deep_update(base, update, prefix=""):
     for k, v in update.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
+        if k not in base:
+            raise ConfigError("unknown config key %r" % (prefix + k))
+        is_section = isinstance(base[k], dict)
+        if is_section != isinstance(v, dict):
+            raise ConfigError("config key %r must %sbe an object"
+                              % (prefix + k, "" if is_section else "not "))
+        if is_section:
+            _deep_update(base[k], v, prefix + k + ".")
         else:
             base[k] = v
-
-
-def _set_dotted(cfg, dotted, value):
-    parts = dotted.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-    node[parts[-1]] = value
 
 
 def _parse_value(raw):

@@ -1,9 +1,11 @@
 """Gradient-based missing-value imputation (IRO algorithm).
 
-Median initialization, SGLD I-steps combining a Gaussian-graphical prior
-gradient with the prediction-loss gradient, and RO-steps that update the
-network parameters and refit the graphical model on the imputed matrix.
-Only tabular covariates participate; curves are assumed complete.
+Median initialization, then model.fit's training loop with an I-step at
+the start of every epoch: a Gaussian-graphical-model refit on the imputed
+matrix and SGLD updates combining its prior gradient with the
+prediction-loss gradient. The epoch's Adam pass over the network
+parameters is the RO-step. Only tabular covariates participate; curves
+are assumed complete.
 """
 from __future__ import annotations
 
@@ -12,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .data import covariate_matrix
-from .model import (NumericError, build_table, censoring_survival, table_batch,
-                    train_model)
+# censoring_survival stays in this namespace: the benchmark's tracer wraps
+# it here (tests/test_bench_contract.py)
+from .data import censoring_survival, covariate_matrix  # noqa: F401
+from .model import fit, init_model, table_batch, train_model
 
 COND_VAR_FLOOR = 1e-8
 
@@ -33,7 +35,6 @@ class ImputeSettings:
     ridge: float = 1e-3
     max_epochs: int = 150
     rel_tol: float = 1e-4
-    patience: int = 5
 
 
 class GaussianGraphicalModel:
@@ -200,9 +201,14 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
               n_causes=None, target_cause=None, signal_names=()):
     """Train an FCRN while imputing missing tabular covariates.
 
-    Alternates per epoch: an I-step SGLD pass over all missing entries,
-    then an RO-step of one Adam epoch on the network plus a graphical-model
-    refit. Falls through to the plain trainer when nothing is missing.
+    The training loop is model.fit's, with an I-step at the start of every
+    epoch: a graphical-model refit on the current imputed matrix, then
+    i_repeats SGLD passes over all missing entries whose prediction
+    gradient reads the training subjects' rows only. The epoch's Adam pass
+    is the RO-step. An imputing fit runs at most
+    min(settings.max_epochs, impute_settings.max_epochs) epochs and also
+    stops on a six-epoch plateau of the monitored loss (rel_tol). Falls
+    through to the plain trainer when nothing is missing.
 
     Returns (model, imputed covariate matrix on the original scale).
     """
@@ -214,57 +220,26 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
 
     imp = impute_settings or ImputeSettings()
     rng = np.random.RandomState(settings.seed)
-    from .model import _epoch_loss, _init_model  # shared training internals
-
-    model = _init_model(subjects, grid, head, settings, n_causes, target_cause,
-                        signal_names, rng)
+    model = init_model(subjects, grid, head, settings, n_causes, target_cause,
+                       signal_names, rng)
+    sgld_rng = np.random.RandomState(rng.randint(2 ** 31))
     X_filled = median_init(X_raw, mask)
     model.fit_normalization(X_filled)
     Xn = model.normalize(X_filled)
 
-    g = censoring_survival(subjects, grid) if head == "sdm" else None
-    table = build_table(subjects, grid, model, g=g)
-    rows = np.arange(len(table))
-    curve_mats = model.curve_matrices(subjects) if model.signal_specs else {}
-    ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
-    adam = ad.AdamState(model.theta.size)
-    shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
-    sgld_rng = np.random.RandomState(rng.randint(2 ** 31))
-
-    best_loss = np.inf
-    recent = []
-    settings.log = []
-    for epoch in range(imp.max_epochs):
-        # I-Step
+    def impute_epoch(epoch, curve_mats, table, train_rows):
+        ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
         eta = eta_at(epoch, imp)
         for _ in range(imp.i_repeats):
             pred_grad = None
             if imp.pred_weight != 0.0:
                 pred_grad = imp.pred_weight * grad_log_pred(
-                    model, Xn, curve_mats, table, rows)
+                    model, Xn, curve_mats, table, train_rows)
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
-        # RO-Step: one Adam epoch on theta, then refit the graphical model
-        tr_loss = _epoch_loss(model, Xn, curve_mats, table, rows,
-                              settings.batch_size, adam=adam, lr=settings.lr,
-                              shuffle_rng=shuffle_rng)
-        ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
-        # no validation rows here: the train loss is also the monitored one
-        settings.log.append((epoch, tr_loss, tr_loss))
 
-        if tr_loss < best_loss:
-            best_loss = tr_loss
-        elif tr_loss > 10.0 * best_loss and best_loss > 0:
-            raise NumericError("training loss diverged at epoch %d "
-                               "(loss=%g, best=%g)" % (epoch, tr_loss, best_loss))
-        recent.append(tr_loss)
-        if len(recent) > 6:
-            recent.pop(0)
-        if len(recent) == 6:
-            rel = [abs(recent[k + 1] - recent[k]) / max(abs(recent[k]), 1e-12)
-                   for k in range(5)]
-            if max(rel) < imp.rel_tol:
-                break
+    fit(model, subjects, Xn, settings, rng, i_step=impute_epoch,
+        max_epochs=min(settings.max_epochs, imp.max_epochs), rel_tol=imp.rel_tol)
 
     X_out = np.array(X_raw, copy=True)
     denorm = model.denormalize(Xn)

@@ -391,30 +391,24 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
 
 
 def train_model(subjects, grid, head, settings, n_causes=None, target_cause=None,
-                signal_names=(), xn_override=None):
+                signal_names=()):
     """Fit an FCRN on complete-data subjects (no missingness path).
 
     Returns the model with the best validation loss under early stopping.
-    xn_override substitutes a pre-normalized covariate matrix, which the
-    imputation loop uses to train on currently imputed values.
     """
     rng = np.random.RandomState(settings.seed)
-    model = _init_model(subjects, grid, head, settings, n_causes, target_cause,
-                        signal_names, rng)
+    model = init_model(subjects, grid, head, settings, n_causes, target_cause,
+                       signal_names, rng)
     X, mask = covariate_matrix(subjects)
-    if xn_override is not None:
-        xn = xn_override
-    else:
-        if mask.any():
-            raise ValueError("dataset has missing values; use the imputation loop")
-        model.fit_normalization(X)
-        xn = model.normalize(X)
-    _fit_loop(model, subjects, xn, settings, rng)
-    return model
+    if mask.any():
+        raise ValueError("dataset has missing values; use the imputation loop")
+    model.fit_normalization(X)
+    return fit(model, subjects, model.normalize(X), settings, rng)
 
 
-def _init_model(subjects, grid, head, settings, n_causes, target_cause,
-                signal_names, rng):
+def init_model(subjects, grid, head, settings, n_causes, target_cause,
+               signal_names, rng):
+    """An initialized model with its curve normalization fitted."""
     signal_specs = []
     if signal_names and subjects and subjects[0].curves:
         for name in signal_names:
@@ -438,15 +432,26 @@ def _canonical_grid(subjects, name, cap=101):
     return taus
 
 
-def _fit_loop(model, subjects, xn, settings, rng):
-    """Adam mini-batch loop with a validation holdout and early stopping."""
+def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
+        rel_tol=0.0):
+    """Adam mini-batch epochs with a validation holdout and early stopping.
+
+    The validation subjects are drawn from rng. The monitored loss is the
+    validation loss, or the train loss when no subject is held out.
+    Training stops after settings.patience epochs without a better
+    monitored loss, after max_epochs (default settings.max_epochs) epochs,
+    or when the last six monitored losses each moved by less than rel_tol
+    relative; the best epoch's parameters are restored. i_step, when
+    given, runs as i_step(epoch, curve_mats, table, train_rows) at the
+    start of every epoch and may update xn in place. settings.log gets
+    one (epoch, train_loss, monitored_loss) row per epoch.
+    """
     n = len(subjects)
     perm = rng.permutation(n)
     n_val = int(round(settings.val_fraction * n))
-    val_ids = set(perm[:n_val].tolist())
     g = censoring_survival(subjects, model.grid) if model.head == "sdm" else None
     table = build_table(subjects, model.grid, model, g=g)
-    in_val = np.array([i in val_ids for i in table.subject_idx])
+    in_val = np.isin(table.subject_idx, perm[:n_val])
     train_rows = np.where(~in_val)[0]
     val_rows = np.where(in_val)[0]
 
@@ -455,7 +460,9 @@ def _fit_loop(model, subjects, xn, settings, rng):
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
     history = []
-    for epoch in range(settings.max_epochs):
+    for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
+        if i_step is not None:
+            i_step(epoch, curve_mats, table, train_rows)
         tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng)
@@ -473,6 +480,10 @@ def _fit_loop(model, subjects, xn, settings, rng):
             since_best += 1
             if since_best >= settings.patience:
                 break
+        recent = np.array([h[2] for h in history[-6:]])
+        moves = np.abs(np.diff(recent)) / np.maximum(np.abs(recent[:-1]), 1e-12)
+        if len(recent) == 6 and moves.max() < rel_tol:
+            break
     model.theta[:] = best_values
     settings.log = history
     return model

@@ -126,7 +126,8 @@ class TestTrainCommand:
         assert "selected basis count" in out
 
     def test_basis_grid_search_with_missing_data(self, tmp_path, capsys):
-        # the imputation path logs one row per epoch, so selection has losses
+        # the imputation path logs one row per epoch and holds out validation
+        # subjects, so selection compares validation, not training, losses
         simulate_small(tmp_path / "sim", n=40, functional=True, missing_rate=0.2,
                        seed=5)
         code = run(train_args(
@@ -140,7 +141,32 @@ class TestTrainCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_loss"]
         assert [int(r[0]) for r in rows[1:]] == [0, 1]
-        assert all(r[1] == r[2] for r in rows[1:])
+        assert all(r[1] != r[2] for r in rows[1:])
+
+    def test_header_only_subjects_is_schema_error(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,time,cause,x1,x2\n")
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                    "--set", "data.subjects=%s" % json.dumps(str(empty)),
+                    "train"])
+        assert code == 3
+
+
+class TestConfigErrors:
+    def test_malformed_set_is_schema_error(self):
+        assert run(["--set", "foo", "simulate"]) == 3
+
+    def test_invalid_config_json_is_schema_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1,')
+        assert run(["--config", str(bad), "simulate"]) == 3
+
+    def test_unknown_key_is_schema_error(self, tmp_path, capsys):
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                    "--set", "train.lr_typo=0.1", "simulate"])
+        assert code == 3
+        assert "train.lr_typo" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPredictCommand:
@@ -227,6 +253,27 @@ class TestEvaluateCommand:
                     "--set", "evaluate.horizons=[500]",
                     "evaluate", "--predictions", str(preds)])
         assert code == 5
+
+    def test_subject_without_predictions_is_compat_error(self, tmp_path, capsys):
+        subjects, preds = self._pipeline(tmp_path)
+        lines = preds.read_text().splitlines(keepends=True)
+        dropped = lines[1].split(",")[0]
+        preds.write_text("".join(line for line in lines
+                                 if line.split(",")[0] != dropped))
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
+                    "--set", "data.subjects=%s" % json.dumps(str(subjects)),
+                    "evaluate", "--predictions", str(preds)])
+        assert code == 5
+        assert repr(dropped) in capsys.readouterr().err
+
+    def test_header_only_subjects_is_schema_error(self, tmp_path):
+        _, preds = self._pipeline(tmp_path)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("id,time,cause,x1\n")
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
+                    "--set", "data.subjects=%s" % json.dumps(str(empty)),
+                    "evaluate", "--predictions", str(preds)])
+        assert code == 3
 
     def test_not_a_predictions_file_is_schema_error(self, tmp_path):
         subjects, _ = self._pipeline(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import batch_loss_fn, finite_diff, max_rel_err
 
+import fcrn.impute
 from fcrn.data import SubjectRecord, build_time_grid
 from fcrn.impute import (ImputeSettings, eta_at, fit_ggm, grad_log_pred,
                          grad_log_prior, i_step, iro_train, median_init,
@@ -251,3 +252,59 @@ class TestIroTrain:
         m2, x2 = run()
         assert np.array_equal(x1, x2)
         assert np.array_equal(m1.theta, m2.theta)
+
+    def test_validation_holdout_and_early_stopping(self):
+        rng = np.random.RandomState(12)
+        grid = build_time_grid(20, 5)
+        subjects = self._subjects(rng, 60, missing_rate=0.3)
+        settings = TrainSettings(max_epochs=60, patience=1, val_fraction=0.3,
+                                 lr=0.05, seed=6)
+        imp = ImputeSettings(max_epochs=60, noise=False, rel_tol=0.0)
+        iro_train(subjects, grid, "csm", settings, impute_settings=imp,
+                  n_causes=2)
+        assert 0 < len(settings.log) < 60
+        assert [r[0] for r in settings.log] == list(range(len(settings.log)))
+        assert all(tr != val for _, tr, val in settings.log)
+
+    def test_epoch_cap_is_the_smaller_max_epochs(self):
+        rng = np.random.RandomState(13)
+        grid = build_time_grid(20, 5)
+        subjects = self._subjects(rng, 30, missing_rate=0.3)
+        for train_epochs, impute_epochs in ((3, 5), (5, 3)):
+            settings = TrainSettings(max_epochs=train_epochs, patience=10,
+                                     seed=7)
+            imp = ImputeSettings(max_epochs=impute_epochs, rel_tol=0.0)
+            iro_train(subjects, grid, "csm", settings, impute_settings=imp,
+                      n_causes=2)
+            assert len(settings.log) == 3
+
+    def test_prediction_gradient_skips_validation_subjects(self, monkeypatch):
+        rng = np.random.RandomState(14)
+        grid = build_time_grid(20, 5)
+        n = 40
+        subjects = self._subjects(rng, n, missing_rate=0.3)
+        grad_subjects, pred_grads = [], []
+        real_pred, real_step = fcrn.impute.grad_log_pred, fcrn.impute.i_step
+
+        def pred(model, xn, curve_mats, table, rows, **kwargs):
+            grad_subjects.append(set(table.subject_idx[rows].tolist()))
+            return real_pred(model, xn, curve_mats, table, rows, **kwargs)
+
+        def step(X, mask, ggm, eta, rng, pred_grad=None, noise=True):
+            pred_grads.append(pred_grad.copy())
+            return real_step(X, mask, ggm, eta, rng, pred_grad=pred_grad,
+                             noise=noise)
+
+        monkeypatch.setattr(fcrn.impute, "grad_log_pred", pred)
+        monkeypatch.setattr(fcrn.impute, "i_step", step)
+        settings = TrainSettings(max_epochs=3, patience=10, val_fraction=0.25,
+                                 seed=8)
+        iro_train(subjects, grid, "csm", settings,
+                  impute_settings=ImputeSettings(max_epochs=3, i_repeats=2),
+                  n_causes=2)
+        assert len(pred_grads) == 6
+        for train_ids, g in zip(grad_subjects, pred_grads):
+            val_ids = sorted(set(range(n)) - train_ids)
+            assert len(val_ids) == 10
+            assert np.all(g[val_ids] == 0.0)
+            assert np.any(g[sorted(train_ids)] != 0.0)
