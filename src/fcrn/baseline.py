@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import assign_interval
+from .data import assign_intervals
 from .model import cif_from_cause_specific
 
 
@@ -15,7 +15,7 @@ def intercept_only_cif(train_subjects, grid, n_causes, n_eval=1):
     rows identical since no covariates enter.
     """
     L = grid.n_intervals
-    iv = np.array([assign_interval(s.time, grid) for s in train_subjects])
+    iv = assign_intervals([s.time for s in train_subjects], grid)
     cause = np.array([s.cause for s in train_subjects])
     lam = np.zeros((L, n_causes))
     for t in range(1, L + 1):

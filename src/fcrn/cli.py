@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
 import numpy as np
 
 from .config import ConfigError, dump_config, load_config
-from .data import (DataError, build_time_grid, read_curves_csv,
-                   read_subjects_csv, write_curves_csv, write_subjects_csv,
-                   censoring_survival)
+from .data import (CSV_CHUNK_ROWS, DataError, build_time_grid, csv_chunks,
+                   read_curves_csv, read_subjects_csv, write_curves_csv,
+                   write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
 from .metrics import score_cif
 from .model import FCRNModel, NumericError, TrainSettings, train_model
@@ -26,6 +27,8 @@ EXIT_IO = 2
 EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
+
+PREDICT_BLOCK = 1024  # subjects formatted per write of predictions.csv
 
 
 class CliError(Exception):
@@ -187,43 +190,137 @@ def cmd_predict(cfg, model_path):
             raise CliError(EXIT_COMPAT,
                            "subject %s time %g outside model grid (max %g)"
                            % (s.id, s.time, grid.max_time))
+    if model.head == "csm":
+        names = ["cif_%d" % m for m in range(1, model.n_causes + 1)] + ["survival"]
+        if subjects:
+            S, F = model.predict_cif(subjects)
+            columns = [F[:, k] for k in range(model.n_causes)] + [S]
+    else:
+        names = ["cif_%d" % model.target_cause]
+        if subjects:
+            columns = [model.predict_cif(subjects)]
+    if not subjects:
+        columns = [np.zeros((0, grid.n_intervals + 1))] * len(names)
     path = os.path.join(out, "predictions.csv")
-    L = grid.n_intervals
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if model.head == "csm":
-            causes = list(range(1, model.n_causes + 1))
-            w.writerow(["id", "interval", "time"]
-                       + ["cif_%d" % m for m in causes] + ["survival"])
-            if subjects:
-                S, F = model.predict_cif(subjects)
-                for i, s in enumerate(subjects):
-                    for t in range(1, L + 1):
-                        w.writerow([s.id, t, repr(float(grid.cuts[t]))]
-                                   + [repr(float(F[i, m - 1, t])) for m in causes]
-                                   + [repr(float(S[i, t]))])
-        else:
-            w.writerow(["id", "interval", "time", "cif_%d" % model.target_cause])
-            if subjects:
-                F = model.predict_cif(subjects)
-                for i, s in enumerate(subjects):
-                    for t in range(1, L + 1):
-                        w.writerow([s.id, t, repr(float(grid.cuts[t])),
-                                    repr(float(F[i, t]))])
+    write_predictions(path, [s.id for s in subjects], grid, names, columns)
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("predictions written to %s" % path)
     return 0
 
 
-def _read_predictions(path):
+def _csv_field(text):
+    """text as a field of csv.writer's default dialect (minimal quoting)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def write_predictions(path, ids, grid, names, columns):
+    """predictions.csv: a row id,interval,time,<names> per subject and interval.
+
+    columns holds one (n, L+1) matrix per name, column t for interval t.
+    The file is what csv.writer writes for the rows [id, t, repr(time),
+    repr(value), ...]; it is formatted PREDICT_BLOCK subjects at a time,
+    by one %-format of every row of the block.
+    """
+    L = grid.n_intervals
+    subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
+                           + ",%r" * len(columns) + "\r\n" for t in range(1, L + 1))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
+        for lo in range(0, len(ids), PREDICT_BLOCK):
+            hi = min(lo + PREDICT_BLOCK, len(ids))
+            cells = np.empty((hi - lo, L, len(columns) + 1), dtype=object)
+            cells[:, :, 0] = np.array([_csv_field(i) for i in ids[lo:hi]],
+                                      dtype=object)[:, None]
+            for k, col in enumerate(columns):
+                cells[:, :, k + 1] = col[lo:hi, 1:]  # Python floats, so %r is repr
+            fh.write((subject_rows * (hi - lo)) % tuple(cells.ravel().tolist()))
+
+
+def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
+    """Stream predictions.csv into one (n, L+1) CIF matrix per cause.
+
+    Returns (causes, F): F[k][i, t] is column cif_<causes[k]> of subject
+    ids[i] at interval t, and column 0 stays 0 (no event by time 0). Rows
+    are parsed chunk_rows at a time. Exit 3 for a file that is not a
+    predictions CSV or has a malformed row; exit 5 for a row of an unknown
+    subject, an interval outside 1..L, a time that is not its interval's
+    endpoint, or a subject whose rows do not cover 1..L exactly once.
+    """
+    L = grid.n_intervals
+    order = {sid: i for i, sid in enumerate(ids)}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:3] != ["id", "interval", "time"]:
             raise CliError(EXIT_SCHEMA, "%s: not a predictions CSV" % path)
-        causes = [int(h.split("_")[1]) for h in header[3:] if h.startswith("cif_")]
-        rows = list(reader)
-    return header, causes, rows
+        cif_cols = [k for k, h in enumerate(header) if h.startswith("cif_")]
+        try:
+            causes = [int(header[k][4:]) for k in cif_cols]
+        except ValueError:
+            raise CliError(EXIT_SCHEMA, "%s: bad cause column in header %r"
+                           % (path, header))
+        F = np.zeros((len(causes), len(ids), L + 1))
+        seen = np.zeros((len(ids), L + 1), dtype=np.int64)
+        for line, rows in csv_chunks(reader, chunk_rows):
+            try:
+                if set(map(len, rows)) != {len(header)}:
+                    raise ValueError("ragged rows")
+                cols = list(zip(*rows))
+                interval = np.array(cols[1], dtype=np.int64)
+                time = np.array(cols[2], dtype=np.float64)
+                values = np.array([cols[k] for k in cif_cols], dtype=np.float64)
+            except (ValueError, OverflowError):
+                raise _prediction_row_error(path, header, rows, line, cif_cols)
+            subj = np.fromiter(map(order.get, cols[0], itertools.repeat(-1)),
+                               dtype=np.intp, count=len(rows))
+            in_grid = (interval >= 1) & (interval <= L)
+            endpoint = grid.cuts[np.where(in_grid, interval, 0)]
+            misfit = (subj < 0) | ~in_grid | ~(np.abs(time - endpoint) <= 1e-9)
+            if misfit.any():
+                k = int(np.argmax(misfit))
+                if subj[k] < 0:
+                    message = "prediction for unknown subject %r" % cols[0][k]
+                elif not in_grid[k]:
+                    message = ("prediction interval %d outside the grid's 1..%d"
+                               % (interval[k], L))
+                else:
+                    message = ("subject %r interval %d: time %r is not the grid's "
+                               "endpoint %r" % (cols[0][k], interval[k], float(time[k]),
+                                                float(endpoint[k])))
+                raise CliError(EXIT_COMPAT, message)
+            F[:, subj, interval] = values
+            np.add.at(seen, (subj, interval), 1)
+    seen = seen[:, 1:]
+    unpredicted = np.flatnonzero(seen.sum(axis=1) == 0)
+    if len(unpredicted):
+        raise CliError(EXIT_COMPAT, "no predictions for %d subject(s), first %r"
+                       % (len(unpredicted), ids[unpredicted[0]]))
+    uncovered = np.flatnonzero((seen != 1).any(axis=1))
+    if len(uncovered):
+        raise CliError(EXIT_COMPAT, "prediction rows of %d subject(s) do not cover "
+                       "intervals 1..%d exactly once, first %r"
+                       % (len(uncovered), L, ids[uncovered[0]]))
+    return causes, F
+
+
+def _prediction_row_error(path, header, rows, line, cif_cols):
+    """The exit-3 CliError of the first malformed row of a chunk."""
+    for ln, row in enumerate(rows, start=line):
+        if len(row) != len(header):
+            message = "expected %d cells, got %d" % (len(header), len(row))
+        else:
+            try:
+                int(row[1])
+                for k in [2] + cif_cols:
+                    float(row[k])
+                continue
+            except ValueError as e:
+                message = "bad numeric cell: %s" % e
+        return CliError(EXIT_SCHEMA, "%s row %d: %s" % (path, ln, message))
+    return CliError(EXIT_SCHEMA, "%s rows %d-%d: a number is out of range"
+                    % (path, line, line + len(rows) - 1))
 
 
 def cmd_evaluate(cfg, predictions_path):
@@ -233,25 +330,16 @@ def cmd_evaluate(cfg, predictions_path):
         raise CliError(EXIT_SCHEMA, "%s: no subjects to score"
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
-    header, causes, rows = _read_predictions(predictions_path)
-    L = grid.n_intervals
-    order = {s.id: i for i, s in enumerate(subjects)}
-    # F[cause][i, t]; column 0 stays 0 (no event by time 0)
-    F = {m: np.zeros((len(subjects), L + 1)) for m in causes}
-    n_rows = [0] * len(subjects)
-    for r in rows:
-        if r[0] not in order:
-            raise CliError(EXIT_COMPAT, "prediction for unknown subject %r" % r[0])
-        i, t = order[r[0]], int(r[1])
-        if t > L:
-            raise CliError(EXIT_COMPAT, "prediction interval %d beyond grid" % t)
-        n_rows[i] += 1
-        for k, m in enumerate(causes):
-            F[m][i, t] = float(r[3 + k])
-    unpredicted = [s.id for s, k in zip(subjects, n_rows) if k == 0]
-    if unpredicted:
-        raise CliError(EXIT_COMPAT, "no predictions for %d subject(s), first %r"
-                       % (len(unpredicted), unpredicted[0]))
+    for s in subjects:
+        if s.time > grid.max_time + 1e-9:
+            raise CliError(EXIT_COMPAT,
+                           "subject %s time %g outside evaluation grid (max %g)"
+                           % (s.id, s.time, grid.max_time))
+    for horizon in cfg["evaluate"]["horizons"]:
+        if horizon > grid.max_time + 1e-9:
+            raise CliError(EXIT_COMPAT, "horizon %g beyond predictions (max %g)"
+                           % (horizon, grid.max_time))
+    causes, F = read_predictions(predictions_path, [s.id for s in subjects], grid)
 
     g = censoring_survival(subjects, grid)
     t0 = cfg["evaluate"]["t0"]
@@ -260,12 +348,8 @@ def cmd_evaluate(cfg, predictions_path):
         w = csv.writer(fh)
         w.writerow(["horizon", "cause", "time", "bs", "cum_ibs"])
         for horizon in cfg["evaluate"]["horizons"]:
-            if horizon > grid.max_time + 1e-9:
-                raise CliError(EXIT_COMPAT,
-                               "horizon %g beyond predictions (max %g)"
-                               % (horizon, grid.max_time))
-            for m in causes:
-                curve = score_cif(F[m], subjects, m, grid, g=g,
+            for m, F_m in zip(causes, F):
+                curve = score_cif(F_m, subjects, m, grid, g=g,
                                   t0=t0, t_max=horizon)
                 cum = np.zeros(len(curve.times))
                 for k in range(1, len(curve.times)):

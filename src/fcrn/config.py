@@ -63,8 +63,9 @@ class ConfigError(ValueError):
 def load_config(path=None, overrides=()):
     """Merge defaults, an optional JSON file, and dotted-path overrides.
 
-    Raises ConfigError for unparsable JSON, a malformed override, or a key
-    that DEFAULTS does not have.
+    Raises ConfigError for unparsable JSON, a malformed override, a key
+    that DEFAULTS does not have, or a value whose JSON type differs from
+    its DEFAULTS entry (see _fits).
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -75,7 +76,7 @@ def load_config(path=None, overrides=()):
                 raise ConfigError("%s: invalid JSON: %s" % (path, e))
         if not isinstance(doc, dict):
             raise ConfigError("%s: config must be a JSON object" % path)
-        _deep_update(cfg, doc)
+        _deep_update(cfg, doc, DEFAULTS)
     for item in overrides:
         if "=" not in item:
             raise ConfigError("override %r is not of the form key.path=value" % item)
@@ -83,11 +84,11 @@ def load_config(path=None, overrides=()):
         value = _parse_value(raw.strip())
         for part in reversed(key.strip().split(".")):
             value = {part: value}
-        _deep_update(cfg, value)
+        _deep_update(cfg, value, DEFAULTS)
     return cfg
 
 
-def _deep_update(base, update, prefix=""):
+def _deep_update(base, update, defaults, prefix=""):
     for k, v in update.items():
         if k not in base:
             raise ConfigError("unknown config key %r" % (prefix + k))
@@ -96,9 +97,40 @@ def _deep_update(base, update, prefix=""):
             raise ConfigError("config key %r must %sbe an object"
                               % (prefix + k, "" if is_section else "not "))
         if is_section:
-            _deep_update(base[k], v, prefix + k + ".")
+            _deep_update(base[k], v, defaults[k], prefix + k + ".")
+        elif not _fits(v, defaults[k]):
+            raise ConfigError("config key %r must be %s like its default %s, not %s"
+                              % (prefix + k, _kind(defaults[k]),
+                                 json.dumps(defaults[k]), json.dumps(v)))
         else:
             base[k] = v
+
+
+def _fits(value, default):
+    """Whether value has the JSON type of default.
+
+    An integer fits a float default, a bool never fits a number, null
+    fits only a null default, and a null default (an optional file path)
+    takes a string or null. A list fits a list default when every item
+    fits the default's first item.
+    """
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and (
+            not default or all(_fits(item, default[0]) for item in value))
+    return isinstance(value, type(default))
+
+
+def _kind(default):
+    if default is None:
+        return "a string or null"
+    return {bool: "a boolean", int: "an integer", float: "a number",
+            str: "a string", list: "a list"}[type(default)]
 
 
 def _parse_value(raw):

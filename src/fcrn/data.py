@@ -7,12 +7,18 @@ weights for the sub-distribution model (SDM).
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # floor for the censoring-survival estimate, avoids division by zero in weights
 G_FLOOR = 1e-4
+# CSV rows parsed per chunk: a chunk's cells become arrays a column at a
+# time. Small chunks let csv's row lists die young; chunks of thousands of
+# rows outlive the young GC generations and set off full collections,
+# which cost more the more objects the process holds.
+CSV_CHUNK_ROWS = 512
 
 
 class DataError(ValueError):
@@ -105,6 +111,18 @@ def assign_interval(time, grid):
     return min(int(np.searchsorted(grid.cuts, time, side="left")), grid.n_intervals)
 
 
+def assign_intervals(times, grid):
+    """assign_interval over an array of times, with the same range check
+    (the error names the first time outside the grid)."""
+    times = np.asarray(times, dtype=np.float64)
+    outside = (times < 0) | (times > grid.max_time + 1e-9)
+    if outside.any():
+        raise ValueError("time %g outside grid [0, %g]"
+                         % (times[outside][0], grid.max_time))
+    iv = np.minimum(np.searchsorted(grid.cuts, times, side="left"), grid.n_intervals)
+    return np.where(times <= grid.cuts[1], 1, iv)
+
+
 @dataclass
 class PersonPeriodTable:
     """Long-format augmented rows shared by both model families.
@@ -136,6 +154,11 @@ class CensoringSurvival:
         if t <= 0:
             return 1.0
         return float(self.g[min(t, len(self.g) - 1)])
+
+    def at_intervals(self, t):
+        """at() over an integer array of interval indices."""
+        t = np.asarray(t)
+        return np.where(t <= 0, 1.0, self.g[np.clip(t, 0, len(self.g) - 1)])
 
 
 def augment_cause_specific(subjects, grid, n_causes):
@@ -172,16 +195,15 @@ def censoring_survival(subjects, grid):
     if not subjects:
         raise DataError("censoring_survival needs a nonempty dataset")
     L = grid.n_intervals
-    iv = np.array([assign_interval(s.time, grid) for s in subjects])
+    iv = assign_intervals([s.time for s in subjects], grid)
     censored = np.array([s.cause == 0 for s in subjects])
+    left_before = np.cumsum(np.bincount(iv, minlength=L + 1))[:L]
+    at_risk = len(subjects) - left_before  # subjects with iv >= t, t = 1..L
+    n_cens = np.bincount(iv[censored], minlength=L + 1)[1:]
+    # an empty risk set has no censorings, so its factor is exactly 1
+    factor = 1.0 - n_cens / np.maximum(at_risk, 1)
     g = np.ones(L + 1, dtype=np.float64)
-    surv = 1.0
-    for t in range(1, L + 1):
-        at_risk = int(np.sum(iv >= t))
-        n_cens = int(np.sum(censored & (iv == t)))
-        if at_risk > 0:
-            surv *= 1.0 - n_cens / at_risk
-        g[t] = max(surv, G_FLOOR)
+    g[1:] = np.maximum(np.cumprod(factor), G_FLOOR)
     return CensoringSurvival(g=g)
 
 
@@ -257,8 +279,21 @@ def write_subjects_csv(path, subjects, covariate_names=None):
             w.writerow(row)
 
 
+def csv_chunks(reader, chunk_rows=CSV_CHUNK_ROWS):
+    """(row number of the first row, rows) for consecutive blocks of up to
+    chunk_rows rows of a csv.reader whose header (row 1) was read."""
+    line = 2
+    while rows := list(itertools.islice(reader, chunk_rows)):
+        yield line, rows
+        line += len(rows)
+
+
 def read_subjects_csv(path):
-    """Parse the subject CSV; empty covariate cells become masked NaNs."""
+    """Parse the subject CSV; empty covariate cells become masked NaNs.
+
+    Cells are parsed a column at a time; when that fails, a row scan names
+    the first malformed row.
+    """
     subjects = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -266,30 +301,47 @@ def read_subjects_csv(path):
         if header is None or header[:3] != ["id", "time", "cause"]:
             raise DataError("%s: expected header id,time,cause,..." % path)
         names = header[3:]
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError("%s row %d: expected %d cells, got %d"
-                                % (path, ln, len(header), len(row)))
+        for line, rows in csv_chunks(reader):
             try:
-                time = float(row[1])
-                cause = int(row[2])
-            except ValueError as e:
-                raise DataError("%s row %d: bad time/cause: %s" % (path, ln, e))
-            x = np.empty(len(names))
-            mask = np.zeros(len(names), dtype=bool)
-            for j, cell in enumerate(row[3:]):
-                if cell == "":
-                    x[j] = np.nan
-                    mask[j] = True
-                else:
-                    try:
-                        x[j] = float(cell)
-                    except ValueError:
-                        raise DataError("%s row %d column %s: bad numeric cell %r"
-                                        % (path, ln, names[j], cell))
-            subjects.append(SubjectRecord(id=row[0], x=x, missing_mask=mask,
-                                          time=time, cause=cause))
+                if set(map(len, rows)) != {len(header)}:
+                    raise ValueError("ragged rows")
+                ids, times, causes, *cells = zip(*rows)
+                times = np.array(times, dtype=np.float64).tolist()
+                causes = np.array(causes, dtype=np.int64).tolist()
+                cells = np.array(cells, dtype=object).T.reshape(len(rows), len(names))
+                mask = cells == ""
+                cells[mask] = "nan"
+                X = cells.astype(np.float64)
+            except (ValueError, OverflowError):
+                raise _subject_row_error(path, header, rows, line)
+            subjects += [SubjectRecord(id=sid, x=x, missing_mask=m, time=t, cause=c)
+                         for sid, x, m, t, c in zip(ids, X, mask, times, causes)]
     return subjects, names
+
+
+def _subject_row_error(path, header, rows, line):
+    """The DataError of the first malformed row of a subject CSV chunk."""
+    names = header[3:]
+    for ln, row in enumerate(rows, start=line):
+        if len(row) != len(header):
+            return DataError("%s row %d: expected %d cells, got %d"
+                             % (path, ln, len(header), len(row)))
+        try:
+            time = float(row[1])
+            cause = int(row[2])
+        except ValueError as e:
+            return DataError("%s row %d: bad time/cause: %s" % (path, ln, e))
+        for name, cell in zip(names, row[3:]):
+            try:
+                float(cell or "nan")
+            except ValueError:
+                return DataError("%s row %d column %s: bad numeric cell %r"
+                                 % (path, ln, name, cell))
+        # a negative time or cause in an earlier row fails before a bad cell
+        SubjectRecord(id=row[0], x=np.zeros(0), missing_mask=np.zeros(0),
+                      time=time, cause=cause)
+    return DataError("%s rows %d-%d: a number is out of range"
+                     % (path, line, line + len(rows) - 1))
 
 
 def write_curves_csv(path, subjects):
@@ -304,30 +356,68 @@ def write_curves_csv(path, subjects):
 
 
 def read_curves_csv(path, subjects):
-    """Attach curves from the long-format CSV onto matching subjects."""
-    by_id = {s.id: s for s in subjects}
-    buf = {}
+    """Attach curves from the long-format CSV onto matching subjects.
+
+    Each (subject, signal) curve holds its points sorted by (tau, value);
+    a subject's curves are sorted by signal name.
+    """
+    position = {s.id: k for k, s in enumerate(subjects)}
+    code = {}  # signal name -> code, in order of first appearance
+    parts = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "signal_name", "tau", "value"]:
             raise DataError("%s: expected header id,signal_name,tau,value" % path)
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError("%s row %d: expected 4 cells" % (path, ln))
-            sid, name = row[0], row[1]
-            if sid not in by_id:
-                raise DataError("%s row %d: unknown subject id %r" % (path, ln, sid))
+        for line, rows in csv_chunks(reader):
             try:
-                tau, val = float(row[2]), float(row[3])
-            except ValueError as e:
-                raise DataError("%s row %d: bad numeric cell: %s" % (path, ln, e))
-            buf.setdefault((sid, name), []).append((tau, val))
-    for (sid, name), pts in buf.items():
-        pts.sort()
-        taus = np.array([p[0] for p in pts])
-        vals = np.array([p[1] for p in pts])
-        by_id[sid].curves.append(FunctionalCurve(name=name, taus=taus, values=vals))
+                if set(map(len, rows)) != {4}:
+                    raise ValueError("ragged rows")
+                ids, names, taus, vals = zip(*rows)
+                subj = np.fromiter(map(position.get, ids, itertools.repeat(-1)),
+                                   dtype=np.intp, count=len(rows))
+                if (subj < 0).any():
+                    raise ValueError("unknown subject")
+                taus = np.array(taus, dtype=np.float64)
+                vals = np.array(vals, dtype=np.float64)
+            except ValueError:
+                raise _curve_row_error(path, rows, position, line)
+            for name in dict.fromkeys(names):
+                code.setdefault(name, len(code))
+            signal = np.fromiter(map(code.__getitem__, names), dtype=np.intp,
+                                 count=len(rows))
+            parts.append((subj, signal, taus, vals))
+    if parts:
+        _attach_curves(subjects, list(code),
+                       *(np.concatenate(column) for column in zip(*parts)))
     for s in subjects:
         s.curves.sort(key=lambda c: c.name)
     return subjects
+
+
+def _attach_curves(subjects, signal_names, subj, signal, taus, vals):
+    """Group the points by (subject, signal), sort each group by (tau,
+    value) and append the curves in the order they first appear in the
+    file, as a row-by-row read would."""
+    order = np.lexsort((vals, taus, signal, subj))
+    subj, signal, taus, vals = subj[order], signal[order], taus[order], vals[order]
+    starts = np.flatnonzero(np.diff(subj, prepend=-1) | np.diff(signal, prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    by_appearance = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
+    for lo, hi in zip(starts[by_appearance].tolist(), ends[by_appearance].tolist()):
+        subjects[subj[lo]].curves.append(FunctionalCurve(
+            name=signal_names[signal[lo]], taus=taus[lo:hi], values=vals[lo:hi]))
+
+
+def _curve_row_error(path, rows, position, line):
+    """The DataError of the first malformed row of a curve CSV chunk."""
+    for ln, row in enumerate(rows, start=line):
+        if len(row) != 4:
+            return DataError("%s row %d: expected 4 cells" % (path, ln))
+        if row[0] not in position:
+            return DataError("%s row %d: unknown subject id %r" % (path, ln, row[0]))
+        try:
+            float(row[2]), float(row[3])
+        except ValueError as e:
+            return DataError("%s row %d: bad numeric cell: %s" % (path, ln, e))
+    return DataError("%s rows %d-%d: malformed" % (path, line, line + len(rows) - 1))

@@ -210,7 +210,8 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
     stops on a six-epoch plateau of the monitored loss (rel_tol). Falls
     through to the plain trainer when nothing is missing.
 
-    Returns (model, imputed covariate matrix on the original scale).
+    Returns (model, imputed covariate matrix on the original scale); the
+    matrix is the best epoch's, the one fit restores with the parameters.
     """
     X_raw, mask = covariate_matrix(subjects)
     if not mask.any():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import G_FLOOR, assign_interval
+from .data import G_FLOOR, assign_intervals
 
 
 @dataclass
@@ -24,10 +24,9 @@ class ScoreCurve:
 
 def brier(t, preds, subjects, cause):
     """Uncensored Brier score at time t for one cause's CIF predictions."""
-    preds = np.asarray(preds, dtype=np.float64)
-    label = np.array([1.0 if (s.time <= t and s.cause == cause) else 0.0
-                      for s in subjects])
-    return float(np.mean((label - preds) ** 2))
+    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
+    return float(brier_curve(np.array([t], dtype=np.float64), preds, subjects,
+                             cause)[0])
 
 
 def brier_ipcw(t, preds, subjects, cause, g, grid):
@@ -37,17 +36,50 @@ def brier_ipcw(t, preds, subjects, cause, g, grid):
     with an observed event by t contribute (1{R=m} - F)^2 / G(T-1);
     subjects censored by t contribute nothing. Normalized by N.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    l_t = assign_interval(t, grid) if t > 0 else 0
-    total = 0.0
-    for s, f in zip(subjects, preds):
-        if s.time > t:
-            total += f * f / max(g.at(l_t), G_FLOOR)
-        elif s.cause != 0:
-            label = 1.0 if s.cause == cause else 0.0
-            total += (label - f) ** 2 / max(g.at(assign_interval(s.time, grid) - 1),
-                                            G_FLOOR)
-    return total / len(subjects)
+    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
+    return float(brier_ipcw_curve(np.array([t], dtype=np.float64), preds, subjects,
+                                  cause, g, grid)[0])
+
+
+def _outcomes(subjects):
+    return (np.array([s.time for s in subjects], dtype=np.float64),
+            np.array([s.cause for s in subjects]))
+
+
+def brier_curve(times, P, subjects, cause):
+    """brier at each of times; P is (n_subjects, n_times), column k scored
+    at times[k]. Each time's mean is a pairwise sum over the subjects, as
+    np.mean of one column gives."""
+    subj_time, subj_cause = _outcomes(subjects)
+    label = ((subj_time <= times[:, None]) & (subj_cause == cause)).astype(np.float64)
+    return np.mean((label - np.ascontiguousarray(P.T)) ** 2, axis=1)
+
+
+def brier_ipcw_curve(times, P, subjects, cause, g, grid):
+    """brier_ipcw at each of times; P is (n_subjects, n_times).
+
+    Each time's terms are summed in subject order, as a running total over
+    the subjects gives.
+    """
+    subj_time, subj_cause = _outcomes(subjects)
+    l_t = np.where(times > 0, assign_intervals(np.maximum(times, 0.0), grid), 0)
+    g_t = np.maximum(g.at_intervals(l_t), G_FLOOR)
+    # a subject past the grid is at risk at every time, so its clamped
+    # interval is never read
+    l_event = assign_intervals(np.minimum(subj_time, grid.max_time), grid)
+    g_event = np.maximum(g.at_intervals(l_event - 1), G_FLOOR)
+    at_risk = subj_time[:, None] > times
+    event = ~at_risk & (subj_cause != 0)[:, None]
+    label = (subj_cause == cause).astype(np.float64)[:, None]
+    terms = np.zeros(P.shape)
+    terms[at_risk] = (P * P / g_t)[at_risk]
+    # the per-subject form squares with C pow(), which rounds about one
+    # square in 1000 differently from x * x (what ndarray ** 2 computes);
+    # ** on Python floats is C pow() too
+    residual = (label - P)[event].tolist()
+    terms[event] = (np.array([r ** 2 for r in residual], dtype=np.float64)
+                    / np.broadcast_to(g_event[:, None], P.shape)[event])
+    return np.cumsum(terms, axis=0)[-1] / len(subjects)
 
 
 def ibs(times, values):
@@ -70,17 +102,11 @@ def score_cif(F, subjects, cause, grid, g=None, t0=0.0, t_max=None):
     """
     if t_max is None:
         t_max = grid.max_time
-    cols = [l for l in range(grid.n_intervals + 1)
-            if t0 - 1e-9 <= grid.cuts[l] <= t_max + 1e-9]
-    times, values = [], []
-    for l in cols:
-        t = float(grid.cuts[l])
-        preds = F[:, l]
-        if g is None:
-            bs = brier(t, preds, subjects, cause)
-        else:
-            bs = brier_ipcw(t, preds, subjects, cause, g, grid)
-        times.append(t)
-        values.append(bs)
-    return ScoreCurve(times=np.asarray(times), values=np.asarray(values),
-                      ibs=ibs(times, values))
+    cols = np.flatnonzero((t0 - 1e-9 <= grid.cuts) & (grid.cuts <= t_max + 1e-9))
+    times = grid.cuts[cols]
+    P = F[:, cols]
+    if g is None:
+        values = brier_curve(times, P, subjects, cause)
+    else:
+        values = brier_ipcw_curve(times, P, subjects, cause, g, grid)
+    return ScoreCurve(times=times, values=values, ibs=ibs(times, values))

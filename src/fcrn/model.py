@@ -443,8 +443,9 @@ def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
     or when the last six monitored losses each moved by less than rel_tol
     relative; the best epoch's parameters are restored. i_step, when
     given, runs as i_step(epoch, curve_mats, table, train_rows) at the
-    start of every epoch and may update xn in place. settings.log gets
-    one (epoch, train_loss, monitored_loss) row per epoch.
+    start of every epoch and may update xn in place; the best epoch's xn
+    is then restored along with its parameters. settings.log gets one
+    (epoch, train_loss, monitored_loss) row per epoch.
     """
     n = len(subjects)
     perm = rng.permutation(n)
@@ -459,6 +460,7 @@ def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
     adam = ad.AdamState(model.theta.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
+    best_xn = xn.copy() if i_step is not None else None
     history = []
     for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
         if i_step is not None:
@@ -475,6 +477,8 @@ def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
         if monitored < best_loss - 1e-12:
             best_loss = monitored
             best_values = model.theta.copy()
+            if i_step is not None:
+                best_xn[:] = xn
             since_best = 0
         else:
             since_best += 1
@@ -485,5 +489,7 @@ def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
         if len(recent) == 6 and moves.max() < rel_tol:
             break
     model.theta[:] = best_values
+    if i_step is not None:
+        xn[:] = best_xn
     settings.log = history
     return model

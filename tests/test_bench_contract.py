@@ -33,3 +33,46 @@ def test_tracer_installs_and_uninstalls(tracing):
     finally:
         tracer.uninstall()
     assert fcrn.autodiff.adam_step is original
+
+
+def test_scoring_pass_calls_the_traced_names(tmp_path, monkeypatch):
+    """predict and evaluate reach read_subjects_csv, censoring_survival and
+    score_cif through fcrn.cli's names, where the tracer wraps them, so its
+    data.read_subjects, data.km and metrics.score layers cannot fall to 0
+    unnoticed."""
+    import json
+
+    import fcrn.cli
+
+    calls = {}
+    for name in ("read_subjects_csv", "censoring_survival", "score_cif"):
+        def counted(*args, _real=getattr(fcrn.cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(fcrn.cli, name, counted)
+
+    def cli(command, **overrides):
+        calls.clear()
+        args = []
+        for key, value in overrides.items():
+            args += ["--set", "%s=%s" % (key, json.dumps(value))]
+        assert fcrn.cli.main(args + command) == 0
+        return dict(calls)
+
+    sim, run = str(tmp_path / "sim"), str(tmp_path / "run")
+    cli(["simulate"], out_dir=sim, **{"simulate.n": 40, "simulate.n_train": 30,
+                                      "simulate.n_test": 10,
+                                      "simulate.functional": False})
+    test = sim + "/test_subjects.csv"
+    cli(["train"], out_dir=run, **{"data.subjects": sim + "/train_subjects.csv",
+                                   "train.max_epochs": 2})
+    predict = cli(["predict", "--model", run + "/model.json"],
+                  out_dir=str(tmp_path / "pred"), **{"data.subjects": test})
+    assert predict == {"read_subjects_csv": 1}
+    evaluate = cli(["evaluate", "--predictions",
+                    str(tmp_path / "pred" / "predictions.csv")],
+                   out_dir=str(tmp_path / "eval"),
+                   **{"data.subjects": test, "evaluate.horizons": [50, 100]})
+    # two causes at two horizons
+    assert evaluate == {"read_subjects_csv": 1, "censoring_survival": 1,
+                        "score_cif": 4}

@@ -168,6 +168,32 @@ class TestConfigErrors:
         assert "train.lr_typo" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override", [
+        'train.max_epochs="x"',  # a string for an integer
+        "train.lr=true",  # a bool is never a number
+        "seed=1.5",  # a float for an integer
+        "simulate.functional=1",  # a number for a bool
+        "out_dir=null",  # null where the default is not null
+        "train.hidden=[8, 8.5]",  # a float item in a list of integers
+    ])
+    def test_value_of_the_wrong_type_is_schema_error(self, tmp_path, capsys,
+                                                     override):
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                    "--set", override, "simulate"])
+        assert code == 3
+        assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_integer_for_a_float_and_string_for_a_null_default(self):
+        from fcrn.config import load_config
+        cfg = load_config(None, ["train.lr=1", "data.subjects=a.csv",
+                                 "data.curves=null", "evaluate.horizons=[50]"])
+        assert cfg["train"]["lr"] == 1 and cfg["data"]["subjects"] == "a.csv"
+
+    def test_config_file_value_of_the_wrong_type_is_schema_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": {"batch_size": "64"}}')
+        assert run(["--config", str(bad), "simulate"]) == 3
+
 
 class TestPredictCommand:
     def _train(self, tmp_path, head="csm"):
@@ -254,6 +280,15 @@ class TestEvaluateCommand:
                     "evaluate", "--predictions", str(preds)])
         assert code == 5
 
+    def test_horizon_beyond_grid_writes_no_scores(self, tmp_path):
+        subjects, preds = self._pipeline(tmp_path)
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
+                    "--set", "data.subjects=%s" % json.dumps(str(subjects)),
+                    "--set", "evaluate.horizons=[50, 500]",
+                    "evaluate", "--predictions", str(preds)])
+        assert code == 5
+        assert not (tmp_path / "eval" / "scores.csv").exists()
+
     def test_subject_without_predictions_is_compat_error(self, tmp_path, capsys):
         subjects, preds = self._pipeline(tmp_path)
         lines = preds.read_text().splitlines(keepends=True)
@@ -283,3 +318,81 @@ class TestEvaluateCommand:
                     "--set", "data.subjects=%s" % json.dumps(str(subjects)),
                     "evaluate", "--predictions", str(junk)])
         assert code == 3
+
+    def _evaluate(self, tmp_path, subjects, preds, *extra):
+        return run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
+                    "--set", "data.subjects=%s" % json.dumps(str(subjects))]
+                   + list(extra) + ["evaluate", "--predictions", str(preds)])
+
+    @staticmethod
+    def _edit_rows(preds, edit):
+        """Rewrite predictions.csv through edit(rows) -> rows (header kept)."""
+        with open(preds, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(preds, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows[:1] + edit(rows[1:]))
+
+    @pytest.mark.parametrize("interval", ["0", "-1", "21"])
+    def test_interval_outside_the_grid_is_compat_error(self, tmp_path, capsys,
+                                                       interval):
+        subjects, preds = self._pipeline(tmp_path)
+
+        def edit(rows):
+            rows[3][1] = interval
+            return rows
+        self._edit_rows(preds, edit)
+        assert self._evaluate(tmp_path, subjects, preds) == 5
+        assert "interval %s" % interval in capsys.readouterr().err
+
+    def test_time_not_the_interval_endpoint_is_compat_error(self, tmp_path,
+                                                           capsys):
+        subjects, preds = self._pipeline(tmp_path)
+
+        def edit(rows):
+            rows[4][2] = repr(float(rows[4][2]) + 1.0)
+            return rows
+        self._edit_rows(preds, edit)
+        assert self._evaluate(tmp_path, subjects, preds) == 5
+        assert "endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["drop", "repeat"])
+    def test_rows_not_covering_the_grid_once_is_compat_error(self, tmp_path,
+                                                             capsys, change):
+        subjects, preds = self._pipeline(tmp_path)
+        edited = []
+
+        def edit(rows):
+            edited.append(rows[5][0])
+            if change == "drop":
+                return rows[:5] + rows[6:]
+            return rows[:5] + [rows[5]] + rows[5:]
+        self._edit_rows(preds, edit)
+        assert self._evaluate(tmp_path, subjects, preds) == 5
+        err = capsys.readouterr().err
+        assert "exactly once" in err and repr(edited[0]) in err
+
+    def test_predictions_on_a_coarser_grid_are_compat_error(self, tmp_path):
+        # a 20-interval model's rows do not fill a 40-interval evaluation grid
+        subjects, preds = self._pipeline(tmp_path)
+        assert self._evaluate(tmp_path, subjects, preds, "--set",
+                              "grid.width=2.5") == 5
+
+    def test_subject_beyond_the_grid_is_compat_error(self, tmp_path, capsys):
+        subjects, preds = self._pipeline(tmp_path)
+        with open(subjects, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][1] = "150.0"
+        with open(subjects, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert self._evaluate(tmp_path, subjects, preds) == 5
+        assert "time 150 outside evaluation grid" in capsys.readouterr().err
+
+    def test_malformed_prediction_row_is_schema_error(self, tmp_path, capsys):
+        subjects, preds = self._pipeline(tmp_path)
+
+        def edit(rows):
+            rows[7][3] = "oops"
+            return rows
+        self._edit_rows(preds, edit)
+        assert self._evaluate(tmp_path, subjects, preds) == 3
+        assert "row 9" in capsys.readouterr().err

@@ -308,3 +308,34 @@ class TestIroTrain:
             assert len(val_ids) == 10
             assert np.all(g[val_ids] == 0.0)
             assert np.any(g[sorted(train_ids)] != 0.0)
+
+    def test_imputed_matrix_is_the_best_epochs(self, monkeypatch):
+        # with patience stopping the log runs past the best epoch; the
+        # returned matrix and fill values belong to the restored parameters
+        rng = np.random.RandomState(12)
+        grid = build_time_grid(20, 5)
+        subjects = self._subjects(rng, 60, missing_rate=0.3)
+        after_step = []
+        real_step = fcrn.impute.i_step
+
+        def step(X, *args, **kwargs):
+            out = real_step(X, *args, **kwargs)
+            after_step.append(X.copy())
+            return out
+
+        monkeypatch.setattr(fcrn.impute, "i_step", step)
+        settings = TrainSettings(max_epochs=60, patience=3, val_fraction=0.3,
+                                 lr=0.05, seed=6)
+        imp = ImputeSettings(max_epochs=60, noise=False, rel_tol=0.0)
+        model, X_out = iro_train(subjects, grid, "csm", settings,
+                                 impute_settings=imp, n_causes=2)
+        val = [row[2] for row in settings.log]
+        best = int(np.argmin(val))
+        assert best < len(val) - 1
+        assert len(after_step) == len(val)
+        mask = np.vstack([s.missing_mask for s in subjects])
+        expected = model.denormalize(after_step[best])
+        assert np.array_equal(X_out[mask], expected[mask])
+        assert not np.array_equal(X_out[mask],
+                                  model.denormalize(after_step[-1])[mask])
+        assert np.array_equal(model.fill_values, np.median(X_out, axis=0))

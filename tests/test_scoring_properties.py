@@ -1,0 +1,509 @@
+"""The array-shaped scoring pass against the row-by-row code it replaced.
+
+The reference functions below are the loop implementations of interval
+assignment, censoring Kaplan-Meier, (IPCW) Brier scores, the subject and
+curve CSV readers and the predictions writer. The vectorized code must
+give the same bits and bytes.
+"""
+import csv
+import os
+import re
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fcrn.cli import CliError, read_predictions, write_predictions
+from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, FunctionalCurve,
+                       SubjectRecord, assign_interval, assign_intervals,
+                       build_time_grid, censoring_survival, read_curves_csv,
+                       read_subjects_csv, write_curves_csv, write_subjects_csv)
+from fcrn.metrics import ScoreCurve, brier, brier_ipcw, ibs, score_cif
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+def ref_censoring_survival(subjects, grid):
+    L = grid.n_intervals
+    iv = np.array([assign_interval(s.time, grid) for s in subjects])
+    censored = np.array([s.cause == 0 for s in subjects])
+    g = np.ones(L + 1, dtype=np.float64)
+    surv = 1.0
+    for t in range(1, L + 1):
+        at_risk = int(np.sum(iv >= t))
+        n_cens = int(np.sum(censored & (iv == t)))
+        if at_risk > 0:
+            surv *= 1.0 - n_cens / at_risk
+        g[t] = max(surv, G_FLOOR)
+    return CensoringSurvival(g=g)
+
+
+def ref_brier(t, preds, subjects, cause):
+    preds = np.asarray(preds, dtype=np.float64)
+    label = np.array([1.0 if (s.time <= t and s.cause == cause) else 0.0
+                      for s in subjects])
+    return float(np.mean((label - preds) ** 2))
+
+
+def ref_brier_ipcw(t, preds, subjects, cause, g, grid):
+    preds = np.asarray(preds, dtype=np.float64)
+    l_t = assign_interval(t, grid) if t > 0 else 0
+    total = 0.0
+    for s, f in zip(subjects, preds):
+        if s.time > t:
+            total += f * f / max(g.at(l_t), G_FLOOR)
+        elif s.cause != 0:
+            label = 1.0 if s.cause == cause else 0.0
+            total += (label - f) ** 2 / max(g.at(assign_interval(s.time, grid) - 1),
+                                            G_FLOOR)
+    return total / len(subjects)
+
+
+def ref_score_cif(F, subjects, cause, grid, g=None, t0=0.0, t_max=None):
+    if t_max is None:
+        t_max = grid.max_time
+    cols = [l for l in range(grid.n_intervals + 1)
+            if t0 - 1e-9 <= grid.cuts[l] <= t_max + 1e-9]
+    times, values = [], []
+    for l in cols:
+        t = float(grid.cuts[l])
+        preds = F[:, l]
+        if g is None:
+            bs = ref_brier(t, preds, subjects, cause)
+        else:
+            bs = ref_brier_ipcw(t, preds, subjects, cause, g, grid)
+        times.append(t)
+        values.append(bs)
+    return ScoreCurve(times=np.asarray(times), values=np.asarray(values),
+                      ibs=ibs(times, values))
+
+
+def ref_read_subjects_csv(path):
+    subjects = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["id", "time", "cause"]:
+            raise DataError("%s: expected header id,time,cause,..." % path)
+        names = header[3:]
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError("%s row %d: expected %d cells, got %d"
+                                % (path, ln, len(header), len(row)))
+            try:
+                time = float(row[1])
+                cause = int(row[2])
+            except ValueError as e:
+                raise DataError("%s row %d: bad time/cause: %s" % (path, ln, e))
+            x = np.empty(len(names))
+            mask = np.zeros(len(names), dtype=bool)
+            for j, cell in enumerate(row[3:]):
+                if cell == "":
+                    x[j] = np.nan
+                    mask[j] = True
+                else:
+                    try:
+                        x[j] = float(cell)
+                    except ValueError:
+                        raise DataError("%s row %d column %s: bad numeric cell %r"
+                                        % (path, ln, names[j], cell))
+            subjects.append(SubjectRecord(id=row[0], x=x, missing_mask=mask,
+                                          time=time, cause=cause))
+    return subjects, names
+
+
+def ref_read_curves_csv(path, subjects):
+    by_id = {s.id: s for s in subjects}
+    buf = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["id", "signal_name", "tau", "value"]:
+            raise DataError("%s: expected header id,signal_name,tau,value" % path)
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise DataError("%s row %d: expected 4 cells" % (path, ln))
+            sid, name = row[0], row[1]
+            if sid not in by_id:
+                raise DataError("%s row %d: unknown subject id %r" % (path, ln, sid))
+            try:
+                tau, val = float(row[2]), float(row[3])
+            except ValueError as e:
+                raise DataError("%s row %d: bad numeric cell: %s" % (path, ln, e))
+            buf.setdefault((sid, name), []).append((tau, val))
+    for (sid, name), pts in buf.items():
+        pts.sort()
+        taus = np.array([p[0] for p in pts])
+        vals = np.array([p[1] for p in pts])
+        by_id[sid].curves.append(FunctionalCurve(name=name, taus=taus, values=vals))
+    for s in subjects:
+        s.curves.sort(key=lambda c: c.name)
+    return subjects
+
+
+def ref_write_predictions(path, ids, grid, names, columns):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "interval", "time"] + list(names))
+        for i, sid in enumerate(ids):
+            for t in range(1, grid.n_intervals + 1):
+                w.writerow([sid, t, repr(float(grid.cuts[t]))]
+                           + [repr(float(col[i, t])) for col in columns])
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def grids(draw):
+    width = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 0.1]))
+    return build_time_grid(width * draw(st.integers(1, 10)), width)
+
+
+@st.composite
+def cohorts(draw, grid, min_size=1):
+    """Subjects with times in the grid, many of them on interval edges."""
+    n = draw(st.integers(min_size, 25))
+    edge = st.sampled_from(grid.cuts.tolist())
+    near_edge = st.tuples(edge, st.sampled_from([-1e-10, 1e-10, -1e-12])).map(
+        lambda p: min(max(p[0] + p[1], 0.0), grid.max_time))
+    inside = st.floats(0.0, grid.max_time, allow_nan=False)
+    times = draw(st.lists(st.one_of(edge, near_edge, inside),
+                          min_size=n, max_size=n))
+    causes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return [SubjectRecord(id="s%d" % i, x=np.zeros(1),
+                          missing_mask=np.zeros(1, dtype=bool), time=t, cause=c)
+            for i, (t, c) in enumerate(zip(times, causes))]
+
+
+def cif_matrix(draw, n, L):
+    """(n, L+1) predictions with exact 0s and 1s among uniform draws."""
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    rng = np.random.RandomState(seed)
+    F = rng.uniform(0.0, 1.0, size=(n, L + 1))
+    F[rng.uniform(size=F.shape) < 0.1] = 0.0
+    F[rng.uniform(size=F.shape) < 0.05] = 1.0
+    return F
+
+
+def censoring(draw, subjects, grid):
+    """None, the cohort's own KM, or an arbitrary nonincreasing G that
+    dips below the floor."""
+    kind = draw(st.sampled_from(["none", "km", "random"]))
+    if kind == "none":
+        return None
+    if kind == "km":
+        return censoring_survival(subjects, grid)
+    steps = draw(st.lists(st.floats(0.0, 1.0), min_size=grid.n_intervals,
+                          max_size=grid.n_intervals))
+    return CensoringSurvival(g=np.concatenate([[1.0], np.cumprod(steps)]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# intervals and Kaplan-Meier
+# ---------------------------------------------------------------------------
+
+class TestIntervalsAndKm:
+    @PROPERTY
+    @given(st.data())
+    def test_assign_intervals_matches_loop(self, data):
+        grid = data.draw(grids())
+        subjects = data.draw(cohorts(grid))
+        times = [s.time for s in subjects]
+        assert assign_intervals(times, grid).tolist() == [
+            assign_interval(t, grid) for t in times]
+
+    @PROPERTY
+    @given(st.data())
+    def test_out_of_range_error_names_the_first_time(self, data):
+        grid = data.draw(grids())
+        times = data.draw(st.lists(
+            st.floats(-5.0, grid.max_time + 5.0, allow_nan=False), min_size=1,
+            max_size=10))
+        try:
+            expected = [assign_interval(t, grid) for t in times]
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                assign_intervals(times, grid)
+            assert str(got.value) == str(e)
+        else:
+            assert assign_intervals(times, grid).tolist() == expected
+
+    @PROPERTY
+    @given(st.data())
+    def test_censoring_survival_matches_loop(self, data):
+        grid = data.draw(grids())
+        subjects = data.draw(cohorts(grid))
+        assert same_bits(censoring_survival(subjects, grid).g,
+                         ref_censoring_survival(subjects, grid).g)
+
+    def test_at_intervals_matches_at(self):
+        g = CensoringSurvival(g=np.array([1.0, 0.9, 0.7, 0.4]))
+        t = np.array([-2, 0, 1, 2, 3, 4, 9])
+        assert g.at_intervals(t).tolist() == [g.at(k) for k in t]
+
+
+# ---------------------------------------------------------------------------
+# Brier scores
+# ---------------------------------------------------------------------------
+
+class TestBrierMatchesLoop:
+    @PROPERTY
+    @given(st.data())
+    def test_score_cif(self, data):
+        grid = data.draw(grids())
+        subjects = data.draw(cohorts(grid))
+        F = cif_matrix(data.draw, len(subjects), grid.n_intervals)
+        g = censoring(data.draw, subjects, grid)
+        cause = data.draw(st.integers(1, 2))
+        edge = st.sampled_from(grid.cuts.tolist())
+        t0 = data.draw(st.one_of(edge, st.floats(0.0, grid.max_time)))
+        t_max = data.draw(st.one_of(st.none(), edge,
+                                    st.floats(0.0, grid.max_time)))
+        try:
+            expected = ref_score_cif(F, subjects, cause, grid, g=g, t0=t0,
+                                     t_max=t_max)
+        except ValueError as e:  # fewer than two evaluation times
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                score_cif(F, subjects, cause, grid, g=g, t0=t0, t_max=t_max)
+            return
+        got = score_cif(F, subjects, cause, grid, g=g, t0=t0, t_max=t_max)
+        assert same_bits(got.times, expected.times)
+        assert same_bits(got.values, expected.values)
+        assert same_bits(got.ibs, expected.ibs)
+
+    def test_large_cohort(self):
+        # past 128 subjects np.mean's pairwise sum splits into blocks
+        rng = np.random.RandomState(4)
+        grid = build_time_grid(100, 5)
+        subjects = [SubjectRecord(id="s%d" % i, x=np.zeros(1),
+                                  missing_mask=np.zeros(1, dtype=bool),
+                                  time=float(rng.choice([rng.uniform(0, 100), 35.0])),
+                                  cause=int(rng.randint(0, 3)))
+                    for i in range(3000)]
+        F = rng.uniform(size=(3000, grid.n_intervals + 1))
+        for g in (None, censoring_survival(subjects, grid)):
+            for cause in (1, 2):
+                got = score_cif(F, subjects, cause, grid, g=g, t0=10.0, t_max=90.0)
+                expected = ref_score_cif(F, subjects, cause, grid, g=g, t0=10.0,
+                                         t_max=90.0)
+                assert same_bits(got.values, expected.values)
+                assert same_bits(got.ibs, expected.ibs)
+
+    @PROPERTY
+    @given(st.data())
+    def test_single_time_scores(self, data):
+        grid = data.draw(grids())
+        subjects = data.draw(cohorts(grid))
+        preds = cif_matrix(data.draw, len(subjects), 0)[:, 0]
+        g = censoring(data.draw, subjects, grid) or censoring_survival(subjects, grid)
+        t = data.draw(st.one_of(st.sampled_from(grid.cuts.tolist()),
+                                st.floats(0.0, grid.max_time)))
+        assert same_bits(brier(t, preds, subjects, 1),
+                         ref_brier(t, preds, subjects, 1))
+        assert same_bits(brier_ipcw(t, preds, subjects, 1, g, grid),
+                         ref_brier_ipcw(t, preds, subjects, 1, g, grid))
+
+    def test_squares_like_the_loop_where_x_times_x_differs(self):
+        # the loop squares with C pow(), which rounds some squares
+        # differently from x * x
+        fs = np.random.RandomState(0).uniform(0, 1, 20000).tolist()
+        f = next(f for f in fs if (1.0 - f) ** 2 != (1.0 - f) * (1.0 - f))
+        grid = build_time_grid(2.0, 1.0)
+        subjects = [SubjectRecord(id="a", x=np.zeros(1),
+                                  missing_mask=np.zeros(1, dtype=bool),
+                                  time=1.0, cause=1)]
+        g = CensoringSurvival(g=np.ones(3))
+        assert same_bits(brier_ipcw(1.0, [f], subjects, 1, g, grid),
+                         ref_brier_ipcw(1.0, [f], subjects, 1, g, grid))
+
+
+# ---------------------------------------------------------------------------
+# CSV readers
+# ---------------------------------------------------------------------------
+
+CELL = st.one_of(st.floats(allow_nan=False).map(repr), st.just(""),
+                 st.integers(-5, 5).map(str), st.sampled_from(["1e-3", " 2 ", "inf"]))
+
+
+def assert_same_subjects(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.id, x.time, type(x.time), x.cause, type(x.cause)) == \
+            (y.id, y.time, type(y.time), y.cause, type(y.cause))
+        assert x.missing_mask.tolist() == y.missing_mask.tolist()
+        assert same_bits(x.x, y.x)
+        assert [c.name for c in x.curves] == [c.name for c in y.curves]
+        for c, d in zip(x.curves, y.curves):
+            assert same_bits(c.taus, d.taus) and same_bits(c.values, d.values)
+
+
+def outcome(read, *args):
+    """A reader's result, or its DataError message."""
+    try:
+        return read(*args)
+    except DataError as e:
+        return str(e)
+
+
+class TestReadersMatchLoop:
+    @PROPERTY
+    @given(n=st.integers(0, 12), p=st.integers(0, 3), data=st.data())
+    def test_subjects(self, n, p, data):
+        rows = [["s%d" % i,
+                 data.draw(st.one_of(st.floats(0, 50).map(repr),
+                                     st.sampled_from(["-1.0", "x", "3"]))),
+                 data.draw(st.sampled_from(["0", "1", "2", "-1", "1.0"]))]
+                + data.draw(st.lists(CELL | st.just("bad"), min_size=p, max_size=p))
+                for i in range(n)]
+        if rows and data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, n - 1))].append("extra")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "subjects.csv")
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["id", "time", "cause"] + ["x%d" % j for j in range(p)])
+                w.writerows(rows)
+            got = outcome(read_subjects_csv, path)
+            expected = outcome(ref_read_subjects_csv, path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            assert got[1] == expected[1]
+            assert_same_subjects(got[0], expected[0])
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_curves(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 30))):
+            rows.append([data.draw(st.sampled_from(["s%d" % i for i in range(n)]
+                                                   + ["s%d" % n])),
+                         data.draw(st.sampled_from(["b", "a", "c"])),
+                         data.draw(st.one_of(st.sampled_from(["0.0", "1.0", "0.5"]),
+                                             st.floats(0, 1).map(repr))),
+                         data.draw(st.one_of(CELL, st.just("0.25")))])
+        if rows and data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+
+        def cohort():
+            return [SubjectRecord(id="s%d" % i, x=np.zeros(1),
+                                  missing_mask=np.zeros(1, dtype=bool),
+                                  time=1.0, cause=0) for i in range(n)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "curves.csv")
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["id", "signal_name", "tau", "value"])
+                w.writerows(rows)
+            got = outcome(read_curves_csv, path, cohort())
+            expected = outcome(ref_read_curves_csv, path, cohort())
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            assert_same_subjects(got, expected)
+
+    def test_simulated_files(self, tmp_path):
+        from fcrn.simulate import SimConfig, simulate
+        train, _, _ = simulate(SimConfig(n=40, n_train=30, n_test=10, seed=3,
+                                         missing_rate=0.2))
+        write_subjects_csv(tmp_path / "s.csv", train)
+        write_curves_csv(tmp_path / "c.csv", train)
+        got, names = read_subjects_csv(tmp_path / "s.csv")
+        expected, ref_names = ref_read_subjects_csv(tmp_path / "s.csv")
+        assert names == ref_names
+        read_curves_csv(tmp_path / "c.csv", got)
+        ref_read_curves_csv(tmp_path / "c.csv", expected)
+        assert_same_subjects(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# predictions writer and streaming reader
+# ---------------------------------------------------------------------------
+
+IDS = st.text(alphabet=st.sampled_from('ab1 ,"\r\n;\'x'), max_size=6)
+
+
+@st.composite
+def prediction_sets(draw):
+    grid = draw(grids())
+    ids = draw(st.lists(IDS, max_size=8, unique=True))
+    head = draw(st.sampled_from(["csm", "sdm"]))
+    if head == "csm":
+        M = draw(st.integers(1, 3))
+        names = ["cif_%d" % m for m in range(1, M + 1)] + ["survival"]
+    else:
+        names = ["cif_%d" % draw(st.integers(1, 3))]
+    columns = [cif_matrix(draw, len(ids), grid.n_intervals) for _ in names]
+    for col in columns:
+        col[col == 1.0] = draw(st.sampled_from([-0.0, 1e-300, 1.0 / 3.0]))
+    return grid, ids, names, columns
+
+
+class TestPredictionsFile:
+    @PROPERTY
+    @given(prediction_sets())
+    def test_writer_matches_csv_writer(self, case):
+        grid, ids, names, columns = case
+        with tempfile.TemporaryDirectory() as tmp:
+            got, expected = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            write_predictions(got, ids, grid, names, columns)
+            ref_write_predictions(expected, ids, grid, names, columns)
+            with open(got, "rb") as a, open(expected, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_empty_dataset_is_header_only(self, tmp_path):
+        grid = build_time_grid(10, 5)
+        empty = [np.zeros((0, 3))] * 3
+        write_predictions(tmp_path / "a.csv", [], grid,
+                          ["cif_1", "cif_2", "survival"], empty)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            b"id,interval,time,cif_1,cif_2,survival\r\n"
+
+    @PROPERTY
+    @given(prediction_sets(), st.integers(1, 7))
+    def test_streaming_reader_round_trips(self, case, chunk_rows):
+        grid, ids, names, columns = case
+        if not ids:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.csv")
+            write_predictions(path, ids, grid, names, columns)
+            causes, F = read_predictions(path, ids, grid, chunk_rows=chunk_rows)
+        cifs = [k for k, name in enumerate(names) if name.startswith("cif_")]
+        assert causes == [int(names[k][4:]) for k in cifs]
+        assert F.shape == (len(cifs), len(ids), grid.n_intervals + 1)
+        for F_m, k in zip(F, cifs):
+            assert not F_m[:, 0].any()
+            assert same_bits(F_m[:, 1:], columns[k][:, 1:])
+
+    def test_reader_reports_the_row_of_a_bad_cell(self, tmp_path):
+        grid = build_time_grid(10, 5)
+        columns = [np.full((3, 3), 0.25)]
+        write_predictions(tmp_path / "p.csv", ["a", "b", "c"], grid, ["cif_1"],
+                          columns)
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        lines[5] = lines[5].replace("0.25", "oops")
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        for chunk_rows in (1, 4, 100):
+            with pytest.raises(CliError) as e:
+                read_predictions(tmp_path / "p.csv", ["a", "b", "c"], grid,
+                                 chunk_rows=chunk_rows)
+            assert e.value.code == 3
+            assert "row 6: bad numeric cell" in str(e.value)
