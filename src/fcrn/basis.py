@@ -76,8 +76,3 @@ class BasisLayer:
             raise ValueError("curve sampled on %d points, layer expects %d"
                              % (vals.shape[1], self.taus.size))
         return ad.project(vals * self.int_weights, self.weights, self.biases, self.taus)
-
-
-def resample_curve(curve, taus):
-    """Linearly interpolate a FunctionalCurve onto the canonical tau grid."""
-    return np.interp(taus, curve.taus, curve.values)

@@ -19,7 +19,7 @@ from .data import (CSV_CHUNK_ROWS, DataError, build_time_grid, csv_chunks,
                    read_curves_csv, read_subjects_csv, write_curves_csv,
                    write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
-from .metrics import score_cif
+from .metrics import evaluation_columns, score_cif
 from .model import FCRNModel, NumericError, TrainSettings, train_model
 from .simulate import SimConfig, simulate, write_manifest
 
@@ -47,24 +47,24 @@ def _ensure_outdir(cfg):
 
 
 def _load_dataset(cfg, need_curves):
+    """The subjects file as a Dataset, with the curves file's signals when
+    need_curves and data.curves are set. main maps a DataError to exit 3."""
     path = cfg["data"]["subjects"]
     if not path:
         raise CliError(EXIT_IO, "config data.subjects is required")
-    try:
-        subjects, names = read_subjects_csv(path)
-    except OSError as e:
-        raise CliError(EXIT_IO, str(e))
-    except DataError as e:
-        raise CliError(EXIT_SCHEMA, str(e))
+    ds, _ = read_subjects_csv(path)
     curves_path = cfg["data"]["curves"]
     if curves_path and need_curves:
-        try:
-            read_curves_csv(curves_path, subjects)
-        except OSError as e:
-            raise CliError(EXIT_IO, str(e))
-        except DataError as e:
-            raise CliError(EXIT_SCHEMA, str(e))
-    return subjects, names
+        ds = read_curves_csv(curves_path, ds)
+    return ds
+
+
+def _check_times(ds, max_time, code, message):
+    """Exit with code, naming the first subject observed past max_time."""
+    beyond = np.flatnonzero(ds.time > max_time)
+    if len(beyond):
+        k = beyond[0]
+        raise CliError(code, "subject %s time %g %s" % (ds.ids[k], ds.time[k], message))
 
 
 def cmd_simulate(cfg):
@@ -103,61 +103,50 @@ def _impute_settings(cfg):
         max_epochs=m["max_epochs"])
 
 
-def _fit_one(cfg, subjects, grid, signal_names, n_basis):
+def _fit_one(cfg, ds, grid, signal_names, n_basis):
     settings = _train_settings(cfg, n_basis=n_basis)
     head = cfg["train"]["head"]
     kwargs = dict(n_causes=cfg["train"]["n_causes"],
                   target_cause=cfg["train"]["cause"],
                   signal_names=signal_names)
-    has_missing = any(s.missing_mask.any() for s in subjects)
+    has_missing = ds.mask.any()
     if has_missing and cfg["mvi"]["enabled"]:
-        model, imputed = iro_train(subjects, grid, head, settings,
+        model, imputed = iro_train(ds, grid, head, settings,
                                    impute_settings=_impute_settings(cfg), **kwargs)
     else:
         if has_missing:
             raise CliError(EXIT_SCHEMA,
                            "dataset has missing values but mvi.enabled is false")
-        model, imputed = train_model(subjects, grid, head, settings, **kwargs), None
+        model, imputed = train_model(ds, grid, head, settings, **kwargs), None
     return model, imputed, settings
 
 
 def cmd_train(cfg):
     out = _ensure_outdir(cfg)
-    subjects, _ = _load_dataset(cfg, need_curves=cfg["train"]["use_functional"])
-    if not subjects:
+    ds = _load_dataset(cfg, need_curves=cfg["train"]["use_functional"])
+    if not len(ds):
         raise CliError(EXIT_SCHEMA, "%s: no subjects to train on"
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
-    for s in subjects:
-        if s.time > grid.max_time:
-            raise CliError(EXIT_SCHEMA,
-                           "subject %s time %g exceeds grid max %g"
-                           % (s.id, s.time, grid.max_time))
-    signal_names = ()
-    if cfg["train"]["use_functional"] and subjects and subjects[0].curves:
-        signal_names = tuple(sorted(c.name for c in subjects[0].curves))
+    _check_times(ds, grid.max_time, EXIT_SCHEMA, "exceeds grid max %g" % grid.max_time)
+    signal_names = tuple(ds.signals) if cfg["train"]["use_functional"] else ()
 
-    has_missing = any(s.missing_mask.any() for s in subjects)
-    if not has_missing:
+    if not ds.mask.any():
         print("no missing values; MVI skipped")
 
     try:
         if cfg["train"]["basis_grid_search"] and signal_names:
             best = None
-            search_log = []
             for d in cfg["train"]["basis_grid"]:
-                model, imputed, settings = _fit_one(cfg, subjects, grid,
-                                                    signal_names, d)
+                model, imputed, settings = _fit_one(cfg, ds, grid, signal_names, d)
                 val = min(h[2] for h in settings.log)
-                search_log.append((d, val))
                 print("basis count %d: validation loss %.6f" % (d, val))
                 if best is None or val < best[0]:
                     best = (val, d, model, imputed, settings)
             _, d, model, imputed, settings = best
             print("selected basis count %d" % d)
         else:
-            model, imputed, settings = _fit_one(cfg, subjects, grid, signal_names,
-                                                None)
+            model, imputed, settings = _fit_one(cfg, ds, grid, signal_names, None)
     except NumericError as e:
         raise CliError(EXIT_NUMERIC, str(e))
 
@@ -169,8 +158,7 @@ def cmd_train(cfg):
             w.writerow(row)
     if imputed is not None:
         np.savetxt(os.path.join(out, "imputed.csv"), imputed, delimiter=",")
-        mask = np.vstack([s.missing_mask for s in subjects]).astype(int)
-        np.savetxt(os.path.join(out, "imputed_mask.csv"), mask,
+        np.savetxt(os.path.join(out, "imputed_mask.csv"), ds.mask.astype(int),
                    delimiter=",", fmt="%d")
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("model written to %s" % os.path.join(out, "model.json"))
@@ -179,30 +167,24 @@ def cmd_train(cfg):
 
 def cmd_predict(cfg, model_path):
     out = _ensure_outdir(cfg)
-    try:
-        model = FCRNModel.load(model_path)
-    except OSError as e:
-        raise CliError(EXIT_IO, str(e))
-    subjects, _ = _load_dataset(cfg, need_curves=bool(model.signal_specs))
+    model = FCRNModel.load(model_path)
+    ds = _load_dataset(cfg, need_curves=bool(model.signal_specs))
     grid = model.grid
-    for s in subjects:
-        if s.time > grid.max_time + 1e-9:
-            raise CliError(EXIT_COMPAT,
-                           "subject %s time %g outside model grid (max %g)"
-                           % (s.id, s.time, grid.max_time))
+    _check_times(ds, grid.max_time + 1e-9, EXIT_COMPAT,
+                 "outside model grid (max %g)" % grid.max_time)
     if model.head == "csm":
         names = ["cif_%d" % m for m in range(1, model.n_causes + 1)] + ["survival"]
-        if subjects:
-            S, F = model.predict_cif(subjects)
+        if len(ds):
+            S, F = model.predict_cif(ds)
             columns = [F[:, k] for k in range(model.n_causes)] + [S]
     else:
         names = ["cif_%d" % model.target_cause]
-        if subjects:
-            columns = [model.predict_cif(subjects)]
-    if not subjects:
+        if len(ds):
+            columns = [model.predict_cif(ds)]
+    if not len(ds):
         columns = [np.zeros((0, grid.n_intervals + 1))] * len(names)
     path = os.path.join(out, "predictions.csv")
-    write_predictions(path, [s.id for s in subjects], grid, names, columns)
+    write_predictions(path, ds.ids, grid, names, columns)
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("predictions written to %s" % path)
     return 0
@@ -244,7 +226,8 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
     Returns (causes, F): F[k][i, t] is column cif_<causes[k]> of subject
     ids[i] at interval t, and column 0 stays 0 (no event by time 0). Rows
     are parsed chunk_rows at a time. Exit 3 for a file that is not a
-    predictions CSV or has a malformed row; exit 5 for a row of an unknown
+    predictions CSV or has a malformed row (a non-numeric interval, time,
+    cif_ or survival cell); exit 5 for a row of an unknown
     subject, an interval outside 1..L, a time that is not its interval's
     endpoint, or a subject whose rows do not cover 1..L exactly once.
     """
@@ -256,6 +239,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
         if not header or header[:3] != ["id", "interval", "time"]:
             raise CliError(EXIT_SCHEMA, "%s: not a predictions CSV" % path)
         cif_cols = [k for k, h in enumerate(header) if h.startswith("cif_")]
+        numeric = cif_cols + [k for k, h in enumerate(header) if h == "survival"]
         try:
             causes = [int(header[k][4:]) for k in cif_cols]
         except ValueError:
@@ -270,9 +254,9 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                 cols = list(zip(*rows))
                 interval = np.array(cols[1], dtype=np.int64)
                 time = np.array(cols[2], dtype=np.float64)
-                values = np.array([cols[k] for k in cif_cols], dtype=np.float64)
+                values = np.array([cols[k] for k in numeric], dtype=np.float64)
             except (ValueError, OverflowError):
-                raise _prediction_row_error(path, header, rows, line, cif_cols)
+                raise _prediction_row_error(path, header, rows, line, numeric)
             subj = np.fromiter(map(order.get, cols[0], itertools.repeat(-1)),
                                dtype=np.intp, count=len(rows))
             in_grid = (interval >= 1) & (interval <= L)
@@ -290,7 +274,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                                "endpoint %r" % (cols[0][k], interval[k], float(time[k]),
                                                 float(endpoint[k])))
                 raise CliError(EXIT_COMPAT, message)
-            F[:, subj, interval] = values
+            F[:, subj, interval] = values[:len(causes)]
             np.add.at(seen, (subj, interval), 1)
     seen = seen[:, 1:]
     unpredicted = np.flatnonzero(seen.sum(axis=1) == 0)
@@ -305,7 +289,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
     return causes, F
 
 
-def _prediction_row_error(path, header, rows, line, cif_cols):
+def _prediction_row_error(path, header, rows, line, numeric):
     """The exit-3 CliError of the first malformed row of a chunk."""
     for ln, row in enumerate(rows, start=line):
         if len(row) != len(header):
@@ -313,7 +297,7 @@ def _prediction_row_error(path, header, rows, line, cif_cols):
         else:
             try:
                 int(row[1])
-                for k in [2] + cif_cols:
+                for k in [2] + numeric:
                     float(row[k])
                 continue
             except ValueError as e:
@@ -325,40 +309,36 @@ def _prediction_row_error(path, header, rows, line, cif_cols):
 
 def cmd_evaluate(cfg, predictions_path):
     out = _ensure_outdir(cfg)
-    subjects, _ = _load_dataset(cfg, need_curves=False)
-    if not subjects:
+    ds = _load_dataset(cfg, need_curves=False)
+    if not len(ds):
         raise CliError(EXIT_SCHEMA, "%s: no subjects to score"
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
-    for s in subjects:
-        if s.time > grid.max_time + 1e-9:
-            raise CliError(EXIT_COMPAT,
-                           "subject %s time %g outside evaluation grid (max %g)"
-                           % (s.id, s.time, grid.max_time))
+    _check_times(ds, grid.max_time + 1e-9, EXIT_COMPAT,
+                 "outside evaluation grid (max %g)" % grid.max_time)
+    t0 = cfg["evaluate"]["t0"]
     for horizon in cfg["evaluate"]["horizons"]:
         if horizon > grid.max_time + 1e-9:
             raise CliError(EXIT_COMPAT, "horizon %g beyond predictions (max %g)"
                            % (horizon, grid.max_time))
-    causes, F = read_predictions(predictions_path, [s.id for s in subjects], grid)
+        if len(evaluation_columns(grid, t0, horizon)) < 2:
+            raise CliError(EXIT_COMPAT, "evaluate.t0 %g leaves fewer than 2 grid "
+                           "times up to horizon %g" % (t0, horizon))
+    causes, F = read_predictions(predictions_path, ds.ids, grid)
 
-    g = censoring_survival(subjects, grid)
-    t0 = cfg["evaluate"]["t0"]
+    g = censoring_survival(ds, grid)
     path = os.path.join(out, "scores.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["horizon", "cause", "time", "bs", "cum_ibs"])
         for horizon in cfg["evaluate"]["horizons"]:
             for m, F_m in zip(causes, F):
-                curve = score_cif(F_m, subjects, m, grid, g=g,
-                                  t0=t0, t_max=horizon)
-                cum = np.zeros(len(curve.times))
-                for k in range(1, len(curve.times)):
-                    span = curve.times[k] - curve.times[0]
-                    cum[k] = np.trapezoid(curve.values[:k + 1], curve.times[:k + 1]) / span
-                for k in range(len(curve.times)):
-                    w.writerow([horizon, m, repr(float(curve.times[k])),
-                                repr(float(curve.values[k])),
-                                repr(float(cum[k]))])
+                curve = score_cif(F_m, ds, m, grid, g=g, t0=t0, t_max=horizon)
+                for k, t in enumerate(curve.times):
+                    cum = (np.trapezoid(curve.values[:k + 1], curve.times[:k + 1])
+                           / (t - curve.times[0]) if k else 0.0)
+                    w.writerow([horizon, m, repr(float(t)),
+                                repr(float(curve.values[k])), repr(float(cum))])
                 print("horizon %g cause %d: IBS %.6f" % (horizon, m, curve.ibs))
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     return 0
@@ -394,7 +374,7 @@ def main(argv=None):
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
-    except ConfigError as e:
+    except (ConfigError, DataError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as e:

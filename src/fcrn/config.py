@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 DEFAULTS = {
     "seed": 0,
@@ -56,16 +57,30 @@ DEFAULTS = {
 }
 
 
+# (test, rule) of the values that type-check but that no run can use; a
+# list passes when every item does
+RANGES = {
+    "train.head": (lambda v: v in ("csm", "sdm"), 'one of "csm", "sdm"'),
+    "train.time_encoding": (lambda v: v in ("scalar", "onehot"),
+                            'one of "scalar", "onehot"'),
+    "train.val_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    **{key: (lambda v: 0 < v < math.inf, "positive and finite") for key in (
+        "train.batch_size", "train.max_epochs", "train.n_basis", "train.n_causes",
+        "train.cause", "train.hidden", "train.basis_grid", "grid.width",
+        "grid.max_time")},
+}
+
+
 class ConfigError(ValueError):
-    """A config file, override or key that does not fit DEFAULTS."""
+    """A config file, override, key or value that does not fit DEFAULTS."""
 
 
 def load_config(path=None, overrides=()):
     """Merge defaults, an optional JSON file, and dotted-path overrides.
 
     Raises ConfigError for unparsable JSON, a malformed override, a key
-    that DEFAULTS does not have, or a value whose JSON type differs from
-    its DEFAULTS entry (see _fits).
+    that DEFAULTS does not have, a value whose JSON type differs from its
+    DEFAULTS entry (see _fits), or a value out of its RANGES entry.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -85,6 +100,12 @@ def load_config(path=None, overrides=()):
         for part in reversed(key.strip().split(".")):
             value = {part: value}
         _deep_update(cfg, value, DEFAULTS)
+    for key, (test, rule) in RANGES.items():
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if not all(map(test, value if isinstance(value, list) else [value])):
+            raise ConfigError("config key %r must be %s, not %s"
+                              % (key, rule, json.dumps(value)))
     return cfg
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,52 +26,92 @@ class DataError(ValueError):
     """Raised on malformed or inconsistent survival data."""
 
 
-@dataclass
-class FunctionalCurve:
-    """One sampled functional signal on [0, 1]."""
+class Signal(NamedTuple):
+    """One functional signal of every subject, sampled on [0, 1].
 
-    name: str
-    taus: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.taus.size < 2:
-            raise DataError("curve %r needs at least 2 sample points" % self.name)
-        if self.taus.size != self.values.size:
-            raise DataError("curve %r: taus/values length mismatch" % self.name)
-        if np.any(np.diff(self.taus) <= 0):
-            raise DataError("curve %r: sample points must be strictly increasing" % self.name)
-        if self.taus[0] < 0.0 or self.taus[-1] > 1.0:
-            raise DataError("curve %r: sample points must lie in [0, 1]" % self.name)
-
-
-@dataclass
-class SubjectRecord:
-    """One subject: tabular covariates with missingness mask, curves, outcome.
-
-    cause = 0 encodes censoring; cause >= 1 is the observed event type.
-    Missing covariate entries hold NaN as a sentinel and must be imputed
-    before any feature assembly reads them.
+    Subject i's sample points are taus[offsets[i]:offsets[i + 1]], sorted
+    by (tau, value) and strictly increasing, with their values alongside.
     """
 
-    id: str
-    x: np.ndarray
-    missing_mask: np.ndarray
-    time: float
-    cause: int
-    curves: list = field(default_factory=list)
+    taus: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass
+class Dataset:
+    """Subjects as columns: tabular covariates with missingness mask,
+    functional signals, outcome.
+
+    cause = 0 encodes censoring; cause >= 1 is the observed event type.
+    Missing covariate cells hold NaN in X and True in mask; they must be
+    imputed before any feature assembly reads them. signals maps each
+    signal name to its Signal.
+    """
+
+    ids: np.ndarray
+    time: np.ndarray
+    cause: np.ndarray
+    X: np.ndarray
+    mask: np.ndarray
+    signals: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
-        if self.missing_mask.shape != self.x.shape:
-            raise DataError("subject %s: mask length != covariate length" % self.id)
-        if self.time < 0:
-            raise DataError("subject %s: negative observed time" % self.id)
-        if self.cause < 0:
-            raise DataError("subject %s: negative cause" % self.id)
+        self.ids = np.asarray(self.ids, dtype=object)
+        self.time = np.asarray(self.time, dtype=np.float64)
+        self.cause = np.asarray(self.cause, dtype=np.int64)
+        self.X = np.asarray(self.X, dtype=np.float64)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        if self.mask.shape != self.X.shape:
+            raise DataError("mask shape %s != covariate shape %s"
+                            % (self.mask.shape, self.X.shape))
+
+    def __len__(self):
+        return len(self.time)
+
+    def take(self, rows):
+        """The subjects at the given row indices, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        signals = {}
+        for name, sig in self.signals.items():
+            counts = np.diff(sig.offsets)[rows]
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            points = (np.arange(offsets[-1])
+                      + np.repeat(sig.offsets[rows] - offsets[:-1], counts))
+            signals[name] = Signal(sig.taus[points], sig.values[points], offsets)
+        return Dataset(self.ids[rows], self.time[rows], self.cause[rows],
+                       self.X[rows], self.mask[rows], signals)
+
+
+def signal_matrix(ds, name, taus):
+    """Every subject's curve of one signal linearly interpolated onto taus.
+
+    Returns an (n, J) matrix with np.interp's arithmetic for finite values:
+    a subject's end values hold outside its own sample range and a tau on
+    a sample point takes that point's value. DataError when the dataset
+    has no such signal.
+    """
+    if name not in ds.signals:
+        raise DataError("the dataset has no signal %r" % name)
+    sig = ds.signals[name]
+    taus = np.asarray(taus, dtype=np.float64)
+    first, last = sig.offsets[:-1, None], sig.offsets[1:, None] - 1
+    # rank sample points and taus together: (subject, rank) keys are sorted,
+    # so one search finds every tau's last sample point at or before it
+    uniq, rank = np.unique(np.concatenate([sig.taus, taus]), return_inverse=True)
+    subject = np.arange(len(first))
+    keys = np.repeat(subject, np.diff(sig.offsets)) * len(uniq) + rank[:len(sig.taus)]
+    j = np.searchsorted(keys, subject[:, None] * len(uniq) + rank[len(sig.taus):],
+                        side="right") - 1
+    at = np.clip(j, first, last)
+    out = sig.values[at]
+    inner = (j >= first) & (j < last) & (sig.taus[at] != taus)
+    lo = at[inner]
+    x0, y0 = sig.taus[lo], sig.values[lo]
+    with np.errstate(over="ignore"):  # a slope past float64 is inf, as in np.interp
+        slope = (sig.values[lo + 1] - y0) / (sig.taus[lo + 1] - x0)
+        out[inner] = slope * (np.broadcast_to(taus, out.shape)[inner] - x0) + y0
+    return out
 
 
 @dataclass
@@ -98,27 +139,18 @@ def build_time_grid(max_time, width):
     return TimeGrid(width=float(width), cuts=cuts)
 
 
-def assign_interval(time, grid):
-    """Map a time to its interval index under half-open (t_{l-1}, t_l] bins.
-
-    time = 0 maps to interval 1 by convention.
-    """
-    if time < 0 or time > grid.max_time + 1e-9:
-        raise ValueError("time %g outside grid [0, %g]" % (time, grid.max_time))
-    if time <= grid.cuts[1]:
-        return 1
-    # smallest l with time <= t_l (clamped against fp spill past t_L)
-    return min(int(np.searchsorted(grid.cuts, time, side="left")), grid.n_intervals)
-
-
 def assign_intervals(times, grid):
-    """assign_interval over an array of times, with the same range check
-    (the error names the first time outside the grid)."""
+    """Map times to interval indices under half-open (t_{l-1}, t_l] bins.
+
+    Time 0 maps to interval 1 by convention. The error for times outside
+    the grid names the first of them.
+    """
     times = np.asarray(times, dtype=np.float64)
     outside = (times < 0) | (times > grid.max_time + 1e-9)
     if outside.any():
         raise ValueError("time %g outside grid [0, %g]"
                          % (times[outside][0], grid.max_time))
+    # smallest l with time <= t_l, clamped against fp spill past t_L
     iv = np.minimum(np.searchsorted(grid.cuts, times, side="left"), grid.n_intervals)
     return np.where(times <= grid.cuts[1], 1, iv)
 
@@ -148,43 +180,37 @@ class CensoringSurvival:
 
     g: np.ndarray
 
-    def at(self, t):
-        """G(t) for integer interval index t; t <= 0 returns 1."""
-        t = int(t)
-        if t <= 0:
-            return 1.0
-        return float(self.g[min(t, len(self.g) - 1)])
-
     def at_intervals(self, t):
-        """at() over an integer array of interval indices."""
+        """G at an integer array of interval indices; t <= 0 gives 1 and
+        t past L gives G(L)."""
         t = np.asarray(t)
         return np.where(t <= 0, 1.0, self.g[np.clip(t, 0, len(self.g) - 1)])
 
 
-def augment_cause_specific(subjects, grid, n_causes):
+def augment_cause_specific(ds, grid, n_causes):
     """Person-period rows for the cause-specific model.
 
     A subject reaching interval l* contributes rows t = 1..l*; only the
     final row carries its event category (0 for censored subjects).
+    Rows are in subject, then interval order.
     """
-    subj_idx, intervals, targets = [], [], []
-    for i, s in enumerate(subjects):
-        if s.cause > n_causes:
-            raise ValueError("subject %s: cause %d > M=%d" % (s.id, s.cause, n_causes))
-        l_star = assign_interval(s.time, grid)
-        for t in range(1, l_star + 1):
-            subj_idx.append(i)
-            intervals.append(t)
-            targets.append(s.cause if t == l_star else 0)
-    return PersonPeriodTable(
-        subject_idx=np.asarray(subj_idx, dtype=np.intp),
-        interval=np.asarray(intervals, dtype=np.intp),
-        target=np.asarray(targets, dtype=np.intp),
-        weight=np.ones(len(subj_idx), dtype=np.float64),
-    )
+    over = np.flatnonzero(ds.cause > n_causes)
+    if len(over):
+        k = over[0]
+        raise ValueError("subject %s: cause %d > M=%d"
+                         % (ds.ids[k], ds.cause[k], n_causes))
+    l_star = assign_intervals(ds.time, grid)
+    ends = np.cumsum(l_star)
+    subj_idx = np.repeat(np.arange(len(ds), dtype=np.intp), l_star)
+    interval = (np.arange(1, len(subj_idx) + 1, dtype=np.intp)
+                - np.repeat(ends - l_star, l_star))
+    target = np.zeros(len(subj_idx), dtype=np.intp)
+    target[ends - 1] = ds.cause
+    return PersonPeriodTable(subject_idx=subj_idx, interval=interval, target=target,
+                             weight=np.ones(len(subj_idx), dtype=np.float64))
 
 
-def censoring_survival(subjects, grid):
+def censoring_survival(ds, grid):
     """Kaplan-Meier for the censoring distribution at interval endpoints.
 
     Censorings (cause = 0) are the "events" here; true events enter the
@@ -192,14 +218,13 @@ def censoring_survival(subjects, grid):
     events take precedence, so censored subjects still sit in the risk set
     of their own interval.
     """
-    if not subjects:
+    if not len(ds):
         raise DataError("censoring_survival needs a nonempty dataset")
     L = grid.n_intervals
-    iv = assign_intervals([s.time for s in subjects], grid)
-    censored = np.array([s.cause == 0 for s in subjects])
+    iv = assign_intervals(ds.time, grid)
     left_before = np.cumsum(np.bincount(iv, minlength=L + 1))[:L]
-    at_risk = len(subjects) - left_before  # subjects with iv >= t, t = 1..L
-    n_cens = np.bincount(iv[censored], minlength=L + 1)[1:]
+    at_risk = len(ds) - left_before  # subjects with iv >= t, t = 1..L
+    n_cens = np.bincount(iv[ds.cause == 0], minlength=L + 1)[1:]
     # an empty risk set has no censorings, so its factor is exactly 1
     factor = 1.0 - n_cens / np.maximum(at_risk, 1)
     g = np.ones(L + 1, dtype=np.float64)
@@ -207,76 +232,48 @@ def censoring_survival(subjects, grid):
     return CensoringSurvival(g=g)
 
 
-def sd_weight(t, t_interval, cause, target_cause, g):
-    """IPCW weight w_it of the sub-distribution model at interval t.
-
-    t_interval is the subject's event/censoring interval; g is the
-    censoring survival evaluated at integer interval endpoints.
-    """
-    at_risk = 1.0 if t <= t_interval else 0.0
-    past_competing = 1.0 if (t_interval <= t - 1 and cause not in (0, target_cause)) else 0.0
-    if at_risk == 0.0 and past_competing == 0.0:
-        return 0.0
-    return g.at(t - 1) / g.at(min(t_interval, t) - 1) * (at_risk + past_competing)
-
-
-def augment_subdistribution(subjects, grid, target_cause, g, drop_zero_weight=True):
+def augment_subdistribution(ds, grid, target_cause, g, drop_zero_weight=True):
     """Person-period rows for the sub-distribution model of one target cause.
 
-    Each subject contributes rows t = 1..L-1 with binary targets and IPCW
-    weights; zero-weight rows are dropped by default since they carry no
-    loss contribution.
+    Each subject contributes rows t = 1..L-1 in interval order, with binary
+    targets and IPCW weights (Fine & Gray): a subject at risk (t <= l*), or
+    past a competing event (l* <= t - 1), weighs G(t-1) / G(min(l*, t) - 1);
+    any other row weighs 0. Zero-weight rows are dropped by default since
+    they carry no loss contribution.
     """
     if target_cause < 1:
         raise ValueError("target cause must be >= 1")
-    L = grid.n_intervals
-    subj_idx, intervals, targets, weights = [], [], [], []
-    for i, s in enumerate(subjects):
-        l_star = assign_interval(s.time, grid)
-        for t in range(1, L):
-            w = sd_weight(t, l_star, s.cause, target_cause, g)
-            if drop_zero_weight and w == 0.0:
-                continue
-            y = 1 if (t == l_star and s.cause == target_cause) else 0
-            subj_idx.append(i)
-            intervals.append(t)
-            targets.append(y)
-            weights.append(w)
-    return PersonPeriodTable(
-        subject_idx=np.asarray(subj_idx, dtype=np.intp),
-        interval=np.asarray(intervals, dtype=np.intp),
-        target=np.asarray(targets, dtype=np.intp),
-        weight=np.asarray(weights, dtype=np.float64),
-    )
+    t = np.arange(1, grid.n_intervals)
+    l_star = assign_intervals(ds.time, grid)[:, None]
+    competing = ((ds.cause != 0) & (ds.cause != target_cause))[:, None]
+    weighted = (t <= l_star) | ((l_star <= t - 1) & competing)
+    ratio = g.at_intervals(t - 1) / g.at_intervals(np.minimum(l_star, t) - 1)
+    weight = np.where(weighted, ratio, 0.0)
+    target = (t == l_star) & (ds.cause == target_cause)[:, None]
+    keep = weight != 0.0 if drop_zero_weight else np.ones(weight.shape, dtype=bool)
+    subj_idx, col = np.nonzero(keep)
+    return PersonPeriodTable(subject_idx=subj_idx, interval=col + 1,
+                             target=target[keep].astype(np.intp),
+                             weight=weight[keep])
 
 
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def covariate_matrix(subjects):
-    """Stack subject covariates into (X, mask) with NaN at missing cells."""
-    X = np.vstack([s.x for s in subjects])
-    mask = np.vstack([s.missing_mask for s in subjects])
-    return X, mask
-
-
-def write_subjects_csv(path, subjects, covariate_names=None):
-    """Subject CSV: id, time, cause, then one column per covariate.
+def write_subjects_csv(path, ds):
+    """Subject CSV: id, time, cause, then covariates x1..xP.
 
     Missing cells are written empty.
     """
-    p = len(subjects[0].x) if subjects else 0
-    if covariate_names is None:
-        covariate_names = ["x%d" % (j + 1) for j in range(p)]
+    names = ["x%d" % (j + 1) for j in range(ds.X.shape[1])]
+    columns = [ds.ids.tolist(), map(repr, ds.time.tolist()), ds.cause.tolist()]
+    columns += [["" if m else repr(v) for v, m in zip(x.tolist(), mask.tolist())]
+                for x, mask in zip(ds.X.T, ds.mask.T)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "time", "cause"] + list(covariate_names))
-        for s in subjects:
-            row = [s.id, repr(float(s.time)), s.cause]
-            for v, m in zip(s.x, s.missing_mask):
-                row.append("" if m else repr(float(v)))
-            w.writerow(row)
+        w.writerow(["id", "time", "cause"] + names)
+        w.writerows(zip(*columns))
 
 
 def csv_chunks(reader, chunk_rows=CSV_CHUNK_ROWS):
@@ -289,34 +286,38 @@ def csv_chunks(reader, chunk_rows=CSV_CHUNK_ROWS):
 
 
 def read_subjects_csv(path):
-    """Parse the subject CSV; empty covariate cells become masked NaNs.
+    """Parse the subject CSV into (Dataset, covariate names); empty
+    covariate cells become masked NaNs.
 
-    Cells are parsed a column at a time; when that fails, a row scan names
-    the first malformed row.
+    Cells are parsed a column at a time; when that fails or finds a
+    negative time or cause, a row scan names the first malformed row.
     """
-    subjects = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:3] != ["id", "time", "cause"]:
             raise DataError("%s: expected header id,time,cause,..." % path)
-        names = header[3:]
+        p = len(header) - 3
+        parts = [((), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, p)),
+                  np.zeros((0, p), dtype=bool))]
         for line, rows in csv_chunks(reader):
             try:
                 if set(map(len, rows)) != {len(header)}:
                     raise ValueError("ragged rows")
-                ids, times, causes, *cells = zip(*rows)
-                times = np.array(times, dtype=np.float64).tolist()
-                causes = np.array(causes, dtype=np.int64).tolist()
-                cells = np.array(cells, dtype=object).T.reshape(len(rows), len(names))
+                ids, time, cause, *cells = zip(*rows)
+                time = np.array(time, dtype=np.float64)
+                cause = np.array(cause, dtype=np.int64)
+                if ((time < 0) | (cause < 0)).any():
+                    raise ValueError("negative time or cause")
+                cells = np.array(cells, dtype=object).T.reshape(len(rows), p)
                 mask = cells == ""
                 cells[mask] = "nan"
-                X = cells.astype(np.float64)
+                parts.append((ids, time, cause, cells.astype(np.float64), mask))
             except (ValueError, OverflowError):
                 raise _subject_row_error(path, header, rows, line)
-            subjects += [SubjectRecord(id=sid, x=x, missing_mask=m, time=t, cause=c)
-                         for sid, x, m, t, c in zip(ids, X, mask, times, causes)]
-    return subjects, names
+    ids, *columns = zip(*parts)
+    ds = Dataset(list(itertools.chain(*ids)), *map(np.concatenate, columns))
+    return ds, header[3:]
 
 
 def _subject_row_error(path, header, rows, line):
@@ -338,32 +339,38 @@ def _subject_row_error(path, header, rows, line):
                 return DataError("%s row %d column %s: bad numeric cell %r"
                                  % (path, ln, name, cell))
         # a negative time or cause in an earlier row fails before a bad cell
-        SubjectRecord(id=row[0], x=np.zeros(0), missing_mask=np.zeros(0),
-                      time=time, cause=cause)
+        if time < 0:
+            return DataError("subject %s: negative observed time" % row[0])
+        if cause < 0:
+            return DataError("subject %s: negative cause" % row[0])
     return DataError("%s rows %d-%d: a number is out of range"
                      % (path, line, line + len(rows) - 1))
 
 
-def write_curves_csv(path, subjects):
-    """Curve CSV (long format): id, signal_name, tau, value."""
+def write_curves_csv(path, ds):
+    """Curve CSV (long format): id, signal_name, tau, value; rows in subject,
+    then signal, then sample point order, formatted a curve at a time."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "signal_name", "tau", "value"])
-        for s in subjects:
-            for c in s.curves:
-                for tau, val in zip(c.taus, c.values):
-                    w.writerow([s.id, c.name, repr(float(tau)), repr(float(val))])
+        for i, sid in enumerate(ds.ids.tolist()):
+            for name, sig in ds.signals.items():
+                lo, hi = sig.offsets[i], sig.offsets[i + 1]
+                w.writerows([sid, name, repr(t), repr(v)] for t, v in
+                            zip(sig.taus[lo:hi].tolist(), sig.values[lo:hi].tolist()))
 
 
-def read_curves_csv(path, subjects):
-    """Attach curves from the long-format CSV onto matching subjects.
+def read_curves_csv(path, ds):
+    """ds with the signals of the long-format curve CSV attached.
 
-    Each (subject, signal) curve holds its points sorted by (tau, value);
-    a subject's curves are sorted by signal name.
+    Signals are sorted by name and each subject's points by (tau, value).
+    Every subject needs every signal the file has, and each curve at
+    least 2 strictly increasing sample points in [0, 1] with finite
+    values; the first failing curve in file order names the error.
     """
-    position = {s.id: k for k, s in enumerate(subjects)}
+    position = {sid: k for k, sid in enumerate(ds.ids.tolist())}
     code = {}  # signal name -> code, in order of first appearance
-    parts = []
+    parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -387,26 +394,46 @@ def read_curves_csv(path, subjects):
             signal = np.fromiter(map(code.__getitem__, names), dtype=np.intp,
                                  count=len(rows))
             parts.append((subj, signal, taus, vals))
-    if parts:
-        _attach_curves(subjects, list(code),
-                       *(np.concatenate(column) for column in zip(*parts)))
-    for s in subjects:
-        s.curves.sort(key=lambda c: c.name)
-    return subjects
+    signals = _check_curves(path, ds.ids, list(code), *map(np.concatenate, zip(*parts)))
+    return Dataset(ds.ids, ds.time, ds.cause, ds.X, ds.mask, signals)
 
 
-def _attach_curves(subjects, signal_names, subj, signal, taus, vals):
-    """Group the points by (subject, signal), sort each group by (tau,
-    value) and append the curves in the order they first appear in the
-    file, as a row-by-row read would."""
-    order = np.lexsort((vals, taus, signal, subj))
+CURVE_ERRORS = (None, "curve %r needs at least 2 sample points",
+                "curve %r: sample points must be strictly increasing",
+                "curve %r: sample points must lie in [0, 1]",
+                "curve %r: values must be finite")
+
+
+def _check_curves(path, ids, names, subj, signal, taus, vals):
+    """One Signal per name from the file's points (signal k is names[k]),
+    in name order, after the per-curve and per-subject checks."""
+    order = np.lexsort((vals, taus, subj, signal))
     subj, signal, taus, vals = subj[order], signal[order], taus[order], vals[order]
     starts = np.flatnonzero(np.diff(subj, prepend=-1) | np.diff(signal, prepend=-1))
-    ends = np.append(starts[1:], len(order))
-    by_appearance = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
-    for lo, hi in zip(starts[by_appearance].tolist(), ends[by_appearance].tolist()):
-        subjects[subj[lo]].curves.append(FunctionalCurve(
-            name=signal_names[signal[lo]], taus=taus[lo:hi], values=vals[lo:hi]))
+    counts = np.diff(np.append(starts, len(order)))
+    curve = np.repeat(np.arange(len(starts)), counts)
+
+    def flagged(points):
+        """Whether each curve holds one of the points flagged True."""
+        return np.bincount(curve[points], minlength=len(starts)) > 0
+    step = (np.diff(curve, prepend=-1) == 0) & ~(np.diff(taus, prepend=-np.inf) > 0)
+    problem = np.select([counts < 2, flagged(step),
+                         flagged(~((taus >= 0.0) & (taus <= 1.0))),
+                         flagged(~np.isfinite(vals))], [1, 2, 3, 4])
+    failing = np.flatnonzero(problem)
+    if len(failing):
+        k = failing[np.argmin(np.minimum.reduceat(order, starts)[failing])]
+        raise DataError(CURVE_ERRORS[problem[k]] % names[signal[starts[k]]])
+    lacking = np.setdiff1d(np.arange(len(names) * len(ids)),
+                           signal[starts] * len(ids) + subj[starts])
+    if len(lacking):
+        k, i = divmod(lacking[0], len(ids))
+        raise DataError("%s: subject %s lacks signal %r" % (path, ids[i], names[k]))
+    # one curve per signal and subject, signal-major
+    counts = counts.reshape(len(names), len(ids))
+    bounds = np.append(0, np.cumsum(counts.sum(axis=1)))
+    return {name: Signal(taus[lo:hi], vals[lo:hi], np.append(0, np.cumsum(c)))
+            for name, lo, hi, c in sorted(zip(names, bounds[:-1], bounds[1:], counts))}
 
 
 def _curve_row_error(path, rows, position, line):

@@ -16,7 +16,7 @@ import numpy as np
 
 # censoring_survival stays in this namespace: the benchmark's tracer wraps
 # it here (tests/test_bench_contract.py)
-from .data import censoring_survival, covariate_matrix  # noqa: F401
+from .data import censoring_survival  # noqa: F401
 from .model import fit, init_model, table_batch, train_model
 
 COND_VAR_FLOOR = 1e-8
@@ -197,7 +197,7 @@ def sgld_impute(X, mask, settings, rng, epochs=None, ggm_refit_every=10):
     return X
 
 
-def iro_train(subjects, grid, head, settings, impute_settings=None,
+def iro_train(ds, grid, head, settings, impute_settings=None,
               n_causes=None, target_cause=None, signal_names=()):
     """Train an FCRN while imputing missing tabular covariates.
 
@@ -213,18 +213,18 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
     Returns (model, imputed covariate matrix on the original scale); the
     matrix is the best epoch's, the one fit restores with the parameters.
     """
-    X_raw, mask = covariate_matrix(subjects)
+    mask = ds.mask
     if not mask.any():
-        model = train_model(subjects, grid, head, settings, n_causes=n_causes,
+        model = train_model(ds, grid, head, settings, n_causes=n_causes,
                             target_cause=target_cause, signal_names=signal_names)
-        return model, X_raw
+        return model, ds.X.copy()
 
     imp = impute_settings or ImputeSettings()
     rng = np.random.RandomState(settings.seed)
-    model = init_model(subjects, grid, head, settings, n_causes, target_cause,
+    model = init_model(ds, grid, head, settings, n_causes, target_cause,
                        signal_names, rng)
     sgld_rng = np.random.RandomState(rng.randint(2 ** 31))
-    X_filled = median_init(X_raw, mask)
+    X_filled = median_init(ds.X, mask)
     model.fit_normalization(X_filled)
     Xn = model.normalize(X_filled)
 
@@ -239,11 +239,9 @@ def iro_train(subjects, grid, head, settings, impute_settings=None,
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
 
-    fit(model, subjects, Xn, settings, rng, i_step=impute_epoch,
+    fit(model, ds, Xn, settings, rng, i_step=impute_epoch,
         max_epochs=min(settings.max_epochs, imp.max_epochs), rel_tol=imp.rel_tol)
 
-    X_out = np.array(X_raw, copy=True)
-    denorm = model.denormalize(Xn)
-    X_out[mask] = denorm[mask]
+    X_out = np.where(mask, model.denormalize(Xn), ds.X)
     model.fill_values = np.median(X_out, axis=0)
     return model, X_out

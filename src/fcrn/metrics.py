@@ -22,14 +22,13 @@ class ScoreCurve:
     ibs: float
 
 
-def brier(t, preds, subjects, cause):
+def brier(t, preds, ds, cause):
     """Uncensored Brier score at time t for one cause's CIF predictions."""
     preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-    return float(brier_curve(np.array([t], dtype=np.float64), preds, subjects,
-                             cause)[0])
+    return float(brier_curve(np.array([t], dtype=np.float64), preds, ds, cause)[0])
 
 
-def brier_ipcw(t, preds, subjects, cause, g, grid):
+def brier_ipcw(t, preds, ds, cause, g, grid):
     """IPCW Brier score at time t.
 
     Subjects still at risk past t contribute (0 - F)^2 / G(t); subjects
@@ -37,40 +36,33 @@ def brier_ipcw(t, preds, subjects, cause, g, grid):
     subjects censored by t contribute nothing. Normalized by N.
     """
     preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-    return float(brier_ipcw_curve(np.array([t], dtype=np.float64), preds, subjects,
-                                  cause, g, grid)[0])
+    return float(brier_ipcw_curve(np.array([t], dtype=np.float64), preds, ds, cause,
+                                  g, grid)[0])
 
 
-def _outcomes(subjects):
-    return (np.array([s.time for s in subjects], dtype=np.float64),
-            np.array([s.cause for s in subjects]))
-
-
-def brier_curve(times, P, subjects, cause):
+def brier_curve(times, P, ds, cause):
     """brier at each of times; P is (n_subjects, n_times), column k scored
     at times[k]. Each time's mean is a pairwise sum over the subjects, as
     np.mean of one column gives."""
-    subj_time, subj_cause = _outcomes(subjects)
-    label = ((subj_time <= times[:, None]) & (subj_cause == cause)).astype(np.float64)
+    label = ((ds.time <= times[:, None]) & (ds.cause == cause)).astype(np.float64)
     return np.mean((label - np.ascontiguousarray(P.T)) ** 2, axis=1)
 
 
-def brier_ipcw_curve(times, P, subjects, cause, g, grid):
+def brier_ipcw_curve(times, P, ds, cause, g, grid):
     """brier_ipcw at each of times; P is (n_subjects, n_times).
 
     Each time's terms are summed in subject order, as a running total over
     the subjects gives.
     """
-    subj_time, subj_cause = _outcomes(subjects)
     l_t = np.where(times > 0, assign_intervals(np.maximum(times, 0.0), grid), 0)
     g_t = np.maximum(g.at_intervals(l_t), G_FLOOR)
     # a subject past the grid is at risk at every time, so its clamped
     # interval is never read
-    l_event = assign_intervals(np.minimum(subj_time, grid.max_time), grid)
+    l_event = assign_intervals(np.minimum(ds.time, grid.max_time), grid)
     g_event = np.maximum(g.at_intervals(l_event - 1), G_FLOOR)
-    at_risk = subj_time[:, None] > times
-    event = ~at_risk & (subj_cause != 0)[:, None]
-    label = (subj_cause == cause).astype(np.float64)[:, None]
+    at_risk = ds.time[:, None] > times
+    event = ~at_risk & (ds.cause != 0)[:, None]
+    label = (ds.cause == cause).astype(np.float64)[:, None]
     terms = np.zeros(P.shape)
     terms[at_risk] = (P * P / g_t)[at_risk]
     # the per-subject form squares with C pow(), which rounds about one
@@ -79,7 +71,7 @@ def brier_ipcw_curve(times, P, subjects, cause, g, grid):
     residual = (label - P)[event].tolist()
     terms[event] = (np.array([r ** 2 for r in residual], dtype=np.float64)
                     / np.broadcast_to(g_event[:, None], P.shape)[event])
-    return np.cumsum(terms, axis=0)[-1] / len(subjects)
+    return np.cumsum(terms, axis=0)[-1] / len(ds)
 
 
 def ibs(times, values):
@@ -93,20 +85,26 @@ def ibs(times, values):
     return float(np.trapezoid(values, times) / (times[-1] - times[0]))
 
 
-def score_cif(F, subjects, cause, grid, g=None, t0=0.0, t_max=None):
+def evaluation_columns(grid, t0=0.0, t_max=None):
+    """Grid columns scored between t0 and t_max (default the grid's end): the
+    interval endpoints in [t0, t_max], within 1e-9."""
+    if t_max is None:
+        t_max = grid.max_time
+    return np.flatnonzero((t0 - 1e-9 <= grid.cuts) & (grid.cuts <= t_max + 1e-9))
+
+
+def score_cif(F, ds, cause, grid, g=None, t0=0.0, t_max=None):
     """Score one cause's CIF matrix (n, L+1, column t = endpoint t) as a curve.
 
     Uses the IPCW form when a censoring survival g is given, the plain
     Brier score otherwise. Evaluation times are the interval endpoints
     intersected with [t0, t_max].
     """
-    if t_max is None:
-        t_max = grid.max_time
-    cols = np.flatnonzero((t0 - 1e-9 <= grid.cuts) & (grid.cuts <= t_max + 1e-9))
+    cols = evaluation_columns(grid, t0, t_max)
     times = grid.cuts[cols]
     P = F[:, cols]
     if g is None:
-        values = brier_curve(times, P, subjects, cause)
+        values = brier_curve(times, P, ds, cause)
     else:
-        values = brier_ipcw_curve(times, P, subjects, cause, g, grid)
+        values = brier_ipcw_curve(times, P, ds, cause, g, grid)
     return ScoreCurve(times=times, values=values, ibs=ibs(times, values))

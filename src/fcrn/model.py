@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, resample_curve
+from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer
 from .data import (TimeGrid, augment_cause_specific, augment_subdistribution,
-                   censoring_survival, covariate_matrix)
+                   censoring_survival, signal_matrix)
 
 # person-period rows predicted per forward pass; bounds prediction memory
 PREDICT_ROWS = 16384
@@ -138,28 +138,18 @@ class FCRNModel:
     def denormalize(self, Xn):
         return Xn * self.norm_std + self.norm_mean
 
-    def curve_matrices(self, subjects):
+    def curve_matrices(self, ds):
         """Resample and normalize each signal into an (n, J) value matrix."""
-        out = {}
-        for spec in self.signal_specs:
-            name = spec["name"]
-            taus = np.asarray(spec["taus"])
-            rows = []
-            for s in subjects:
-                match = [c for c in s.curves if c.name == name]
-                if not match:
-                    raise ValueError("subject %s lacks signal %r" % (s.id, name))
-                rows.append(resample_curve(match[0], taus))
-            vals = np.vstack(rows)
-            out[name] = (vals - spec.get("mean", 0.0)) / spec.get("std", 1.0)
-        return out
+        return {spec["name"]: (signal_matrix(ds, spec["name"], spec["taus"])
+                               - spec.get("mean", 0.0)) / spec.get("std", 1.0)
+                for spec in self.signal_specs}
 
-    def fit_curve_normalization(self, subjects, enabled=True):
+    def fit_curve_normalization(self, ds, enabled=True):
         for spec in self.signal_specs:
             spec["mean"], spec["std"] = 0.0, 1.0
         if not enabled or not self.signal_specs:
             return
-        raw = self.curve_matrices(subjects)
+        raw = self.curve_matrices(ds)
         for spec in self.signal_specs:
             vals = raw[spec["name"]]
             spec["mean"] = float(vals.mean())
@@ -218,22 +208,20 @@ class FCRNModel:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict_hazards(self, subjects, xn=None):
+    def predict_hazards(self, ds, xn=None):
         """Per-interval hazards for each subject at t = 1..L.
 
         CSM: (n, L, M+1) head probabilities. SDM: (n, L) hazards.
         Accepts a pre-normalized covariate matrix to support audit paths.
         """
-        n = len(subjects)
+        n = len(ds)
         L = self.grid.n_intervals
         if xn is None:
-            X, mask = covariate_matrix(subjects)
-            if mask.any():
-                X = np.where(mask, self.fill_values, X)
+            X = np.where(ds.mask, self.fill_values, ds.X)
             if np.any(~np.isfinite(X)):
                 raise ValueError("unimputed missing covariates reached prediction")
             xn = self.normalize(X)
-        curve_mats = self.curve_matrices(subjects) if self.signal_specs else {}
+        curve_mats = self.curve_matrices(ds)
         n_out = self.n_causes + 1 if self.head == "csm" else 1
         probs = np.empty((n, L, n_out))
         step = max(1, PREDICT_ROWS // L)
@@ -246,13 +234,13 @@ class FCRNModel:
             probs[lo:hi] = ad.hazards(fwd).reshape(hi - lo, L, n_out)
         return probs if self.head == "csm" else probs[:, :, 0]
 
-    def predict_cif(self, subjects, xn=None):
+    def predict_cif(self, ds, xn=None):
         """Survival and cumulative incidence curves per subject.
 
         CSM: (S, F) with S shape (n, L+1) starting at 1 and F shape
         (n, M, L+1) starting at 0. SDM: F1 with shape (n, L+1).
         """
-        hz = self.predict_hazards(subjects, xn=xn)
+        hz = self.predict_hazards(ds, xn=xn)
         if self.head == "csm":
             return cif_from_cause_specific(hz)
         return cif_from_subdistribution(hz)
@@ -360,13 +348,13 @@ def cif_from_subdistribution(hazards):
 # training
 # ---------------------------------------------------------------------------
 
-def build_table(subjects, grid, model, g=None):
+def build_table(ds, grid, model, g=None):
     """Augmented person-period table for the model's head."""
     if model.head == "csm":
-        return augment_cause_specific(subjects, grid, model.n_causes)
+        return augment_cause_specific(ds, grid, model.n_causes)
     if g is None:
-        g = censoring_survival(subjects, grid)
-    return augment_subdistribution(subjects, grid, model.target_cause, g)
+        g = censoring_survival(ds, grid)
+    return augment_subdistribution(ds, grid, model.target_cause, g)
 
 
 def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
@@ -390,49 +378,43 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
     return total / max(count, 1)
 
 
-def train_model(subjects, grid, head, settings, n_causes=None, target_cause=None,
+def train_model(ds, grid, head, settings, n_causes=None, target_cause=None,
                 signal_names=()):
-    """Fit an FCRN on complete-data subjects (no missingness path).
+    """Fit an FCRN on a complete-data dataset (no missingness path).
 
     Returns the model with the best validation loss under early stopping.
     """
     rng = np.random.RandomState(settings.seed)
-    model = init_model(subjects, grid, head, settings, n_causes, target_cause,
+    model = init_model(ds, grid, head, settings, n_causes, target_cause,
                        signal_names, rng)
-    X, mask = covariate_matrix(subjects)
-    if mask.any():
+    if ds.mask.any():
         raise ValueError("dataset has missing values; use the imputation loop")
-    model.fit_normalization(X)
-    return fit(model, subjects, model.normalize(X), settings, rng)
+    model.fit_normalization(ds.X)
+    return fit(model, ds, model.normalize(ds.X), settings, rng)
 
 
-def init_model(subjects, grid, head, settings, n_causes, target_cause,
+def init_model(ds, grid, head, settings, n_causes, target_cause,
                signal_names, rng):
     """An initialized model with its curve normalization fitted."""
-    signal_specs = []
-    if signal_names and subjects and subjects[0].curves:
-        for name in signal_names:
-            taus = _canonical_grid(subjects, name)
-            signal_specs.append({"name": name, "taus": taus,
-                                 "n_basis": settings.n_basis})
-    model = FCRNModel(head=head, grid=grid, n_tabular=len(subjects[0].x),
+    signal_specs = [{"name": name, "taus": _canonical_grid(ds, name),
+                     "n_basis": settings.n_basis} for name in signal_names]
+    model = FCRNModel(head=head, grid=grid, n_tabular=ds.X.shape[1],
                       n_causes=n_causes, target_cause=target_cause,
                       signal_specs=signal_specs, hidden=settings.hidden,
                       time_encoding=settings.time_encoding, rng=rng)
-    model.fit_curve_normalization(subjects, enabled=settings.normalize_curves)
+    model.fit_curve_normalization(ds, enabled=settings.normalize_curves)
     return model
 
 
-def _canonical_grid(subjects, name, cap=101):
+def _canonical_grid(ds, name, cap=101):
     """Union of observed tau grids for one signal, capped at `cap` points."""
-    taus = np.unique(np.concatenate(
-        [c.taus for s in subjects for c in s.curves if c.name == name]))
+    taus = np.unique(ds.signals[name].taus)
     if len(taus) > cap:
         taus = np.linspace(taus[0], taus[-1], cap)
     return taus
 
 
-def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
+def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
         rel_tol=0.0):
     """Adam mini-batch epochs with a validation holdout and early stopping.
 
@@ -447,16 +429,15 @@ def fit(model, subjects, xn, settings, rng, i_step=None, max_epochs=None,
     is then restored along with its parameters. settings.log gets one
     (epoch, train_loss, monitored_loss) row per epoch.
     """
-    n = len(subjects)
+    n = len(ds)
     perm = rng.permutation(n)
     n_val = int(round(settings.val_fraction * n))
-    g = censoring_survival(subjects, model.grid) if model.head == "sdm" else None
-    table = build_table(subjects, model.grid, model, g=g)
+    table = build_table(ds, model.grid, model)
     in_val = np.isin(table.subject_idx, perm[:n_val])
     train_rows = np.where(~in_val)[0]
     val_rows = np.where(in_val)[0]
 
-    curve_mats = model.curve_matrices(subjects) if model.signal_specs else {}
+    curve_mats = model.curve_matrices(ds)
     adam = ad.AdamState(model.theta.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     best_loss, best_values, since_best = np.inf, model.theta.copy(), 0

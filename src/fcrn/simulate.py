@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FunctionalCurve, SubjectRecord
+from .data import Dataset, Signal
 
 # visible covariate distributions: five normals, five uniforms
 NORMAL_PARAMS = [(0.2, 1.0), (1.5, 1.2), (-0.5, 0.8), (0.0, 1.0), (1.0, 0.5)]
@@ -198,7 +198,7 @@ def apply_mar(X, rate, rng, anchors=ANCHOR_COLUMNS, beta=(1.0, 1.0)):
 
 
 def simulate(config):
-    """Full pipeline: returns (train subjects, test subjects, manifest dict)."""
+    """Full pipeline: returns (train Dataset, test Dataset, manifest dict)."""
     if config.n_train + config.n_test != config.n:
         raise ValueError("split sizes must sum to n")
     rng = np.random.RandomState(config.seed)
@@ -211,21 +211,17 @@ def simulate(config):
     cause = np.where(time >= config.max_time, 0, cause)
     mask = apply_mar(X, config.missing_rate, rng)
 
-    subjects = []
-    for i in range(config.n):
-        x = X[i].copy()
-        x[mask[i]] = np.nan
-        curve_list = []
-        if config.functional:
-            for s in range(config.n_signals):
-                curve_list.append(FunctionalCurve(
-                    name="signal%d" % (s + 1), taus=taus, values=curves[s, i]))
-        subjects.append(SubjectRecord(id="s%04d" % i, x=x, missing_mask=mask[i],
-                                      time=float(time[i]), cause=int(cause[i]),
-                                      curves=curve_list))
+    signals = {}
+    if config.functional:
+        offsets = len(taus) * np.arange(config.n + 1)
+        signals = {"signal%d" % (s + 1): Signal(np.tile(taus, config.n),
+                                                curves[s].ravel(), offsets)
+                   for s in range(config.n_signals)}
+    ds = Dataset(["s%04d" % i for i in range(config.n)], time, cause,
+                 np.where(mask, np.nan, X), mask, signals)
     order = rng.permutation(config.n)
-    train = [subjects[i] for i in order[:config.n_train]]
-    test = [subjects[i] for i in order[config.n_train:]]
+    train = ds.take(order[:config.n_train])
+    test = ds.take(order[config.n_train:])
     manifest = {"config": config.to_dict(),
                 "realized_missing_rate": float(mask.mean()),
                 "cause_counts": {str(m): int(np.sum(cause == m)) for m in (0, 1, 2)}}

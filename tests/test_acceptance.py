@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (batch_loss_fn, collect_grads, direct_nll_cs, direct_nll_sd,
-                      finite_diff, max_rel_err)
+from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
+                      direct_nll_sd, finite_diff, max_rel_err)
 
 from fcrn.baseline import intercept_only_cif
 from fcrn.cli import main as cli_main
-from fcrn.data import (FunctionalCurve, SubjectRecord, augment_subdistribution,
-                       build_time_grid, censoring_survival)
+from fcrn.data import (Signal, augment_subdistribution, build_time_grid,
+                       censoring_survival)
 from fcrn.impute import ImputeSettings, iro_train, median_init, sgld_impute
 from fcrn.metrics import brier, brier_ipcw, score_cif
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
@@ -30,17 +30,21 @@ def report(name, ok, detail=""):
 
 
 def random_subjects(rng, n, max_time, p=2, curves=None):
-    out = []
-    for i in range(n):
-        cs = []
+    """n subjects, each drawing its curve values (one signal "sig" on
+    curves = (taus, J)), then covariates, time and cause."""
+    values, X, time, cause = [], [], [], []
+    for _ in range(n):
         if curves is not None:
-            taus, J = curves
-            cs = [FunctionalCurve("sig", taus, rng.randn(J))]
-        out.append(SubjectRecord(id="s%d" % i, x=rng.randn(p),
-                                 missing_mask=np.zeros(p, dtype=bool),
-                                 time=rng.uniform(0, max_time),
-                                 cause=rng.randint(0, 3), curves=cs))
-    return out
+            values.append(rng.randn(curves[1]))
+        X.append(rng.randn(p))
+        time.append(rng.uniform(0, max_time))
+        cause.append(rng.randint(0, 3))
+    signals = {}
+    if curves is not None:
+        taus, J = curves
+        signals["sig"] = Signal(np.tile(taus, n), np.concatenate(values),
+                                J * np.arange(n + 1))
+    return dataset(time, cause, X=X, signals=signals)
 
 
 def test_gradient_oracle():
@@ -62,15 +66,15 @@ def test_gradient_oracle():
                           signal_specs=[{"name": "sig", "taus": taus,
                                          "n_basis": rng.randint(1, 3)}],
                           hidden=(3,), rng=np.random.RandomState(checked))
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         model.fit_curve_normalization(subjects)
         g = censoring_survival(subjects, grid) if head == "sdm" else None
         table = build_table(subjects, grid, model, g=g)
         if len(table) == 0:
-            subjects[0].time = float(L)
-            subjects[0].cause = 1
+            subjects.time[0] = float(L)
+            subjects.cause[0] = 1
             table = build_table(subjects, grid, model, g=g)
-        xn = model.normalize(np.vstack([s.x for s in subjects]))
+        xn = model.normalize(subjects.X)
         curve_mats = model.curve_matrices(subjects)
         batch = table_batch(xn, curve_mats, table, np.arange(len(table)))
         err = max_rel_err(collect_grads(model, batch),
@@ -93,18 +97,17 @@ def test_likelihood_oracle():
         grid = build_time_grid(float(L), 1.0)
         n_causes = rng.randint(1, 3) if head == "csm" else 2
         subjects = random_subjects(rng, rng.randint(2, 11), float(L))
-        for s in subjects:
-            s.cause = min(s.cause, n_causes)
+        subjects.cause[:] = np.minimum(subjects.cause, n_causes)
         model = FCRNModel(head=head, grid=grid, n_tabular=2, n_causes=n_causes,
                           target_cause=1, hidden=(4, 3),
                           rng=np.random.RandomState(trial))
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         g = censoring_survival(subjects, grid)
         table = build_table(subjects, grid, model,
                             g=g if head == "sdm" else None)
         if len(table) == 0:
             continue
-        xn = model.normalize(np.vstack([s.x for s in subjects]))
+        xn = model.normalize(subjects.X)
         fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
         summed = float(model.batch_loss(fwd, table.target,
                                         table.weight).value) * len(table)
@@ -148,17 +151,11 @@ def test_weight_correctness():
     # 6 subjects on a width-1 grid with one censoring (B) and one competing
     # event (C); every w_it checked against hand computation
     grid = build_time_grid(5.0, 1.0)
-
-    def subj(id, time, cause):
-        return SubjectRecord(id=id, x=np.zeros(1),
-                             missing_mask=np.zeros(1, dtype=bool),
-                             time=time, cause=cause)
-
-    subjects = [subj("A", 1.0, 1), subj("B", 2.0, 0), subj("C", 2.0, 2),
-                subj("D", 3.0, 1), subj("E", 4.0, 1), subj("F", 4.0, 1)]
+    subjects = dataset([1.0, 2.0, 2.0, 3.0, 4.0, 4.0], [1, 0, 2, 1, 1, 1],
+                       ids=["A", "B", "C", "D", "E", "F"])
     g = censoring_survival(subjects, grid)
     # one censoring among five subjects at risk in interval 2: G drops to 0.8
-    assert g.at(0) == 1.0 and g.at(1) == 1.0 and g.at(2) == 0.8
+    assert g.at_intervals([0, 1, 2]).tolist() == [1.0, 1.0, 0.8]
     table = augment_subdistribution(subjects, grid, 1, g,
                                     drop_zero_weight=False)
     # hand-computed weights, rows t = 1..4 per subject
@@ -170,9 +167,9 @@ def test_weight_correctness():
         "E": [1.0, 1.0, 1.0, 1.0],
         "F": [1.0, 1.0, 1.0, 1.0],
     }
-    got = {s.id: [0.0] * 4 for s in subjects}
+    got = {i: [0.0] * 4 for i in subjects.ids}
     for k in range(len(table)):
-        got[subjects[table.subject_idx[k]].id][table.interval[k] - 1] = \
+        got[subjects.ids[table.subject_idx[k]]][table.interval[k] - 1] = \
             table.weight[k]
     ok = all(got[i] == expected[i] for i in expected)
     report("weight correctness", ok, "weights %r" % got)
@@ -183,11 +180,8 @@ def test_ipcw_reduction():
     worst = 0.0
     for n in (5, 50, 500):
         grid = build_time_grid(20.0, 2.0)
-        subjects = [SubjectRecord(id="s%d" % i, x=np.zeros(1),
-                                  missing_mask=np.zeros(1, dtype=bool),
-                                  time=rng.uniform(0.5, 20.0),
-                                  cause=rng.randint(1, 3))
-                    for i in range(n)]
+        outcomes = [(rng.uniform(0.5, 20.0), rng.randint(1, 3)) for _ in range(n)]
+        subjects = dataset(*zip(*outcomes))
         g = censoring_survival(subjects, grid)
         for t in (0.0, 6.0, 14.0, 20.0):
             preds = rng.uniform(0, 1, size=n)

@@ -31,6 +31,14 @@ def simulate_small(out_dir, n=60, missing_rate=0.0, functional=False, seed=0):
     assert code == 0
 
 
+def drop_curve_rows(path, keep):
+    """Rewrite a curves CSV without the rows where keep(id, signal) is false."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows[:1] + [r for r in rows[1:] if keep(r[0], r[1])])
+
+
 def train_args(out_dir, data_dir, functional=False, extra=()):
     args = ["--set", "out_dir=%s" % json.dumps(str(out_dir)),
             "--set", "data.subjects=%s" % json.dumps(
@@ -113,6 +121,18 @@ class TestTrainCommand:
                     "train"])
         assert code == 3
 
+    def test_subject_lacking_a_signal_is_schema_error(self, tmp_path, capsys):
+        # the first subject lacks signal2: an error, not a tabular-only fit
+        simulate_small(tmp_path / "sim", n=40, functional=True, seed=5)
+        curves = tmp_path / "sim" / "train_curves.csv"
+        with open(curves, newline="") as fh:
+            first = list(csv.reader(fh))[1][0]
+        drop_curve_rows(curves, lambda sid, name: (sid, name) != (first, "signal2"))
+        code = run(train_args(tmp_path / "run", tmp_path / "sim", functional=True))
+        assert code == 3
+        assert "subject %s lacks signal 'signal2'" % first in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
     def test_basis_grid_search_logs_selection(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim", n=40, functional=True, seed=5)
         code = run(train_args(
@@ -175,6 +195,19 @@ class TestConfigErrors:
         "simulate.functional=1",  # a number for a bool
         "out_dir=null",  # null where the default is not null
         "train.hidden=[8, 8.5]",  # a float item in a list of integers
+        # values of the right type out of their range or choices
+        'train.head="xyz"',
+        'train.time_encoding="linear"',
+        "train.batch_size=0",
+        "train.max_epochs=0",
+        "train.n_basis=-1",
+        "train.n_causes=0",
+        "train.cause=0",
+        "train.hidden=[8, 0]",
+        "train.basis_grid=[2, -3]",
+        "train.val_fraction=1.0",
+        "grid.width=0",
+        "grid.max_time=-5",
     ])
     def test_value_of_the_wrong_type_is_schema_error(self, tmp_path, capsys,
                                                      override):
@@ -241,6 +274,22 @@ class TestPredictCommand:
                        "\na,500.0,1," + ",".join(["0.1"] * 10) + "\n")
         assert self._predict(tmp_path, model, far) == 5
 
+    def test_curves_lacking_a_model_signal_is_schema_error(self, tmp_path, capsys):
+        simulate_small(tmp_path / "sim", n=40, functional=True, seed=6)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim", functional=True,
+                              extra=["--set", "train.max_epochs=1"])) == 0
+        curves = tmp_path / "sim" / "test_curves.csv"
+        drop_curve_rows(curves, lambda sid, name: name != "signal2")
+        for data_curves in (str(curves), None):
+            code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "pred")),
+                        "--set", "data.subjects=%s" % json.dumps(
+                            str(tmp_path / "sim" / "test_subjects.csv")),
+                        "--set", "data.curves=%s" % json.dumps(data_curves),
+                        "predict", "--model", str(tmp_path / "run" / "model.json")])
+            assert code == 3
+            assert "signal" in capsys.readouterr().err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         model = self._train(tmp_path)
         subjects = tmp_path / "sim" / "test_subjects.csv"
@@ -287,6 +336,16 @@ class TestEvaluateCommand:
                     "--set", "evaluate.horizons=[50, 500]",
                     "evaluate", "--predictions", str(preds)])
         assert code == 5
+        assert not (tmp_path / "eval" / "scores.csv").exists()
+
+    def test_t0_at_the_horizon_is_compat_error(self, tmp_path, capsys):
+        subjects, preds = self._pipeline(tmp_path)
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
+                    "--set", "data.subjects=%s" % json.dumps(str(subjects)),
+                    "--set", "evaluate.t0=100",
+                    "evaluate", "--predictions", str(preds)])
+        assert code == 5
+        assert "evaluate.t0" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "scores.csv").exists()
 
     def test_subject_without_predictions_is_compat_error(self, tmp_path, capsys):
@@ -390,9 +449,12 @@ class TestEvaluateCommand:
     def test_malformed_prediction_row_is_schema_error(self, tmp_path, capsys):
         subjects, preds = self._pipeline(tmp_path)
 
-        def edit(rows):
-            rows[7][3] = "oops"
-            return rows
-        self._edit_rows(preds, edit)
-        assert self._evaluate(tmp_path, subjects, preds) == 3
-        assert "row 9" in capsys.readouterr().err
+        original = preds.read_bytes()
+        for column in (3, 5):  # cif_1, then survival
+            def edit(rows):
+                rows[7][column] = "oops"
+                return rows
+            preds.write_bytes(original)
+            self._edit_rows(preds, edit)
+            assert self._evaluate(tmp_path, subjects, preds) == 3
+            assert "row 9" in capsys.readouterr().err

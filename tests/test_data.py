@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from conftest import dataset
 
-from fcrn.data import (CensoringSurvival, FunctionalCurve, SubjectRecord,
-                       assign_interval, augment_cause_specific,
-                       augment_subdistribution, build_time_grid,
-                       censoring_survival, read_curves_csv, read_subjects_csv,
-                       sd_weight, write_curves_csv, write_subjects_csv)
+from fcrn.data import (CensoringSurvival, DataError, Signal, assign_intervals,
+                       augment_cause_specific, augment_subdistribution,
+                       build_time_grid, censoring_survival, read_curves_csv,
+                       read_subjects_csv, write_curves_csv, write_subjects_csv)
 
 
-def subj(id, time, cause, x=(0.0,)):
-    return SubjectRecord(id=id, x=np.asarray(x, dtype=float),
-                         missing_mask=np.zeros(len(x), dtype=bool),
-                         time=time, cause=cause)
+def random_cohort(rng, n, max_time):
+    """n subjects, each drawing a uniform time, then a cause in 0..2."""
+    draws = [(rng.uniform(0, max_time), rng.randint(0, 3)) for _ in range(n)]
+    return dataset(*zip(*draws))
+
+
+def sd_weights(time, cause, target_cause, g, grid):
+    """IPCW weights of one subject's rows t = 1..L-1."""
+    return augment_subdistribution(dataset([time], [cause]), grid, target_cause, g,
+                                   drop_zero_weight=False).weight
 
 
 class TestTimeGrid:
@@ -35,64 +41,62 @@ class TestTimeGrid:
 
 class TestAssignInterval:
     def test_boundary_belongs_to_lower_interval(self):
-        assert assign_interval(5.0, build_time_grid(100, 5)) == 1
+        assert assign_intervals([5.0], build_time_grid(100, 5)).tolist() == [1]
 
     def test_just_past_boundary(self):
-        assert assign_interval(5.1, build_time_grid(100, 5)) == 2
+        assert assign_intervals([5.1], build_time_grid(100, 5)).tolist() == [2]
 
     def test_zero_maps_to_first_interval(self):
-        assert assign_interval(0.0, build_time_grid(100, 5)) == 1
+        assert assign_intervals([0.0], build_time_grid(100, 5)).tolist() == [1]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            assign_interval(101.0, build_time_grid(100, 5))
+            assign_intervals([101.0], build_time_grid(100, 5))
 
 
 class TestCauseSpecificAugmentation:
     def test_event_in_third_interval(self):
         grid = build_time_grid(25, 5)
-        t = augment_cause_specific([subj("a", 13.0, 2)], grid, 2)
+        t = augment_cause_specific(dataset([13.0], [2]), grid, 2)
         assert t.interval.tolist() == [1, 2, 3]
         assert t.target.tolist() == [0, 0, 2]
         assert np.all(t.weight == 1.0)
 
     def test_censored_in_second_interval(self):
         grid = build_time_grid(25, 5)
-        t = augment_cause_specific([subj("a", 8.0, 0)], grid, 2)
+        t = augment_cause_specific(dataset([8.0], [0]), grid, 2)
         assert t.interval.tolist() == [1, 2]
         assert t.target.tolist() == [0, 0]
 
     def test_event_in_first_interval(self):
         grid = build_time_grid(25, 5)
-        t = augment_cause_specific([subj("a", 2.0, 1)], grid, 2)
+        t = augment_cause_specific(dataset([2.0], [1]), grid, 2)
         assert t.interval.tolist() == [1]
         assert t.target.tolist() == [1]
 
     def test_cause_beyond_m_rejected(self):
         grid = build_time_grid(25, 5)
         with pytest.raises(ValueError):
-            augment_cause_specific([subj("a", 2.0, 3)], grid, 2)
+            augment_cause_specific(dataset([2.0], [3]), grid, 2)
 
     def test_row_count_and_single_event_row(self):
         grid = build_time_grid(50, 5)
         rng = np.random.RandomState(0)
-        subjects = [subj("s%d" % i, rng.uniform(0, 50), rng.randint(0, 3))
-                    for i in range(40)]
-        table = augment_cause_specific(subjects, grid, 2)
-        for i, s in enumerate(subjects):
+        ds = random_cohort(rng, 40, 50)
+        table = augment_cause_specific(ds, grid, 2)
+        for i, l_star in enumerate(assign_intervals(ds.time, grid)):
             rows = np.where(table.subject_idx == i)[0]
-            assert len(rows) == assign_interval(s.time, grid)
+            assert len(rows) == l_star
             nonzero = np.sum(table.target[rows] > 0)
-            assert nonzero == (1 if s.cause >= 1 else 0)
+            assert nonzero == (1 if ds.cause[i] >= 1 else 0)
 
     def test_risk_set_round_trip(self):
         # grouping rows by interval reconstructs the risk set sizes
         grid = build_time_grid(50, 5)
         rng = np.random.RandomState(1)
-        subjects = [subj("s%d" % i, rng.uniform(0, 50), rng.randint(0, 3))
-                    for i in range(60)]
-        table = augment_cause_specific(subjects, grid, 2)
-        iv = np.array([assign_interval(s.time, grid) for s in subjects])
+        ds = random_cohort(rng, 60, 50)
+        table = augment_cause_specific(ds, grid, 2)
+        iv = assign_intervals(ds.time, grid)
         for t in range(1, grid.n_intervals + 1):
             assert np.sum(table.interval == t) == np.sum(iv >= t)
 
@@ -100,56 +104,57 @@ class TestCauseSpecificAugmentation:
 class TestCensoringSurvival:
     def test_hand_kaplan_meier(self):
         grid = build_time_grid(3, 1)
-        subjects = [subj("a", 1, 1), subj("b", 2, 0), subj("c", 3, 1)]
-        g = censoring_survival(subjects, grid)
+        g = censoring_survival(dataset([1, 2, 3], [1, 0, 1]), grid)
         assert g.g[0] == 1.0
-        assert g.at(1) == 1.0
-        assert g.at(2) == pytest.approx(0.5)
-        assert g.at(3) == pytest.approx(0.5)
+        assert g.g[1] == 1.0
+        assert g.g[2] == pytest.approx(0.5)
+        assert g.g[3] == pytest.approx(0.5)
 
     def test_no_censoring(self):
         grid = build_time_grid(3, 1)
-        g = censoring_survival([subj("a", 1, 1), subj("b", 3, 2)], grid)
+        g = censoring_survival(dataset([1, 3], [1, 2]), grid)
         assert np.all(g.g == 1.0)
 
     def test_all_censored_first_interval_clamped(self):
         grid = build_time_grid(3, 1)
-        g = censoring_survival([subj("a", 1, 0), subj("b", 1, 0)], grid)
-        assert g.at(1) == pytest.approx(1e-4)
+        g = censoring_survival(dataset([1, 1], [0, 0]), grid)
+        assert g.g[1] == pytest.approx(1e-4)
 
     def test_nonincreasing(self):
         rng = np.random.RandomState(2)
         grid = build_time_grid(50, 5)
-        subjects = [subj("s%d" % i, rng.uniform(0, 50), rng.randint(0, 3))
-                    for i in range(50)]
-        g = censoring_survival(subjects, grid)
+        g = censoring_survival(random_cohort(rng, 50, 50), grid)
         assert np.all(np.diff(g.g) <= 1e-12)
         assert g.g[0] == 1.0
 
 
 class TestSubdistributionWeights:
+    # one subject on a width-1 grid: time k falls in interval k, and the
+    # weight of row t is weights[t - 1]
+
     def test_at_risk_weight_is_one(self):
         g = CensoringSurvival(g=np.array([1.0, 0.9, 0.8, 0.7, 0.6]))
-        for t in (1, 2, 3):
-            assert sd_weight(t, 3, 1, 1, g) == pytest.approx(1.0)
+        weights = sd_weights(3.0, 1, 1, g, build_time_grid(4, 1))
+        assert weights[:3] == pytest.approx([1.0, 1.0, 1.0])
 
     def test_unit_censoring_survival(self):
         g = CensoringSurvival(g=np.ones(6))
-        assert sd_weight(4, 2, 2, 1, g) == pytest.approx(1.0)
+        assert sd_weights(2.0, 2, 1, g, build_time_grid(5, 1))[3] == pytest.approx(1.0)
 
     def test_weight_formula_substitution(self):
         # competing event at interval 2, G(1)=0.9, G(3)=0.7, t=4
         g = CensoringSurvival(g=np.array([1.0, 0.9, 0.8, 0.7, 0.6]))
-        assert sd_weight(4, 2, 2, 1, g) == pytest.approx(0.7 / 0.9)
+        assert sd_weights(2.0, 2, 1, g, build_time_grid(5, 1))[3] == \
+            pytest.approx(0.7 / 0.9)
 
     def test_censored_subject_leaves_risk_set(self):
         g = CensoringSurvival(g=np.array([1.0, 0.9, 0.8, 0.7]))
-        assert sd_weight(3, 2, 0, 1, g) == 0.0
+        assert sd_weights(2.0, 0, 1, g, build_time_grid(4, 1))[2] == 0.0
 
     def test_augmentation_covers_l_minus_one(self):
         grid = build_time_grid(5, 1)
         g = CensoringSurvival(g=np.ones(6))
-        t = augment_subdistribution([subj("a", 5.0, 1)], grid, 1, g,
+        t = augment_subdistribution(dataset([5.0], [1]), grid, 1, g,
                                     drop_zero_weight=False)
         assert t.interval.tolist() == [1, 2, 3, 4]
 
@@ -157,46 +162,57 @@ class TestSubdistributionWeights:
         grid = build_time_grid(5, 1)
         g = CensoringSurvival(g=np.ones(6))
         with pytest.raises(ValueError):
-            augment_subdistribution([subj("a", 1.0, 1)], grid, 0, g)
+            augment_subdistribution(dataset([1.0], [1]), grid, 0, g)
 
     def test_at_risk_rows_have_unit_weight(self):
         grid = build_time_grid(20, 1)
         rng = np.random.RandomState(3)
-        subjects = [subj("s%d" % i, rng.uniform(0, 20), rng.randint(0, 3))
-                    for i in range(40)]
-        g = censoring_survival(subjects, grid)
-        table = augment_subdistribution(subjects, grid, 1, g)
-        for k in range(len(table)):
-            s = subjects[table.subject_idx[k]]
-            if table.interval[k] <= assign_interval(s.time, grid):
-                assert table.weight[k] == pytest.approx(1.0)
+        ds = random_cohort(rng, 40, 20)
+        g = censoring_survival(ds, grid)
+        table = augment_subdistribution(ds, grid, 1, g)
+        at_risk = table.interval <= assign_intervals(ds.time, grid)[table.subject_idx]
+        assert at_risk.any()
+        assert table.weight[at_risk] == pytest.approx(1.0)
 
 
 class TestCsvRoundTrip:
     def test_subjects_and_curves(self, tmp_path):
         taus = np.linspace(0, 1, 5)
-        s1 = SubjectRecord(id="a", x=np.array([1.0, np.nan]),
-                           missing_mask=np.array([False, True]),
-                           time=3.5, cause=1,
-                           curves=[FunctionalCurve("hr", taus, np.arange(5.0))])
-        s2 = subj("b", 7.0, 0, x=(2.0, 3.0))
+        hr = Signal(np.concatenate([taus, taus[:3]]), np.arange(8.0),
+                    np.array([0, 5, 8]))
+        ds = dataset([3.5, 7.0], [1, 0], X=[[1.0, np.nan], [2.0, 3.0]],
+                     ids=["a", "b"], signals={"hr": hr})
         sp = tmp_path / "subjects.csv"
         cp = tmp_path / "curves.csv"
-        write_subjects_csv(sp, [s1, s2])
-        write_curves_csv(cp, [s1, s2])
+        write_subjects_csv(sp, ds)
+        write_curves_csv(cp, ds)
         loaded, names = read_subjects_csv(sp)
-        read_curves_csv(cp, loaded)
+        loaded = read_curves_csv(cp, loaded)
         assert names == ["x1", "x2"]
-        assert loaded[0].missing_mask.tolist() == [True, False][::-1]
-        assert loaded[0].x[0] == 1.0 and np.isnan(loaded[0].x[1])
-        assert loaded[0].time == 3.5 and loaded[0].cause == 1
-        assert loaded[0].curves[0].name == "hr"
-        assert np.array_equal(loaded[0].curves[0].values, np.arange(5.0))
-        assert loaded[1].curves == []
+        assert loaded.ids.tolist() == ["a", "b"]
+        assert loaded.mask.tolist() == [[False, True], [False, False]]
+        assert loaded.X[0, 0] == 1.0 and np.isnan(loaded.X[0, 1])
+        assert loaded.time.tolist() == [3.5, 7.0] and loaded.cause.tolist() == [1, 0]
+        assert list(loaded.signals) == ["hr"]
+        for got, expected in zip(loaded.signals["hr"], hr):
+            assert np.array_equal(got, expected)
+
+    def test_subject_lacking_a_signal_is_named(self, tmp_path):
+        cp = tmp_path / "curves.csv"
+        cp.write_text("id,signal_name,tau,value\n"
+                      "a,hr,0,1\na,hr,1,2\nb,hr,0,1\nb,hr,1,2\na,bp,0,1\na,bp,1,2\n")
+        with pytest.raises(DataError, match="subject b lacks signal 'bp'"):
+            read_curves_csv(cp, dataset([1.0, 2.0], [0, 1], ids=["a", "b"]))
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_curve_value_is_named(self, tmp_path, value):
+        cp = tmp_path / "curves.csv"
+        cp.write_text("id,signal_name,tau,value\na,hr,0,1\na,hr,1,%s\n" % value)
+        with pytest.raises(DataError, match="curve 'hr': values must be finite"):
+            read_curves_csv(cp, dataset([1.0], [0], ids=["a"]))
 
     def test_malformed_cell_raises(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,time,cause,x1\na,1.0,1,oops\n")
-        from fcrn.data import DataError
         with pytest.raises(DataError, match="x1"):
             read_subjects_csv(p)

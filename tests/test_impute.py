@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import batch_loss_fn, finite_diff, max_rel_err
+from conftest import batch_loss_fn, dataset, finite_diff, max_rel_err
 
 import fcrn.impute
-from fcrn.data import SubjectRecord, build_time_grid
+from fcrn.data import build_time_grid
 from fcrn.impute import (ImputeSettings, eta_at, fit_ggm, grad_log_pred,
                          grad_log_prior, i_step, iro_train, median_init,
                          sgld_impute)
@@ -93,16 +93,15 @@ class TestPredictionGradient:
         from fcrn.model import FCRNModel
         rng = np.random.RandomState(seed)
         grid = build_time_grid(10, 2)
-        subjects = [SubjectRecord(id="s%d" % i, x=rng.randn(3),
-                                  missing_mask=np.zeros(3, dtype=bool),
-                                  time=rng.uniform(0, 10),
-                                  cause=rng.randint(0, 3))
-                    for i in range(6)]
+        draws = [(rng.randn(3), rng.uniform(0, 10), rng.randint(0, 3))
+                 for _ in range(6)]
+        X, time, cause = zip(*draws)
+        subjects = dataset(time, cause, X=X)
         model = FCRNModel(head="csm", grid=grid, n_tabular=3, n_causes=2,
                           hidden=(4,), rng=rng)
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         table = build_table(subjects, grid, model)
-        xn = model.normalize(np.vstack([s.x for s in subjects]))
+        xn = model.normalize(subjects.X)
         return model, xn, table
 
     def test_matches_finite_differences(self):
@@ -202,14 +201,8 @@ class TestIroTrain:
         X = gaussian_chain(rng, n, p)
         times = rng.uniform(0, 20, size=n)
         causes = rng.randint(0, 3, size=n)
-        out = []
-        for i in range(n):
-            x = X[i].copy()
-            mask = rng.rand(p) < missing_rate
-            x[mask] = np.nan
-            out.append(SubjectRecord(id="s%d" % i, x=x, missing_mask=mask,
-                                     time=times[i], cause=int(causes[i])))
-        return out
+        mask = np.array([rng.rand(p) < missing_rate for _ in range(n)])
+        return dataset(times, causes, X=np.where(mask, np.nan, X), mask=mask)
 
     def test_no_missing_falls_through_to_plain_trainer(self):
         from fcrn.model import train_model
@@ -221,7 +214,7 @@ class TestIroTrain:
         m1, X_out = iro_train(subjects, grid, "csm", s1, n_causes=2)
         m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
         assert np.array_equal(m1.theta, m2.theta)
-        assert np.array_equal(X_out, np.vstack([s.x for s in subjects]))
+        assert np.array_equal(X_out, subjects.X)
 
     def test_observed_cells_preserved_and_missing_filled(self):
         rng = np.random.RandomState(10)
@@ -231,8 +224,8 @@ class TestIroTrain:
         imp = ImputeSettings(max_epochs=5, noise=False)
         model, X_out = iro_train(subjects, grid, "csm", settings,
                                  impute_settings=imp, n_causes=2)
-        X_raw = np.vstack([s.x for s in subjects])
-        mask = np.vstack([s.missing_mask for s in subjects])
+        X_raw = subjects.X
+        mask = subjects.mask
         assert np.array_equal(X_out[~mask], X_raw[~mask])
         assert np.all(np.isfinite(X_out))
         assert np.all(np.isfinite(model.fill_values))
@@ -333,7 +326,7 @@ class TestIroTrain:
         best = int(np.argmin(val))
         assert best < len(val) - 1
         assert len(after_step) == len(val)
-        mask = np.vstack([s.missing_mask for s in subjects])
+        mask = subjects.mask
         expected = model.denormalize(after_step[best])
         assert np.array_equal(X_out[mask], expected[mask])
         assert not np.array_equal(X_out[mask],

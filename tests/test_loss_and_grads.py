@@ -2,12 +2,11 @@
 differences, over random FCRN graphs: csm or sdm head, scalar or one-hot
 time, 0-2 functional signals, random hidden and micro-network widths."""
 import numpy as np
-from conftest import batch_loss_fn, finite_diff, max_rel_err
+from conftest import batch_loss_fn, dataset, finite_diff, max_rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcrn.data import (FunctionalCurve, SubjectRecord, build_time_grid,
-                       censoring_survival)
+from fcrn.data import Signal, build_time_grid, censoring_survival
 from fcrn.model import FCRNModel, build_table, table_batch
 
 
@@ -32,14 +31,14 @@ def build(g):
     grid = build_time_grid(float(L), 1.0)
     taus = np.linspace(0.0, 1.0, int(rng.randint(3, 7)))
     names = ["sig%d" % k for k in range(g["n_signals"])]
-    subjects = [SubjectRecord(id="s%d" % i, x=rng.randn(2),
-                              missing_mask=np.zeros(2, dtype=bool),
-                              time=float(rng.uniform(0.0, L)),
-                              cause=int(rng.randint(0, 3)),
-                              curves=[FunctionalCurve(n, taus, rng.randn(len(taus)))
-                                      for n in names])
-                for i in range(4)]
-    subjects[0].time, subjects[0].cause = float(L), 1  # a nonempty sdm table
+    # each subject draws covariates, time, cause, then one curve per signal
+    draws = [(rng.randn(2), rng.uniform(0.0, L), rng.randint(0, 3),
+              [rng.randn(len(taus)) for _ in names]) for _ in range(4)]
+    X, time, cause, curves = zip(*draws)
+    signals = {n: Signal(np.tile(taus, 4), np.concatenate([c[k] for c in curves]),
+                         len(taus) * np.arange(5)) for k, n in enumerate(names)}
+    subjects = dataset(time, cause, X=X, signals=signals)
+    subjects.time[0], subjects.cause[0] = float(L), 1  # a nonempty sdm table
     specs = [{"name": n, "taus": taus, "n_basis": g["n_basis"],
               "micro_width": g["micro_width"], "micro_depth": g["micro_depth"]}
              for n in names]
@@ -49,7 +48,7 @@ def build(g):
     # random biases too: with zero biases a dead ReLU unit puts the next
     # layer's pre-activation exactly on the kink, where differences fail
     model.theta[:] = rng.randn(model.theta.size) * 0.5
-    X = np.vstack([s.x for s in subjects])
+    X = subjects.X
     model.fit_normalization(X)
     model.fit_curve_normalization(subjects)
     cg = censoring_survival(subjects, grid) if g["head"] == "sdm" else None

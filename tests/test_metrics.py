@@ -1,33 +1,33 @@
 import numpy as np
 import pytest
 
-from fcrn.data import (CensoringSurvival, SubjectRecord, build_time_grid,
-                       censoring_survival)
+from conftest import dataset
+
+from fcrn.data import CensoringSurvival, build_time_grid, censoring_survival
 from fcrn.metrics import brier, brier_ipcw, ibs, score_cif
 
 
-def subj(id, time, cause):
-    return SubjectRecord(id=id, x=np.zeros(1),
-                         missing_mask=np.zeros(1, dtype=bool),
-                         time=time, cause=cause)
+def cohort(outcomes):
+    """A Dataset of (time, cause) pairs."""
+    return dataset(*zip(*outcomes))
 
 
 class TestBrier:
     def test_perfect_predictions_score_zero(self):
-        subjects = [subj("a", 1.0, 1), subj("b", 9.0, 1)]
+        subjects = cohort([(1.0, 1), (9.0, 1)])
         assert brier(5.0, [1.0, 0.0], subjects, 1) == 0.0
 
     def test_worst_predictions_score_one(self):
-        subjects = [subj("a", 1.0, 1), subj("b", 9.0, 1)]
+        subjects = cohort([(1.0, 1), (9.0, 1)])
         assert brier(5.0, [0.0, 1.0], subjects, 1) == 1.0
 
     def test_hand_value(self):
         # labels (1, 0), preds (0.7, 0.4): ((0.3)^2 + (0.4)^2)/2 = 0.125
-        subjects = [subj("a", 2.0, 1), subj("b", 2.0, 2)]
+        subjects = cohort([(2.0, 1), (2.0, 2)])
         assert brier(5.0, [0.7, 0.4], subjects, 1) == pytest.approx(0.125)
 
     def test_other_cause_counts_as_zero_label(self):
-        subjects = [subj("a", 2.0, 2)]
+        subjects = cohort([(2.0, 2)])
         assert brier(5.0, [0.0], subjects, 1) == 0.0
 
 
@@ -35,8 +35,8 @@ class TestBrierIpcw:
     def test_reduces_to_brier_without_censoring(self):
         rng = np.random.RandomState(0)
         grid = build_time_grid(20, 2)
-        subjects = [subj("s%d" % i, rng.uniform(0.5, 20), rng.randint(1, 3))
-                    for i in range(30)]
+        subjects = cohort([(rng.uniform(0.5, 20), rng.randint(1, 3))
+                           for i in range(30)])
         g = censoring_survival(subjects, grid)
         assert np.all(g.g == 1.0)
         for t in (4.0, 10.0, 16.0):
@@ -53,8 +53,7 @@ class TestBrierIpcw:
         # d: at risk (T=3 > 2), F=0.5 -> 0.25 / G(2)=0.8
         grid = build_time_grid(4, 1)
         g = CensoringSurvival(g=np.array([1.0, 0.9, 0.8, 0.8, 0.8]))
-        subjects = [subj("a", 1.0, 1), subj("b", 1.0, 0),
-                    subj("c", 2.0, 2), subj("d", 3.0, 1)]
+        subjects = cohort([(1.0, 1), (1.0, 0), (2.0, 2), (3.0, 1)])
         preds = [0.6, 0.3, 0.2, 0.5]
         expected = (0.16 + 0.0 + 0.04 / 0.9 + 0.25 / 0.8) / 4.0
         assert brier_ipcw(2.0, preds, subjects, 1, g, grid) == pytest.approx(
@@ -63,7 +62,7 @@ class TestBrierIpcw:
     def test_time_zero_everyone_at_risk(self):
         grid = build_time_grid(4, 1)
         g = CensoringSurvival(g=np.array([1.0, 0.5, 0.5, 0.5, 0.5]))
-        subjects = [subj("a", 1.0, 1), subj("b", 2.0, 0)]
+        subjects = cohort([(1.0, 1), (2.0, 0)])
         # G(0) = 1 regardless of later censoring
         assert brier_ipcw(0.0, [0.3, 0.4], subjects, 1, g, grid) == pytest.approx(
             (0.09 + 0.16) / 2.0)
@@ -94,7 +93,7 @@ class TestIbs:
 class TestScoreCif:
     def test_times_are_interval_endpoints_in_window(self):
         grid = build_time_grid(10, 2)
-        subjects = [subj("a", 3.0, 1), subj("b", 7.0, 2)]
+        subjects = cohort([(3.0, 1), (7.0, 2)])
         F = np.zeros((2, grid.n_intervals + 1))
         curve = score_cif(F, subjects, 1, grid, t0=2.0, t_max=8.0)
         assert curve.times.tolist() == [2.0, 4.0, 6.0, 8.0]
@@ -102,15 +101,14 @@ class TestScoreCif:
     def test_zero_cif_scores_event_rate(self):
         # predicting F=0 everywhere: BS(t) = fraction with cause-1 event by t
         grid = build_time_grid(4, 1)
-        subjects = [subj("a", 1.0, 1), subj("b", 2.0, 2),
-                    subj("c", 3.0, 1), subj("d", 4.0, 1)]
+        subjects = cohort([(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1)])
         F = np.zeros((4, grid.n_intervals + 1))
         curve = score_cif(F, subjects, 1, grid)
         assert curve.values.tolist() == [0.0, 0.25, 0.25, 0.5, 0.75]
 
     def test_ibs_matches_manual_trapezoid(self):
         grid = build_time_grid(4, 1)
-        subjects = [subj("a", 1.0, 1), subj("b", 3.0, 2)]
+        subjects = cohort([(1.0, 1), (3.0, 2)])
         rng = np.random.RandomState(1)
         F = rng.uniform(0, 1, size=(2, grid.n_intervals + 1))
         curve = score_cif(F, subjects, 1, grid)
@@ -121,8 +119,8 @@ class TestScoreCif:
     def test_ipcw_and_plain_agree_without_censoring(self):
         grid = build_time_grid(10, 2)
         rng = np.random.RandomState(2)
-        subjects = [subj("s%d" % i, rng.uniform(0.5, 10), rng.randint(1, 3))
-                    for i in range(20)]
+        subjects = cohort([(rng.uniform(0.5, 10), rng.randint(1, 3))
+                           for i in range(20)])
         g = censoring_survival(subjects, grid)
         F = rng.uniform(0, 1, size=(20, grid.n_intervals + 1))
         plain = score_cif(F, subjects, 1, grid)

@@ -3,12 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (batch_loss_fn, collect_grads, direct_nll_cs, direct_nll_sd,
-                      finite_diff, max_rel_err)
+from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
+                      direct_nll_sd, finite_diff, max_rel_err)
 
 from fcrn import autodiff as ad
-from fcrn.data import (SubjectRecord, build_time_grid, censoring_survival,
-                       read_curves_csv, read_subjects_csv)
+from fcrn.data import (build_time_grid, censoring_survival, read_curves_csv,
+                       read_subjects_csv)
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
                         cif_from_cause_specific, cif_from_subdistribution,
                         table_batch, train_model)
@@ -17,9 +17,8 @@ FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
 
 
 def subj(id, time, cause, x):
-    return SubjectRecord(id=id, x=np.asarray(x, dtype=float),
-                         missing_mask=np.zeros(len(x), dtype=bool),
-                         time=time, cause=cause)
+    """A one-subject Dataset."""
+    return dataset([time], [cause], X=[x], ids=[id])
 
 
 def make_model(head, n_tabular=2, n_causes=2, target_cause=1, hidden=(4,),
@@ -43,8 +42,11 @@ def loss_sub(probs, targets, weights):
 
 
 def random_dataset(rng, n, n_causes=2, max_time=20.0, p=2):
-    return [subj("s%d" % i, rng.uniform(0, max_time), rng.randint(0, n_causes + 1),
-                 rng.randn(p)) for i in range(n)]
+    """n subjects, each drawing a time, a cause, then p covariates."""
+    draws = [(rng.uniform(0, max_time), rng.randint(0, n_causes + 1), rng.randn(p))
+             for _ in range(n)]
+    time, cause, X = zip(*draws)
+    return dataset(time, cause, X=X)
 
 
 class TestFeatureAssembly:
@@ -73,24 +75,21 @@ class TestFeatureAssembly:
     def test_unimputed_missing_rejected_without_fill(self):
         model = make_model("csm")
         model.fill_values = np.array([np.nan, np.nan])
-        s = SubjectRecord(id="a", x=np.array([np.nan, 1.0]),
-                          missing_mask=np.array([True, False]),
-                          time=3.0, cause=1)
         with pytest.raises(ValueError, match="unimputed"):
-            model.predict_hazards([s])
+            model.predict_hazards(subj("a", 3.0, 1, [np.nan, 1.0]))
 
 
 class TestHeads:
     def test_csm_zero_network_is_uniform(self):
         model = make_model("csm", n_causes=2)
         zero_params(model)
-        hz = model.predict_hazards([subj("a", 3.0, 1, [0.5, -0.5])])
+        hz = model.predict_hazards(subj("a", 3.0, 1, [0.5, -0.5]))
         assert np.allclose(hz, 1.0 / 3.0)
 
     def test_csm_rows_sum_to_one(self):
         model = make_model("csm", n_causes=2, seed=3)
         rng = np.random.RandomState(1)
-        hz = model.predict_hazards([subj("a", 3.0, 1, rng.randn(2))])
+        hz = model.predict_hazards(subj("a", 3.0, 1, rng.randn(2)))
         assert np.allclose(hz.sum(axis=2), 1.0, atol=1e-12)
 
     def test_csm_matches_multinomial_logistic_form(self):
@@ -99,7 +98,7 @@ class TestHeads:
         zero_params(model)
         g = np.array([0.0, 0.4, -1.1])
         model.mlp_b[-1][:] = g
-        hz = model.predict_hazards([subj("a", 3.0, 1, [0.0, 0.0])])
+        hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         expected = np.exp(g[1:]) / (1.0 + np.exp(g[1:]).sum())
         assert np.allclose(hz[0, 0, 1:], expected, atol=1e-14)
         assert hz[0, 0, 0] == pytest.approx(1.0 - expected.sum())
@@ -107,20 +106,20 @@ class TestHeads:
     def test_sdm_zero_network_is_half(self):
         model = make_model("sdm")
         zero_params(model)
-        hz = model.predict_hazards([subj("a", 3.0, 1, [0.5, -0.5])])
+        hz = model.predict_hazards(subj("a", 3.0, 1, [0.5, -0.5]))
         assert np.allclose(hz, 0.5)
 
     def test_sdm_closed_form_logit(self):
         model = make_model("sdm", hidden=(2,))
         zero_params(model)
         model.mlp_b[-1][:] = np.log(3.0)
-        hz = model.predict_hazards([subj("a", 3.0, 1, [0.0, 0.0])])
+        hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         assert np.allclose(hz, 0.75)
 
     def test_sdm_output_in_open_unit_interval(self):
         model = make_model("sdm", seed=5)
         rng = np.random.RandomState(2)
-        hz = model.predict_hazards([subj("a", 3.0, 1, rng.randn(2) * 10)])
+        hz = model.predict_hazards(subj("a", 3.0, 1, rng.randn(2) * 10))
         assert np.all((hz > 0) & (hz < 1))
 
 
@@ -163,9 +162,9 @@ class TestLikelihoodOracle:
             subjects = random_dataset(rng, rng.randint(2, 11), n_causes, grid.max_time)
             model = make_model("csm", n_causes=n_causes, grid=grid,
                                seed=trial, hidden=(4, 3))
-            model.fit_normalization(np.vstack([s.x for s in subjects]))
+            model.fit_normalization(subjects.X)
             table = build_table(subjects, grid, model)
-            xn = model.normalize(np.vstack([s.x for s in subjects]))
+            xn = model.normalize(subjects.X)
             fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
             summed = float(model.batch_loss(fwd, table.target,
                                             table.weight).value) * len(table)
@@ -180,12 +179,12 @@ class TestLikelihoodOracle:
             grid = build_time_grid(L * 2.0, 2.0)
             subjects = random_dataset(rng, rng.randint(3, 11), 2, grid.max_time)
             model = make_model("sdm", grid=grid, seed=trial, hidden=(4,))
-            model.fit_normalization(np.vstack([s.x for s in subjects]))
+            model.fit_normalization(subjects.X)
             g = censoring_survival(subjects, grid)
             table = build_table(subjects, grid, model, g=g)
             if len(table) == 0:
                 continue
-            xn = model.normalize(np.vstack([s.x for s in subjects]))
+            xn = model.normalize(subjects.X)
             fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
             summed = float(model.batch_loss(fwd, table.target,
                                             table.weight).value) * len(table)
@@ -215,7 +214,7 @@ class TestCifRecursions:
         rng = np.random.RandomState(4)
         model = make_model("csm", n_causes=2, seed=9)
         subjects = random_dataset(rng, 5)
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         S, F = model.predict_cif(subjects)
         total = F.sum(axis=1) + S
         assert np.allclose(total, 1.0, atol=1e-10)
@@ -243,9 +242,9 @@ class TestHeadGradients:
         grid = build_time_grid(10, 2)
         subjects = random_dataset(rng, 4, 2, grid.max_time)
         model = make_model("csm", grid=grid, hidden=(3, 3), seed=11)
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         table = build_table(subjects, grid, model)
-        xn = model.normalize(np.vstack([s.x for s in subjects]))
+        xn = model.normalize(subjects.X)
         batch = table_batch(xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
                            finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
@@ -255,10 +254,10 @@ class TestHeadGradients:
         grid = build_time_grid(10, 2)
         subjects = random_dataset(rng, 5, 2, grid.max_time)
         model = make_model("sdm", grid=grid, hidden=(3,), seed=12)
-        model.fit_normalization(np.vstack([s.x for s in subjects]))
+        model.fit_normalization(subjects.X)
         g = censoring_survival(subjects, grid)
         table = build_table(subjects, grid, model, g=g)
-        xn = model.normalize(np.vstack([s.x for s in subjects]))
+        xn = model.normalize(subjects.X)
         batch = table_batch(xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
                            finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
@@ -267,7 +266,7 @@ class TestHeadGradients:
 class TestTraining:
     def test_single_subject_memorization(self):
         grid = build_time_grid(6, 2)
-        subjects = [subj("a", 3.0, 1, [1.0, -1.0])]
+        subjects = subj("a", 3.0, 1, [1.0, -1.0])
         settings = TrainSettings(max_epochs=2000, patience=2000, lr=0.01,
                                  hidden=(8,), val_fraction=0.0, seed=1)
         train_model(subjects, grid, "csm", settings, n_causes=1)
@@ -313,7 +312,7 @@ class TestSerialization:
         # model.json files and CIFs written by the per-parameter tape code
         # that preceded the flat parameter vector
         subjects, _ = read_subjects_csv(FIXTURES / "subjects.csv")
-        read_curves_csv(FIXTURES / "curves.csv", subjects)
+        subjects = read_curves_csv(FIXTURES / "curves.csv", subjects)
         expected = json.loads((FIXTURES / "expected_cif.json").read_text())
         csm = FCRNModel.load(FIXTURES / "model_csm.json")
         S, F = csm.predict_cif(subjects)

@@ -2,8 +2,8 @@
 
 The reference functions below are the loop implementations of interval
 assignment, censoring Kaplan-Meier, (IPCW) Brier scores, the subject and
-curve CSV readers and the predictions writer. The vectorized code must
-give the same bits and bytes.
+curve CSV readers and the predictions writer, over per-subject Records.
+The vectorized code must give the same bits and bytes.
 """
 import csv
 import os
@@ -13,11 +13,11 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from conftest import Record, dataset, g_at, records, ref_assign_interval
 from hypothesis import strategies as st
 
 from fcrn.cli import CliError, read_predictions, write_predictions
-from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, FunctionalCurve,
-                       SubjectRecord, assign_interval, assign_intervals,
+from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, assign_intervals,
                        build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
 from fcrn.metrics import ScoreCurve, brier, brier_ipcw, ibs, score_cif
@@ -32,7 +32,7 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
 
 def ref_censoring_survival(subjects, grid):
     L = grid.n_intervals
-    iv = np.array([assign_interval(s.time, grid) for s in subjects])
+    iv = np.array([ref_assign_interval(s.time, grid) for s in subjects])
     censored = np.array([s.cause == 0 for s in subjects])
     g = np.ones(L + 1, dtype=np.float64)
     surv = 1.0
@@ -54,15 +54,15 @@ def ref_brier(t, preds, subjects, cause):
 
 def ref_brier_ipcw(t, preds, subjects, cause, g, grid):
     preds = np.asarray(preds, dtype=np.float64)
-    l_t = assign_interval(t, grid) if t > 0 else 0
+    l_t = ref_assign_interval(t, grid) if t > 0 else 0
     total = 0.0
     for s, f in zip(subjects, preds):
         if s.time > t:
-            total += f * f / max(g.at(l_t), G_FLOOR)
+            total += f * f / max(g_at(g, l_t), G_FLOOR)
         elif s.cause != 0:
             label = 1.0 if s.cause == cause else 0.0
-            total += (label - f) ** 2 / max(g.at(assign_interval(s.time, grid) - 1),
-                                            G_FLOOR)
+            total += (label - f) ** 2 / max(
+                g_at(g, ref_assign_interval(s.time, grid) - 1), G_FLOOR)
     return total / len(subjects)
 
 
@@ -114,8 +114,12 @@ def ref_read_subjects_csv(path):
                     except ValueError:
                         raise DataError("%s row %d column %s: bad numeric cell %r"
                                         % (path, ln, names[j], cell))
-            subjects.append(SubjectRecord(id=row[0], x=x, missing_mask=mask,
-                                          time=time, cause=cause))
+            if time < 0:
+                raise DataError("subject %s: negative observed time" % row[0])
+            if cause < 0:
+                raise DataError("subject %s: negative cause" % row[0])
+            subjects.append(Record(id=row[0], x=x, missing_mask=mask, time=time,
+                                   cause=cause))
     return subjects, names
 
 
@@ -142,9 +146,22 @@ def ref_read_curves_csv(path, subjects):
         pts.sort()
         taus = np.array([p[0] for p in pts])
         vals = np.array([p[1] for p in pts])
-        by_id[sid].curves.append(FunctionalCurve(name=name, taus=taus, values=vals))
+        if taus.size < 2:
+            raise DataError("curve %r needs at least 2 sample points" % name)
+        if np.any(np.diff(taus) <= 0):
+            raise DataError("curve %r: sample points must be strictly increasing"
+                            % name)
+        if taus[0] < 0.0 or taus[-1] > 1.0:
+            raise DataError("curve %r: sample points must lie in [0, 1]" % name)
+        if not np.all(np.isfinite(vals)):
+            raise DataError("curve %r: values must be finite" % name)
+        by_id[sid].curves.append((name, taus, vals))
+    for name in dict.fromkeys(name for _, name in buf):  # in order of appearance
+        for s in subjects:
+            if (s.id, name) not in buf:
+                raise DataError("%s: subject %s lacks signal %r" % (path, s.id, name))
     for s in subjects:
-        s.curves.sort(key=lambda c: c.name)
+        s.curves.sort(key=lambda c: c[0])
     return subjects
 
 
@@ -179,9 +196,7 @@ def cohorts(draw, grid, min_size=1):
     times = draw(st.lists(st.one_of(edge, near_edge, inside),
                           min_size=n, max_size=n))
     causes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return [SubjectRecord(id="s%d" % i, x=np.zeros(1),
-                          missing_mask=np.zeros(1, dtype=bool), time=t, cause=c)
-            for i, (t, c) in enumerate(zip(times, causes))]
+    return dataset(times, causes)
 
 
 def cif_matrix(draw, n, L):
@@ -221,10 +236,9 @@ class TestIntervalsAndKm:
     @given(st.data())
     def test_assign_intervals_matches_loop(self, data):
         grid = data.draw(grids())
-        subjects = data.draw(cohorts(grid))
-        times = [s.time for s in subjects]
+        times = data.draw(cohorts(grid)).time.tolist()
         assert assign_intervals(times, grid).tolist() == [
-            assign_interval(t, grid) for t in times]
+            ref_assign_interval(t, grid) for t in times]
 
     @PROPERTY
     @given(st.data())
@@ -234,7 +248,7 @@ class TestIntervalsAndKm:
             st.floats(-5.0, grid.max_time + 5.0, allow_nan=False), min_size=1,
             max_size=10))
         try:
-            expected = [assign_interval(t, grid) for t in times]
+            expected = [ref_assign_interval(t, grid) for t in times]
         except ValueError as e:
             with pytest.raises(ValueError) as got:
                 assign_intervals(times, grid)
@@ -246,14 +260,14 @@ class TestIntervalsAndKm:
     @given(st.data())
     def test_censoring_survival_matches_loop(self, data):
         grid = data.draw(grids())
-        subjects = data.draw(cohorts(grid))
-        assert same_bits(censoring_survival(subjects, grid).g,
-                         ref_censoring_survival(subjects, grid).g)
+        ds = data.draw(cohorts(grid))
+        assert same_bits(censoring_survival(ds, grid).g,
+                         ref_censoring_survival(records(ds), grid).g)
 
     def test_at_intervals_matches_at(self):
         g = CensoringSurvival(g=np.array([1.0, 0.9, 0.7, 0.4]))
         t = np.array([-2, 0, 1, 2, 3, 4, 9])
-        assert g.at_intervals(t).tolist() == [g.at(k) for k in t]
+        assert g.at_intervals(t).tolist() == [g_at(g, k) for k in t]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +279,10 @@ class TestBrierMatchesLoop:
     @given(st.data())
     def test_score_cif(self, data):
         grid = data.draw(grids())
-        subjects = data.draw(cohorts(grid))
-        F = cif_matrix(data.draw, len(subjects), grid.n_intervals)
-        g = censoring(data.draw, subjects, grid)
+        ds = data.draw(cohorts(grid))
+        subjects = records(ds)
+        F = cif_matrix(data.draw, len(ds), grid.n_intervals)
+        g = censoring(data.draw, ds, grid)
         cause = data.draw(st.integers(1, 2))
         edge = st.sampled_from(grid.cuts.tolist())
         t0 = data.draw(st.one_of(edge, st.floats(0.0, grid.max_time)))
@@ -278,9 +293,9 @@ class TestBrierMatchesLoop:
                                      t_max=t_max)
         except ValueError as e:  # fewer than two evaluation times
             with pytest.raises(ValueError, match=re.escape(str(e))):
-                score_cif(F, subjects, cause, grid, g=g, t0=t0, t_max=t_max)
+                score_cif(F, ds, cause, grid, g=g, t0=t0, t_max=t_max)
             return
-        got = score_cif(F, subjects, cause, grid, g=g, t0=t0, t_max=t_max)
+        got = score_cif(F, ds, cause, grid, g=g, t0=t0, t_max=t_max)
         assert same_bits(got.times, expected.times)
         assert same_bits(got.values, expected.values)
         assert same_bits(got.ibs, expected.ibs)
@@ -289,16 +304,14 @@ class TestBrierMatchesLoop:
         # past 128 subjects np.mean's pairwise sum splits into blocks
         rng = np.random.RandomState(4)
         grid = build_time_grid(100, 5)
-        subjects = [SubjectRecord(id="s%d" % i, x=np.zeros(1),
-                                  missing_mask=np.zeros(1, dtype=bool),
-                                  time=float(rng.choice([rng.uniform(0, 100), 35.0])),
-                                  cause=int(rng.randint(0, 3)))
-                    for i in range(3000)]
+        outcomes = [(float(rng.choice([rng.uniform(0, 100), 35.0])),
+                     int(rng.randint(0, 3))) for _ in range(3000)]
+        ds = dataset(*zip(*outcomes))
         F = rng.uniform(size=(3000, grid.n_intervals + 1))
-        for g in (None, censoring_survival(subjects, grid)):
+        for g in (None, censoring_survival(ds, grid)):
             for cause in (1, 2):
-                got = score_cif(F, subjects, cause, grid, g=g, t0=10.0, t_max=90.0)
-                expected = ref_score_cif(F, subjects, cause, grid, g=g, t0=10.0,
+                got = score_cif(F, ds, cause, grid, g=g, t0=10.0, t_max=90.0)
+                expected = ref_score_cif(F, records(ds), cause, grid, g=g, t0=10.0,
                                          t_max=90.0)
                 assert same_bits(got.values, expected.values)
                 assert same_bits(got.ibs, expected.ibs)
@@ -307,15 +320,14 @@ class TestBrierMatchesLoop:
     @given(st.data())
     def test_single_time_scores(self, data):
         grid = data.draw(grids())
-        subjects = data.draw(cohorts(grid))
-        preds = cif_matrix(data.draw, len(subjects), 0)[:, 0]
-        g = censoring(data.draw, subjects, grid) or censoring_survival(subjects, grid)
+        ds = data.draw(cohorts(grid))
+        preds = cif_matrix(data.draw, len(ds), 0)[:, 0]
+        g = censoring(data.draw, ds, grid) or censoring_survival(ds, grid)
         t = data.draw(st.one_of(st.sampled_from(grid.cuts.tolist()),
                                 st.floats(0.0, grid.max_time)))
-        assert same_bits(brier(t, preds, subjects, 1),
-                         ref_brier(t, preds, subjects, 1))
-        assert same_bits(brier_ipcw(t, preds, subjects, 1, g, grid),
-                         ref_brier_ipcw(t, preds, subjects, 1, g, grid))
+        assert same_bits(brier(t, preds, ds, 1), ref_brier(t, preds, records(ds), 1))
+        assert same_bits(brier_ipcw(t, preds, ds, 1, g, grid),
+                         ref_brier_ipcw(t, preds, records(ds), 1, g, grid))
 
     def test_squares_like_the_loop_where_x_times_x_differs(self):
         # the loop squares with C pow(), which rounds some squares
@@ -323,12 +335,10 @@ class TestBrierMatchesLoop:
         fs = np.random.RandomState(0).uniform(0, 1, 20000).tolist()
         f = next(f for f in fs if (1.0 - f) ** 2 != (1.0 - f) * (1.0 - f))
         grid = build_time_grid(2.0, 1.0)
-        subjects = [SubjectRecord(id="a", x=np.zeros(1),
-                                  missing_mask=np.zeros(1, dtype=bool),
-                                  time=1.0, cause=1)]
+        ds = dataset([1.0], [1])
         g = CensoringSurvival(g=np.ones(3))
-        assert same_bits(brier_ipcw(1.0, [f], subjects, 1, g, grid),
-                         ref_brier_ipcw(1.0, [f], subjects, 1, g, grid))
+        assert same_bits(brier_ipcw(1.0, [f], ds, 1, g, grid),
+                         ref_brier_ipcw(1.0, [f], records(ds), 1, g, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +349,17 @@ CELL = st.one_of(st.floats(allow_nan=False).map(repr), st.just(""),
                  st.integers(-5, 5).map(str), st.sampled_from(["1e-3", " 2 ", "inf"]))
 
 
-def assert_same_subjects(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert (x.id, x.time, type(x.time), x.cause, type(x.cause)) == \
-            (y.id, y.time, type(y.time), y.cause, type(y.cause))
+def assert_same_subjects(ds, expected):
+    """A Dataset holds the same subjects, bit for bit, as reference Records."""
+    assert len(ds) == len(expected)
+    assert ds.time.dtype == np.float64 and ds.cause.dtype == np.int64
+    for x, y in zip(records(ds), expected):
+        assert (x.id, x.time, x.cause) == (y.id, y.time, y.cause)
         assert x.missing_mask.tolist() == y.missing_mask.tolist()
         assert same_bits(x.x, y.x)
-        assert [c.name for c in x.curves] == [c.name for c in y.curves]
+        assert [c[0] for c in x.curves] == [c[0] for c in y.curves]
         for c, d in zip(x.curves, y.curves):
-            assert same_bits(c.taus, d.taus) and same_bits(c.values, d.values)
+            assert same_bits(c[1], d[1]) and same_bits(c[2], d[2])
 
 
 def outcome(read, *args):
@@ -390,21 +401,32 @@ class TestReadersMatchLoop:
     @given(data=st.data())
     def test_curves(self, data):
         n = data.draw(st.integers(1, 5))
-        rows = []
-        for _ in range(data.draw(st.integers(0, 30))):
-            rows.append([data.draw(st.sampled_from(["s%d" % i for i in range(n)]
-                                                   + ["s%d" % n])),
-                         data.draw(st.sampled_from(["b", "a", "c"])),
-                         data.draw(st.one_of(st.sampled_from(["0.0", "1.0", "0.5"]),
-                                             st.floats(0, 1).map(repr))),
-                         data.draw(st.one_of(CELL, st.just("0.25")))])
-        if rows and data.draw(st.booleans()):
-            rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+        tau = st.one_of(st.sampled_from(["0.0", "1.0", "0.5"]), st.floats(0, 1).map(repr))
+        if data.draw(st.booleans()):
+            # 2-4 numeric points of every drawn signal per subject, shuffled
+            names = data.draw(st.lists(st.sampled_from(["b", "a", "c"]), min_size=1,
+                                       unique=True))
+            value = st.one_of(st.floats(allow_nan=False).map(repr), st.just("0.25"))
+            spread = st.one_of(st.floats(0, 1).map(repr), st.floats(0, 1).map(repr), tau)
+            rows = [["s%d" % i, name, data.draw(spread), data.draw(value)]
+                    for i in range(n) for name in names
+                    for _ in range(data.draw(st.integers(2, 4)))]
+            if data.draw(st.booleans()):  # one subject lacks one signal
+                gone = ["s%d" % data.draw(st.integers(0, n - 1)),
+                        data.draw(st.sampled_from(names))]
+                rows = [row for row in rows if row[:2] != gone]
+            rows = data.draw(st.permutations(rows))
+        else:
+            value = st.one_of(CELL, st.just("0.25"))
+            rows = [[data.draw(st.sampled_from(["s%d" % i for i in range(n + 1)])),
+                     data.draw(st.sampled_from(["b", "a", "c"])), data.draw(tau),
+                     data.draw(value)]
+                    for _ in range(data.draw(st.integers(0, 30)))]
+            if rows and data.draw(st.booleans()):
+                rows[data.draw(st.integers(0, len(rows) - 1))].pop()
 
         def cohort():
-            return [SubjectRecord(id="s%d" % i, x=np.zeros(1),
-                                  missing_mask=np.zeros(1, dtype=bool),
-                                  time=1.0, cause=0) for i in range(n)]
+            return dataset([1.0] * n, [0] * n)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "curves.csv")
             with open(path, "w", newline="") as fh:
@@ -412,7 +434,7 @@ class TestReadersMatchLoop:
                 w.writerow(["id", "signal_name", "tau", "value"])
                 w.writerows(rows)
             got = outcome(read_curves_csv, path, cohort())
-            expected = outcome(ref_read_curves_csv, path, cohort())
+            expected = outcome(ref_read_curves_csv, path, records(cohort()))
         if isinstance(expected, str):
             assert got == expected
         else:
@@ -428,7 +450,7 @@ class TestReadersMatchLoop:
         got, names = read_subjects_csv(tmp_path / "s.csv")
         expected, ref_names = ref_read_subjects_csv(tmp_path / "s.csv")
         assert names == ref_names
-        read_curves_csv(tmp_path / "c.csv", got)
+        got = read_curves_csv(tmp_path / "c.csv", got)
         ref_read_curves_csv(tmp_path / "c.csv", expected)
         assert_same_subjects(got, expected)
 

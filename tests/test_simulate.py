@@ -158,24 +158,26 @@ class TestSimulatePipeline:
         train, test, manifest = simulate(SimConfig(n=100, n_train=80, n_test=20,
                                                    functional=False))
         assert len(train) == 80 and len(test) == 20
-        assert not {s.id for s in train} & {s.id for s in test}
+        assert not set(train.ids) & set(test.ids)
 
     def test_determinism(self):
         cfg = SimConfig(n=60, n_train=50, n_test=10, missing_rate=0.25)
         t1, e1, m1 = simulate(cfg)
         t2, e2, m2 = simulate(cfg)
         assert m1 == m2
-        for a, b in zip(t1 + e1, t2 + e2):
-            assert a.id == b.id and a.time == b.time and a.cause == b.cause
-            assert np.array_equal(a.x, b.x, equal_nan=True)
-            for ca, cb in zip(a.curves, b.curves):
-                assert np.array_equal(ca.values, cb.values)
+        for a, b in ((t1, t2), (e1, e2)):
+            assert a.ids.tolist() == b.ids.tolist()
+            assert np.array_equal(a.time, b.time) and np.array_equal(a.cause, b.cause)
+            assert np.array_equal(a.X, b.X, equal_nan=True)
+            assert list(a.signals) == ["signal1", "signal2", "signal3"]
+            for name, sig in a.signals.items():
+                assert all(np.array_equal(u, v) for u, v in zip(sig, b.signals[name]))
 
     def test_missing_cells_are_nan_and_flagged(self):
         train, test, _ = simulate(SimConfig(n=100, n_train=80, n_test=20,
                                             functional=False, missing_rate=0.3))
-        for s in train + test:
-            assert np.array_equal(np.isnan(s.x), s.missing_mask)
+        for ds in (train, test):
+            assert np.array_equal(np.isnan(ds.X), ds.mask)
 
     def test_manifest_contents(self):
         cfg = SimConfig(n=100, n_train=80, n_test=20, functional=False,
@@ -188,9 +190,9 @@ class TestSimulatePipeline:
     def test_times_within_horizon(self):
         train, test, _ = simulate(SimConfig(n=200, n_train=150, n_test=50,
                                             functional=False))
-        for s in train + test:
-            assert 0.0 < s.time <= 100.0
-            assert s.cause in (0, 1, 2)
+        for ds in (train, test):
+            assert np.all((0.0 < ds.time) & (ds.time <= 100.0))
+            assert set(ds.cause.tolist()) <= {0, 1, 2}
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
