@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import os
 import sys
@@ -67,11 +68,23 @@ def _check_times(ds, max_time, code, message):
         raise CliError(code, "subject %s time %g %s" % (ds.ids[k], ds.time[k], message))
 
 
+def _settings(cls, section, **given):
+    """A settings dataclass from the config section's keys that name its
+    fields (lists as tuples), the given fields overriding."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in section.items() if k in names}
+    return cls(**{**values, **given})
+
+
 def cmd_simulate(cfg):
-    out = _ensure_outdir(cfg)
     sim = cfg["simulate"]
-    sc = SimConfig(seed=cfg["seed"],
-                   **{k: v for k, v in sim.items() if hasattr(SimConfig, k)})
+    if sim["n"] != sim["n_train"] + sim["n_test"]:
+        raise CliError(EXIT_SCHEMA, "config key 'simulate.n' is %d but simulate."
+                       "n_train + simulate.n_test is %d"
+                       % (sim["n"], sim["n_train"] + sim["n_test"]))
+    out = _ensure_outdir(cfg)
+    sc = _settings(SimConfig, sim, seed=cfg["seed"])
     train, test, manifest = simulate(sc)
     write_subjects_csv(os.path.join(out, "train_subjects.csv"), train)
     write_subjects_csv(os.path.join(out, "test_subjects.csv"), test)
@@ -84,41 +97,24 @@ def cmd_simulate(cfg):
     return 0
 
 
-def _train_settings(cfg, n_basis=None):
-    t = cfg["train"]
-    return TrainSettings(
-        lr=t["lr"], batch_size=t["batch_size"], max_epochs=t["max_epochs"],
-        patience=t["patience"], val_fraction=t["val_fraction"],
-        hidden=tuple(t["hidden"]), n_basis=n_basis or t["n_basis"],
-        time_encoding=t["time_encoding"], normalize_curves=t["normalize_curves"],
-        seed=cfg["seed"])
-
-
-def _impute_settings(cfg):
-    m = cfg["mvi"]
-    return ImputeSettings(
-        eta=m["eta"], decay=m["decay"], milestones=tuple(m["milestones"]),
-        noise=m["noise"], pred_weight=m["pred_weight"], i_repeats=m["i_repeats"],
-        corr_threshold=m["corr_threshold"], k_max=m["k_max"], ridge=m["ridge"],
-        max_epochs=m["max_epochs"])
-
-
 def _fit_one(cfg, ds, grid, signal_names, n_basis):
-    settings = _train_settings(cfg, n_basis=n_basis)
+    settings = _settings(TrainSettings, cfg["train"], seed=cfg["seed"],
+                         n_basis=n_basis)
     head = cfg["train"]["head"]
     kwargs = dict(n_causes=cfg["train"]["n_causes"],
                   target_cause=cfg["train"]["cause"],
                   signal_names=signal_names)
     has_missing = ds.mask.any()
     if has_missing and cfg["mvi"]["enabled"]:
-        model, imputed = iro_train(ds, grid, head, settings,
-                                   impute_settings=_impute_settings(cfg), **kwargs)
+        model, imputed = iro_train(
+            ds, grid, head, settings,
+            impute_settings=_settings(ImputeSettings, cfg["mvi"]), **kwargs)
     else:
         if has_missing:
             raise CliError(EXIT_SCHEMA,
                            "dataset has missing values but mvi.enabled is false")
         model, imputed = train_model(ds, grid, head, settings, **kwargs), None
-    return model, imputed, settings
+    return model, imputed
 
 
 def cmd_train(cfg):
@@ -129,6 +125,11 @@ def cmd_train(cfg):
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
     _check_times(ds, grid.max_time, EXIT_SCHEMA, "exceeds grid max %g" % grid.max_time)
+    unobserved = np.flatnonzero(ds.mask.all(axis=0))
+    if len(unobserved):
+        raise CliError(EXIT_SCHEMA, "%s: covariate %d of %d is missing for every "
+                       "subject" % (cfg["data"]["subjects"], unobserved[0] + 1,
+                                    ds.X.shape[1]))
     signal_names = tuple(ds.signals) if cfg["train"]["use_functional"] else ()
 
     if not ds.mask.any():
@@ -138,15 +139,16 @@ def cmd_train(cfg):
         if cfg["train"]["basis_grid_search"] and signal_names:
             best = None
             for d in cfg["train"]["basis_grid"]:
-                model, imputed, settings = _fit_one(cfg, ds, grid, signal_names, d)
-                val = min(h[2] for h in settings.log)
+                model, imputed = _fit_one(cfg, ds, grid, signal_names, d)
+                val = min(h[2] for h in model.history)
                 print("basis count %d: validation loss %.6f" % (d, val))
                 if best is None or val < best[0]:
-                    best = (val, d, model, imputed, settings)
-            _, d, model, imputed, settings = best
+                    best = (val, d, model, imputed)
+            _, d, model, imputed = best
             print("selected basis count %d" % d)
         else:
-            model, imputed, settings = _fit_one(cfg, ds, grid, signal_names, None)
+            model, imputed = _fit_one(cfg, ds, grid, signal_names,
+                                      cfg["train"]["n_basis"])
     except NumericError as e:
         raise CliError(EXIT_NUMERIC, str(e))
 
@@ -154,8 +156,7 @@ def cmd_train(cfg):
     with open(os.path.join(out, "training_log.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "val_loss"])
-        for row in settings.log:
-            w.writerow(row)
+        w.writerows(model.history)
     if imputed is not None:
         np.savetxt(os.path.join(out, "imputed.csv"), imputed, delimiter=",")
         np.savetxt(os.path.join(out, "imputed_mask.csv"), ds.mask.astype(int),
@@ -169,6 +170,10 @@ def cmd_predict(cfg, model_path):
     out = _ensure_outdir(cfg)
     model = FCRNModel.load(model_path)
     ds = _load_dataset(cfg, need_curves=bool(model.signal_specs))
+    if ds.X.shape[1] != model.n_tabular:
+        raise CliError(EXIT_SCHEMA, "%s has %d covariates; model %s was fitted "
+                       "on %d" % (cfg["data"]["subjects"], ds.X.shape[1],
+                                  model_path, model.n_tabular))
     grid = model.grid
     _check_times(ds, grid.max_time + 1e-9, EXIT_COMPAT,
                  "outside model grid (max %g)" % grid.max_time)

@@ -2,9 +2,24 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
+from .impute import ImputeSettings
+from .model import TrainSettings
+from .simulate import MAX_MISSING_RATE, SimConfig
+
+
+def _defaults(settings, skip=(), only=None):
+    """{field: default} of a settings dataclass, tuples as JSON lists,
+    without the fields in skip or, when only is given, not in only."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(settings)
+            if f.name not in skip and (only is None or f.name in only)}
+
+
+# train, mvi and simulate take their defaults from the settings dataclasses
 DEFAULTS = {
     "seed": 0,
     "out_dir": "out",
@@ -17,39 +32,14 @@ DEFAULTS = {
         "head": "csm",
         "n_causes": 2,
         "cause": 1,
-        "hidden": [32, 64, 32],
-        "lr": 0.001,
-        "batch_size": 64,
-        "max_epochs": 500,
-        "patience": 20,
-        "val_fraction": 0.1,
-        "n_basis": 3,
+        **_defaults(TrainSettings, skip=("seed",)),
         "basis_grid_search": False,
         "basis_grid": [2, 3, 4, 5, 6, 7, 8],
-        "time_encoding": "scalar",
         "use_functional": True,
-        "normalize_curves": True,
     },
-    "mvi": {
-        "enabled": True,
-        "eta": 0.003,
-        "decay": 0.1,
-        "milestones": [50, 100],
-        "noise": True,
-        "pred_weight": 1.0,
-        "i_repeats": 1,
-        "corr_threshold": 0.2,
-        "k_max": 5,
-        "ridge": 1e-3,
-        "max_epochs": 150,
-    },
-    "simulate": {
-        "n": 1000,
-        "n_train": 800,
-        "n_test": 200,
-        "functional": True,
-        "missing_rate": 0.0,
-    },
+    "mvi": {"enabled": True, **_defaults(ImputeSettings, skip=("rel_tol",))},
+    "simulate": _defaults(SimConfig, only=("n", "n_train", "n_test", "functional",
+                                           "missing_rate")),
     "evaluate": {
         "t0": 0.0,
         "horizons": [100.0],
@@ -64,10 +54,18 @@ RANGES = {
     "train.time_encoding": (lambda v: v in ("scalar", "onehot"),
                             'one of "scalar", "onehot"'),
     "train.val_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "mvi.decay": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mvi.corr_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "simulate.missing_rate": (lambda v: 0 <= v < MAX_MISSING_RATE,
+                              "in [0, %g)" % MAX_MISSING_RATE),
     **{key: (lambda v: 0 < v < math.inf, "positive and finite") for key in (
         "train.batch_size", "train.max_epochs", "train.n_basis", "train.n_causes",
-        "train.cause", "train.hidden", "train.basis_grid", "grid.width",
-        "grid.max_time")},
+        "train.cause", "train.hidden", "train.basis_grid", "train.lr",
+        "train.patience", "grid.width", "grid.max_time", "mvi.i_repeats",
+        "mvi.ridge", "mvi.max_epochs", "evaluate.horizons", "simulate.n")},
+    **{key: (lambda v: 0 <= v < math.inf, "non-negative and finite") for key in (
+        "mvi.eta", "mvi.milestones", "mvi.pred_weight", "mvi.k_max",
+        "simulate.n_train", "simulate.n_test")},
 }
 
 
@@ -80,7 +78,8 @@ def load_config(path=None, overrides=()):
 
     Raises ConfigError for unparsable JSON, a malformed override, a key
     that DEFAULTS does not have, a value whose JSON type differs from its
-    DEFAULTS entry (see _fits), or a value out of its RANGES entry.
+    DEFAULTS entry (see _fits), a value out of its RANGES entry, or an
+    empty train.basis_grid.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -106,6 +105,8 @@ def load_config(path=None, overrides=()):
         if not all(map(test, value if isinstance(value, list) else [value])):
             raise ConfigError("config key %r must be %s, not %s"
                               % (key, rule, json.dumps(value)))
+    if not cfg["train"]["basis_grid"]:
+        raise ConfigError("config key 'train.basis_grid' must not be empty")
     return cfg
 
 

@@ -197,8 +197,8 @@ def augment_cause_specific(ds, grid, n_causes):
     over = np.flatnonzero(ds.cause > n_causes)
     if len(over):
         k = over[0]
-        raise ValueError("subject %s: cause %d > M=%d"
-                         % (ds.ids[k], ds.cause[k], n_causes))
+        raise DataError("subject %s: cause %d > M=%d"
+                        % (ds.ids[k], ds.cause[k], n_causes))
     l_star = assign_intervals(ds.time, grid)
     ends = np.cumsum(l_star)
     subj_idx = np.repeat(np.arange(len(ds), dtype=np.intp), l_star)

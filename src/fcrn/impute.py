@@ -51,10 +51,6 @@ class GaussianGraphicalModel:
         self.coefs = coefs
         self.cond_vars = cond_vars
 
-    @property
-    def n_covariates(self):
-        return len(self.mu)
-
     def conditional_mean(self, j, rows_x):
         """Conditional means of column j for an (n, P) slice of current values."""
         omega = self.neighborhoods[j]
@@ -77,7 +73,8 @@ def median_init(X, mask):
     return X
 
 
-def fit_ggm(X, corr_threshold=0.2, k_max=5, ridge=1e-3):
+def fit_ggm(X, corr_threshold=ImputeSettings.corr_threshold,
+            k_max=ImputeSettings.k_max, ridge=ImputeSettings.ridge):
     """Learn the graph by correlation thresholding and fit its conditionals."""
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer
-from .data import (TimeGrid, augment_cause_specific, augment_subdistribution,
-                   censoring_survival, signal_matrix)
+from .data import (DataError, TimeGrid, augment_cause_specific,
+                   augment_subdistribution, censoring_survival, signal_matrix)
 
 # person-period rows predicted per forward pass; bounds prediction memory
 PREDICT_ROWS = 16384
@@ -52,15 +52,14 @@ class TrainSettings:
     time_encoding: str = "scalar"  # or "onehot"
     normalize_curves: bool = True
     seed: int = 0
-    log: list = field(default_factory=list)
 
 
 class FCRNModel:
     """Basis layers + main MLP + hazard head over a fixed time grid."""
 
     def __init__(self, head, grid, n_tabular, n_causes=None, target_cause=None,
-                 signal_specs=(), hidden=(32, 64, 32), time_encoding="scalar",
-                 rng=None):
+                 signal_specs=(), hidden=TrainSettings.hidden,
+                 time_encoding=TrainSettings.time_encoding, rng=None):
         if head not in ("csm", "sdm"):
             raise ValueError("head must be 'csm' or 'sdm'")
         if head == "csm" and not n_causes:
@@ -75,6 +74,7 @@ class FCRNModel:
         self.target_cause = target_cause
         self.time_encoding = time_encoding
         self.hidden = tuple(hidden)
+        self.history = []  # fit's (epoch, train_loss, monitored_loss) rows
         # z-normalization statistics, filled by fit_normalization
         self.norm_mean = np.zeros(n_tabular)
         self.norm_std = np.ones(n_tabular)
@@ -208,19 +208,17 @@ class FCRNModel:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict_hazards(self, ds, xn=None):
+    def predict_hazards(self, ds):
         """Per-interval hazards for each subject at t = 1..L.
 
         CSM: (n, L, M+1) head probabilities. SDM: (n, L) hazards.
-        Accepts a pre-normalized covariate matrix to support audit paths.
         """
         n = len(ds)
         L = self.grid.n_intervals
-        if xn is None:
-            X = np.where(ds.mask, self.fill_values, ds.X)
-            if np.any(~np.isfinite(X)):
-                raise ValueError("unimputed missing covariates reached prediction")
-            xn = self.normalize(X)
+        X = np.where(ds.mask, self.fill_values, ds.X)
+        if np.any(~np.isfinite(X)):
+            raise ValueError("unimputed missing covariates reached prediction")
+        xn = self.normalize(X)
         curve_mats = self.curve_matrices(ds)
         n_out = self.n_causes + 1 if self.head == "csm" else 1
         probs = np.empty((n, L, n_out))
@@ -234,13 +232,13 @@ class FCRNModel:
             probs[lo:hi] = ad.hazards(fwd).reshape(hi - lo, L, n_out)
         return probs if self.head == "csm" else probs[:, :, 0]
 
-    def predict_cif(self, ds, xn=None):
+    def predict_cif(self, ds):
         """Survival and cumulative incidence curves per subject.
 
         CSM: (S, F) with S shape (n, L+1) starting at 1 and F shape
         (n, M, L+1) starting at 0. SDM: F1 with shape (n, L+1).
         """
-        hz = self.predict_hazards(ds, xn=xn)
+        hz = self.predict_hazards(ds)
         if self.head == "csm":
             return cif_from_cause_specific(hz)
         return cif_from_subdistribution(hz)
@@ -312,8 +310,17 @@ class FCRNModel:
 
     @classmethod
     def load(cls, path):
+        """The model saved at path; DataError names a file that is not
+        JSON or lacks or misshapes a field."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except json.JSONDecodeError as e:
+                raise DataError("%s: invalid JSON: %s" % (path, e))
+            except KeyError as e:
+                raise DataError("%s: model file lacks field %s" % (path, e))
+            except (TypeError, ValueError) as e:
+                raise DataError("%s: malformed model file: %s" % (path, e))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +338,7 @@ def cif_from_cause_specific(hazards):
     S = np.ones((n, L + 1))
     S[:, 1:] = np.cumprod(1.0 - total, axis=1)
     F = np.zeros((n, mp1 - 1, L + 1))
-    for t in range(1, L + 1):
-        F[:, :, t] = F[:, :, t - 1] + lam[:, t - 1, :] * S[:, t - 1][:, None]
+    F[:, :, 1:] = np.cumsum(lam * S[:, :-1, None], axis=1).transpose(0, 2, 1)
     return S, F
 
 
@@ -426,7 +432,7 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     relative; the best epoch's parameters are restored. i_step, when
     given, runs as i_step(epoch, curve_mats, table, train_rows) at the
     start of every epoch and may update xn in place; the best epoch's xn
-    is then restored along with its parameters. settings.log gets one
+    is then restored along with its parameters. model.history gets one
     (epoch, train_loss, monitored_loss) row per epoch.
     """
     n = len(ds)
@@ -442,7 +448,7 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
     best_xn = xn.copy() if i_step is not None else None
-    history = []
+    history = model.history = []
     for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
         if i_step is not None:
             i_step(epoch, curve_mats, table, train_rows)
@@ -472,5 +478,4 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     model.theta[:] = best_values
     if i_step is not None:
         xn[:] = best_xn
-    settings.log = history
     return model

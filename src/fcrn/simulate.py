@@ -9,7 +9,7 @@ probabilities depend on two always-observed anchor covariates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .data import Dataset, Signal
 NORMAL_PARAMS = [(0.2, 1.0), (1.5, 1.2), (-0.5, 0.8), (0.0, 1.0), (1.0, 0.5)]
 UNIFORM_PARAMS = [(-1.0, 1.0), (0.2, 2.0), (0.0, 1.0), (-2.0, 2.0), (0.5, 1.5)]
 ANCHOR_COLUMNS = (0, 5)  # never masked; drive the MAR mechanism
+# apply_mar reaches an overall rate below the share of maskable columns
+MAX_MISSING_RATE = 1 - len(ANCHOR_COLUMNS) / (len(NORMAL_PARAMS) + len(UNIFORM_PARAMS))
 
 
 @dataclass
@@ -96,12 +98,6 @@ class SimConfig:
                           0.15, 0.0, 0.10, 0.10, 0.0)
     coef_cause2: tuple = (0.0, 0.20, 0.0, 0.25, 0.0, 0.0, 0.30, 0.0, 0.15, 0.0,
                           0.0, 0.15, 0.0, 0.0, 0.10)
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["coef_cause1"] = list(self.coef_cause1)
-        d["coef_cause2"] = list(self.coef_cause2)
-        return d
 
 
 def gen_tabular(n, rng):
@@ -222,7 +218,7 @@ def simulate(config):
     order = rng.permutation(config.n)
     train = ds.take(order[:config.n_train])
     test = ds.take(order[config.n_train:])
-    manifest = {"config": config.to_dict(),
+    manifest = {"config": asdict(config),  # json writes its tuples as lists
                 "realized_missing_rate": float(mask.mean()),
                 "cause_counts": {str(m): int(np.sum(cause == m)) for m in (0, 1, 2)}}
     return train, test, manifest

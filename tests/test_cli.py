@@ -1,11 +1,18 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fcrn.cli import main
+from fcrn.cli import _settings, main
+from fcrn.config import load_config
+from fcrn.impute import ImputeSettings
+from fcrn.model import TrainSettings
+from fcrn.simulate import SimConfig
+
+DEFAULT_CONFIG = Path(__file__).parent / "fixtures" / "default_config.json"
 
 
 def run(args):
@@ -97,6 +104,28 @@ class TestTrainCommand:
         code = run(train_args(tmp_path / "run", tmp_path / "sim",
                               extra=["--set", "mvi.enabled=false"]))
         assert code == 3
+
+    def test_covariate_missing_for_every_subject_is_schema_error(self, tmp_path,
+                                                                 capsys):
+        # median initialization has no observed value to start from
+        simulate_small(tmp_path / "sim", missing_rate=0.25, seed=2)
+        subjects = tmp_path / "sim" / "train_subjects.csv"
+        with open(subjects, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[5] = ""
+        with open(subjects, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 3
+        assert "covariate 3 of 10 is missing for every subject" in \
+            capsys.readouterr().err
+
+    def test_cause_beyond_n_causes_is_schema_error(self, tmp_path, capsys):
+        simulate_small(tmp_path / "sim", n=40, seed=0)
+        code = run(train_args(tmp_path / "run", tmp_path / "sim",
+                              extra=["--set", "train.n_causes=1"]))
+        assert code == 3
+        assert "cause 2 > M=1" in capsys.readouterr().err
 
     def test_missing_input_file_is_io_error(self, tmp_path):
         code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
@@ -205,9 +234,29 @@ class TestConfigErrors:
         "train.cause=0",
         "train.hidden=[8, 0]",
         "train.basis_grid=[2, -3]",
+        "train.basis_grid=[]",  # a grid search of nothing: a TypeError before
         "train.val_fraction=1.0",
         "grid.width=0",
         "grid.max_time=-5",
+        "train.lr=-1",
+        "train.lr=0",
+        "train.patience=0",
+        "mvi.eta=-1",
+        "mvi.decay=1.5",
+        "mvi.milestones=[50, -1]",
+        "mvi.pred_weight=-1",
+        "mvi.i_repeats=0",
+        "mvi.corr_threshold=1.5",
+        "mvi.k_max=-1",
+        "mvi.ridge=0",
+        "mvi.max_epochs=0",
+        "evaluate.horizons=[50, 0]",
+        "simulate.n=0",
+        "simulate.n_train=-1",
+        "simulate.n_test=-1",
+        "simulate.missing_rate=-0.1",  # apply_mar's ValueError before
+        "simulate.missing_rate=0.8",
+        "simulate.n=100",  # not n_train + n_test: simulate's ValueError before
     ])
     def test_value_of_the_wrong_type_is_schema_error(self, tmp_path, capsys,
                                                      override):
@@ -216,8 +265,14 @@ class TestConfigErrors:
         assert code == 3
         assert override.split("=")[0] in capsys.readouterr().err
 
+    def test_inclusive_range_bounds_are_accepted(self):
+        cfg = load_config(None, [
+            "mvi.eta=0", "mvi.pred_weight=0", "mvi.k_max=0", "mvi.milestones=[0]",
+            "mvi.decay=1", "mvi.corr_threshold=1", "simulate.n_test=0",
+            "simulate.missing_rate=0.79"])
+        assert cfg["mvi"]["eta"] == 0 and cfg["simulate"]["missing_rate"] == 0.79
+
     def test_integer_for_a_float_and_string_for_a_null_default(self):
-        from fcrn.config import load_config
         cfg = load_config(None, ["train.lr=1", "data.subjects=a.csv",
                                  "data.curves=null", "evaluate.horizons=[50]"])
         assert cfg["train"]["lr"] == 1 and cfg["data"]["subjects"] == "a.csv"
@@ -226,6 +281,21 @@ class TestConfigErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"train": {"batch_size": "64"}}')
         assert run(["--config", str(bad), "simulate"]) == 3
+
+
+class TestConfigDefaults:
+    def test_resolved_defaults_equal_the_fixture(self):
+        # the train, mvi and simulate defaults are derived from the settings
+        # dataclasses; the fixture holds them as an earlier load_config wrote
+        expected = json.loads(DEFAULT_CONFIG.read_text())
+        assert json.dumps(load_config(), sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
+
+    def test_default_sections_build_default_settings(self):
+        cfg = load_config()
+        assert _settings(TrainSettings, cfg["train"]) == TrainSettings()
+        assert _settings(ImputeSettings, cfg["mvi"]) == ImputeSettings()
+        assert _settings(SimConfig, cfg["simulate"]) == SimConfig()
 
 
 class TestPredictCommand:
@@ -289,6 +359,29 @@ class TestPredictCommand:
             assert code == 3
             assert "signal" in capsys.readouterr().err
         assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    def test_covariate_count_unlike_the_model_is_schema_error(self, tmp_path,
+                                                              capsys):
+        model = self._train(tmp_path)
+        subjects = tmp_path / "sim" / "test_subjects.csv"
+        with open(subjects, newline="") as fh:
+            rows = [row[:-1] for row in csv.reader(fh)]
+        cut = tmp_path / "cut.csv"
+        with open(cut, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert self._predict(tmp_path, model, cut) == 3
+        err = capsys.readouterr().err
+        assert "has 9 covariates" in err and "fitted on 10" in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("text", ['{"head": ', '{"head": "csm"}', "[1]"])
+    def test_malformed_model_file_is_schema_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "model.json"
+        bad.write_text(text)
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("id,time,cause,x1\na,1.0,1,0.5\n")
+        assert self._predict(tmp_path, bad, subjects) == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         model = self._train(tmp_path)

@@ -253,11 +253,11 @@ class TestIroTrain:
         settings = TrainSettings(max_epochs=60, patience=1, val_fraction=0.3,
                                  lr=0.05, seed=6)
         imp = ImputeSettings(max_epochs=60, noise=False, rel_tol=0.0)
-        iro_train(subjects, grid, "csm", settings, impute_settings=imp,
-                  n_causes=2)
-        assert 0 < len(settings.log) < 60
-        assert [r[0] for r in settings.log] == list(range(len(settings.log)))
-        assert all(tr != val for _, tr, val in settings.log)
+        model, _ = iro_train(subjects, grid, "csm", settings, impute_settings=imp,
+                             n_causes=2)
+        assert 0 < len(model.history) < 60
+        assert [r[0] for r in model.history] == list(range(len(model.history)))
+        assert all(tr != val for _, tr, val in model.history)
 
     def test_epoch_cap_is_the_smaller_max_epochs(self):
         rng = np.random.RandomState(13)
@@ -267,9 +267,9 @@ class TestIroTrain:
             settings = TrainSettings(max_epochs=train_epochs, patience=10,
                                      seed=7)
             imp = ImputeSettings(max_epochs=impute_epochs, rel_tol=0.0)
-            iro_train(subjects, grid, "csm", settings, impute_settings=imp,
-                      n_causes=2)
-            assert len(settings.log) == 3
+            model, _ = iro_train(subjects, grid, "csm", settings,
+                                 impute_settings=imp, n_causes=2)
+            assert len(model.history) == 3
 
     def test_prediction_gradient_skips_validation_subjects(self, monkeypatch):
         rng = np.random.RandomState(14)
@@ -322,7 +322,7 @@ class TestIroTrain:
         imp = ImputeSettings(max_epochs=60, noise=False, rel_tol=0.0)
         model, X_out = iro_train(subjects, grid, "csm", settings,
                                  impute_settings=imp, n_causes=2)
-        val = [row[2] for row in settings.log]
+        val = [row[2] for row in model.history]
         best = int(np.argmin(val))
         assert best < len(val) - 1
         assert len(after_step) == len(val)

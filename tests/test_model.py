@@ -204,6 +204,18 @@ class TestCifRecursions:
         assert F[0, 0, 2] == pytest.approx(0.18)
         assert S[0, 1] == pytest.approx(0.8)
 
+    def test_cause_specific_cif_equals_its_recursion_bit_for_bit(self):
+        # F_m(t) = F_m(t-1) + lambda_m(t) S(t-1), added in sequence as the
+        # cumulative sum does
+        rng = np.random.RandomState(5)
+        head = rng.dirichlet(np.ones(4), size=(30, 25))
+        S, F = cif_from_cause_specific(head)
+        expected = np.zeros_like(F)
+        for t in range(1, 26):
+            expected[:, :, t] = (expected[:, :, t - 1]
+                                 + head[:, t - 1, 1:] * S[:, t - 1][:, None])
+        assert F.tobytes() == expected.tobytes()
+
     def test_zero_hazard(self):
         head = np.zeros((1, 3, 3))
         head[:, :, 0] = 1.0
@@ -269,8 +281,8 @@ class TestTraining:
         subjects = subj("a", 3.0, 1, [1.0, -1.0])
         settings = TrainSettings(max_epochs=2000, patience=2000, lr=0.01,
                                  hidden=(8,), val_fraction=0.0, seed=1)
-        train_model(subjects, grid, "csm", settings, n_causes=1)
-        final_loss = settings.log[-1][1]
+        model = train_model(subjects, grid, "csm", settings, n_causes=1)
+        final_loss = model.history[-1][1]
         assert final_loss < 1e-3
 
     def test_seeded_determinism(self):
@@ -288,12 +300,24 @@ class TestTraining:
         grid = build_time_grid(20, 5)
         subjects = random_dataset(rng, 60, 2, grid.max_time)
         settings = TrainSettings(max_epochs=3, patience=10, seed=4)
-        train_model(subjects, grid, "csm", settings, n_causes=2)
-        losses = [h[1] for h in settings.log]
+        model = train_model(subjects, grid, "csm", settings, n_causes=2)
+        losses = [h[1] for h in model.history]
         assert losses[-1] < losses[0]
 
 
 class TestSerialization:
+    def test_history_belongs_to_the_fitted_model(self, tmp_path):
+        rng = np.random.RandomState(13)
+        grid = build_time_grid(20, 5)
+        subjects = random_dataset(rng, 20, 2, grid.max_time)
+        settings = TrainSettings(max_epochs=2, patience=5, seed=5)
+        model = train_model(subjects, grid, "csm", settings, n_causes=2)
+        assert [h[0] for h in model.history] == [0, 1]
+        assert settings == TrainSettings(max_epochs=2, patience=5, seed=5)
+        model.save(tmp_path / "model.json")
+        assert FCRNModel.load(tmp_path / "model.json").history == []
+        assert make_model("csm").history == []
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.RandomState(13)
         grid = build_time_grid(20, 5)
