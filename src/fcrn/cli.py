@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, dump_config, load_config
-from .data import (CSV_CHUNK_ROWS, DataError, build_time_grid, csv_chunks,
+from .data import (CSV_CHUNK_ROWS, DataError, build_time_grid, csv_columns,
                    read_curves_csv, read_subjects_csv, write_curves_csv,
                    write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
@@ -130,6 +130,10 @@ def cmd_train(cfg):
         raise CliError(EXIT_SCHEMA, "%s: covariate %d of %d is missing for every "
                        "subject" % (cfg["data"]["subjects"], unobserved[0] + 1,
                                     ds.X.shape[1]))
+    cause = cfg["train"]["cause"]
+    if cfg["train"]["head"] == "sdm" and not (ds.cause == cause).any():
+        raise CliError(EXIT_SCHEMA, "%s: no subject has the sdm target cause "
+                       "train.cause=%d" % (cfg["data"]["subjects"], cause))
     signal_names = tuple(ds.signals) if cfg["train"]["use_functional"] else ()
 
     if not ds.mask.any():
@@ -231,10 +235,10 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
     Returns (causes, F): F[k][i, t] is column cif_<causes[k]> of subject
     ids[i] at interval t, and column 0 stays 0 (no event by time 0). Rows
     are parsed chunk_rows at a time. Exit 3 for a file that is not a
-    predictions CSV or has a malformed row (a non-numeric interval, time,
-    cif_ or survival cell); exit 5 for a row of an unknown
-    subject, an interval outside 1..L, a time that is not its interval's
-    endpoint, or a subject whose rows do not cover 1..L exactly once.
+    predictions CSV, DataError for a malformed row (see csv_columns; the
+    interval, time, cif_ and survival cells are numbers); exit 5 for a row
+    of an unknown subject, an interval outside 1..L, a time that is not its
+    interval's endpoint, or a subject whose rows do not cover 1..L exactly once.
     """
     L = grid.n_intervals
     order = {sid: i for i, sid in enumerate(ids)}
@@ -244,26 +248,19 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
         if not header or header[:3] != ["id", "interval", "time"]:
             raise CliError(EXIT_SCHEMA, "%s: not a predictions CSV" % path)
         cif_cols = [k for k, h in enumerate(header) if h.startswith("cif_")]
-        numeric = cif_cols + [k for k, h in enumerate(header) if h == "survival"]
         try:
             causes = [int(header[k][4:]) for k in cif_cols]
         except ValueError:
             raise CliError(EXIT_SCHEMA, "%s: bad cause column in header %r"
                            % (path, header))
+        kinds = [str, int, float] + [float if h.startswith("cif_") or h == "survival"
+                                     else str for h in header[3:]]
         F = np.zeros((len(causes), len(ids), L + 1))
         seen = np.zeros((len(ids), L + 1), dtype=np.int64)
-        for line, rows in csv_chunks(reader, chunk_rows):
-            try:
-                if set(map(len, rows)) != {len(header)}:
-                    raise ValueError("ragged rows")
-                cols = list(zip(*rows))
-                interval = np.array(cols[1], dtype=np.int64)
-                time = np.array(cols[2], dtype=np.float64)
-                values = np.array([cols[k] for k in numeric], dtype=np.float64)
-            except (ValueError, OverflowError):
-                raise _prediction_row_error(path, header, rows, line, numeric)
+        for _, cols in csv_columns(path, reader, header, kinds, chunk_rows):
+            interval, time = cols[1], cols[2]
             subj = np.fromiter(map(order.get, cols[0], itertools.repeat(-1)),
-                               dtype=np.intp, count=len(rows))
+                               dtype=np.intp, count=len(time))
             in_grid = (interval >= 1) & (interval <= L)
             endpoint = grid.cuts[np.where(in_grid, interval, 0)]
             misfit = (subj < 0) | ~in_grid | ~(np.abs(time - endpoint) <= 1e-9)
@@ -279,7 +276,8 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                                "endpoint %r" % (cols[0][k], interval[k], float(time[k]),
                                                 float(endpoint[k])))
                 raise CliError(EXIT_COMPAT, message)
-            F[:, subj, interval] = values[:len(causes)]
+            for F_m, k in zip(F, cif_cols):
+                F_m[subj, interval] = cols[k]
             np.add.at(seen, (subj, interval), 1)
     seen = seen[:, 1:]
     unpredicted = np.flatnonzero(seen.sum(axis=1) == 0)
@@ -292,24 +290,6 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                        "intervals 1..%d exactly once, first %r"
                        % (len(uncovered), L, ids[uncovered[0]]))
     return causes, F
-
-
-def _prediction_row_error(path, header, rows, line, numeric):
-    """The exit-3 CliError of the first malformed row of a chunk."""
-    for ln, row in enumerate(rows, start=line):
-        if len(row) != len(header):
-            message = "expected %d cells, got %d" % (len(header), len(row))
-        else:
-            try:
-                int(row[1])
-                for k in [2] + numeric:
-                    float(row[k])
-                continue
-            except ValueError as e:
-                message = "bad numeric cell: %s" % e
-        return CliError(EXIT_SCHEMA, "%s row %d: %s" % (path, ln, message))
-    return CliError(EXIT_SCHEMA, "%s rows %d-%d: a number is out of range"
-                    % (path, line, line + len(rows) - 1))
 
 
 def cmd_evaluate(cfg, predictions_path):

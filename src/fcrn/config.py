@@ -69,6 +69,12 @@ RANGES = {
 }
 
 
+# most intervals grid.max_time / grid.width may give: on a 2-vCPU host a
+# 30-subject one-hot train plus predict took ~3 s and ~200 MB at 1000, and
+# ~10 s and ~540 MB at 2000 (the one-hot time feature is L columns wide)
+MAX_INTERVALS = 1000
+
+
 class ConfigError(ValueError):
     """A config file, override, key or value that does not fit DEFAULTS."""
 
@@ -78,8 +84,8 @@ def load_config(path=None, overrides=()):
 
     Raises ConfigError for unparsable JSON, a malformed override, a key
     that DEFAULTS does not have, a value whose JSON type differs from its
-    DEFAULTS entry (see _fits), a value out of its RANGES entry, or an
-    empty train.basis_grid.
+    DEFAULTS entry (see _fits), a value out of its RANGES entry, an
+    empty train.basis_grid, or a grid of more than MAX_INTERVALS intervals.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -107,6 +113,10 @@ def load_config(path=None, overrides=()):
                               % (key, rule, json.dumps(value)))
     if not cfg["train"]["basis_grid"]:
         raise ConfigError("config key 'train.basis_grid' must not be empty")
+    max_time, width = cfg["grid"]["max_time"], cfg["grid"]["width"]
+    if max_time / width - 1e-12 > MAX_INTERVALS:  # L as build_time_grid counts it
+        raise ConfigError("config keys 'grid.max_time' %g and 'grid.width' %g give "
+                          "more than %d intervals" % (max_time, width, MAX_INTERVALS))
     return cfg
 
 

@@ -276,21 +276,66 @@ def write_subjects_csv(path, ds):
         w.writerows(zip(*columns))
 
 
-def csv_chunks(reader, chunk_rows=CSV_CHUNK_ROWS):
-    """(row number of the first row, rows) for consecutive blocks of up to
-    chunk_rows rows of a csv.reader whose header (row 1) was read."""
+def optional_float(cell):
+    """The csv_columns kind of a cell that may be empty (NaN when empty)."""
+    return float(cell or "nan")
+
+
+def csv_columns(path, reader, header, kinds, chunk_rows=CSV_CHUNK_ROWS):
+    """(row number of the first row, columns) for consecutive blocks of up
+    to chunk_rows rows of path's csv.reader, whose header (row 1) was read.
+
+    Column k is parsed by kinds[k]: str keeps the cells, int and float give
+    int64 and float64 arrays, and optional_float gives (float64 values with
+    NaN at empty cells, the mask of empty cells). When a block fails to
+    parse, a row scan raises a DataError naming its first row with the
+    wrong cell count or a cell that its kind rejects.
+    """
     line = 2
     while rows := list(itertools.islice(reader, chunk_rows)):
-        yield line, rows
+        try:
+            if set(map(len, rows)) != {len(header)}:
+                raise ValueError("ragged rows")
+            columns = [_parse_column(kind, cells)
+                       for kind, cells in zip(kinds, zip(*rows))]
+        except (ValueError, OverflowError):
+            raise _row_error(path, header, kinds, rows, line) from None
+        yield line, columns
         line += len(rows)
+
+
+def _parse_column(kind, cells):
+    if kind is optional_float:
+        cells = np.array(cells, dtype=object)
+        mask = cells == ""
+        cells[mask] = "nan"
+        return cells.astype(np.float64), mask
+    return cells if kind is str else np.array(cells, dtype=kind)
+
+
+def _row_error(path, header, kinds, rows, line):
+    """The DataError of the first malformed row of a block."""
+    for ln, row in enumerate(rows, start=line):
+        if len(row) != len(header):
+            return DataError("%s row %d: expected %d cells, got %d"
+                             % (path, ln, len(header), len(row)))
+        for name, kind, cell in zip(header, kinds, row):
+            try:
+                kind(cell)
+            except ValueError:
+                return DataError("%s row %d column %s: bad numeric cell %r"
+                                 % (path, ln, name, cell))
+    # Python's int takes what int64 cannot hold
+    return DataError("%s rows %d-%d: a number is out of range"
+                     % (path, line, line + len(rows) - 1))
 
 
 def read_subjects_csv(path):
     """Parse the subject CSV into (Dataset, covariate names); empty
     covariate cells become masked NaNs.
 
-    Cells are parsed a column at a time; when that fails or finds a
-    negative time or cause, a row scan names the first malformed row.
+    Malformed rows fail first (see csv_columns); then the first subject
+    with a negative time or cause, then the first repeated id.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -300,51 +345,24 @@ def read_subjects_csv(path):
         p = len(header) - 3
         parts = [((), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, p)),
                   np.zeros((0, p), dtype=bool))]
-        for line, rows in csv_chunks(reader):
-            try:
-                if set(map(len, rows)) != {len(header)}:
-                    raise ValueError("ragged rows")
-                ids, time, cause, *cells = zip(*rows)
-                time = np.array(time, dtype=np.float64)
-                cause = np.array(cause, dtype=np.int64)
-                if ((time < 0) | (cause < 0)).any():
-                    raise ValueError("negative time or cause")
-                cells = np.array(cells, dtype=object).T.reshape(len(rows), p)
-                mask = cells == ""
-                cells[mask] = "nan"
-                parts.append((ids, time, cause, cells.astype(np.float64), mask))
-            except (ValueError, OverflowError):
-                raise _subject_row_error(path, header, rows, line)
+        kinds = [str, float, int] + [optional_float] * p
+        for _, (ids, time, cause, *cells) in csv_columns(path, reader, header, kinds):
+            X = np.reshape([c[0] for c in cells], (p, len(ids))).T
+            mask = np.reshape([c[1] for c in cells], (p, len(ids))).T
+            parts.append((ids, time, cause, X, mask))
     ids, *columns = zip(*parts)
     ds = Dataset(list(itertools.chain(*ids)), *map(np.concatenate, columns))
+    negative = np.flatnonzero((ds.time < 0) | (ds.cause < 0))
+    if len(negative):
+        k = negative[0]
+        raise DataError("subject %s: negative %s" % (
+            ds.ids[k], "observed time" if ds.time[k] < 0 else "cause"))
+    first = {}  # id -> index of its first row
+    for k, sid in enumerate(ds.ids.tolist()):
+        if first.setdefault(sid, k) != k:
+            raise DataError("%s rows %d and %d: repeated subject id %r"
+                            % (path, first[sid] + 2, k + 2, sid))
     return ds, header[3:]
-
-
-def _subject_row_error(path, header, rows, line):
-    """The DataError of the first malformed row of a subject CSV chunk."""
-    names = header[3:]
-    for ln, row in enumerate(rows, start=line):
-        if len(row) != len(header):
-            return DataError("%s row %d: expected %d cells, got %d"
-                             % (path, ln, len(header), len(row)))
-        try:
-            time = float(row[1])
-            cause = int(row[2])
-        except ValueError as e:
-            return DataError("%s row %d: bad time/cause: %s" % (path, ln, e))
-        for name, cell in zip(names, row[3:]):
-            try:
-                float(cell or "nan")
-            except ValueError:
-                return DataError("%s row %d column %s: bad numeric cell %r"
-                                 % (path, ln, name, cell))
-        # a negative time or cause in an earlier row fails before a bad cell
-        if time < 0:
-            return DataError("subject %s: negative observed time" % row[0])
-        if cause < 0:
-            return DataError("subject %s: negative cause" % row[0])
-    return DataError("%s rows %d-%d: a number is out of range"
-                     % (path, line, line + len(rows) - 1))
 
 
 def write_curves_csv(path, ds):
@@ -364,36 +382,35 @@ def read_curves_csv(path, ds):
     """ds with the signals of the long-format curve CSV attached.
 
     Signals are sorted by name and each subject's points by (tau, value).
-    Every subject needs every signal the file has, and each curve at
-    least 2 strictly increasing sample points in [0, 1] with finite
-    values; the first failing curve in file order names the error.
+    Malformed rows fail first (see csv_columns), then the first row of a
+    subject ds lacks. Every subject needs every signal the file has, and
+    each curve at least 2 strictly increasing sample points in [0, 1]
+    with finite values; the first failing curve in file order names the
+    error.
     """
     position = {sid: k for k, sid in enumerate(ds.ids.tolist())}
     code = {}  # signal name -> code, in order of first appearance
+    unknown = None  # (row, id) of the first row of an unknown subject
     parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["id", "signal_name", "tau", "value"]:
             raise DataError("%s: expected header id,signal_name,tau,value" % path)
-        for line, rows in csv_chunks(reader):
-            try:
-                if set(map(len, rows)) != {4}:
-                    raise ValueError("ragged rows")
-                ids, names, taus, vals = zip(*rows)
-                subj = np.fromiter(map(position.get, ids, itertools.repeat(-1)),
-                                   dtype=np.intp, count=len(rows))
-                if (subj < 0).any():
-                    raise ValueError("unknown subject")
-                taus = np.array(taus, dtype=np.float64)
-                vals = np.array(vals, dtype=np.float64)
-            except ValueError:
-                raise _curve_row_error(path, rows, position, line)
+        for line, (ids, names, taus, vals) in csv_columns(path, reader, header,
+                                                          [str, str, float, float]):
+            subj = np.fromiter(map(position.get, ids, itertools.repeat(-1)),
+                               dtype=np.intp, count=len(ids))
+            if unknown is None and (subj < 0).any():
+                k = int(np.argmax(subj < 0))
+                unknown = (line + k, ids[k])
             for name in dict.fromkeys(names):
                 code.setdefault(name, len(code))
             signal = np.fromiter(map(code.__getitem__, names), dtype=np.intp,
-                                 count=len(rows))
+                                 count=len(ids))
             parts.append((subj, signal, taus, vals))
+    if unknown:
+        raise DataError("%s row %d: unknown subject id %r" % (path, *unknown))
     signals = _check_curves(path, ds.ids, list(code), *map(np.concatenate, zip(*parts)))
     return Dataset(ds.ids, ds.time, ds.cause, ds.X, ds.mask, signals)
 
@@ -434,17 +451,3 @@ def _check_curves(path, ids, names, subj, signal, taus, vals):
     bounds = np.append(0, np.cumsum(counts.sum(axis=1)))
     return {name: Signal(taus[lo:hi], vals[lo:hi], np.append(0, np.cumsum(c)))
             for name, lo, hi, c in sorted(zip(names, bounds[:-1], bounds[1:], counts))}
-
-
-def _curve_row_error(path, rows, position, line):
-    """The DataError of the first malformed row of a curve CSV chunk."""
-    for ln, row in enumerate(rows, start=line):
-        if len(row) != 4:
-            return DataError("%s row %d: expected 4 cells" % (path, ln))
-        if row[0] not in position:
-            return DataError("%s row %d: unknown subject id %r" % (path, ln, row[0]))
-        try:
-            float(row[2]), float(row[3])
-        except ValueError as e:
-            return DataError("%s row %d: bad numeric cell: %s" % (path, ln, e))
-    return DataError("%s rows %d-%d: malformed" % (path, line, line + len(rows) - 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fcrn.cli import _settings, main
-from fcrn.config import load_config
+from fcrn.config import MAX_INTERVALS, load_config
 from fcrn.impute import ImputeSettings
 from fcrn.model import TrainSettings
 from fcrn.simulate import SimConfig
@@ -200,6 +200,43 @@ class TestTrainCommand:
                     "train"])
         assert code == 3
 
+    def test_repeated_subject_id_is_schema_error(self, tmp_path, capsys):
+        # train and predict used to pass, both subjects' curves going to the
+        # last row, and evaluate then found no predictions for the first
+        simulate_small(tmp_path / "sim", n=40, functional=True, seed=5)
+        subjects = tmp_path / "sim" / "train_subjects.csv"
+        with open(subjects, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[4][0] = rows[2][0]
+        with open(subjects, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run(train_args(tmp_path / "run", tmp_path / "sim", functional=True))
+        assert code == 3
+        assert "rows 3 and 5: repeated subject id %r" % rows[2][0] in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    def test_sdm_target_cause_without_events_is_schema_error(self, tmp_path, capsys):
+        simulate_small(tmp_path / "sim", n=40, seed=0)
+        code = run(train_args(tmp_path / "run", tmp_path / "sim",
+                              extra=sets(train__head="sdm", train__cause=3)))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "train_subjects.csv: no subject has the sdm target cause " \
+            "train.cause=3" in err
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    def test_one_hot_train_and_predict_at_the_interval_cap(self, tmp_path):
+        simulate_small(tmp_path / "sim", n=40, seed=0)
+        at_cap = sets(grid__width=100 / MAX_INTERVALS, train__time_encoding="onehot",
+                      train__max_epochs=1)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim", extra=at_cap)) == 0
+        assert run(sets(out_dir=str(tmp_path / "pred"),
+                        data__subjects=str(tmp_path / "sim" / "test_subjects.csv"))
+                   + ["predict", "--model", str(tmp_path / "run" / "model.json")]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            assert sum(1 for _ in fh) == 1 + 10 * MAX_INTERVALS
+
 
 class TestConfigErrors:
     def test_malformed_set_is_schema_error(self):
@@ -264,6 +301,19 @@ class TestConfigErrors:
                     "--set", override, "simulate"])
         assert code == 3
         assert override.split("=")[0] in capsys.readouterr().err
+
+    def test_grid_of_more_than_the_interval_cap_is_schema_error(self, tmp_path,
+                                                                capsys):
+        cfg = load_config(None, ["grid.max_time=%d" % MAX_INTERVALS, "grid.width=1"])
+        assert cfg["grid"]["max_time"] == MAX_INTERVALS
+        for grid in (["grid.max_time=%d" % (MAX_INTERVALS + 1), "grid.width=1"],
+                     ["grid.width=0.001"]):  # 100,000 intervals on max_time 100
+            code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                        "--set", grid[0], "--set", grid[-1], "simulate"])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "'grid.max_time'" in err and "'grid.width'" in err
+            assert "more than %d intervals" % MAX_INTERVALS in err
 
     def test_inclusive_range_bounds_are_accepted(self):
         cfg = load_config(None, [

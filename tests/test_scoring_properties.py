@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from conftest import Record, dataset, g_at, records, ref_assign_interval
 from hypothesis import strategies as st
 
-from fcrn.cli import CliError, read_predictions, write_predictions
+from fcrn.cli import read_predictions, write_predictions
 from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, assign_intervals,
                        build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
@@ -99,9 +99,14 @@ def ref_read_subjects_csv(path):
                                 % (path, ln, len(header), len(row)))
             try:
                 time = float(row[1])
+            except ValueError:
+                raise DataError("%s row %d column time: bad numeric cell %r"
+                                % (path, ln, row[1]))
+            try:
                 cause = int(row[2])
-            except ValueError as e:
-                raise DataError("%s row %d: bad time/cause: %s" % (path, ln, e))
+            except ValueError:
+                raise DataError("%s row %d column cause: bad numeric cell %r"
+                                % (path, ln, row[2]))
             x = np.empty(len(names))
             mask = np.zeros(len(names), dtype=bool)
             for j, cell in enumerate(row[3:]):
@@ -114,12 +119,20 @@ def ref_read_subjects_csv(path):
                     except ValueError:
                         raise DataError("%s row %d column %s: bad numeric cell %r"
                                         % (path, ln, names[j], cell))
-            if time < 0:
-                raise DataError("subject %s: negative observed time" % row[0])
-            if cause < 0:
-                raise DataError("subject %s: negative cause" % row[0])
             subjects.append(Record(id=row[0], x=x, missing_mask=mask, time=time,
                                    cause=cause))
+    # meaning checks follow the parse of the whole file
+    for s in subjects:
+        if s.time < 0:
+            raise DataError("subject %s: negative observed time" % s.id)
+        if s.cause < 0:
+            raise DataError("subject %s: negative cause" % s.id)
+    rows = {}
+    for ln, s in enumerate(subjects, start=2):
+        if s.id in rows:
+            raise DataError("%s rows %d and %d: repeated subject id %r"
+                            % (path, rows[s.id], ln, s.id))
+        rows[s.id] = ln
     return subjects, names
 
 
@@ -131,17 +144,23 @@ def ref_read_curves_csv(path, subjects):
         header = next(reader, None)
         if header != ["id", "signal_name", "tau", "value"]:
             raise DataError("%s: expected header id,signal_name,tau,value" % path)
+        rows = []
         for ln, row in enumerate(reader, start=2):
             if len(row) != 4:
-                raise DataError("%s row %d: expected 4 cells" % (path, ln))
-            sid, name = row[0], row[1]
-            if sid not in by_id:
-                raise DataError("%s row %d: unknown subject id %r" % (path, ln, sid))
-            try:
-                tau, val = float(row[2]), float(row[3])
-            except ValueError as e:
-                raise DataError("%s row %d: bad numeric cell: %s" % (path, ln, e))
-            buf.setdefault((sid, name), []).append((tau, val))
+                raise DataError("%s row %d: expected 4 cells, got %d"
+                                % (path, ln, len(row)))
+            for column, cell in zip(["tau", "value"], row[2:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError("%s row %d column %s: bad numeric cell %r"
+                                    % (path, ln, column, cell))
+            rows.append(row)
+    # meaning checks follow the parse of the whole file
+    for ln, (sid, name, tau, val) in enumerate(rows, start=2):
+        if sid not in by_id:
+            raise DataError("%s row %d: unknown subject id %r" % (path, ln, sid))
+        buf.setdefault((sid, name), []).append((float(tau), float(val)))
     for (sid, name), pts in buf.items():
         pts.sort()
         taus = np.array([p[0] for p in pts])
@@ -163,6 +182,29 @@ def ref_read_curves_csv(path, subjects):
     for s in subjects:
         s.curves.sort(key=lambda c: c[0])
     return subjects
+
+
+def ref_prediction_row_error(path):
+    """The DataError of the first malformed row of a predictions CSV, read
+    row by row: a row of the wrong length, or an interval cell that is not
+    an integer or a time, cif_ or survival cell that is not a number."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                return DataError("%s row %d: expected %d cells, got %d"
+                                 % (path, ln, len(header), len(row)))
+            for name, cell in zip(header, row):
+                try:
+                    if name == "interval":
+                        int(cell)
+                    elif name in ("time", "survival") or name.startswith("cif_"):
+                        float(cell)
+                except ValueError:
+                    return DataError("%s row %d column %s: bad numeric cell %r"
+                                     % (path, ln, name, cell))
+    return None
 
 
 def ref_write_predictions(path, ids, grid, names, columns):
@@ -382,6 +424,8 @@ class TestReadersMatchLoop:
                 for i in range(n)]
         if rows and data.draw(st.booleans()):
             rows[data.draw(st.integers(0, n - 1))].append("extra")
+        if n > 1 and data.draw(st.booleans()):  # a repeated id
+            rows[data.draw(st.integers(1, n - 1))][0] = rows[0][0]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "subjects.csv")
             with open(path, "w", newline="") as fh:
@@ -524,8 +568,43 @@ class TestPredictionsFile:
         lines[5] = lines[5].replace("0.25", "oops")
         (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
         for chunk_rows in (1, 4, 100):
-            with pytest.raises(CliError) as e:
+            with pytest.raises(DataError) as e:
                 read_predictions(tmp_path / "p.csv", ["a", "b", "c"], grid,
                                  chunk_rows=chunk_rows)
-            assert e.value.code == 3
-            assert "row 6: bad numeric cell" in str(e.value)
+            assert "row 6 column cif_1: bad numeric cell 'oops'" in str(e.value)
+
+    @PROPERTY
+    @given(prediction_sets(), st.data())
+    def test_malformed_rows_match_the_row_loop(self, case, data):
+        # only cells that fail to parse, so no per-block grid check (exit 5)
+        # can fire first, and every block size must give the same message
+        grid, ids, names, columns = case
+        if not ids:
+            return
+        bad = st.sampled_from(["", "x", "1,5", "0x10", "--1"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.csv")
+            write_predictions(path, ids, grid, names, columns)
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            for _ in range(data.draw(st.integers(1, 3))):
+                row = rows[data.draw(st.integers(1, len(rows) - 1))]
+                kind = data.draw(st.sampled_from(["ragged", "interval", "time", "value"]))
+                if len(row) != len(rows[0]):
+                    continue  # already ragged
+                if kind == "ragged":  # cells added or cut at the end
+                    if data.draw(st.booleans()):
+                        row.extend(["0.5"] * data.draw(st.integers(1, 2)))
+                    else:
+                        del row[data.draw(st.integers(0, 3)):]
+                elif kind == "interval":
+                    row[1] = data.draw(bad | st.just("1.5"))
+                elif kind == "time":
+                    row[2] = data.draw(bad)
+                else:  # a cif_ or the survival cell
+                    row[data.draw(st.integers(3, len(row) - 1))] = data.draw(bad)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            expected = str(ref_prediction_row_error(path))
+            for chunk_rows in range(1, 8):
+                assert outcome(read_predictions, path, ids, grid, chunk_rows) == expected
