@@ -53,7 +53,7 @@ def _load_dataset(cfg, need_curves):
     path = cfg["data"]["subjects"]
     if not path:
         raise CliError(EXIT_IO, "config data.subjects is required")
-    ds, _ = read_subjects_csv(path)
+    ds = read_subjects_csv(path)
     curves_path = cfg["data"]["curves"]
     if curves_path and need_curves:
         ds = read_curves_csv(curves_path, ds)
@@ -97,13 +97,12 @@ def cmd_simulate(cfg):
     return 0
 
 
-def _fit_one(cfg, ds, grid, signal_names, n_basis):
+def _fit_one(cfg, ds, grid, n_basis):
     settings = _settings(TrainSettings, cfg["train"], seed=cfg["seed"],
                          n_basis=n_basis)
     head = cfg["train"]["head"]
     kwargs = dict(n_causes=cfg["train"]["n_causes"],
-                  target_cause=cfg["train"]["cause"],
-                  signal_names=signal_names)
+                  target_cause=cfg["train"]["cause"])
     has_missing = ds.mask.any()
     if has_missing and cfg["mvi"]["enabled"]:
         model, imputed = iro_train(
@@ -125,7 +124,8 @@ def cmd_train(cfg):
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
     _check_times(ds, grid.max_time, EXIT_SCHEMA, "exceeds grid max %g" % grid.max_time)
-    unobserved = np.flatnonzero(ds.mask.all(axis=0))
+    mask = ds.mask
+    unobserved = np.flatnonzero(mask.all(axis=0))
     if len(unobserved):
         raise CliError(EXIT_SCHEMA, "%s: covariate %d of %d is missing for every "
                        "subject" % (cfg["data"]["subjects"], unobserved[0] + 1,
@@ -134,16 +134,15 @@ def cmd_train(cfg):
     if cfg["train"]["head"] == "sdm" and not (ds.cause == cause).any():
         raise CliError(EXIT_SCHEMA, "%s: no subject has the sdm target cause "
                        "train.cause=%d" % (cfg["data"]["subjects"], cause))
-    signal_names = tuple(ds.signals) if cfg["train"]["use_functional"] else ()
 
-    if not ds.mask.any():
+    if not mask.any():
         print("no missing values; MVI skipped")
 
     try:
-        if cfg["train"]["basis_grid_search"] and signal_names:
+        if cfg["train"]["basis_grid_search"] and ds.signals:
             best = None
             for d in cfg["train"]["basis_grid"]:
-                model, imputed = _fit_one(cfg, ds, grid, signal_names, d)
+                model, imputed = _fit_one(cfg, ds, grid, d)
                 val = min(h[2] for h in model.history)
                 print("basis count %d: validation loss %.6f" % (d, val))
                 if best is None or val < best[0]:
@@ -151,8 +150,7 @@ def cmd_train(cfg):
             _, d, model, imputed = best
             print("selected basis count %d" % d)
         else:
-            model, imputed = _fit_one(cfg, ds, grid, signal_names,
-                                      cfg["train"]["n_basis"])
+            model, imputed = _fit_one(cfg, ds, grid, cfg["train"]["n_basis"])
     except NumericError as e:
         raise CliError(EXIT_NUMERIC, str(e))
 
@@ -163,7 +161,7 @@ def cmd_train(cfg):
         w.writerows(model.history)
     if imputed is not None:
         np.savetxt(os.path.join(out, "imputed.csv"), imputed, delimiter=",")
-        np.savetxt(os.path.join(out, "imputed_mask.csv"), ds.mask.astype(int),
+        np.savetxt(os.path.join(out, "imputed_mask.csv"), mask.astype(int),
                    delimiter=",", fmt="%d")
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("model written to %s" % os.path.join(out, "model.json"))

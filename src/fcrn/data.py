@@ -40,20 +40,18 @@ class Signal(NamedTuple):
 
 @dataclass
 class Dataset:
-    """Subjects as columns: tabular covariates with missingness mask,
-    functional signals, outcome.
+    """Subjects as columns: tabular covariates, functional signals, outcome.
 
     cause = 0 encodes censoring; cause >= 1 is the observed event type.
-    Missing covariate cells hold NaN in X and True in mask; they must be
-    imputed before any feature assembly reads them. signals maps each
-    signal name to its Signal.
+    A missing covariate cell holds NaN in X and every other cell a finite
+    number; missing cells must be imputed before any feature assembly
+    reads them. signals maps each signal name to its Signal.
     """
 
     ids: np.ndarray
     time: np.ndarray
     cause: np.ndarray
     X: np.ndarray
-    mask: np.ndarray
     signals: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,10 +59,11 @@ class Dataset:
         self.time = np.asarray(self.time, dtype=np.float64)
         self.cause = np.asarray(self.cause, dtype=np.int64)
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.shape != self.X.shape:
-            raise DataError("mask shape %s != covariate shape %s"
-                            % (self.mask.shape, self.X.shape))
+
+    @property
+    def mask(self):
+        """The missing cells of X: True where X is NaN."""
+        return np.isnan(self.X)
 
     def __len__(self):
         return len(self.time)
@@ -80,7 +79,7 @@ class Dataset:
                       + np.repeat(sig.offsets[rows] - offsets[:-1], counts))
             signals[name] = Signal(sig.taus[points], sig.values[points], offsets)
         return Dataset(self.ids[rows], self.time[rows], self.cause[rows],
-                       self.X[rows], self.mask[rows], signals)
+                       self.X[rows], signals)
 
 
 def signal_matrix(ds, name, taus):
@@ -276,20 +275,19 @@ def write_subjects_csv(path, ds):
         w.writerows(zip(*columns))
 
 
-def optional_float(cell):
-    """The csv_columns kind of a cell that may be empty (NaN when empty)."""
-    return float(cell or "nan")
+# the csv_columns kind of a covariate column, whose missing cells are NaN
+OPTIONAL_FLOAT = "optional float"
 
 
 def csv_columns(path, reader, header, kinds, chunk_rows=CSV_CHUNK_ROWS):
     """(row number of the first row, columns) for consecutive blocks of up
     to chunk_rows rows of path's csv.reader, whose header (row 1) was read.
 
-    Column k is parsed by kinds[k]: str keeps the cells, int and float give
-    int64 and float64 arrays, and optional_float gives (float64 values with
-    NaN at empty cells, the mask of empty cells). When a block fails to
-    parse, a row scan raises a DataError naming its first row with the
-    wrong cell count or a cell that its kind rejects.
+    Column k is parsed by kinds[k]: str keeps the cells, int gives an int64
+    array, float a float64 array of finite numbers, and OPTIONAL_FLOAT a
+    float64 array that is NaN at empty or nan cells and finite elsewhere.
+    When a block fails to parse, a row scan raises a DataError naming its
+    first row with the wrong cell count or a cell that its kind rejects.
     """
     line = 2
     while rows := list(itertools.islice(reader, chunk_rows)):
@@ -305,34 +303,39 @@ def csv_columns(path, reader, header, kinds, chunk_rows=CSV_CHUNK_ROWS):
 
 
 def _parse_column(kind, cells):
-    if kind is optional_float:
+    """The column of cells as kind gives it (see csv_columns); ValueError
+    or OverflowError when a cell does not fit its kind."""
+    if kind is str:
+        return cells
+    if kind is int:
+        return np.array(cells, dtype=np.int64)
+    if kind is OPTIONAL_FLOAT:
         cells = np.array(cells, dtype=object)
-        mask = cells == ""
-        cells[mask] = "nan"
-        return cells.astype(np.float64), mask
-    return cells if kind is str else np.array(cells, dtype=kind)
+        cells[cells == ""] = "nan"
+    values = np.array(cells, dtype=np.float64)
+    if (np.isinf(values) if kind is OPTIONAL_FLOAT else ~np.isfinite(values)).any():
+        raise ValueError("non-finite number")
+    return values
 
 
 def _row_error(path, header, kinds, rows, line):
-    """The DataError of the first malformed row of a block."""
+    """The DataError of the first malformed row of a block that failed to
+    parse: each cell is parsed alone, as its column was."""
     for ln, row in enumerate(rows, start=line):
         if len(row) != len(header):
             return DataError("%s row %d: expected %d cells, got %d"
                              % (path, ln, len(header), len(row)))
         for name, kind, cell in zip(header, kinds, row):
             try:
-                kind(cell)
-            except ValueError:
+                _parse_column(kind, [cell])
+            except (ValueError, OverflowError):
                 return DataError("%s row %d column %s: bad numeric cell %r"
                                  % (path, ln, name, cell))
-    # Python's int takes what int64 cannot hold
-    return DataError("%s rows %d-%d: a number is out of range"
-                     % (path, line, line + len(rows) - 1))
 
 
 def read_subjects_csv(path):
-    """Parse the subject CSV into (Dataset, covariate names); empty
-    covariate cells become masked NaNs.
+    """Parse the subject CSV into a Dataset; empty and nan covariate cells
+    are missing (NaN).
 
     Malformed rows fail first (see csv_columns); then the first subject
     with a negative time or cause, then the first repeated id.
@@ -343,13 +346,10 @@ def read_subjects_csv(path):
         if header is None or header[:3] != ["id", "time", "cause"]:
             raise DataError("%s: expected header id,time,cause,..." % path)
         p = len(header) - 3
-        parts = [((), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, p)),
-                  np.zeros((0, p), dtype=bool))]
-        kinds = [str, float, int] + [optional_float] * p
+        parts = [((), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, p)))]
+        kinds = [str, float, int] + [OPTIONAL_FLOAT] * p
         for _, (ids, time, cause, *cells) in csv_columns(path, reader, header, kinds):
-            X = np.reshape([c[0] for c in cells], (p, len(ids))).T
-            mask = np.reshape([c[1] for c in cells], (p, len(ids))).T
-            parts.append((ids, time, cause, X, mask))
+            parts.append((ids, time, cause, np.reshape(cells, (p, len(ids))).T))
     ids, *columns = zip(*parts)
     ds = Dataset(list(itertools.chain(*ids)), *map(np.concatenate, columns))
     negative = np.flatnonzero((ds.time < 0) | (ds.cause < 0))
@@ -362,7 +362,7 @@ def read_subjects_csv(path):
         if first.setdefault(sid, k) != k:
             raise DataError("%s rows %d and %d: repeated subject id %r"
                             % (path, first[sid] + 2, k + 2, sid))
-    return ds, header[3:]
+    return ds
 
 
 def write_curves_csv(path, ds):
@@ -384,9 +384,8 @@ def read_curves_csv(path, ds):
     Signals are sorted by name and each subject's points by (tau, value).
     Malformed rows fail first (see csv_columns), then the first row of a
     subject ds lacks. Every subject needs every signal the file has, and
-    each curve at least 2 strictly increasing sample points in [0, 1]
-    with finite values; the first failing curve in file order names the
-    error.
+    each curve at least 2 strictly increasing sample points in [0, 1];
+    the first failing curve in file order names the error.
     """
     position = {sid: k for k, sid in enumerate(ds.ids.tolist())}
     code = {}  # signal name -> code, in order of first appearance
@@ -412,13 +411,12 @@ def read_curves_csv(path, ds):
     if unknown:
         raise DataError("%s row %d: unknown subject id %r" % (path, *unknown))
     signals = _check_curves(path, ds.ids, list(code), *map(np.concatenate, zip(*parts)))
-    return Dataset(ds.ids, ds.time, ds.cause, ds.X, ds.mask, signals)
+    return Dataset(ds.ids, ds.time, ds.cause, ds.X, signals)
 
 
 CURVE_ERRORS = (None, "curve %r needs at least 2 sample points",
                 "curve %r: sample points must be strictly increasing",
-                "curve %r: sample points must lie in [0, 1]",
-                "curve %r: values must be finite")
+                "curve %r: sample points must lie in [0, 1]")
 
 
 def _check_curves(path, ids, names, subj, signal, taus, vals):
@@ -435,8 +433,7 @@ def _check_curves(path, ids, names, subj, signal, taus, vals):
         return np.bincount(curve[points], minlength=len(starts)) > 0
     step = (np.diff(curve, prepend=-1) == 0) & ~(np.diff(taus, prepend=-np.inf) > 0)
     problem = np.select([counts < 2, flagged(step),
-                         flagged(~((taus >= 0.0) & (taus <= 1.0))),
-                         flagged(~np.isfinite(vals))], [1, 2, 3, 4])
+                         flagged(~((taus >= 0.0) & (taus <= 1.0)))], [1, 2, 3])
     failing = np.flatnonzero(problem)
     if len(failing):
         k = failing[np.argmin(np.minimum.reduceat(order, starts)[failing])]

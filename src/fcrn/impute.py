@@ -20,6 +20,8 @@ from .data import censoring_survival  # noqa: F401
 from .model import fit, init_model, table_batch, train_model
 
 COND_VAR_FLOOR = 1e-8
+# sgld_impute's epochs between graphical-model refits
+GGM_REFIT_EVERY = 10
 
 
 @dataclass
@@ -177,26 +179,26 @@ def i_step(X, mask, ggm, eta, rng, pred_grad=None, noise=True):
     return X
 
 
-def sgld_impute(X, mask, settings, rng, epochs=None, ggm_refit_every=10):
-    """Prior-only SGLD imputation loop (prediction gradient disabled).
+def sgld_impute(X, mask, settings, rng):
+    """Prior-only SGLD imputation loop of settings.max_epochs epochs.
 
     Returns the filled matrix; observed cells are never touched.
     """
     X = median_init(X, mask)
-    epochs = epochs if epochs is not None else settings.max_epochs
     ggm = fit_ggm(X, settings.corr_threshold, settings.k_max, settings.ridge)
-    for epoch in range(epochs):
+    for epoch in range(settings.max_epochs):
         eta = eta_at(epoch, settings)
         for _ in range(settings.i_repeats):
             i_step(X, mask, ggm, eta, rng, noise=settings.noise)
-        if ggm_refit_every and (epoch + 1) % ggm_refit_every == 0:
+        if (epoch + 1) % GGM_REFIT_EVERY == 0:
             ggm = fit_ggm(X, settings.corr_threshold, settings.k_max, settings.ridge)
     return X
 
 
 def iro_train(ds, grid, head, settings, impute_settings=None,
-              n_causes=None, target_cause=None, signal_names=()):
-    """Train an FCRN while imputing missing tabular covariates.
+              n_causes=None, target_cause=None):
+    """Train an FCRN, a basis layer per signal of ds, while imputing
+    missing tabular covariates.
 
     The training loop is model.fit's, with an I-step at the start of every
     epoch: a graphical-model refit on the current imputed matrix, then
@@ -213,13 +215,12 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     mask = ds.mask
     if not mask.any():
         model = train_model(ds, grid, head, settings, n_causes=n_causes,
-                            target_cause=target_cause, signal_names=signal_names)
+                            target_cause=target_cause)
         return model, ds.X.copy()
 
     imp = impute_settings or ImputeSettings()
     rng = np.random.RandomState(settings.seed)
-    model = init_model(ds, grid, head, settings, n_causes, target_cause,
-                       signal_names, rng)
+    model = init_model(ds, grid, head, settings, n_causes, target_cause, rng)
     sgld_rng = np.random.RandomState(rng.randint(2 ** 31))
     X_filled = median_init(ds.X, mask)
     model.fit_normalization(X_filled)

@@ -19,8 +19,11 @@ from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer
 from .data import (DataError, TimeGrid, augment_cause_specific,
                    augment_subdistribution, censoring_survival, signal_matrix)
 
-# person-period rows predicted per forward pass; bounds prediction memory
+# person-period rows times time-feature columns (1 scalar, L one-hot) per
+# prediction forward pass; bounds prediction memory
 PREDICT_ROWS = 16384
+# most points of a signal's canonical sample grid
+CANONICAL_GRID_CAP = 101
 
 # Person-period rows of one step: the full normalized covariate matrix xn,
 # the normalized curve matrices by signal name, and the rows' subject
@@ -215,14 +218,11 @@ class FCRNModel:
         """
         n = len(ds)
         L = self.grid.n_intervals
-        X = np.where(ds.mask, self.fill_values, ds.X)
-        if np.any(~np.isfinite(X)):
-            raise ValueError("unimputed missing covariates reached prediction")
-        xn = self.normalize(X)
+        xn = self.normalize(np.where(ds.mask, self.fill_values, ds.X))
         curve_mats = self.curve_matrices(ds)
         n_out = self.n_causes + 1 if self.head == "csm" else 1
         probs = np.empty((n, L, n_out))
-        step = max(1, PREDICT_ROWS // L)
+        step = max(1, PREDICT_ROWS // (L * self._time_feature([1]).shape[1]))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             subj_idx = np.repeat(np.arange(lo, hi), L)
@@ -384,26 +384,24 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
     return total / max(count, 1)
 
 
-def train_model(ds, grid, head, settings, n_causes=None, target_cause=None,
-                signal_names=()):
-    """Fit an FCRN on a complete-data dataset (no missingness path).
+def train_model(ds, grid, head, settings, n_causes=None, target_cause=None):
+    """Fit an FCRN, a basis layer per signal of ds, on complete data.
 
     Returns the model with the best validation loss under early stopping.
     """
     rng = np.random.RandomState(settings.seed)
-    model = init_model(ds, grid, head, settings, n_causes, target_cause,
-                       signal_names, rng)
+    model = init_model(ds, grid, head, settings, n_causes, target_cause, rng)
     if ds.mask.any():
         raise ValueError("dataset has missing values; use the imputation loop")
     model.fit_normalization(ds.X)
     return fit(model, ds, model.normalize(ds.X), settings, rng)
 
 
-def init_model(ds, grid, head, settings, n_causes, target_cause,
-               signal_names, rng):
-    """An initialized model with its curve normalization fitted."""
+def init_model(ds, grid, head, settings, n_causes, target_cause, rng):
+    """An initialized model, a basis layer per signal of ds, with its curve
+    normalization fitted."""
     signal_specs = [{"name": name, "taus": _canonical_grid(ds, name),
-                     "n_basis": settings.n_basis} for name in signal_names]
+                     "n_basis": settings.n_basis} for name in ds.signals]
     model = FCRNModel(head=head, grid=grid, n_tabular=ds.X.shape[1],
                       n_causes=n_causes, target_cause=target_cause,
                       signal_specs=signal_specs, hidden=settings.hidden,
@@ -412,11 +410,11 @@ def init_model(ds, grid, head, settings, n_causes, target_cause,
     return model
 
 
-def _canonical_grid(ds, name, cap=101):
-    """Union of observed tau grids for one signal, capped at `cap` points."""
+def _canonical_grid(ds, name):
+    """Union of observed tau grids for one signal, capped at CANONICAL_GRID_CAP."""
     taus = np.unique(ds.signals[name].taus)
-    if len(taus) > cap:
-        taus = np.linspace(taus[0], taus[-1], cap)
+    if len(taus) > CANONICAL_GRID_CAP:
+        taus = np.linspace(taus[0], taus[-1], CANONICAL_GRID_CAP)
     return taus
 
 

@@ -116,15 +116,16 @@ def gen_tabular(n, rng):
     return X, hidden
 
 
-def gen_functional(n, rng, config, X=None):
-    """Spline-coefficient curves: values (n_signals, n, J) on a uniform grid."""
+def gen_functional(n, rng, config, X):
+    """Spline-coefficient curves coupled to the covariates X: values
+    (n_signals, n, J) on a uniform grid."""
     basis = BSplineBasis(n_basis=config.n_spline_basis)
     taus = np.linspace(0.0, 1.0, config.n_sample_points)
     design = bspline_design(basis, taus)  # (J, K)
     curves = np.empty((config.n_signals, n, config.n_sample_points))
     for s in range(config.n_signals):
         coefs = rng.standard_normal((n, config.n_spline_basis))
-        if config.curve_covariate_coupling and X is not None:
+        if config.curve_covariate_coupling:
             # first coefficients shift with two tabular covariates so the
             # signals carry outcome-relevant information
             coefs[:, 0] += config.curve_covariate_coupling * X[:, s % 2]
@@ -154,26 +155,26 @@ def gen_outcomes(X, hidden, rng, config):
     return time, cause.astype(int)
 
 
-def apply_mar(X, rate, rng, anchors=ANCHOR_COLUMNS, beta=(1.0, 1.0)):
+def apply_mar(X, rate, rng):
     """MAR mask over the non-anchor columns calibrated to an overall rate.
 
-    Per-cell missingness probability is logistic in the two (standardized)
-    anchor covariates; the intercept is found by bisection so the expected
-    overall rate over all columns matches the target.
+    Per-cell missingness probability is logistic in the summed standardized
+    ANCHOR_COLUMNS covariates; the intercept is found by bisection so the
+    expected overall rate over all columns matches the target.
     """
     n, p = X.shape
     if rate == 0.0:
         return np.zeros((n, p), dtype=bool)
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must lie in [0, 1)")
-    maskable = [j for j in range(p) if j not in anchors]
+    maskable = [j for j in range(p) if j not in ANCHOR_COLUMNS]
     target = rate * p / len(maskable)
     if target >= 1.0:
         raise ValueError("target rate %g unreachable with %d maskable columns"
                          % (rate, len(maskable)))
-    z = X[:, list(anchors)]
+    z = X[:, list(ANCHOR_COLUMNS)]
     z = (z - z.mean(axis=0)) / np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
-    score = z @ np.asarray(beta)
+    score = z.sum(axis=1)
 
     def mean_prob(alpha):
         return float(np.mean(1.0 / (1.0 + np.exp(-(alpha + score)))))
@@ -214,7 +215,7 @@ def simulate(config):
                                                 curves[s].ravel(), offsets)
                    for s in range(config.n_signals)}
     ds = Dataset(["s%04d" % i for i in range(config.n)], time, cause,
-                 np.where(mask, np.nan, X), mask, signals)
+                 np.where(mask, np.nan, X), signals)
     order = rng.permutation(config.n)
     train = ds.take(order[:config.n_train])
     test = ds.take(order[config.n_train:])

@@ -8,13 +8,13 @@ import numpy as np
 from fcrn.data import Dataset, assign_intervals
 
 
-def dataset(time, cause, X=None, mask=None, ids=None, signals=None):
-    """A Dataset from columns: X defaults to one zero covariate per subject,
-    mask to the NaN cells of X, ids to s0, s1, ..."""
+def dataset(time, cause, X=None, ids=None, signals=None):
+    """A Dataset from columns: X (NaN at missing cells) defaults to one zero
+    covariate per subject, ids to s0, s1, ..."""
     n = len(time)
-    X = np.zeros((n, 1)) if X is None else np.asarray(X, dtype=np.float64)
+    X = np.zeros((n, 1)) if X is None else X
     return Dataset(["s%d" % i for i in range(n)] if ids is None else ids, time, cause,
-                   X, np.isnan(X) if mask is None else mask, signals or {})
+                   X, signals or {})
 
 
 @dataclass
@@ -32,12 +32,12 @@ class Record:
 
 def records(ds):
     """The subjects of ds as Records, curves in the dataset's signal order."""
-    out = []
+    out, mask = [], ds.mask
     for i in range(len(ds)):
         curves = [(name, sig.taus[sig.offsets[i]:sig.offsets[i + 1]],
                    sig.values[sig.offsets[i]:sig.offsets[i + 1]])
                   for name, sig in ds.signals.items()]
-        out.append(Record(ds.ids[i], ds.X[i], ds.mask[i], float(ds.time[i]),
+        out.append(Record(ds.ids[i], ds.X[i], mask[i], float(ds.time[i]),
                           int(ds.cause[i]), curves))
     return out
 

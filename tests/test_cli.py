@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrn.cli import _settings, main
 from fcrn.config import MAX_INTERVALS, load_config
@@ -44,6 +47,17 @@ def drop_curve_rows(path, keep):
         rows = list(csv.reader(fh))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows[:1] + [r for r in rows[1:] if keep(r[0], r[1])])
+
+
+def write_with_cells(src, dst, cells):
+    """Copy the CSV src to dst with the cells {(row, column): text} replaced;
+    row 1 is the header."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for (r, c), text in cells.items():
+        rows[r - 1][c] = text
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def train_args(out_dir, data_dir, functional=False, extra=()):
@@ -119,6 +133,25 @@ class TestTrainCommand:
         assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 3
         assert "covariate 3 of 10 is missing for every subject" in \
             capsys.readouterr().err
+
+    def test_nan_covariate_cell_is_missing_like_an_empty_one(self, tmp_path):
+        # a nan cell used to parse as an observed number: train exited 4 and
+        # predict crashed
+        simulate_small(tmp_path / "sim", n=40, seed=5)
+        outputs = []
+        for text in ("", "nan"):
+            d = tmp_path / (text or "empty")
+            d.mkdir()
+            for name in ("train_subjects.csv", "test_subjects.csv"):
+                write_with_cells(tmp_path / "sim" / name, d / name, {(3, 4): text})
+            assert run(train_args(d / "run", d)) == 0
+            assert run(sets(out_dir=str(d / "pred"),
+                            data__subjects=str(d / "test_subjects.csv"))
+                       + ["predict", "--model", str(d / "run" / "model.json")]) == 0
+            outputs.append([(d / f).read_bytes() for f in (
+                "run/model.json", "run/training_log.csv", "run/imputed.csv",
+                "run/imputed_mask.csv", "pred/predictions.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_cause_beyond_n_causes_is_schema_error(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim", n=40, seed=0)
@@ -590,14 +623,75 @@ class TestEvaluateCommand:
         assert "time 150 outside evaluation grid" in capsys.readouterr().err
 
     def test_malformed_prediction_row_is_schema_error(self, tmp_path, capsys):
+        # a nan or inf cell used to be scored, printing IBS nan or inf
         subjects, preds = self._pipeline(tmp_path)
 
         original = preds.read_bytes()
         for column in (3, 5):  # cif_1, then survival
-            def edit(rows):
-                rows[7][column] = "oops"
-                return rows
-            preds.write_bytes(original)
-            self._edit_rows(preds, edit)
-            assert self._evaluate(tmp_path, subjects, preds) == 3
-            assert "row 9" in capsys.readouterr().err
+            for text in ("oops", "nan", "inf"):
+                def edit(rows):
+                    rows[7][column] = text
+                    return rows
+                preds.write_bytes(original)
+                self._edit_rows(preds, edit)
+                assert self._evaluate(tmp_path, subjects, preds) == 3
+                assert "row 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, text", [(1, "nan"), (1, "inf"), (1, "1e400"),
+                                              (4, "inf"), (4, "-inf")])
+    def test_non_finite_subject_cell_is_schema_error(self, tmp_path, capsys, column,
+                                                     text):
+        # a nan time used to pass every command (assign_intervals put it in
+        # interval L) and an inf one to exit 5 in predict and evaluate; an
+        # infinite covariate made train exit 4 and predict crash
+        subjects, preds = self._pipeline(tmp_path)
+        bad = tmp_path / "bad.csv"
+        write_with_cells(subjects, bad, {(3, column): text})
+        for command in (["train"],
+                        ["predict", "--model", str(tmp_path / "run" / "model.json")],
+                        ["evaluate", "--predictions", str(preds)]):
+            assert run(sets(out_dir=str(tmp_path / "out"), data__subjects=str(bad),
+                            train__max_epochs=1) + command) == 3
+            assert "bad.csv row 3 column %s: bad numeric cell %r" % (
+                "time" if column == 1 else "x2", text) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cohort(tmp_path_factory):
+    """The rows (header first) of a simulated 24-subject cohort's train and
+    test subject files, by file name."""
+    d = tmp_path_factory.mktemp("cohort")
+    simulate_small(d, n=24, seed=8)
+    out = {}
+    for name in ("train_subjects.csv", "test_subjects.csv"):
+        with open(d / name, newline="") as fh:
+            out[name] = list(csv.reader(fh))
+    return out
+
+
+class TestMutatedSubjectCells:
+    TEXTS = ["", "nan", "inf", "-inf", "-1", "1e400", "x"]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_train_and_predict_exit_with_a_documented_code(self, cohort, data):
+        # time, cause and covariate cells of both files take blank, non-finite,
+        # negative, overflowing or garbled texts; no exception may escape
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, rows in cohort.items():
+                rows = [list(row) for row in rows]
+                for _ in range(data.draw(st.integers(0, 2))):
+                    row = rows[data.draw(st.integers(1, len(rows) - 1))]
+                    row[data.draw(st.integers(1, len(row) - 1))] = \
+                        data.draw(st.sampled_from(self.TEXTS))
+                with open(tmp / name, "w", newline="") as fh:
+                    csv.writer(fh).writerows(rows)
+            code = run(train_args(tmp / "run", tmp, extra=sets(
+                train__max_epochs=1, train__hidden=[4])))
+            assert code in (0, 2, 3, 4, 5)
+            if code == 0:
+                code = run(sets(out_dir=str(tmp / "pred"),
+                                data__subjects=str(tmp / "test_subjects.csv"))
+                           + ["predict", "--model", str(tmp / "run" / "model.json")])
+                assert code in (0, 2, 3, 4, 5)

@@ -202,7 +202,7 @@ class TestIroTrain:
         times = rng.uniform(0, 20, size=n)
         causes = rng.randint(0, 3, size=n)
         mask = np.array([rng.rand(p) < missing_rate for _ in range(n)])
-        return dataset(times, causes, X=np.where(mask, np.nan, X), mask=mask)
+        return dataset(times, causes, X=np.where(mask, np.nan, X))
 
     def test_no_missing_falls_through_to_plain_trainer(self):
         from fcrn.model import train_model

@@ -72,11 +72,11 @@ class TestFeatureAssembly:
         f = model._time_feature([2])
         assert f.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
-    def test_unimputed_missing_rejected_without_fill(self):
+    def test_missing_cell_is_predicted_at_its_fill_value(self):
         model = make_model("csm")
-        model.fill_values = np.array([np.nan, np.nan])
-        with pytest.raises(ValueError, match="unimputed"):
-            model.predict_hazards(subj("a", 3.0, 1, [np.nan, 1.0]))
+        model.fill_values = np.array([0.7, -0.2])
+        assert np.array_equal(model.predict_hazards(subj("a", 3.0, 1, [np.nan, 1.0])),
+                              model.predict_hazards(subj("a", 3.0, 1, [0.7, 1.0])))
 
 
 class TestHeads:
@@ -335,7 +335,7 @@ class TestSerialization:
     def test_parent_model_files_predict_parent_cifs(self):
         # model.json files and CIFs written by the per-parameter tape code
         # that preceded the flat parameter vector
-        subjects, _ = read_subjects_csv(FIXTURES / "subjects.csv")
+        subjects = read_subjects_csv(FIXTURES / "subjects.csv")
         subjects = read_curves_csv(FIXTURES / "curves.csv", subjects)
         expected = json.loads((FIXTURES / "expected_cif.json").read_text())
         csm = FCRNModel.load(FIXTURES / "model_csm.json")

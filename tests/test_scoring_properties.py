@@ -85,6 +85,14 @@ def ref_score_cif(F, subjects, cause, grid, g=None, t0=0.0, t_max=None):
                       ibs=ibs(times, values))
 
 
+def ref_float(cell):
+    """float(cell) for a cell that holds a finite number, else ValueError."""
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError("non-finite number %r" % cell)
+    return value
+
+
 def ref_read_subjects_csv(path):
     subjects = []
     with open(path, newline="") as fh:
@@ -98,7 +106,7 @@ def ref_read_subjects_csv(path):
                 raise DataError("%s row %d: expected %d cells, got %d"
                                 % (path, ln, len(header), len(row)))
             try:
-                time = float(row[1])
+                time = ref_float(row[1])
             except ValueError:
                 raise DataError("%s row %d column time: bad numeric cell %r"
                                 % (path, ln, row[1]))
@@ -108,19 +116,16 @@ def ref_read_subjects_csv(path):
                 raise DataError("%s row %d column cause: bad numeric cell %r"
                                 % (path, ln, row[2]))
             x = np.empty(len(names))
-            mask = np.zeros(len(names), dtype=bool)
             for j, cell in enumerate(row[3:]):
-                if cell == "":
-                    x[j] = np.nan
-                    mask[j] = True
-                else:
-                    try:
-                        x[j] = float(cell)
-                    except ValueError:
-                        raise DataError("%s row %d column %s: bad numeric cell %r"
-                                        % (path, ln, names[j], cell))
-            subjects.append(Record(id=row[0], x=x, missing_mask=mask, time=time,
-                                   cause=cause))
+                try:  # an empty or nan cell is missing, an infinite one bad
+                    x[j] = np.nan if cell == "" else float(cell)
+                    if np.isinf(x[j]):
+                        raise ValueError("infinite number %r" % cell)
+                except ValueError:
+                    raise DataError("%s row %d column %s: bad numeric cell %r"
+                                    % (path, ln, names[j], cell))
+            subjects.append(Record(id=row[0], x=x, missing_mask=np.isnan(x),
+                                   time=time, cause=cause))
     # meaning checks follow the parse of the whole file
     for s in subjects:
         if s.time < 0:
@@ -133,7 +138,7 @@ def ref_read_subjects_csv(path):
             raise DataError("%s rows %d and %d: repeated subject id %r"
                             % (path, rows[s.id], ln, s.id))
         rows[s.id] = ln
-    return subjects, names
+    return subjects
 
 
 def ref_read_curves_csv(path, subjects):
@@ -151,7 +156,7 @@ def ref_read_curves_csv(path, subjects):
                                 % (path, ln, len(row)))
             for column, cell in zip(["tau", "value"], row[2:]):
                 try:
-                    float(cell)
+                    ref_float(cell)
                 except ValueError:
                     raise DataError("%s row %d column %s: bad numeric cell %r"
                                     % (path, ln, column, cell))
@@ -172,8 +177,6 @@ def ref_read_curves_csv(path, subjects):
                             % name)
         if taus[0] < 0.0 or taus[-1] > 1.0:
             raise DataError("curve %r: sample points must lie in [0, 1]" % name)
-        if not np.all(np.isfinite(vals)):
-            raise DataError("curve %r: values must be finite" % name)
         by_id[sid].curves.append((name, taus, vals))
     for name in dict.fromkeys(name for _, name in buf):  # in order of appearance
         for s in subjects:
@@ -187,7 +190,7 @@ def ref_read_curves_csv(path, subjects):
 def ref_prediction_row_error(path):
     """The DataError of the first malformed row of a predictions CSV, read
     row by row: a row of the wrong length, or an interval cell that is not
-    an integer or a time, cif_ or survival cell that is not a number."""
+    an integer or a time, cif_ or survival cell that is not a finite number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -200,7 +203,7 @@ def ref_prediction_row_error(path):
                     if name == "interval":
                         int(cell)
                     elif name in ("time", "survival") or name.startswith("cif_"):
-                        float(cell)
+                        ref_float(cell)
                 except ValueError:
                     return DataError("%s row %d column %s: bad numeric cell %r"
                                      % (path, ln, name, cell))
@@ -388,7 +391,8 @@ class TestBrierMatchesLoop:
 # ---------------------------------------------------------------------------
 
 CELL = st.one_of(st.floats(allow_nan=False).map(repr), st.just(""),
-                 st.integers(-5, 5).map(str), st.sampled_from(["1e-3", " 2 ", "inf"]))
+                 st.integers(-5, 5).map(str),
+                 st.sampled_from(["1e-3", " 2 ", "inf", "nan", "-nan", "1e400"]))
 
 
 def assert_same_subjects(ds, expected):
@@ -418,7 +422,8 @@ class TestReadersMatchLoop:
     def test_subjects(self, n, p, data):
         rows = [["s%d" % i,
                  data.draw(st.one_of(st.floats(0, 50).map(repr),
-                                     st.sampled_from(["-1.0", "x", "3"]))),
+                                     st.sampled_from(["-1.0", "x", "3", "nan", "inf",
+                                                      "1e400"]))),
                  data.draw(st.sampled_from(["0", "1", "2", "-1", "1.0"]))]
                 + data.draw(st.lists(CELL | st.just("bad"), min_size=p, max_size=p))
                 for i in range(n)]
@@ -438,8 +443,7 @@ class TestReadersMatchLoop:
             assert got == expected
         else:
             assert not isinstance(got, str), got
-            assert got[1] == expected[1]
-            assert_same_subjects(got[0], expected[0])
+            assert_same_subjects(got, expected)
 
     @PROPERTY
     @given(data=st.data())
@@ -491,9 +495,8 @@ class TestReadersMatchLoop:
                                          missing_rate=0.2))
         write_subjects_csv(tmp_path / "s.csv", train)
         write_curves_csv(tmp_path / "c.csv", train)
-        got, names = read_subjects_csv(tmp_path / "s.csv")
-        expected, ref_names = ref_read_subjects_csv(tmp_path / "s.csv")
-        assert names == ref_names
+        got = read_subjects_csv(tmp_path / "s.csv")
+        expected = ref_read_subjects_csv(tmp_path / "s.csv")
         got = read_curves_csv(tmp_path / "c.csv", got)
         ref_read_curves_csv(tmp_path / "c.csv", expected)
         assert_same_subjects(got, expected)
@@ -581,7 +584,8 @@ class TestPredictionsFile:
         grid, ids, names, columns = case
         if not ids:
             return
-        bad = st.sampled_from(["", "x", "1,5", "0x10", "--1"])
+        bad = st.sampled_from(["", "x", "1,5", "0x10", "--1", "nan", "inf", "-inf",
+                               "1e400"])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "p.csv")
             write_predictions(path, ids, grid, names, columns)
