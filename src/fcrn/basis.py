@@ -29,40 +29,16 @@ def trapezoid_weights(taus):
 
 
 class BasisLayer:
-    """D micro-networks tau -> B_d(tau) over one functional signal, plus its
-    integration rule.
+    """The projection of one functional signal onto its D micro-networks.
 
-    The micro-networks are stacked: weights[k] is (D, fan_out, fan_in) and
-    biases[k] is (D, fan_out), for the tanh sublayers and then the linear
-    output. Inside a model they are views into its flat parameter vector;
-    a layer built alone owns zero-filled arrays.
+    spec is the signal's record in model.signal_specs; weights[k] (D,
+    fan_out, fan_in) and biases[k] (D, fan_out) are its views of the
+    model's parameters, the tanh sublayers first and the linear output last.
     """
 
-    def __init__(self, n_basis, taus, width=MICRO_WIDTH, depth=MICRO_DEPTH,
-                 params=None):
-        if n_basis < 1:
-            raise ValueError("need at least one basis node")
-        self.taus = np.asarray(taus, dtype=np.float64)
-        self.int_weights = trapezoid_weights(self.taus)
-        self.n_basis = n_basis
-        self.width = width
-        self.depth = depth
-        if params is None:
-            shapes = ad.micro_shapes(n_basis, width, depth)
-            params = ([np.zeros(w) for w, _ in shapes], [np.zeros(b) for _, b in shapes])
-        self.weights, self.biases = params
-
-    def init(self, rng):
-        """Glorot weights and zero biases, drawn net by net, sublayer by sublayer."""
-        for d in range(self.n_basis):
-            for w in self.weights:
-                w[d] = ad.glorot_uniform(w.shape[1], w.shape[2], rng)
-        for b in self.biases:
-            b[...] = 0.0
-
-    def basis_matrix(self):
-        """(J, D) basis values on the canonical tau grid."""
-        return ad.micro_forward(self.weights, self.biases, self.taus)[0]
+    def __init__(self, spec, views):
+        self.spec = spec
+        self.weights, self.biases = views
 
     def project(self, curve_values):
         """Project curves sampled on the canonical grid onto the learned basis.
@@ -72,7 +48,8 @@ class BasisLayer:
         a_d = sum_j w_j B_d(tau_j) x(tau_j).
         """
         vals = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
-        if vals.shape[1] != self.taus.size:
+        taus = self.spec["taus"]
+        if vals.shape[1] != taus.size:
             raise ValueError("curve sampled on %d points, layer expects %d"
-                             % (vals.shape[1], self.taus.size))
-        return ad.project(vals * self.int_weights, self.weights, self.biases, self.taus)
+                             % (vals.shape[1], taus.size))
+        return ad.project(vals * self.spec["int_weights"], self.weights, self.biases, taus)

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .config import ConfigError, dump_config, load_config
-from .data import (CSV_CHUNK_ROWS, DataError, build_time_grid, csv_columns,
-                   read_curves_csv, read_subjects_csv, write_curves_csv,
-                   write_subjects_csv, censoring_survival)
+from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
+                   csv_columns, read_curves_csv, read_subjects_csv,
+                   write_curves_csv, write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
 from .metrics import evaluation_columns, score_cif
 from .model import FCRNModel, NumericError, TrainSettings, train_model
@@ -61,8 +61,8 @@ def _load_dataset(cfg, need_curves):
 
 
 def _check_times(ds, max_time, code, message):
-    """Exit with code, naming the first subject observed past max_time."""
-    beyond = np.flatnonzero(ds.time > max_time)
+    """Exit with code, naming the first subject observed past max_time + GRID_TOL."""
+    beyond = np.flatnonzero(ds.time > max_time + GRID_TOL)
     if len(beyond):
         k = beyond[0]
         raise CliError(code, "subject %s time %g %s" % (ds.ids[k], ds.time[k], message))
@@ -177,19 +177,15 @@ def cmd_predict(cfg, model_path):
                        "on %d" % (cfg["data"]["subjects"], ds.X.shape[1],
                                   model_path, model.n_tabular))
     grid = model.grid
-    _check_times(ds, grid.max_time + 1e-9, EXIT_COMPAT,
+    _check_times(ds, grid.max_time, EXIT_COMPAT,
                  "outside model grid (max %g)" % grid.max_time)
     if model.head == "csm":
         names = ["cif_%d" % m for m in range(1, model.n_causes + 1)] + ["survival"]
-        if len(ds):
-            S, F = model.predict_cif(ds)
-            columns = [F[:, k] for k in range(model.n_causes)] + [S]
+        S, F = model.predict_cif(ds)
+        columns = [F[:, k] for k in range(model.n_causes)] + [S]
     else:
         names = ["cif_%d" % model.target_cause]
-        if len(ds):
-            columns = [model.predict_cif(ds)]
-    if not len(ds):
-        columns = [np.zeros((0, grid.n_intervals + 1))] * len(names)
+        columns = [model.predict_cif(ds)]
     path = os.path.join(out, "predictions.csv")
     write_predictions(path, ds.ids, grid, names, columns)
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
@@ -261,7 +257,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                                dtype=np.intp, count=len(time))
             in_grid = (interval >= 1) & (interval <= L)
             endpoint = grid.cuts[np.where(in_grid, interval, 0)]
-            misfit = (subj < 0) | ~in_grid | ~(np.abs(time - endpoint) <= 1e-9)
+            misfit = (subj < 0) | ~in_grid | ~(np.abs(time - endpoint) <= GRID_TOL)
             if misfit.any():
                 k = int(np.argmax(misfit))
                 if subj[k] < 0:
@@ -297,11 +293,11 @@ def cmd_evaluate(cfg, predictions_path):
         raise CliError(EXIT_SCHEMA, "%s: no subjects to score"
                        % cfg["data"]["subjects"])
     grid = build_time_grid(cfg["grid"]["max_time"], cfg["grid"]["width"])
-    _check_times(ds, grid.max_time + 1e-9, EXIT_COMPAT,
+    _check_times(ds, grid.max_time, EXIT_COMPAT,
                  "outside evaluation grid (max %g)" % grid.max_time)
     t0 = cfg["evaluate"]["t0"]
     for horizon in cfg["evaluate"]["horizons"]:
-        if horizon > grid.max_time + 1e-9:
+        if horizon > grid.max_time + GRID_TOL:
             raise CliError(EXIT_COMPAT, "horizon %g beyond predictions (max %g)"
                            % (horizon, grid.max_time))
         if len(evaluation_columns(grid, t0, horizon)) < 2:

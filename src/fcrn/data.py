@@ -15,6 +15,8 @@ import numpy as np
 
 # floor for the censoring-survival estimate, avoids division by zero in weights
 G_FLOOR = 1e-4
+# how far a time may lie past a grid time and still count as on it
+GRID_TOL = 1e-9
 # CSV rows parsed per chunk: a chunk's cells become arrays a column at a
 # time. Small chunks let csv's row lists die young; chunks of thousands of
 # rows outlive the young GC generations and set off full collections,
@@ -145,7 +147,7 @@ def assign_intervals(times, grid):
     the grid names the first of them.
     """
     times = np.asarray(times, dtype=np.float64)
-    outside = (times < 0) | (times > grid.max_time + 1e-9)
+    outside = (times < 0) | (times > grid.max_time + GRID_TOL)
     if outside.any():
         raise ValueError("time %g outside grid [0, %g]"
                          % (times[outside][0], grid.max_time))
@@ -359,9 +361,10 @@ def read_subjects_csv(path):
             ds.ids[k], "observed time" if ds.time[k] < 0 else "cause"))
     first = {}  # id -> index of its first row
     for k, sid in enumerate(ds.ids.tolist()):
-        if first.setdefault(sid, k) != k:
+        if sid in first:
             raise DataError("%s rows %d and %d: repeated subject id %r"
                             % (path, first[sid] + 2, k + 2, sid))
+        first[sid] = k
     return ds
 
 
@@ -404,7 +407,8 @@ def read_curves_csv(path, ds):
                 k = int(np.argmax(subj < 0))
                 unknown = (line + k, ids[k])
             for name in dict.fromkeys(names):
-                code.setdefault(name, len(code))
+                if name not in code:
+                    code[name] = len(code)
             signal = np.fromiter(map(code.__getitem__, names), dtype=np.intp,
                                  count=len(ids))
             parts.append((subj, signal, taus, vals))

@@ -79,11 +79,9 @@ def fit_ggm(X, corr_threshold=ImputeSettings.corr_threshold,
             k_max=ImputeSettings.k_max, ridge=ImputeSettings.ridge):
     """Learn the graph by correlation thresholding and fit its conditionals."""
     X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    if p < 2:
-        raise ValueError("need at least 2 covariates for a graphical model")
+    p = X.shape[1]
     mu = X.mean(axis=0)
-    cov = np.cov(X.T, bias=False)
+    cov = np.atleast_2d(np.cov(X.T, bias=False))
     sd = np.sqrt(np.maximum(np.diag(cov), 1e-12))
     corr = cov / np.outer(sd, sd)
     neighborhoods, coefs, cond_vars = [], [], []

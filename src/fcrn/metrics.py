@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import G_FLOOR, assign_intervals
+from .data import G_FLOOR, GRID_TOL, assign_intervals
 
 
 @dataclass
@@ -87,10 +87,10 @@ def ibs(times, values):
 
 def evaluation_columns(grid, t0=0.0, t_max=None):
     """Grid columns scored between t0 and t_max (default the grid's end): the
-    interval endpoints in [t0, t_max], within 1e-9."""
+    interval endpoints in [t0, t_max], within GRID_TOL."""
     if t_max is None:
         t_max = grid.max_time
-    return np.flatnonzero((t0 - 1e-9 <= grid.cuts) & (grid.cuts <= t_max + 1e-9))
+    return np.flatnonzero((t0 - GRID_TOL <= grid.cuts) & (grid.cuts <= t_max + GRID_TOL))
 
 
 def score_cif(F, ds, cause, grid, g=None, t0=0.0, t_max=None):

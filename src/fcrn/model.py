@@ -8,6 +8,7 @@ target cause. The interval index enters as a scalar t/L feature by default
 """
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import namedtuple
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer
+from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, trapezoid_weights
 from .data import (DataError, TimeGrid, augment_cause_specific,
                    augment_subdistribution, censoring_survival, signal_matrix)
 
@@ -24,6 +25,9 @@ from .data import (DataError, TimeGrid, augment_cause_specific,
 PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
+
+# the fields of a signal record that model.json stores
+SIGNAL_FIELDS = ("name", "taus", "n_basis", "mean", "std", "micro_width", "micro_depth")
 
 # Person-period rows of one step: the full normalized covariate matrix xn,
 # the normalized curve matrices by signal name, and the rows' subject
@@ -65,10 +69,12 @@ class FCRNModel:
                  time_encoding=TrainSettings.time_encoding, rng=None):
         if head not in ("csm", "sdm"):
             raise ValueError("head must be 'csm' or 'sdm'")
-        if head == "csm" and not n_causes:
+        if head == "csm" and not (isinstance(n_causes, int) and n_causes > 0):
             raise ValueError("CSM head needs the cause count")
-        if head == "sdm" and not target_cause:
+        if head == "sdm" and not (isinstance(target_cause, int) and target_cause > 0):
             raise ValueError("SDM head needs the target cause")
+        if time_encoding not in ("scalar", "onehot"):
+            raise ValueError("time_encoding must be 'scalar' or 'onehot'")
         rng = rng or np.random.RandomState(0)
         self.head = head
         self.grid = grid
@@ -84,10 +90,15 @@ class FCRNModel:
         # per-covariate fill for missing cells seen at prediction time
         self.fill_values = np.zeros(n_tabular)
 
-        self.signal_specs = [dict(s) for s in signal_specs]
+        # one record per signal, filled here once with its defaults
+        self.signal_specs = [{"micro_width": MICRO_WIDTH, "micro_depth": MICRO_DEPTH,
+                              "mean": 0.0, "std": 1.0, **given,
+                              "taus": np.asarray(given["taus"], dtype=np.float64)}
+                             for given in signal_specs]
         for spec in self.signal_specs:
-            spec.setdefault("micro_width", MICRO_WIDTH)
-            spec.setdefault("micro_depth", MICRO_DEPTH)
+            spec["int_weights"] = trapezoid_weights(spec["taus"])
+            if spec["n_basis"] < 1:
+                raise ValueError("signal %r needs at least one basis node" % spec["name"])
 
         time_width = grid.n_intervals if time_encoding == "onehot" else 1
         width_in = (n_tabular
@@ -101,15 +112,16 @@ class FCRNModel:
         self.params = ad.Params(mlp_shapes, [
             ad.micro_shapes(s["n_basis"], s["micro_width"], s["micro_depth"])
             for s in self.signal_specs])
-        # initialization draws: basis layers first, then the MLP
-        self.basis_layers = {}
-        for spec, views in zip(self.signal_specs, self.params.basis):
-            layer = BasisLayer(spec["n_basis"], spec["taus"], spec["micro_width"],
-                               spec["micro_depth"], params=views)
-            layer.init(rng)
-            self.basis_layers[spec["name"]] = layer
-        for w in self.mlp_w:
+        # initialization draws: each signal's micro-networks node by node,
+        # sublayer by sublayer (biases stay 0), then the MLP
+        for spec, (weights, _) in zip(self.signal_specs, self.params.basis):
+            for d in range(spec["n_basis"]):
+                for w in weights:
+                    w[d] = ad.glorot_uniform(w.shape[1], w.shape[2], rng)
+        for w in self.params.mlp_w:
             w[...] = ad.glorot_uniform(w.shape[0], w.shape[1], rng)
+        self.basis_layers = {spec["name"]: BasisLayer(spec, views)
+                             for spec, views in zip(self.signal_specs, self.params.basis)}
 
     # -- parameters --------------------------------------------------------
 
@@ -117,14 +129,6 @@ class FCRNModel:
     def theta(self):
         """The flat float64 vector holding every parameter."""
         return self.params.flat
-
-    @property
-    def mlp_w(self):
-        return self.params.mlp_w
-
-    @property
-    def mlp_b(self):
-        return self.params.mlp_b
 
     # -- feature assembly ----------------------------------------------------
 
@@ -144,7 +148,7 @@ class FCRNModel:
     def curve_matrices(self, ds):
         """Resample and normalize each signal into an (n, J) value matrix."""
         return {spec["name"]: (signal_matrix(ds, spec["name"], spec["taus"])
-                               - spec.get("mean", 0.0)) / spec.get("std", 1.0)
+                               - spec["mean"]) / spec["std"]
                 for spec in self.signal_specs}
 
     def fit_curve_normalization(self, ds, enabled=True):
@@ -246,22 +250,7 @@ class FCRNModel:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
-        basis = []
-        for spec in self.signal_specs:
-            layer = self.basis_layers[spec["name"]]
-            basis.append({
-                "name": spec["name"],
-                "taus": list(map(float, spec["taus"])),
-                "n_basis": spec["n_basis"],
-                "mean": spec.get("mean", 0.0),
-                "std": spec.get("std", 1.0),
-                "micro_width": layer.width,
-                "micro_depth": layer.depth,
-                "weights": [[w[d].tolist() for w in layer.weights]
-                            for d in range(layer.n_basis)],
-                "biases": [[b[d].tolist() for b in layer.biases]
-                           for d in range(layer.n_basis)],
-            })
+        p = self.params
         return {
             "head": self.head,
             "n_causes": self.n_causes,
@@ -273,34 +262,57 @@ class FCRNModel:
             "norm_mean": self.norm_mean.tolist(),
             "norm_std": self.norm_std.tolist(),
             "fill_values": self.fill_values.tolist(),
-            "mlp_w": [w.tolist() for w in self.mlp_w],
-            "mlp_b": [b.tolist() for b in self.mlp_b],
-            "basis_layers": basis,
+            "mlp_w": [w.tolist() for w in p.mlp_w],
+            "mlp_b": [b.tolist() for b in p.mlp_b],
+            "basis_layers": [{
+                **{key: spec[key] for key in SIGNAL_FIELDS},
+                "taus": spec["taus"].tolist(),
+                "weights": [[w[d].tolist() for w in weights] for d in range(spec["n_basis"])],
+                "biases": [[b[d].tolist() for b in biases] for d in range(spec["n_basis"])],
+            } for spec, (weights, biases) in zip(self.signal_specs, p.basis)],
         }
 
     @classmethod
     def from_dict(cls, d):
-        grid = TimeGrid(width=d["grid"]["width"],
-                        cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
-        specs = [{"name": b["name"], "taus": b["taus"], "n_basis": b["n_basis"],
-                  "mean": b["mean"], "std": b["std"],
-                  "micro_width": b.get("micro_width", MICRO_WIDTH),
-                  "micro_depth": b.get("micro_depth", MICRO_DEPTH)}
-                 for b in d["basis_layers"]]
+        """The model that to_dict gave as d. A KeyError names a missing
+        field and a ValueError a malformed one: each field must read without
+        error, the model read must save it back unchanged, and its numbers
+        must be finite and its standard deviations positive."""
+        with _field("grid"):
+            grid = TimeGrid(width=d["grid"]["width"],
+                            cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
+            if grid.cuts.ndim != 1 or len(grid.cuts) < 2 or np.any(np.diff(grid.cuts) <= 0):
+                raise ValueError("cuts must be at least 2 increasing times")
+        with _field("basis_layers"):
+            specs = [{**{key: b[key] for key in SIGNAL_FIELDS},
+                      "mean": float(b["mean"]), "std": float(b["std"])}
+                     for b in d["basis_layers"]]
         model = cls(head=d["head"], grid=grid, n_tabular=d["n_tabular"],
                     n_causes=d["n_causes"], target_cause=d["target_cause"],
                     signal_specs=specs, hidden=d["hidden"],
                     time_encoding=d["time_encoding"])
-        model.norm_mean = np.asarray(d["norm_mean"], dtype=np.float64)
-        model.norm_std = np.asarray(d["norm_std"], dtype=np.float64)
-        model.fill_values = np.asarray(d["fill_values"], dtype=np.float64)
-        for view, v in zip(model.mlp_w + model.mlp_b, d["mlp_w"] + d["mlp_b"]):
-            view[...] = v
-        for bdict in d["basis_layers"]:
-            layer = model.basis_layers[bdict["name"]]
-            for k, (ws, bs) in enumerate(zip(bdict["weights"], bdict["biases"])):
-                for view, v in zip(layer.weights + layer.biases, ws + bs):
-                    view[k] = v
+        p = model.params
+        for key in ("norm_mean", "norm_std", "fill_values"):
+            with _field(key):
+                getattr(model, key)[...] = d[key]
+        for key, views in (("mlp_w", p.mlp_w), ("mlp_b", p.mlp_b)):
+            with _field(key):
+                for view, v in zip(views, d[key]):
+                    view[...] = v
+        with _field("basis_layers"):
+            for b, stacks in zip(d["basis_layers"], p.basis):
+                for key, views in zip(("weights", "biases"), stacks):
+                    for k, view in enumerate(views):
+                        view[...] = [node[k] for node in b[key]]
+        saved = model.to_dict()
+        for key in saved:
+            if saved[key] != d[key]:
+                raise ValueError("field %s does not fit the model it describes" % key)
+        stds = np.append(model.norm_std, [s["std"] for s in model.signal_specs])
+        numbers = [p.flat, grid.cuts, model.norm_mean, model.fill_values, stds]
+        numbers += [np.append(s["taus"], s["mean"]) for s in model.signal_specs]
+        if not all(np.isfinite(a).all() for a in numbers) or np.any(stds <= 0):
+            raise ValueError("a number is not finite, or a std is not positive")
         return model
 
     def save(self, path):
@@ -319,8 +331,18 @@ class FCRNModel:
                 raise DataError("%s: invalid JSON: %s" % (path, e))
             except KeyError as e:
                 raise DataError("%s: model file lacks field %s" % (path, e))
-            except (TypeError, ValueError) as e:
+            except (ArithmeticError, TypeError, ValueError) as e:
                 raise DataError("%s: malformed model file: %s" % (path, e))
+
+
+@contextlib.contextmanager
+def _field(name):
+    """Name the model-file field in an IndexError, TypeError or ValueError
+    raised while reading it."""
+    try:
+        yield
+    except (IndexError, TypeError, ValueError) as e:
+        raise ValueError("field %s: %s" % (name, e)) from None
 
 
 # ---------------------------------------------------------------------------

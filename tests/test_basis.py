@@ -3,20 +3,31 @@ import pytest
 from conftest import finite_diff, max_rel_err
 
 from fcrn import autodiff as ad
-from fcrn.basis import BasisLayer, trapezoid_weights
+from fcrn.basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, trapezoid_weights
 from fcrn.data import PersonPeriodTable, build_time_grid
 from fcrn.model import FCRNModel, table_batch
 
 
-def initialized_layer(n_basis, taus, rng, **kwargs):
-    layer = BasisLayer(n_basis, taus, **kwargs)
-    layer.init(rng)
-    return layer
+def initialized_layer(n_basis, taus, rng, width=MICRO_WIDTH, depth=MICRO_DEPTH):
+    """The basis layer of a one-signal model initialized from rng."""
+    model = FCRNModel(head="csm", grid=build_time_grid(4, 2), n_tabular=1,
+                      n_causes=1, hidden=(), rng=rng,
+                      signal_specs=[{"name": "s", "n_basis": n_basis, "taus": taus,
+                                     "micro_width": width, "micro_depth": depth}])
+    return model.basis_layers["s"]
+
+
+def zero_layer(n_basis, taus):
+    """A basis layer over a record of its own and zero-filled views."""
+    taus = np.asarray(taus, dtype=np.float64)
+    spec = {"taus": taus, "int_weights": trapezoid_weights(taus)}
+    params = ad.Params([], [ad.micro_shapes(n_basis, MICRO_WIDTH, MICRO_DEPTH)])
+    return BasisLayer(spec, params.basis[0])
 
 
 def frozen_constant_layer(n_basis, taus, value=1.0):
     """Basis layer with every micro-network pinned to a constant output."""
-    layer = BasisLayer(n_basis, taus)
+    layer = zero_layer(n_basis, taus)
     layer.biases[-1][:] = value
     return layer
 
@@ -52,7 +63,7 @@ class TestMicroNetwork:
         layer = initialized_layer(1, taus, np.random.RandomState(0))
         for w in layer.weights:
             w[...] = 0.0
-        assert np.all(layer.basis_matrix() == 0.0)
+        assert np.all(ad.micro_forward(layer.weights, layer.biases, taus)[0] == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         # loss = mean of the (J, D) basis matrix, every stacked net at once
@@ -65,7 +76,9 @@ class TestMicroNetwork:
         d_basis = np.full((len(taus), 2), 1.0 / (2 * len(taus)))
         ad.micro_backward(layer.weights, acts, d_basis, grads[:3], grads[3:])
         for a, g in zip(arrays, grads):
-            numeric = finite_diff(lambda: layer.basis_matrix().mean(), a.reshape(-1))
+            numeric = finite_diff(
+                lambda: ad.micro_forward(layer.weights, layer.biases, taus)[0].mean(),
+                a.reshape(-1))
             assert max_rel_err(g.reshape(-1), numeric) < 1e-5
 
 
@@ -87,7 +100,7 @@ class TestProjection:
         taus = np.linspace(0, 1, 51)
         layer = frozen_constant_layer(1, taus, value=0.0)
         basis_vals = taus.reshape(-1, 1)
-        weighted = np.ones((1, 51)) * layer.int_weights
+        weighted = np.ones((1, 51)) * layer.spec["int_weights"]
         assert float((weighted @ basis_vals)[0, 0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_linearity_in_the_curve(self):
@@ -118,6 +131,6 @@ class TestProjection:
         assert all(np.any(g != 0) for g in weights + biases)
 
     def test_grid_mismatch_rejected(self):
-        layer = BasisLayer(2, np.linspace(0, 1, 21))
+        layer = zero_layer(2, np.linspace(0, 1, 21))
         with pytest.raises(ValueError):
             layer.project(np.zeros((1, 20)))

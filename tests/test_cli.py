@@ -153,6 +153,30 @@ class TestTrainCommand:
                 "run/imputed_mask.csv", "pred/predictions.csv")])
         assert outputs[0] == outputs[1]
 
+    def test_one_covariate_with_a_missing_cell_trains_the_imputer(self, tmp_path):
+        # the graphical model of one covariate used to raise: train exited 1
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("id,time,cause,x1\na,10.0,1,0.5\nb,20.0,2,\n"
+                            "c,30.0,0,1.5\nd,40.0,1,-0.5\ne,50.0,2,0.1\n")
+        assert run(sets(out_dir=str(tmp_path / "run"), data__subjects=str(subjects),
+                        train__max_epochs=2, mvi__max_epochs=2) + ["train"]) == 0
+        imputed = np.loadtxt(tmp_path / "run" / "imputed.csv", delimiter=",")
+        assert imputed.shape == (5,) and np.all(np.isfinite(imputed))
+
+    def test_time_within_the_grid_tolerance_of_its_end_is_accepted(self, tmp_path):
+        # train used to exit 3 on this subject although augmentation puts it
+        # in the last interval and predict and evaluate accept it
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("id,time,cause,x1\na,100.0000000005,1,0.5\n"
+                            "b,20.0,2,0.3\nc,60.0,0,-0.2\n")
+        data = sets(data__subjects=str(subjects))
+        assert run(sets(out_dir=str(tmp_path / "run"), train__max_epochs=1)
+                   + data + ["train"]) == 0
+        assert run(sets(out_dir=str(tmp_path / "pred")) + data + [
+            "predict", "--model", str(tmp_path / "run" / "model.json")]) == 0
+        assert run(sets(out_dir=str(tmp_path / "eval")) + data + [
+            "evaluate", "--predictions", str(tmp_path / "pred" / "predictions.csv")]) == 0
+
     def test_cause_beyond_n_causes_is_schema_error(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim", n=40, seed=0)
         code = run(train_args(tmp_path / "run", tmp_path / "sim",
@@ -418,6 +442,11 @@ class TestPredictCommand:
         assert self._predict(tmp_path, model, empty) == 0
         lines = (tmp_path / "pred" / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1
+        # and for the sdm head
+        model = self._train(tmp_path / "sdm", head="sdm")
+        assert self._predict(tmp_path, model, empty, out="pred_sdm") == 0
+        lines = (tmp_path / "pred_sdm" / "predictions.csv").read_text().splitlines()
+        assert lines == ["id,interval,time,cif_1"]
 
     def test_grid_incompatible_time_is_compat_error(self, tmp_path):
         model = self._train(tmp_path)
@@ -695,3 +724,80 @@ class TestMutatedSubjectCells:
                                 data__subjects=str(tmp / "test_subjects.csv"))
                            + ["predict", "--model", str(tmp / "run" / "model.json")])
                 assert code in (0, 2, 3, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """The directory of a simulated functional cohort and its one-epoch csm
+    model (run/model.json); test_missing.csv is its test subjects file with
+    the first subject's x3 cell blank."""
+    d = tmp_path_factory.mktemp("fitted")
+    simulate_small(d, n=24, functional=True, seed=9)
+    assert run(train_args(d / "run", d, functional=True, extra=sets(
+        train__max_epochs=1, train__hidden=[4]))) == 0
+    write_with_cells(d / "test_subjects.csv", d / "test_missing.csv", {(2, 5): ""})
+    return d
+
+
+def predict_with_model(fitted, model, out):
+    """predict's exit code on the fitted cohort's test files with the model
+    dict written to out/model.json."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "model.json").write_text(json.dumps(model))
+    return run(sets(out_dir=str(out), data__subjects=str(fitted / "test_missing.csv"),
+                    data__curves=str(fitted / "test_curves.csv"))
+               + ["predict", "--model", str(out / "model.json")])
+
+
+class TestMutatedModelFile:
+    def _load(self, fitted):
+        return json.loads((fitted / "run" / "model.json").read_text())
+
+    def _assert_schema_error(self, fitted, model, tmp_path, capsys, field):
+        assert predict_with_model(fitted, model, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.json") in err and "field %s" % field in err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_grid_without_cuts_is_schema_error(self, fitted, tmp_path, capsys):
+        # used to exit 1 with an IndexError
+        model = self._load(fitted)
+        model["grid"]["cuts"] = []
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "grid")
+
+    def test_norm_mean_shorter_than_the_covariates_is_schema_error(self, fitted,
+                                                                   tmp_path, capsys):
+        # used to exit 1 with a broadcast ValueError
+        model = self._load(fitted)
+        model["norm_mean"].pop()
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "norm_mean")
+
+    def test_null_fill_values_is_schema_error(self, fitted, tmp_path, capsys):
+        # used to exit 0 with nan CIFs for the subject with a missing cell
+        model = self._load(fitted)
+        model["fill_values"] = None
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "fill_values")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_predict_exits_with_a_documented_code(self, fitted, data):
+        # top-level and per-signal fields deleted or set to null, a string or
+        # []; no exception may escape, and an exit 0 writes finite CIFs
+        model = self._load(fitted)
+        for _ in range(data.draw(st.integers(1, 2))):
+            obj, layers = model, model.get("basis_layers")
+            if isinstance(layers, list) and layers and data.draw(st.booleans()):
+                obj = data.draw(st.sampled_from(layers))
+            key = data.draw(st.sampled_from(sorted(obj)))
+            value = data.draw(st.sampled_from(["(delete)", None, "x", []]))
+            if value == "(delete)":
+                del obj[key]
+            else:
+                obj[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            code = predict_with_model(fitted, model, Path(tmp))
+            assert code in (0, 2, 3, 4, 5)
+            if code == 0:
+                with open(Path(tmp) / "predictions.csv", newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert np.isfinite([[float(v) for v in row[3:]] for row in rows]).all()

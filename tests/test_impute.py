@@ -52,6 +52,15 @@ class TestGaussianGraphicalModel:
         assert m[0] == pytest.approx(1.0, abs=0.02)
         assert ggm.cond_vars[1] == pytest.approx(0.75, abs=0.01)
 
+    def test_one_covariate_has_the_marginal_gaussian(self):
+        # a one-covariate model used to raise: a single column has no
+        # neighbours, so its prior is the marginal Gaussian
+        X = np.random.RandomState(2).standard_normal((50, 1)) * 2.0 + 1.0
+        ggm = fit_ggm(X)
+        assert len(ggm.neighborhoods[0]) == 0
+        assert ggm.cond_vars[0] == pytest.approx(np.var(X, ddof=1))
+        assert np.allclose(ggm.conditional_mean(0, X), X.mean())
+
     def test_independent_columns_have_empty_neighborhoods(self):
         rng = np.random.RandomState(1)
         X = rng.standard_normal((50000, 3))

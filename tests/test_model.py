@@ -56,19 +56,19 @@ class TestFeatureAssembly:
                           signal_specs=[{"name": "s1", "n_basis": 3,
                                          "taus": np.linspace(0, 1, 11)}],
                           rng=np.random.RandomState(0))
-        assert model.mlp_w[0].shape[1] == 2 + 3 + 1
+        assert model.params.mlp_w[0].shape[1] == 2 + 3 + 1
         assert model._time_feature([10])[0, 0] == pytest.approx(0.5)
         assert model._time_feature([20])[0, 0] == pytest.approx(1.0)
 
     def test_no_signals_width(self):
         model = make_model("csm", n_tabular=3)
-        assert model.mlp_w[0].shape[1] == 4
+        assert model.params.mlp_w[0].shape[1] == 4
 
     def test_onehot_time_encoding(self):
         grid = build_time_grid(20, 5)
         model = FCRNModel(head="csm", grid=grid, n_tabular=1, n_causes=1,
                           time_encoding="onehot", rng=np.random.RandomState(0))
-        assert model.mlp_w[0].shape[1] == 1 + 4
+        assert model.params.mlp_w[0].shape[1] == 1 + 4
         f = model._time_feature([2])
         assert f.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
@@ -97,7 +97,7 @@ class TestHeads:
         model = make_model("csm", n_causes=2, hidden=(2,))
         zero_params(model)
         g = np.array([0.0, 0.4, -1.1])
-        model.mlp_b[-1][:] = g
+        model.params.mlp_b[-1][:] = g
         hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         expected = np.exp(g[1:]) / (1.0 + np.exp(g[1:]).sum())
         assert np.allclose(hz[0, 0, 1:], expected, atol=1e-14)
@@ -112,7 +112,7 @@ class TestHeads:
     def test_sdm_closed_form_logit(self):
         model = make_model("sdm", hidden=(2,))
         zero_params(model)
-        model.mlp_b[-1][:] = np.log(3.0)
+        model.params.mlp_b[-1][:] = np.log(3.0)
         hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         assert np.allclose(hz, 0.75)
 
@@ -344,6 +344,11 @@ class TestSerialization:
         assert np.max(np.abs(F - expected["csm_F"])) <= 1e-12
         sdm = FCRNModel.load(FIXTURES / "model_sdm.json")
         assert np.max(np.abs(sdm.predict_cif(subjects) - expected["sdm_F"])) <= 1e-12
+
+    def test_parent_model_files_save_back_byte_for_byte(self, tmp_path):
+        for path in sorted(FIXTURES.glob("model_*.json")):
+            FCRNModel.load(path).save(tmp_path / path.name)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
     def test_saved_keys_match_parent_model_file(self, tmp_path):
         for name in ("model_csm.json", "model_sdm.json"):
