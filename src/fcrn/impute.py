@@ -10,6 +10,7 @@ are assumed complete.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,26 +40,10 @@ class ImputeSettings:
     rel_tol: float = 1e-4
 
 
-class GaussianGraphicalModel:
-    """Thresholded-correlation neighborhoods with Gaussian conditionals.
-
-    For covariate j with neighborhood w(j), the conditional of x_j given
-    x_w(j) is Gaussian with mean mu_j + coef_j (x_w - mu_w) and variance
-    sigma_j^2 - coef_j Sigma_wj, ridge-regularized.
-    """
-
-    def __init__(self, mu, neighborhoods, coefs, cond_vars):
-        self.mu = mu
-        self.neighborhoods = neighborhoods
-        self.coefs = coefs
-        self.cond_vars = cond_vars
-
-    def conditional_mean(self, j, rows_x):
-        """Conditional means of column j for an (n, P) slice of current values."""
-        omega = self.neighborhoods[j]
-        if len(omega) == 0:
-            return np.full(len(rows_x), self.mu[j])
-        return self.mu[j] + (rows_x[:, omega] - self.mu[omega]) @ self.coefs[j]
+# The graphical-model prior: x_j given the other covariates is Gaussian
+# with mean mu_j + coef[j] @ (x - mu) and variance cond_vars[j]. Row j of
+# coef is x_j's ridge regression on its neighbourhood, zero elsewhere.
+GGM = namedtuple("GGM", "mu coef cond_vars")
 
 
 def median_init(X, mask):
@@ -77,56 +62,46 @@ def median_init(X, mask):
 
 def fit_ggm(X, corr_threshold=ImputeSettings.corr_threshold,
             k_max=ImputeSettings.k_max, ridge=ImputeSettings.ridge):
-    """Learn the graph by correlation thresholding and fit its conditionals."""
+    """Learn the graph by correlation thresholding and fit its conditionals.
+
+    x_j's neighbourhood is the k_max strongest other covariates whose
+    absolute correlation with it reaches corr_threshold.
+    """
     X = np.asarray(X, dtype=np.float64)
     p = X.shape[1]
     mu = X.mean(axis=0)
     cov = np.atleast_2d(np.cov(X.T, bias=False))
     sd = np.sqrt(np.maximum(np.diag(cov), 1e-12))
-    corr = cov / np.outer(sd, sd)
-    neighborhoods, coefs, cond_vars = [], [], []
+    strength = np.abs(cov / np.outer(sd, sd))
+    coef = np.zeros((p, p))
+    cond_vars = np.diag(cov).copy()
     for j in range(p):
-        strength = np.abs(corr[j])
-        strength[j] = 0.0
-        candidates = np.where(strength >= corr_threshold)[0]
+        candidates = np.flatnonzero(strength[j] >= corr_threshold)
+        # a covariate is never its own neighbour, even at threshold 0
+        candidates = candidates[candidates != j]
         if len(candidates) > k_max:
-            candidates = candidates[np.argsort(strength[candidates])[::-1][:k_max]]
+            candidates = candidates[np.argsort(strength[j, candidates])[::-1][:k_max]]
         omega = np.sort(candidates)
-        neighborhoods.append(omega)
         if len(omega) == 0:
-            coefs.append(np.zeros(0))
-            cond_vars.append(max(cov[j, j], COND_VAR_FLOOR))
             continue
         block = cov[np.ix_(omega, omega)] + ridge * np.eye(len(omega))
-        cross = cov[j, omega]
         try:
-            coef = np.linalg.solve(block, cross)
+            coef[j, omega] = np.linalg.solve(block, cov[j, omega])
         except np.linalg.LinAlgError:
             warnings.warn("singular neighborhood block for covariate %d; "
                           "raising ridge" % j)
-            coef = np.linalg.solve(block + 10 * ridge * np.eye(len(omega)), cross)
-        v = cov[j, j] - coef @ cross
-        if v <= COND_VAR_FLOOR:
-            v = max(v, COND_VAR_FLOOR)
-        coefs.append(coef)
-        cond_vars.append(v)
-    return GaussianGraphicalModel(mu=mu, neighborhoods=neighborhoods,
-                                  coefs=coefs, cond_vars=np.asarray(cond_vars))
+            coef[j, omega] = np.linalg.solve(
+                block + 10 * ridge * np.eye(len(omega)), cov[j, omega])
+        cond_vars[j] -= coef[j, omega] @ cov[j, omega]
+    return GGM(mu, coef, np.maximum(cond_vars, COND_VAR_FLOOR))
 
 
 def grad_log_prior(X, mask, ggm):
-    """Gradient of the conditional Gaussian log-density at every missing cell.
-
-    Returns an (n, P) array, zero at observed cells.
-    """
-    grad = np.zeros_like(X)
-    for j in range(X.shape[1]):
-        rows = np.where(mask[:, j])[0]
-        if len(rows) == 0:
-            continue
-        m = ggm.conditional_mean(j, X[rows])
-        grad[rows, j] = -(X[rows, j] - m) / ggm.cond_vars[j]
-    return grad
+    """Gradient of the conditional Gaussian log-density at every missing cell,
+    an (n, P) array that is zero at observed cells. X must be finite, so
+    that a zero coefficient on a cell contributes exactly nothing."""
+    mean = ggm.mu + (X - ggm.mu) @ ggm.coef.T
+    return np.where(mask, -(X - mean) / ggm.cond_vars, 0.0)
 
 
 def grad_log_pred(model, xn, curve_mats, table, rows, batch_size=4096):

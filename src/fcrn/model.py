@@ -276,8 +276,9 @@ class FCRNModel:
     def from_dict(cls, d):
         """The model that to_dict gave as d. A KeyError names a missing
         field and a ValueError a malformed one: each field must read without
-        error, the model read must save it back unchanged, and its numbers
-        must be finite and its standard deviations positive."""
+        error, each size field must match the shapes of its stored arrays,
+        the model read must save it back unchanged, and its numbers must be
+        finite and its standard deviations positive."""
         with _field("grid"):
             grid = TimeGrid(width=d["grid"]["width"],
                             cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
@@ -287,6 +288,7 @@ class FCRNModel:
             specs = [{**{key: b[key] for key in SIGNAL_FIELDS},
                       "mean": float(b["mean"]), "std": float(b["std"])}
                      for b in d["basis_layers"]]
+        _check_sizes(d, grid.n_intervals if d["time_encoding"] == "onehot" else 1)
         model = cls(head=d["head"], grid=grid, n_tabular=d["n_tabular"],
                     n_causes=d["n_causes"], target_cause=d["target_cause"],
                     signal_specs=specs, hidden=d["hidden"],
@@ -333,6 +335,38 @@ class FCRNModel:
                 raise DataError("%s: model file lacks field %s" % (path, e))
             except (ArithmeticError, TypeError, ValueError) as e:
                 raise DataError("%s: malformed model file: %s" % (path, e))
+
+
+def _check_sizes(d, time_width):
+    """Match each size field of model file d with the arrays d stores for
+    it, before the model is built: no file then allocates more than its
+    own numbers. A mismatch is a ValueError naming the size field."""
+    def match(field, size, stored):
+        with _field(field):
+            if size != stored:
+                raise ValueError("sizes and stored arrays disagree")
+
+    width_in = time_width
+    for b in d["basis_layers"]:
+        with _field("basis_layers"):
+            weights = b["weights"]
+            stacks = [np.shape([node[k] for node in weights])
+                      for k in range(len(weights[0]))]
+            n_basis, width = stacks[0][:2]
+        match("n_basis", b["n_basis"], n_basis)
+        match("micro_width", b["micro_width"], width)
+        match("micro_depth", b["micro_depth"], len(stacks) - 1)
+        match("basis_layers", stacks, [w for w, _ in ad.micro_shapes(
+            n_basis, width, len(stacks) - 1)])
+        width_in += n_basis
+    with _field("mlp_w"):
+        shapes = [np.shape(w) for w in d["mlp_w"]]
+        rows, cols = zip(*shapes)
+    match("hidden", d["hidden"], list(rows[:-1]))
+    match("n_tabular", d["n_tabular"], cols[0] - width_in)
+    if d["head"] == "csm":
+        match("n_causes", d["n_causes"], rows[-1] - 1)
+    match("mlp_w", shapes, list(zip(rows, cols[:1] + rows[:-1])))
 
 
 @contextlib.contextmanager

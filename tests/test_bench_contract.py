@@ -76,3 +76,34 @@ def test_scoring_pass_calls_the_traced_names(tmp_path, monkeypatch):
     # two causes at two horizons
     assert evaluate == {"read_subjects_csv": 1, "censoring_survival": 1,
                         "score_cif": 4}
+
+
+def test_i_step_layers_are_traced(tracing):
+    """A traced imputing fit reports non-zero graphical-model, prior-gradient
+    and I-step spans and counts every missing cell of every I-step pass, so
+    the benchmark's impute.* metrics cannot fall to 0 unnoticed."""
+    import fcrn.data
+    import fcrn.impute
+    import fcrn.model
+    import fcrn.simulate
+
+    train, _, _ = fcrn.simulate.simulate(fcrn.simulate.SimConfig(
+        n=50, n_train=40, n_test=10, functional=False, missing_rate=0.25))
+    epochs, repeats = 2, 2
+    settings = fcrn.model.TrainSettings(max_epochs=epochs, hidden=(4,),
+                                        val_fraction=0.0)
+    imp = fcrn.impute.ImputeSettings(noise=False, i_repeats=repeats,
+                                     max_epochs=epochs, rel_tol=0.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fcrn.impute.iro_train(train, fcrn.data.build_time_grid(100.0, 5.0), "csm",
+                              settings, impute_settings=imp, n_causes=2)
+    finally:
+        tracer.uninstall()
+    incl, _ = tracer.layer_times("setup")
+    for name in ("impute.ggm_fit", "impute.prior_grad", "impute.i_step"):
+        assert incl[name] > 0.0, name
+    counts = tracer.counts["setup"]
+    assert counts["impute.rejected"] == 0
+    assert counts["impute.cells_updated"] == train.mask.sum() * epochs * repeats

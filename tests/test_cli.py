@@ -778,18 +778,33 @@ class TestMutatedModelFile:
         model["fill_values"] = None
         self._assert_schema_error(fitted, model, tmp_path, capsys, "fill_values")
 
+    def test_huge_hidden_width_is_schema_error(self, fitted, tmp_path, capsys):
+        # used to exit 1 allocating 10^13 hidden units before the file was
+        # checked against its own weight arrays
+        model = self._load(fitted)
+        model["hidden"][0] = 10 ** 13
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "hidden")
+
+    def test_huge_micro_depth_is_schema_error(self, fitted, tmp_path, capsys):
+        # used to loop without end listing 10^400 sublayer shapes
+        model = self._load(fitted)
+        model["basis_layers"][0]["micro_depth"] = 10 ** 400
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "micro_depth")
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data())
     def test_predict_exits_with_a_documented_code(self, fitted, data):
-        # top-level and per-signal fields deleted or set to null, a string or
-        # []; no exception may escape, and an exit 0 writes finite CIFs
+        # top-level and per-signal fields deleted or set to null, a string,
+        # [] or a huge integer; no exception may escape, and an exit 0
+        # writes finite CIFs
         model = self._load(fitted)
         for _ in range(data.draw(st.integers(1, 2))):
             obj, layers = model, model.get("basis_layers")
             if isinstance(layers, list) and layers and data.draw(st.booleans()):
                 obj = data.draw(st.sampled_from(layers))
             key = data.draw(st.sampled_from(sorted(obj)))
-            value = data.draw(st.sampled_from(["(delete)", None, "x", []]))
+            value = data.draw(st.sampled_from(["(delete)", None, "x", [],
+                                               10 ** 13, 10 ** 400]))
             if value == "(delete)":
                 del obj[key]
             else:

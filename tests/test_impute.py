@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import batch_loss_fn, dataset, finite_diff, max_rel_err
 
 import fcrn.impute
 from fcrn.data import build_time_grid
-from fcrn.impute import (ImputeSettings, eta_at, fit_ggm, grad_log_pred,
-                         grad_log_prior, i_step, iro_train, median_init,
-                         sgld_impute)
+from fcrn.impute import (COND_VAR_FLOOR, GGM, ImputeSettings, eta_at, fit_ggm,
+                         grad_log_pred, grad_log_prior, i_step, iro_train,
+                         median_init, sgld_impute)
 from fcrn.model import TrainSettings, build_table, table_batch
 
 
@@ -17,6 +19,54 @@ def gaussian_chain(rng, n, p, rho=0.7):
     for j in range(1, p):
         X[:, j] = rho * X[:, j - 1] + np.sqrt(1 - rho ** 2) * rng.standard_normal(n)
     return X
+
+
+def cond_mean(ggm, j, x):
+    """The GGM's conditional mean of covariate j at rows x."""
+    return ggm.mu[j] + (x - ggm.mu) @ ggm.coef[j]
+
+
+def ref_fit_ggm(X, corr_threshold, k_max, ridge):
+    """The per-column graphical-model fit the array form replaced:
+    (mu, neighbourhoods, coefficient vectors, conditional variances)."""
+    p = X.shape[1]
+    mu = X.mean(axis=0)
+    cov = np.atleast_2d(np.cov(X.T, bias=False))
+    sd = np.sqrt(np.maximum(np.diag(cov), 1e-12))
+    corr = cov / np.outer(sd, sd)
+    neighborhoods, coefs, cond_vars = [], [], []
+    for j in range(p):
+        strength = np.abs(corr[j])
+        strength[j] = 0.0
+        candidates = np.where(strength >= corr_threshold)[0]
+        if len(candidates) > k_max:
+            candidates = candidates[np.argsort(strength[candidates])[::-1][:k_max]]
+        omega = np.sort(candidates)
+        neighborhoods.append(omega)
+        if len(omega) == 0:
+            coefs.append(np.zeros(0))
+            cond_vars.append(max(cov[j, j], COND_VAR_FLOOR))
+            continue
+        block = cov[np.ix_(omega, omega)] + ridge * np.eye(len(omega))
+        cross = cov[j, omega]
+        try:
+            coef = np.linalg.solve(block, cross)
+        except np.linalg.LinAlgError:
+            coef = np.linalg.solve(block + 10 * ridge * np.eye(len(omega)), cross)
+        coefs.append(coef)
+        cond_vars.append(max(cov[j, j] - coef @ cross, COND_VAR_FLOOR))
+    return mu, neighborhoods, coefs, np.asarray(cond_vars)
+
+
+def ref_grad_log_prior(X, mask, mu, neighborhoods, coefs, cond_vars):
+    """The per-column prior gradient over ref_fit_ggm's lists."""
+    grad = np.zeros_like(X)
+    for j in range(X.shape[1]):
+        rows = np.where(mask[:, j])[0]
+        omega = neighborhoods[j]
+        m = mu[j] + (X[rows][:, omega] - mu[omega]) @ coefs[j]
+        grad[rows, j] = -(X[rows, j] - m) / cond_vars[j]
+    return grad
 
 
 class TestMedianInit:
@@ -48,8 +98,8 @@ class TestGaussianGraphicalModel:
         x1 = rng.standard_normal(n)
         x2 = 0.5 * x1 + np.sqrt(0.75) * rng.standard_normal(n)
         ggm = fit_ggm(np.column_stack([x1, x2]), ridge=0.0)
-        m = ggm.conditional_mean(1, np.array([[2.0, 0.0]]))
-        assert m[0] == pytest.approx(1.0, abs=0.02)
+        m = cond_mean(ggm, 1, np.array([2.0, 0.0]))
+        assert m == pytest.approx(1.0, abs=0.02)
         assert ggm.cond_vars[1] == pytest.approx(0.75, abs=0.01)
 
     def test_one_covariate_has_the_marginal_gaussian(self):
@@ -57,15 +107,15 @@ class TestGaussianGraphicalModel:
         # neighbours, so its prior is the marginal Gaussian
         X = np.random.RandomState(2).standard_normal((50, 1)) * 2.0 + 1.0
         ggm = fit_ggm(X)
-        assert len(ggm.neighborhoods[0]) == 0
+        assert len(np.flatnonzero(ggm.coef[0])) == 0
         assert ggm.cond_vars[0] == pytest.approx(np.var(X, ddof=1))
-        assert np.allclose(ggm.conditional_mean(0, X), X.mean())
+        assert np.allclose(cond_mean(ggm, 0, X), X.mean())
 
     def test_independent_columns_have_empty_neighborhoods(self):
         rng = np.random.RandomState(1)
         X = rng.standard_normal((50000, 3))
         ggm = fit_ggm(X, corr_threshold=0.2)
-        assert all(len(om) == 0 for om in ggm.neighborhoods)
+        assert all(len(np.flatnonzero(row)) == 0 for row in ggm.coef)
         # marginal fallback: gradient pulls toward the column mean
         mask = np.zeros_like(X, dtype=bool)
         mask[0, 1] = True
@@ -80,7 +130,7 @@ class TestGaussianGraphicalModel:
         X = np.column_stack([base + 0.3 * rng.standard_normal(5000)
                              for _ in range(8)])
         ggm = fit_ggm(X, corr_threshold=0.2, k_max=3)
-        assert all(len(om) <= 3 for om in ggm.neighborhoods)
+        assert all(len(np.flatnonzero(row)) <= 3 for row in ggm.coef)
 
     def test_prior_gradient_is_linear_in_x(self):
         rng = np.random.RandomState(3)
@@ -95,6 +145,43 @@ class TestGaussianGraphicalModel:
         gb = grad_log_prior(Xb, mask, ggm)[5, 2]
         # slope is -1/cond_var regardless of the value
         assert (gb - ga) / 2.0 == pytest.approx(-1.0 / ggm.cond_vars[2])
+
+    def test_a_covariate_is_never_its_own_neighbour(self):
+        # at threshold 0 every covariate used to join its own neighbourhood,
+        # which explained it exactly: every cond_var fell to about the ridge
+        X = np.random.RandomState(4).standard_normal((200, 3))
+        ggm = fit_ggm(X, corr_threshold=0.0)
+        for j in range(3):
+            assert list(np.flatnonzero(ggm.coef[j])) == [k for k in range(3) if k != j]
+        assert np.all(ggm.cond_vars > 0.5)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(p=st.integers(1, 12), n=st.integers(3, 60), seed=st.integers(0, 2 ** 31),
+           rate=st.floats(0.0, 0.6),
+           corr_threshold=st.floats(0.0, 1.0, exclude_min=True), data=st.data())
+    def test_matches_the_per_column_loops(self, p, n, seed, rate, corr_threshold,
+                                          data):
+        k_max = data.draw(st.integers(0, p))
+        rng = np.random.RandomState(seed)
+        X = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+        mask = rng.rand(n, p) < rate
+        ggm = fit_ggm(X, corr_threshold, k_max, 1e-3)
+        mu, neighborhoods, coefs, cond_vars = ref_fit_ggm(X, corr_threshold,
+                                                          k_max, 1e-3)
+        for j in range(p):
+            assert np.array_equal(np.flatnonzero(ggm.coef[j]), neighborhoods[j])
+            assert np.array_equal(ggm.coef[j, neighborhoods[j]], coefs[j])
+        assert np.array_equal(ggm.cond_vars, cond_vars)
+        grad = grad_log_prior(X, mask, ggm)
+        ref = ref_grad_log_prior(X, mask, mu, neighborhoods, coefs, cond_vars)
+        # one product sums a row's neighbour terms in BLAS's order, the
+        # gathered loop in its own: equal bit for bit up to one neighbour,
+        # within the reassociation error beyond
+        small = np.array([len(om) <= 1 for om in neighborhoods])
+        assert np.array_equal(grad[:, small], ref[:, small])
+        terms = np.abs(X - mu) @ np.abs(ggm.coef.T) + np.abs(mu) + np.abs(X)
+        tol = 4 * p * np.finfo(float).eps * terms / cond_vars
+        assert np.all(np.abs(grad - ref) <= tol)
 
 
 class TestPredictionGradient:
@@ -160,12 +247,7 @@ class TestIStep:
         X = np.zeros((n, 2))
         mask = np.zeros((n, 2), dtype=bool)
         mask[:, 0] = True
-        mu = np.zeros(2)
-        from fcrn.impute import GaussianGraphicalModel
-        ggm = GaussianGraphicalModel(mu=mu,
-                                     neighborhoods=[np.array([], dtype=int)] * 2,
-                                     coefs=[np.zeros(0)] * 2,
-                                     cond_vars=np.array([1e12, 1e12]))
+        ggm = GGM(np.zeros(2), np.zeros((2, 2)), np.array([1e12, 1e12]))
         i_step(X, mask, ggm, 0.003, rng, noise=True)
         sd = X[:, 0].std()
         assert sd == pytest.approx(np.sqrt(2 * 0.003), rel=0.03)
@@ -179,11 +261,11 @@ class TestIStep:
         mask[0, 1] = True
         ggm = fit_ggm(X)
         X[0, 1] = 10.0
-        m = ggm.conditional_mean(1, X[[0]])[0]
+        m = cond_mean(ggm, 1, X[0])
         dists = []
         for _ in range(30):
             i_step(X, mask, ggm, 0.05, rng, noise=False)
-            m = ggm.conditional_mean(1, X[[0]])[0]
+            m = cond_mean(ggm, 1, X[0])
             dists.append(abs(X[0, 1] - m))
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
         assert dists[-1] < 0.1 * dists[0]
