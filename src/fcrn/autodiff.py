@@ -225,7 +225,8 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
 
     Returns (flat parameter gradient or None, d loss / d xn or None); the
     input gradient has one row per subject of xn, zero for subjects not in
-    the batch.
+    the batch. want_input_grad="rows" returns it per batch row instead,
+    d loss / d xn[subj_idx], before the sum over each subject's rows.
     """
     fwd = loss.fwd
     if fwd.inputs is None:
@@ -246,7 +247,9 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
             d *= h > 0.0
     n_tab = fwd.xn_shape[1]
     d_xn = None
-    if want_input_grad:
+    if want_input_grad == "rows":
+        d_xn = d[:, :n_tab]
+    elif want_input_grad:
         d_xn = scatter_rows(fwd.subj_idx, d[:, :n_tab], fwd.xn_shape[0])
     if into_basis:
         col = n_tab

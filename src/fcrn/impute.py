@@ -4,8 +4,10 @@ Median initialization, then model.fit's training loop with an I-step at
 the start of every epoch: a Gaussian-graphical-model refit on the imputed
 matrix and SGLD updates combining its prior gradient with the
 prediction-loss gradient. The epoch's Adam pass over the network
-parameters is the RO-step. Only tabular covariates participate; curves
-are assumed complete.
+parameters is the RO-step. Its backward passes also return each training
+row's input gradient, so the next I-step's prediction gradient costs no
+extra pass; only epoch 0 runs grad_log_pred. Only tabular covariates
+participate; curves are assumed complete.
 """
 from __future__ import annotations
 
@@ -175,9 +177,12 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
 
     The training loop is model.fit's, with an I-step at the start of every
     epoch: a graphical-model refit on the current imputed matrix, then
-    i_repeats SGLD passes over all missing entries whose prediction
-    gradient reads the training subjects' rows only. The epoch's Adam pass
-    is the RO-step. An imputing fit runs at most
+    i_repeats SGLD passes over all missing entries. The epoch's Adam pass
+    is the RO-step. The prediction gradient reads the training subjects'
+    rows only, and all i_repeats passes of an epoch share it. From epoch 1
+    on it is the sum fit gathers from the previous RO-step, each row's
+    term taken at the parameters of its batch; epoch 0 takes it from
+    grad_log_pred at the initial parameters. An imputing fit runs at most
     min(settings.max_epochs, impute_settings.max_epochs) epochs and also
     stops on a six-epoch plateau of the monitored loss (rel_tol). Falls
     through to the plain trainer when nothing is missing.
@@ -199,14 +204,16 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     model.fit_normalization(X_filled)
     Xn = model.normalize(X_filled)
 
-    def impute_epoch(epoch, curve_mats, table, train_rows):
+    def impute_epoch(epoch, curve_mats, table, train_rows, pred_grad):
         ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
         eta = eta_at(epoch, imp)
-        for _ in range(imp.i_repeats):
+        if imp.pred_weight == 0.0:
             pred_grad = None
-            if imp.pred_weight != 0.0:
-                pred_grad = imp.pred_weight * grad_log_pred(
-                    model, Xn, curve_mats, table, train_rows)
+        else:
+            if pred_grad is None:
+                pred_grad = grad_log_pred(model, Xn, curve_mats, table, train_rows)
+            pred_grad = imp.pred_weight * pred_grad
+        for _ in range(imp.i_repeats):
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
 

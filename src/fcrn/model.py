@@ -200,8 +200,9 @@ class FCRNModel:
     def loss_and_grads(self, batch, want_input_grad=False, want_param_grad=True):
         """Batch loss, its gradient over theta, and d loss / d xn on request.
 
-        Returns (loss, flat gradient or None, (n, P) input gradient or None);
-        the I-step asks for the input gradient alone.
+        Returns (loss, flat gradient or None, input gradient or None); the
+        input gradient is (n, P), or one row per batch row when
+        want_input_grad="rows" (see autodiff.backward).
         """
         projections = self.project_signals(batch.curves, batch.subj_idx)
         want = want_param_grad or want_input_grad
@@ -420,19 +421,29 @@ def build_table(ds, grid, model, g=None):
 
 
 def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
-                adam=None, lr=None, shuffle_rng=None):
-    """One pass over the table; updates parameters when adam is given."""
+                adam=None, lr=None, shuffle_rng=None, input_grad=None):
+    """One pass over the table; updates parameters when adam is given.
+
+    input_grad, when given, is a (len(rows), P) buffer: row k receives the
+    gradient of table row rows[k]'s own loss term with respect to its
+    subject's xn row, at the parameters its batch saw before their update.
+    """
     order = np.arange(len(rows))
     if shuffle_rng is not None:
         shuffle_rng.shuffle(order)
     total, count = 0.0, 0
     for start in range(0, len(order), batch_size):
-        sel = rows[order[start:start + batch_size]]
-        loss, grad, _ = model.loss_and_grads(table_batch(xn, curve_mats, table, sel),
-                                             want_param_grad=adam is not None)
+        at = order[start:start + batch_size]
+        sel = rows[at]
+        loss, grad, d_rows = model.loss_and_grads(
+            table_batch(xn, curve_mats, table, sel),
+            want_input_grad="rows" if input_grad is not None else False,
+            want_param_grad=adam is not None)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss (lr=%s, batch starting at row %d)"
                                % (lr, start))
+        if input_grad is not None:
+            input_grad[at] = d_rows * len(sel)
         if adam is not None:
             ad.adam_step(model.theta, grad, adam, lr)
         total += float(loss) * len(sel)
@@ -484,10 +495,15 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     monitored loss, after max_epochs (default settings.max_epochs) epochs,
     or when the last six monitored losses each moved by less than rel_tol
     relative; the best epoch's parameters are restored. i_step, when
-    given, runs as i_step(epoch, curve_mats, table, train_rows) at the
-    start of every epoch and may update xn in place; the best epoch's xn
-    is then restored along with its parameters. model.history gets one
-    (epoch, train_loss, monitored_loss) row per epoch.
+    given, runs as i_step(epoch, curve_mats, table, train_rows, pred_grad)
+    at the start of every epoch and may update xn in place; the best
+    epoch's xn is then restored along with its parameters. pred_grad is
+    None at epoch 0. After that it is the (n, P) gradient of the summed
+    log-likelihood of the training rows with respect to xn, gathered from
+    the previous epoch's Adam pass: each row's gradient is taken at the
+    parameters its batch saw, and validation subjects get zero rows.
+    model.history gets one (epoch, train_loss, monitored_loss) row per
+    epoch.
     """
     n = len(ds)
     perm = rng.permutation(n)
@@ -501,14 +517,19 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     adam = ad.AdamState(model.theta.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
     best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
-    best_xn = xn.copy() if i_step is not None else None
+    best_xn = input_grad = None
+    if i_step is not None:
+        best_xn = xn.copy()
+        input_grad = np.empty((len(train_rows), xn.shape[1]))
     history = model.history = []
     for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
         if i_step is not None:
-            i_step(epoch, curve_mats, table, train_rows)
+            pred_grad = None if epoch == 0 else -ad.scatter_rows(
+                table.subject_idx[train_rows], input_grad, n)
+            i_step(epoch, curve_mats, table, train_rows, pred_grad)
         tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
-                              shuffle_rng=shuffle_rng)
+                              shuffle_rng=shuffle_rng, input_grad=input_grad)
         if len(val_rows):
             monitored = _epoch_loss(model, xn, curve_mats, table,
                                     val_rows, settings.batch_size)

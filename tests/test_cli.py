@@ -526,6 +526,21 @@ class TestEvaluateCommand:
         bs = np.array([float(r[3]) for r in rows[1:]])
         assert np.all((bs >= 0.0) & (bs <= 1.0))
 
+    def test_shuffled_prediction_rows_give_the_same_scores(self, tmp_path):
+        # predictions are read by (subject, interval), so row order is moot
+        subjects, preds = self._pipeline(tmp_path)
+        header, *rows = preds.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        order = np.random.RandomState(3).permutation(len(rows))
+        shuffled.write_text(header + "".join(rows[k] for k in order))
+        for name, path in (("eval", preds), ("eval_shuffled", shuffled)):
+            assert run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / name)),
+                        "--set", "data.subjects=%s" % json.dumps(str(subjects)),
+                        "evaluate", "--predictions", str(path)]) == 0
+        assert shuffled.read_bytes() != preds.read_bytes()
+        assert ((tmp_path / "eval_shuffled" / "scores.csv").read_bytes()
+                == (tmp_path / "eval" / "scores.csv").read_bytes())
+
     def test_horizon_beyond_grid_is_compat_error(self, tmp_path):
         subjects, preds = self._pipeline(tmp_path)
         code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),

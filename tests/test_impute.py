@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from fcrn.data import build_time_grid
 from fcrn.impute import (COND_VAR_FLOOR, GGM, ImputeSettings, eta_at, fit_ggm,
                          grad_log_pred, grad_log_prior, i_step, iro_train,
                          median_init, sgld_impute)
-from fcrn.model import TrainSettings, build_table, table_batch
+from fcrn.model import TrainSettings, build_table, fit, init_model, table_batch
+from fcrn.simulate import SimConfig, simulate
 
 
 def gaussian_chain(rng, n, p, rho=0.7):
@@ -215,6 +218,36 @@ class TestPredictionGradient:
         g = grad_log_pred(model, xn, {}, table, np.arange(len(table)))
         assert np.all(g == 0.0)
 
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_ro_step_sum_equals_grad_log_pred_at_fixed_parameters(self, head):
+        # with lr = 0 every batch sees the same parameters, so the sum fit
+        # gathers from an RO-step is grad_log_pred over the same training rows
+        train, _, _ = simulate(SimConfig(n=60, n_train=48, n_test=12, seed=3,
+                                         n_signals=1, n_sample_points=11))
+        settings = TrainSettings(lr=0.0, max_epochs=3, hidden=(6, 5),
+                                 val_fraction=0.25, seed=4)
+        rng = np.random.RandomState(settings.seed)
+        model = init_model(train, build_time_grid(100.0, 10.0), head, settings,
+                           2 if head == "csm" else None,
+                           1 if head == "sdm" else None, rng)
+        model.fit_normalization(train.X)
+        xn = model.normalize(train.X)
+        seen = []
+
+        def record(epoch, curve_mats, table, train_rows, pred_grad):
+            seen.append((pred_grad, table.subject_idx[train_rows],
+                         grad_log_pred(model, xn, curve_mats, table, train_rows)))
+
+        fit(model, train, xn, settings, rng, i_step=record)
+        assert len(seen) == 3 and seen[0][0] is None
+        for got, train_subjects, expected in seen[1:]:
+            scale = np.abs(expected).max()
+            assert scale > 0.0
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+            held_out = np.setdiff1d(np.arange(len(train)), train_subjects)
+            assert len(held_out) == 12
+            assert np.all(got[held_out] == 0.0)
+
 
 class TestIStep:
     def test_eta_schedule(self):
@@ -363,22 +396,33 @@ class TestIroTrain:
             assert len(model.history) == 3
 
     def test_prediction_gradient_skips_validation_subjects(self, monkeypatch):
+        # every I-step pass's prediction gradient, the epoch-0 one from
+        # grad_log_pred and the later ones from the RO-step, reads only the
+        # training subjects of the fit's holdout
         rng = np.random.RandomState(14)
         grid = build_time_grid(20, 5)
         n = 40
         subjects = self._subjects(rng, n, missing_rate=0.3)
-        grad_subjects, pred_grads = [], []
+        val_ids, pred_calls, pred_grads = [], [], []
+        real_fit = fcrn.impute.fit
         real_pred, real_step = fcrn.impute.grad_log_pred, fcrn.impute.i_step
 
-        def pred(model, xn, curve_mats, table, rows, **kwargs):
-            grad_subjects.append(set(table.subject_idx[rows].tolist()))
-            return real_pred(model, xn, curve_mats, table, rows, **kwargs)
+        def fit(model, ds, xn, settings, rng, **kwargs):
+            # fit's first draw from rng is the permutation its holdout takes
+            perm = copy.deepcopy(rng).permutation(len(ds))
+            val_ids.extend(perm[:int(round(settings.val_fraction * len(ds)))])
+            return real_fit(model, ds, xn, settings, rng, **kwargs)
+
+        def pred(*args, **kwargs):
+            pred_calls.append(args)
+            return real_pred(*args, **kwargs)
 
         def step(X, mask, ggm, eta, rng, pred_grad=None, noise=True):
             pred_grads.append(pred_grad.copy())
             return real_step(X, mask, ggm, eta, rng, pred_grad=pred_grad,
                              noise=noise)
 
+        monkeypatch.setattr(fcrn.impute, "fit", fit)
         monkeypatch.setattr(fcrn.impute, "grad_log_pred", pred)
         monkeypatch.setattr(fcrn.impute, "i_step", step)
         settings = TrainSettings(max_epochs=3, patience=10, val_fraction=0.25,
@@ -386,12 +430,13 @@ class TestIroTrain:
         iro_train(subjects, grid, "csm", settings,
                   impute_settings=ImputeSettings(max_epochs=3, i_repeats=2),
                   n_causes=2)
+        assert len(pred_calls) == 1
+        assert len(val_ids) == 10
+        train_ids = sorted(set(range(n)) - set(val_ids))
         assert len(pred_grads) == 6
-        for train_ids, g in zip(grad_subjects, pred_grads):
-            val_ids = sorted(set(range(n)) - train_ids)
-            assert len(val_ids) == 10
+        for g in pred_grads:
             assert np.all(g[val_ids] == 0.0)
-            assert np.any(g[sorted(train_ids)] != 0.0)
+            assert np.any(g[train_ids] != 0.0)
 
     def test_imputed_matrix_is_the_best_epochs(self, monkeypatch):
         # with patience stopping the log runs past the best epoch; the

@@ -12,6 +12,7 @@ from fcrn.data import (build_time_grid, censoring_survival, read_curves_csv,
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
                         cif_from_cause_specific, cif_from_subdistribution,
                         table_batch, train_model)
+from fcrn.simulate import SimConfig, simulate
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
 
@@ -303,6 +304,31 @@ class TestTraining:
         model = train_model(subjects, grid, "csm", settings, n_causes=2)
         losses = [h[1] for h in model.history]
         assert losses[-1] < losses[0]
+
+    def test_complete_data_fit_asks_for_no_input_gradient(self, monkeypatch):
+        # only an imputing fit gathers the RO-step's input gradients
+        import fcrn.model
+        asked, buffers = [], []
+        real_backward, real_epoch_loss = ad.backward, fcrn.model._epoch_loss
+
+        def backward(loss, want_param_grad=True, want_input_grad=False):
+            asked.append(want_input_grad)
+            return real_backward(loss, want_param_grad, want_input_grad)
+
+        def epoch_loss(*args, **kwargs):
+            buffers.append(kwargs.get("input_grad"))
+            return real_epoch_loss(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)
+        train, _, _ = simulate(SimConfig(n=40, n_train=30, n_test=10,
+                                         n_signals=1, n_sample_points=11))
+        grid = build_time_grid(100.0, 10.0)
+        settings = TrainSettings(max_epochs=2, hidden=(4,))
+        train_model(train, grid, "csm", settings, n_causes=2)
+        train_model(train, grid, "sdm", settings, target_cause=1)
+        assert asked and not any(asked)
+        assert buffers and all(b is None for b in buffers)
 
 
 class TestSerialization:
