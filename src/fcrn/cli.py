@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import os
 import sys
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, dump_config, load_config
 from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
-                   csv_columns, read_curves_csv, read_subjects_csv,
+                   csv_columns, read_curves_csv, read_subjects_csv, run_codes,
                    write_curves_csv, write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
 from .metrics import evaluation_columns, score_cif
@@ -237,8 +236,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
     L = grid.n_intervals
     order = {sid: i for i, sid in enumerate(ids)}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[:3] != ["id", "interval", "time"]:
             raise CliError(EXIT_SCHEMA, "%s: not a predictions CSV" % path)
         cif_cols = [k for k, h in enumerate(header) if h.startswith("cif_")]
@@ -251,10 +249,9 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
                                      else str for h in header[3:]]
         F = np.zeros((len(causes), len(ids), L + 1))
         seen = np.zeros((len(ids), L + 1), dtype=np.int64)
-        for _, cols in csv_columns(path, reader, header, kinds, chunk_rows):
+        for _, cols in csv_columns(path, fh, header, kinds, chunk_rows):
             interval, time = cols[1], cols[2]
-            subj = np.fromiter(map(order.get, cols[0], itertools.repeat(-1)),
-                               dtype=np.intp, count=len(time))
+            subj = run_codes(cols[0], lambda sid: order.get(sid, -1))
             in_grid = (interval >= 1) & (interval <= L)
             endpoint = grid.cuts[np.where(in_grid, interval, 0)]
             misfit = (subj < 0) | ~in_grid | ~(np.abs(time - endpoint) <= GRID_TOL)

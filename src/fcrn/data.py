@@ -17,10 +17,13 @@ import numpy as np
 G_FLOOR = 1e-4
 # how far a time may lie past a grid time and still count as on it
 GRID_TOL = 1e-9
-# CSV rows parsed per chunk: a chunk's cells become arrays a column at a
-# time. Small chunks let csv's row lists die young; chunks of thousands of
-# rows outlive the young GC generations and set off full collections,
-# which cost more the more objects the process holds.
+# CSV lines parsed per block. A reader turns a block's cells into arrays,
+# and read_curves_csv its ids and signal names into codes, before it reads
+# the next block, so a block's strings are all the text it holds at once
+# and peak memory grows with the block. On a 122k-line curves file (2-vCPU
+# host) 512-line blocks parse as fast as 2048-line ones with a third of
+# their peak memory; 128-line blocks take a third longer and 8192-line
+# blocks twice as long.
 CSV_CHUNK_ROWS = 512
 
 
@@ -32,7 +35,7 @@ class Signal(NamedTuple):
     """One functional signal of every subject, sampled on [0, 1].
 
     Subject i's sample points are taus[offsets[i]:offsets[i + 1]], sorted
-    by (tau, value) and strictly increasing, with their values alongside.
+    and strictly increasing, with their values alongside.
     """
 
     taus: np.ndarray
@@ -281,17 +284,68 @@ def write_subjects_csv(path, ds):
 OPTIONAL_FLOAT = "optional float"
 
 
-def csv_columns(path, reader, header, kinds, chunk_rows=CSV_CHUNK_ROWS):
-    """(row number of the first row, columns) for consecutive blocks of up
-    to chunk_rows rows of path's csv.reader, whose header (row 1) was read.
+# np.loadtxt's dtype for each csv_columns kind: a str or OPTIONAL_FLOAT
+# column loads as its cells' text
+LOAD_DTYPES = {str: object, int: np.int64, float: np.float64, OPTIONAL_FLOAT: object}
+# ASCII separators that np.loadtxt strips from numbers as whitespace and
+# Python's float and int reject
+NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
-    Column k is parsed by kinds[k]: str keeps the cells, int gives an int64
-    array, float a float64 array of finite numbers, and OPTIONAL_FLOAT a
-    float64 array that is NaN at empty or nan cells and finite elsewhere.
-    When a block fails to parse, a row scan raises a DataError naming its
-    first row with the wrong cell count or a cell that its kind rejects.
+
+def csv_columns(path, fh, header, kinds, chunk_rows=CSV_CHUNK_ROWS):
+    """(row number of the first row, columns) for consecutive blocks of up
+    to chunk_rows rows of the open csv file fh, whose header (row 1) was read.
+
+    Column k is parsed by kinds[k]: str gives an object array of the cells,
+    int an int64 array, float a float64 array of finite numbers, and
+    OPTIONAL_FLOAT a float64 array that is NaN at empty or nan cells and
+    finite elsewhere. Each block of chunk_rows lines is parsed by
+    np.loadtxt. From the first block that it rejects (see _load_block),
+    csv.reader parses the rest of the file, chunk_rows rows at a time, so
+    every file gives what csv.reader and the kinds give: when a block fails
+    there, a row scan raises a DataError naming its first row with the
+    wrong cell count or a cell that its kind rejects.
     """
+    dtype = np.dtype([("", LOAD_DTYPES[kind]) for kind in kinds])
     line = 2
+    while block := list(itertools.islice(fh, chunk_rows)):
+        columns = _load_block(block, dtype, kinds)
+        if columns is None:
+            yield from _read_blocks(path, csv.reader(itertools.chain(block, fh)),
+                                    header, kinds, chunk_rows, line)
+            return
+        yield line, columns
+        line += len(block)
+
+
+def _load_block(lines, dtype, kinds):
+    """The columns of a block of csv lines as np.loadtxt parses them, or
+    None where csv.reader could read the block otherwise or a cell is bad.
+
+    Each line must be one row: np.loadtxt skips a blank line, which
+    csv.reader reads as a row of no cells, and the block's last line must
+    not leave a quoted cell open, so a row of zeros is parsed along for
+    such a cell to swallow. Nor may the block hold NUMPY_ONLY_SPACES, or a
+    line longer than csv's field size limit, on which csv.reader raises.
+    """
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if (any(c in text for c in NUMPY_ONLY_SPACES)
+            or (len(text) > limit and max(map(len, lines)) > limit)):
+        return None
+    try:
+        rows = np.loadtxt(lines + [",".join(["0"] * len(kinds)) + "\n"], dtype=dtype,
+                          delimiter=",", comments=None, quotechar='"', ndmin=1)
+        if len(rows) != len(lines) + 1:
+            return None
+        return [_parse_column(kind, rows[name][:-1])
+                for kind, name in zip(kinds, dtype.names)]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _read_blocks(path, reader, header, kinds, chunk_rows, line):
+    """csv_columns's blocks of csv.reader rows, from row number line on."""
     while rows := list(itertools.islice(reader, chunk_rows)):
         try:
             if set(map(len, rows)) != {len(header)}:
@@ -308,7 +362,7 @@ def _parse_column(kind, cells):
     """The column of cells as kind gives it (see csv_columns); ValueError
     or OverflowError when a cell does not fit its kind."""
     if kind is str:
-        return cells
+        return np.array(cells, dtype=object)
     if kind is int:
         return np.array(cells, dtype=np.int64)
     if kind is OPTIONAL_FLOAT:
@@ -343,17 +397,16 @@ def read_subjects_csv(path):
     with a negative time or cause, then the first repeated id.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or header[:3] != ["id", "time", "cause"]:
             raise DataError("%s: expected header id,time,cause,..." % path)
         p = len(header) - 3
-        parts = [((), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, p)))]
+        parts = [(np.zeros(0, dtype=object), np.zeros(0), np.zeros(0, dtype=np.int64),
+                  np.zeros((0, p)))]
         kinds = [str, float, int] + [OPTIONAL_FLOAT] * p
-        for _, (ids, time, cause, *cells) in csv_columns(path, reader, header, kinds):
+        for _, (ids, time, cause, *cells) in csv_columns(path, fh, header, kinds):
             parts.append((ids, time, cause, np.reshape(cells, (p, len(ids))).T))
-    ids, *columns = zip(*parts)
-    ds = Dataset(list(itertools.chain(*ids)), *map(np.concatenate, columns))
+    ds = Dataset(*map(np.concatenate, zip(*parts)))
     negative = np.flatnonzero((ds.time < 0) | (ds.cause < 0))
     if len(negative):
         k = negative[0]
@@ -384,7 +437,7 @@ def write_curves_csv(path, ds):
 def read_curves_csv(path, ds):
     """ds with the signals of the long-format curve CSV attached.
 
-    Signals are sorted by name and each subject's points by (tau, value).
+    Signals are sorted by name and each subject's points by tau.
     Malformed rows fail first (see csv_columns), then the first row of a
     subject ds lacks. Every subject needs every signal the file has, and
     each curve at least 2 strictly increasing sample points in [0, 1];
@@ -395,27 +448,29 @@ def read_curves_csv(path, ds):
     unknown = None  # (row, id) of the first row of an unknown subject
     parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != ["id", "signal_name", "tau", "value"]:
             raise DataError("%s: expected header id,signal_name,tau,value" % path)
-        for line, (ids, names, taus, vals) in csv_columns(path, reader, header,
+        for line, (ids, names, taus, vals) in csv_columns(path, fh, header,
                                                           [str, str, float, float]):
-            subj = np.fromiter(map(position.get, ids, itertools.repeat(-1)),
-                               dtype=np.intp, count=len(ids))
+            subj = run_codes(ids, lambda sid: position.get(sid, -1))
             if unknown is None and (subj < 0).any():
                 k = int(np.argmax(subj < 0))
                 unknown = (line + k, ids[k])
-            for name in dict.fromkeys(names):
-                if name not in code:
-                    code[name] = len(code)
-            signal = np.fromiter(map(code.__getitem__, names), dtype=np.intp,
-                                 count=len(ids))
+            signal = run_codes(names, lambda name: code.setdefault(name, len(code)))
             parts.append((subj, signal, taus, vals))
     if unknown:
         raise DataError("%s row %d: unknown subject id %r" % (path, *unknown))
     signals = _check_curves(path, ds.ids, list(code), *map(np.concatenate, zip(*parts)))
     return Dataset(ds.ids, ds.time, ds.cause, ds.X, signals)
+
+
+def run_codes(cells, lookup):
+    """An intp array of lookup(cell) for an object array of cells, calling
+    lookup once per run of equal neighbouring cells."""
+    starts = np.flatnonzero(np.append(True, cells[1:] != cells[:-1]))
+    codes = np.fromiter(map(lookup, cells[starts]), dtype=np.intp, count=len(starts))
+    return np.repeat(codes, np.diff(np.append(starts, len(cells))))
 
 
 CURVE_ERRORS = (None, "curve %r needs at least 2 sample points",
@@ -426,7 +481,7 @@ CURVE_ERRORS = (None, "curve %r needs at least 2 sample points",
 def _check_curves(path, ids, names, subj, signal, taus, vals):
     """One Signal per name from the file's points (signal k is names[k]),
     in name order, after the per-curve and per-subject checks."""
-    order = np.lexsort((vals, taus, subj, signal))
+    order = np.lexsort((taus, subj, signal))
     subj, signal, taus, vals = subj[order], signal[order], taus[order], vals[order]
     starts = np.flatnonzero(np.diff(subj, prepend=-1) | np.diff(signal, prepend=-1))
     counts = np.diff(np.append(starts, len(order)))

@@ -741,16 +741,78 @@ class TestMutatedSubjectCells:
                 assert code in (0, 2, 3, 4, 5)
 
 
+def mutated_rows(rows, data, texts):
+    """rows (header first) with 0-2 cells set to one of texts, then 0-2 rows
+    dropped, duplicated or blanked; the header stays."""
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = rows[data.draw(st.integers(1, len(rows) - 1))]
+        if row:
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(texts))
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(1, len(rows) - 1))
+        how = data.draw(st.sampled_from(["drop", "duplicate", "blank"]))
+        if how == "drop" and len(rows) > 2:
+            del rows[k]
+        elif how == "duplicate":
+            rows.insert(k, list(rows[k]))
+        else:
+            rows[k] = []
+    return rows
+
+
+class TestMutatedCurvesAndPredictions:
+    TEXTS = ["", "nan", "inf", "-1", "1e400", "x", "1_0", "0.5", "2", "s0", "a,b",
+             'q"q', "signal9", " 1 ", "\x1c1"]
+
+    def _write(self, path, rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_predict_with_mutated_curves_exits_with_a_documented_code(self, fitted,
+                                                                       data):
+        with open(fitted / "test_curves.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            self._write(tmp / "curves.csv", mutated_rows(rows, data, self.TEXTS))
+            code = run(sets(out_dir=str(tmp / "pred"),
+                            data__subjects=str(fitted / "test_subjects.csv"),
+                            data__curves=str(tmp / "curves.csv"))
+                       + ["predict", "--model", str(fitted / "run" / "model.json")])
+        assert code in (0, 2, 3, 4, 5)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_with_mutated_predictions_exits_with_a_documented_code(
+            self, fitted, data):
+        with open(fitted / "pred" / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            self._write(tmp / "predictions.csv", mutated_rows(rows, data, self.TEXTS))
+            code = run(sets(out_dir=str(tmp / "eval"),
+                            data__subjects=str(fitted / "test_subjects.csv"))
+                       + ["evaluate", "--predictions", str(tmp / "predictions.csv")])
+        assert code in (0, 2, 3, 4, 5)
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
-    """The directory of a simulated functional cohort and its one-epoch csm
-    model (run/model.json); test_missing.csv is its test subjects file with
+    """The directory of a simulated functional cohort, its one-epoch csm
+    model (run/model.json) and that model's test-set predictions
+    (pred/predictions.csv); test_missing.csv is its test subjects file with
     the first subject's x3 cell blank."""
     d = tmp_path_factory.mktemp("fitted")
     simulate_small(d, n=24, functional=True, seed=9)
     assert run(train_args(d / "run", d, functional=True, extra=sets(
         train__max_epochs=1, train__hidden=[4]))) == 0
     write_with_cells(d / "test_subjects.csv", d / "test_missing.csv", {(2, 5): ""})
+    assert run(sets(out_dir=str(d / "pred"), data__subjects=str(d / "test_subjects.csv"),
+                    data__curves=str(d / "test_curves.csv"))
+               + ["predict", "--model", str(d / "run" / "model.json")]) == 0
     return d
 
 
