@@ -16,8 +16,9 @@ import numpy as np
 
 from .config import ConfigError, dump_config, load_config
 from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
-                   csv_columns, read_curves_csv, read_subjects_csv, run_codes,
-                   write_curves_csv, write_subjects_csv, censoring_survival)
+                   csv_columns, csv_field, open_csv, read_curves_csv,
+                   read_subjects_csv, run_codes, write_curves_csv,
+                   write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
 from .metrics import evaluation_columns, score_cif
 from .model import FCRNModel, NumericError, TrainSettings, train_model
@@ -192,13 +193,6 @@ def cmd_predict(cfg, model_path):
     return 0
 
 
-def _csv_field(text):
-    """text as a field of csv.writer's default dialect (minimal quoting)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"%s"' % text.replace('"', '""')
-    return text
-
-
 def write_predictions(path, ids, grid, names, columns):
     """predictions.csv: a row id,interval,time,<names> per subject and interval.
 
@@ -210,12 +204,12 @@ def write_predictions(path, ids, grid, names, columns):
     L = grid.n_intervals
     subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
                            + ",%r" * len(columns) + "\r\n" for t in range(1, L + 1))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
         for lo in range(0, len(ids), PREDICT_BLOCK):
             hi = min(lo + PREDICT_BLOCK, len(ids))
             cells = np.empty((hi - lo, L, len(columns) + 1), dtype=object)
-            cells[:, :, 0] = np.array([_csv_field(i) for i in ids[lo:hi]],
+            cells[:, :, 0] = np.array([csv_field(i) for i in ids[lo:hi]],
                                       dtype=object)[:, None]
             for k, col in enumerate(columns):
                 cells[:, :, k + 1] = col[lo:hi, 1:]  # Python floats, so %r is repr
@@ -235,8 +229,7 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
     """
     L = grid.n_intervals
     order = {sid: i for i, sid in enumerate(ids)}
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    with open_csv(path) as (fh, header):
         if not header or header[:3] != ["id", "interval", "time"]:
             raise CliError(EXIT_SCHEMA, "%s: not a predictions CSV" % path)
         cif_cols = [k for k, h in enumerate(header) if h.startswith("cif_")]

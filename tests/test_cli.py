@@ -816,6 +816,49 @@ def fitted(tmp_path_factory):
     return d
 
 
+class TestUnreadableInputFiles:
+    """A byte that is not UTF-8, or a cell longer than csv's field size
+    limit, in any of the three input files exits 3 and names the file."""
+
+    SOURCES = {"subjects": "test_subjects.csv", "curves": "test_curves.csv",
+               "predictions": "pred/predictions.csv"}
+
+    def _run(self, fitted, name, path):
+        """The exit code of predict (evaluate for predictions) on the fitted
+        cohort's test files, with the file name read from path instead."""
+        files = {k: fitted / v for k, v in self.SOURCES.items()}
+        files[name] = path
+        if name == "predictions":
+            return run(sets(out_dir=str(path.parent / "eval"),
+                            data__subjects=str(files["subjects"]))
+                       + ["evaluate", "--predictions", str(files["predictions"])])
+        return run(sets(out_dir=str(path.parent / "pred"),
+                        data__subjects=str(files["subjects"]),
+                        data__curves=str(files["curves"]))
+                   + ["predict", "--model", str(fitted / "run" / "model.json")])
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_byte_that_is_not_utf8_is_schema_error(self, fitted, tmp_path, capsys,
+                                                   name):
+        lines = (fitted / self.SOURCES[name]).read_bytes().split(b"\r\n")
+        lines[2] = b"\xff" + lines[2]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        assert self._run(fitted, name, path) == 3
+        assert capsys.readouterr().err == ("error: %s: byte 0xff is not UTF-8 text\n"
+                                           % path)
+
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_cell_longer_than_the_csv_field_limit_is_schema_error(
+            self, fitted, tmp_path, capsys, name):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        write_with_cells(fitted / self.SOURCES[name], path, {(3, 0): "s" * (limit + 1)})
+        assert self._run(fitted, name, path) == 3
+        assert capsys.readouterr().err == (
+            "error: %s row 3: field larger than field limit (%d)\n" % (path, limit))
+
+
 def predict_with_model(fitted, model, out):
     """predict's exit code on the fitted cohort's test files with the model
     dict written to out/model.json."""

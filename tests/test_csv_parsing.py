@@ -252,13 +252,25 @@ class TestQuotes:
         assert assert_subjects_match(monkeypatch, path)[-1].x[1] == 2.0
 
     def test_line_longer_than_the_csv_field_limit(self, tmp_path, monkeypatch):
-        # csv.reader raises csv.Error for a longer cell; so must the readers
-        path = write(tmp_path, replaced(SUBJECTS, 4, 0, "s" * (csv.field_size_limit() + 1)))
+        # csv.reader raises csv.Error for a longer cell; the readers raise a
+        # DataError that names the file and the row
+        limit = csv.field_size_limit()
+        path = write(tmp_path, replaced(SUBJECTS, 4, 0, "s" * (limit + 1)))
         with pytest.raises(csv.Error):
             ref_read_subjects_csv(path)
-        for _ in block_sizes(monkeypatch):
-            with pytest.raises(csv.Error):
+        for k in block_sizes(monkeypatch):
+            with pytest.raises(DataError) as e:
                 read_subjects_csv(path)
+            assert str(e.value) == ("%s row 4: field larger than field limit (%d)"
+                                    % (path, limit)), k
+
+    def test_header_longer_than_the_csv_field_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, replaced(SUBJECTS, 1, 3, "x" * (limit + 1)))
+        with pytest.raises(DataError) as e:
+            read_subjects_csv(path)
+        assert str(e.value) == ("%s row 1: field larger than field limit (%d)"
+                                % (path, limit))
 
 
 KINDS = [str, int, float, OPTIONAL_FLOAT]

@@ -2,22 +2,24 @@
 
 The reference functions below are the loop implementations of interval
 assignment, censoring Kaplan-Meier, (IPCW) Brier scores, the subject and
-curve CSV readers and the predictions writer, over per-subject Records.
-The vectorized code must give the same bits and bytes.
+curve CSV readers and writers and the predictions writer, over per-subject
+Records. The vectorized code must give the same bits and bytes.
 """
 import csv
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from conftest import Record, dataset, g_at, records, ref_assign_interval
 from hypothesis import strategies as st
 
+import fcrn.data
 from fcrn.cli import read_predictions, write_predictions
-from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, assign_intervals,
+from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, Signal, assign_intervals,
                        build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
 from fcrn.metrics import ScoreCurve, brier, brier_ipcw, ibs, score_cif
@@ -208,6 +210,26 @@ def ref_prediction_row_error(path):
                     return DataError("%s row %d column %s: bad numeric cell %r"
                                      % (path, ln, name, cell))
     return None
+
+
+def ref_write_subjects_csv(path, ds):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "time", "cause"]
+                   + ["x%d" % (j + 1) for j in range(ds.X.shape[1])])
+        for s in records(ds):
+            w.writerow([s.id, repr(s.time), s.cause]
+                       + ["" if m else repr(float(v)) for v, m in zip(s.x, s.missing_mask)])
+
+
+def ref_write_curves_csv(path, ds):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "signal_name", "tau", "value"])
+        for s in records(ds):
+            for name, taus, values in s.curves:
+                for t, v in zip(taus, values):
+                    w.writerow([s.id, name, repr(float(t)), repr(float(v))])
 
 
 def ref_write_predictions(path, ids, grid, names, columns):
@@ -612,3 +634,82 @@ class TestPredictionsFile:
             expected = str(ref_prediction_row_error(path))
             for chunk_rows in range(1, 8):
                 assert outcome(read_predictions, path, ids, grid, chunk_rows) == expected
+
+
+# ---------------------------------------------------------------------------
+# subjects and curves writers
+# ---------------------------------------------------------------------------
+
+NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 0.0, 1e-300, 1.0 / 3.0]))
+TAU = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
+
+
+@st.composite
+def written_datasets(draw, readable=False):
+    """Datasets for the writers: ids that need quoting or are empty, missing
+    (NaN) covariate cells, signed zeros among times, covariates, taus and
+    values, and signals whose point counts differ by subject. A readable
+    one is what the readers give back: every curve has 2 or more strictly
+    increasing taus in [0, 1], and the signals are in name order; one of
+    no subjects has no signal, as a curves file of no rows holds none."""
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, 3))
+    ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
+    time = st.one_of(st.floats(0.0, 100.0), st.sampled_from([-0.0, 0.0]))
+    cells = st.lists(st.one_of(NUMBER, st.just(np.nan)), min_size=p, max_size=p)
+    X = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    names = draw(st.lists(st.sampled_from(["hr", "b,p", 'q"t', "", "x\ny"]),
+                          max_size=3 if n or not readable else 0, unique=True))
+    signals = {}
+    for name in sorted(names) if readable else names:
+        if readable:
+            curves = [sorted(draw(st.lists(TAU, min_size=2, max_size=5, unique=True)))
+                      for _ in range(n)]
+        else:
+            curves = draw(st.lists(st.lists(TAU | NUMBER, max_size=5), min_size=n,
+                                   max_size=n))
+        counts = [len(c) for c in curves]
+        values = draw(st.lists(NUMBER, min_size=sum(counts), max_size=sum(counts)))
+        signals[name] = Signal(np.array(sum(curves, []), dtype=np.float64),
+                               np.array(values, dtype=np.float64),
+                               np.concatenate([[0], np.cumsum(counts)]).astype(np.intp))
+    return dataset(draw(st.lists(time, min_size=n, max_size=n)),
+                   draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                   X.reshape(n, p), ids, signals)
+
+
+class TestSubjectAndCurveFiles:
+    WRITERS = [(write_subjects_csv, ref_write_subjects_csv),
+               (write_curves_csv, ref_write_curves_csv)]
+
+    @PROPERTY
+    @given(written_datasets())
+    @example(dataset([], [], np.zeros((0, 2)), signals={
+        "hr": Signal(np.zeros(0), np.zeros(0), np.zeros(1, dtype=np.intp))}))
+    @example(dataset([2.5, -0.0], [1, 0], np.zeros((2, 0))))
+    def test_writers_match_csv_writer_at_every_block_size(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            expected, got = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            for write, ref_write in self.WRITERS:
+                ref_write(expected, ds)
+                with open(expected, "rb") as fh:
+                    text = fh.read()
+                for block in (1, 2, fcrn.data.WRITE_BLOCK):
+                    with mock.patch.object(fcrn.data, "WRITE_BLOCK", block):
+                        write(got, ds)
+                    with open(got, "rb") as fh:
+                        assert fh.read() == text, (write.__name__, block)
+
+    @PROPERTY
+    @given(written_datasets(readable=True))
+    def test_written_files_read_back_as_the_dataset(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            subjects, curves = os.path.join(tmp, "s.csv"), os.path.join(tmp, "c.csv")
+            write_subjects_csv(subjects, ds)
+            write_curves_csv(curves, ds)
+            got = read_curves_csv(curves, read_subjects_csv(subjects))
+        assert_same_subjects(got, records(ds))
+        assert list(got.signals) == list(ds.signals)
+        for name, sig in ds.signals.items():
+            assert all(same_bits(a, b) for a, b in zip(got.signals[name], sig))
