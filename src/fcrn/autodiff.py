@@ -64,10 +64,10 @@ def micro_shapes(n_basis, width, depth):
 class Params:
     """Named views of one flat float64 vector.
 
-    Blocks in order: (W, b) per MLP layer, then for each signal (W, b) per
-    micro-network sublayer. `mlp_w[k]` is (fan_out, fan_in); a signal's
-    `basis[s] = (weights, biases)` holds (D, fan_out, fan_in) and
-    (D, fan_out) stacks.
+    `blocks` lists the views in vector order: (W, b) per MLP layer, then
+    for each signal (W, b) per micro-network sublayer. `mlp_w[k]` is
+    (fan_out, fan_in); a signal's `basis[s] = (weights, biases)` holds
+    (D, fan_out, fan_in) and (D, fan_out) stacks.
     """
 
     def __init__(self, mlp_shapes, basis_shapes, flat=None):
@@ -76,16 +76,16 @@ class Params:
         blocks = [s for layer in mlp_shapes for s in layer]
         blocks += [s for signal in basis_shapes for layer in signal for s in layer]
         self.flat = np.zeros(sum(math.prod(s) for s in blocks)) if flat is None else flat
-        views, offset = [], 0
+        self.blocks, offset = [], 0
         for shape in blocks:
             n = math.prod(shape)
-            views.append(self.flat[offset:offset + n].reshape(shape))
+            self.blocks.append(self.flat[offset:offset + n].reshape(shape))
             offset += n
         k = 2 * len(mlp_shapes)
-        self.mlp_w, self.mlp_b = views[0:k:2], views[1:k:2]
+        self.mlp_w, self.mlp_b = self.blocks[0:k:2], self.blocks[1:k:2]
         self.basis = []
         for signal in basis_shapes:
-            layer = views[k:k + 2 * len(signal)]
+            layer = self.blocks[k:k + 2 * len(signal)]
             self.basis.append((layer[0::2], layer[1::2]))
             k += len(layer)
         self._grad = None

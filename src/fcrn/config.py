@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import math
 
@@ -47,9 +48,10 @@ DEFAULTS = {
 }
 
 
-# (test, rule) of the values that type-check but that no run can use; a
-# list passes when every item does
+# (test, rule) of the values that type-check but that no run can use, by
+# dotted key; a list passes when every item does
 RANGES = {
+    "seed": (lambda v: 0 <= v < 2 ** 32, "in [0, 2**32 - 1]"),
     "train.head": (lambda v: v in ("csm", "sdm"), 'one of "csm", "sdm"'),
     "train.time_encoding": (lambda v: v in ("scalar", "onehot"),
                             'one of "scalar", "onehot"'),
@@ -85,7 +87,8 @@ def load_config(path=None, overrides=()):
     Raises ConfigError for unparsable JSON, a malformed override, a key
     that DEFAULTS does not have, a value whose JSON type differs from its
     DEFAULTS entry (see _fits), a value out of its RANGES entry, an
-    empty train.basis_grid, or a grid of more than MAX_INTERVALS intervals.
+    empty train.basis_grid or evaluate.horizons, or a grid of more than
+    MAX_INTERVALS intervals.
     """
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -106,13 +109,13 @@ def load_config(path=None, overrides=()):
             value = {part: value}
         _deep_update(cfg, value, DEFAULTS)
     for key, (test, rule) in RANGES.items():
-        section, name = key.split(".")
-        value = cfg[section][name]
+        value = functools.reduce(dict.__getitem__, key.split("."), cfg)
         if not all(map(test, value if isinstance(value, list) else [value])):
             raise ConfigError("config key %r must be %s, not %s"
                               % (key, rule, json.dumps(value)))
-    if not cfg["train"]["basis_grid"]:
-        raise ConfigError("config key 'train.basis_grid' must not be empty")
+    for section, name in (("train", "basis_grid"), ("evaluate", "horizons")):
+        if not cfg[section][name]:
+            raise ConfigError("config key '%s.%s' must not be empty" % (section, name))
     max_time, width = cfg["grid"]["max_time"], cfg["grid"]["width"]
     if max_time / width - 1e-12 > MAX_INTERVALS:  # L as build_time_grid counts it
         raise ConfigError("config keys 'grid.max_time' %g and 'grid.width' %g give "

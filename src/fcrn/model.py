@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
 
+# the model.json version to_dict writes; a file without one is version 1
+SCHEMA_VERSION = 2
 # the fields of a signal record that model.json stores
 SIGNAL_FIELDS = ("name", "taus", "n_basis", "mean", "std", "micro_width", "micro_depth")
 
@@ -100,18 +103,8 @@ class FCRNModel:
             if spec["n_basis"] < 1:
                 raise ValueError("signal %r needs at least one basis node" % spec["name"])
 
-        time_width = grid.n_intervals if time_encoding == "onehot" else 1
-        width_in = (n_tabular
-                    + sum(s["n_basis"] for s in self.signal_specs)
-                    + time_width)
-        n_out = (n_causes + 1) if head == "csm" else 1
-        mlp_shapes, fan_in = [], width_in
-        for w_out in list(self.hidden) + [n_out]:
-            mlp_shapes.append(((w_out, fan_in), (w_out,)))
-            fan_in = w_out
-        self.params = ad.Params(mlp_shapes, [
-            ad.micro_shapes(s["n_basis"], s["micro_width"], s["micro_depth"])
-            for s in self.signal_specs])
+        self.params = ad.Params(*_param_shapes(head, grid, time_encoding, n_tabular,
+                                               n_causes, self.hidden, self.signal_specs))
         # initialization draws: each signal's micro-networks node by node,
         # sublayer by sublayer (biases stay 0), then the MLP
         for spec, (weights, _) in zip(self.signal_specs, self.params.basis):
@@ -251,8 +244,8 @@ class FCRNModel:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):
-        p = self.params
         return {
+            "schema_version": SCHEMA_VERSION,
             "head": self.head,
             "n_causes": self.n_causes,
             "target_cause": self.target_cause,
@@ -263,23 +256,27 @@ class FCRNModel:
             "norm_mean": self.norm_mean.tolist(),
             "norm_std": self.norm_std.tolist(),
             "fill_values": self.fill_values.tolist(),
-            "mlp_w": [w.tolist() for w in p.mlp_w],
-            "mlp_b": [b.tolist() for b in p.mlp_b],
-            "basis_layers": [{
-                **{key: spec[key] for key in SIGNAL_FIELDS},
-                "taus": spec["taus"].tolist(),
-                "weights": [[w[d].tolist() for w in weights] for d in range(spec["n_basis"])],
-                "biases": [[b[d].tolist() for b in biases] for d in range(spec["n_basis"])],
-            } for spec, (weights, biases) in zip(self.signal_specs, p.basis)],
+            "params": self.params.flat.tolist(),
+            "basis_layers": [{**{key: spec[key] for key in SIGNAL_FIELDS},
+                              "taus": spec["taus"].tolist()}
+                             for spec in self.signal_specs],
         }
 
     @classmethod
     def from_dict(cls, d):
-        """The model that to_dict gave as d. A KeyError names a missing
-        field and a ValueError a malformed one: each field must read without
-        error, each size field must match the shapes of its stored arrays,
-        the model read must save it back unchanged, and its numbers must be
-        finite and its standard deviations positive."""
+        """The model that to_dict, or without schema_version version 1, gave
+        as d. A KeyError names a missing field and a ValueError a malformed
+        one: the size fields must be integers in [0, len(params)] that give
+        len(params) parameters before the model is built, which must save d
+        back unchanged and hold finite numbers and positive std's."""
+        if not isinstance(d, dict):
+            raise ValueError("a model file holds a JSON object")
+        d, stored = (d, ()) if "schema_version" in d else _from_v1(d)
+        if type(d["schema_version"]) is not int or d["schema_version"] != SCHEMA_VERSION:
+            raise ValueError("field schema_version: not 1 (absent) or %d" % SCHEMA_VERSION)
+        if not isinstance(d["params"], list):
+            raise ValueError("field params: not a list")
+        n = len(d["params"])
         with _field("grid"):
             grid = TimeGrid(width=d["grid"]["width"],
                             cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
@@ -289,30 +286,39 @@ class FCRNModel:
             specs = [{**{key: b[key] for key in SIGNAL_FIELDS},
                       "mean": float(b["mean"]), "std": float(b["std"])}
                      for b in d["basis_layers"]]
-        _check_sizes(d, grid.n_intervals if d["time_encoding"] == "onehot" else 1)
+            if len({s["name"] for s in specs}) < len(specs):
+                raise ValueError("two signals share a name")
+        sizes = [("n_tabular", [d["n_tabular"]]), ("hidden", d["hidden"])]
+        if d["head"] == "csm":
+            sizes.append(("n_causes", [d["n_causes"]]))
+        sizes += [(key, [s[key]]) for s in specs
+                  for key in ("n_basis", "micro_width", "micro_depth")]
+        for key, values in sizes:
+            with _field(key):
+                if not all(type(v) is int and 0 <= v <= n for v in values):
+                    raise ValueError("sizes must be integers in [0, %d], params' length" % n)
+        mlp, basis = _param_shapes(d["head"], grid, d["time_encoding"], d["n_tabular"],
+                                   d["n_causes"], d["hidden"], specs)
+        with _field("params"):
+            count = sum(math.prod(s) for layer in mlp + sum(basis, []) for s in layer)
+            if count != n:
+                raise ValueError("the sizes give %d parameters, the file %d" % (count, n))
         model = cls(head=d["head"], grid=grid, n_tabular=d["n_tabular"],
                     n_causes=d["n_causes"], target_cause=d["target_cause"],
                     signal_specs=specs, hidden=d["hidden"],
                     time_encoding=d["time_encoding"])
-        p = model.params
-        for key in ("norm_mean", "norm_std", "fill_values"):
+        for (key, array), block in zip(stored, model.params.blocks):
             with _field(key):
-                getattr(model, key)[...] = d[key]
-        for key, views in (("mlp_w", p.mlp_w), ("mlp_b", p.mlp_b)):
+                if np.shape(array) != block.shape:
+                    raise ValueError("an array is not of the shape its sizes give")
+        for key in ("params", "norm_mean", "norm_std", "fill_values"):
             with _field(key):
-                for view, v in zip(views, d[key]):
-                    view[...] = v
-        with _field("basis_layers"):
-            for b, stacks in zip(d["basis_layers"], p.basis):
-                for key, views in zip(("weights", "biases"), stacks):
-                    for k, view in enumerate(views):
-                        view[...] = [node[k] for node in b[key]]
-        saved = model.to_dict()
-        for key in saved:
-            if saved[key] != d[key]:
+                (model.params.flat if key == "params" else getattr(model, key))[...] = d[key]
+        for key, value in model.to_dict().items():
+            if value != d[key]:
                 raise ValueError("field %s does not fit the model it describes" % key)
         stds = np.append(model.norm_std, [s["std"] for s in model.signal_specs])
-        numbers = [p.flat, grid.cuts, model.norm_mean, model.fill_values, stds]
+        numbers = [model.params.flat, grid.cuts, model.norm_mean, model.fill_values, stds]
         numbers += [np.append(s["taus"], s["mean"]) for s in model.signal_specs]
         if not all(np.isfinite(a).all() for a in numbers) or np.any(stds <= 0):
             raise ValueError("a number is not finite, or a std is not positive")
@@ -338,45 +344,40 @@ class FCRNModel:
                 raise DataError("%s: malformed model file: %s" % (path, e))
 
 
-def _check_sizes(d, time_width):
-    """Match each size field of model file d with the arrays d stores for
-    it, before the model is built: no file then allocates more than its
-    own numbers. A mismatch is a ValueError naming the size field."""
-    def match(field, size, stored):
-        with _field(field):
-            if size != stored:
-                raise ValueError("sizes and stored arrays disagree")
+def _param_shapes(head, grid, time_encoding, n_tabular, n_causes, hidden, signal_specs):
+    """The ad.Params shapes: the MLP from the tabular, basis and time
+    columns through hidden to the head, then each signal's micro-networks."""
+    widths = [n_tabular + sum(s["n_basis"] for s in signal_specs)
+              + (grid.n_intervals if time_encoding == "onehot" else 1),
+              *hidden, n_causes + 1 if head == "csm" else 1]
+    return ([((w_out, w_in), (w_out,)) for w_in, w_out in zip(widths, widths[1:])],
+            [ad.micro_shapes(s["n_basis"], s["micro_width"], s["micro_depth"])
+             for s in signal_specs])
 
-    width_in = time_width
-    for b in d["basis_layers"]:
-        with _field("basis_layers"):
-            weights = b["weights"]
-            stacks = [np.shape([node[k] for node in weights])
-                      for k in range(len(weights[0]))]
-            n_basis, width = stacks[0][:2]
-        match("n_basis", b["n_basis"], n_basis)
-        match("micro_width", b["micro_width"], width)
-        match("micro_depth", b["micro_depth"], len(stacks) - 1)
-        match("basis_layers", stacks, [w for w, _ in ad.micro_shapes(
-            n_basis, width, len(stacks) - 1)])
-        width_in += n_basis
-    with _field("mlp_w"):
-        shapes = [np.shape(w) for w in d["mlp_w"]]
-        rows, cols = zip(*shapes)
-    match("hidden", d["hidden"], list(rows[:-1]))
-    match("n_tabular", d["n_tabular"], cols[0] - width_in)
-    if d["head"] == "csm":
-        match("n_causes", d["n_causes"], rows[-1] - 1)
-    match("mlp_w", shapes, list(zip(rows, cols[:1] + rows[:-1])))
+
+def _from_v1(d):
+    """Version 1 model file d, with nested weight lists, as version 2, and
+    the (field, list) pairs it flattened into params in ad.Params order."""
+    v2 = {**d, "schema_version": SCHEMA_VERSION}
+    with _field("mlp_b"):
+        stored = [(key, a) for pair in zip(v2.pop("mlp_w"), v2.pop("mlp_b"), strict=True)
+                  for key, a in zip(("mlp_w", "mlp_b"), pair)]
+    with _field("basis_layers"):
+        v2["basis_layers"] = [dict(b) for b in d["basis_layers"]]
+        for b in v2["basis_layers"]:
+            stacks = [zip(*b.pop(key), strict=True) for key in ("weights", "biases")]
+            stored += [("basis_layers", a) for pair in zip(*stacks, strict=True) for a in pair]
+    v2["params"] = [x for _, a in stored for x in np.array(a, dtype=object).ravel().tolist()]
+    return v2, stored
 
 
 @contextlib.contextmanager
 def _field(name):
-    """Name the model-file field in an IndexError, TypeError or ValueError
-    raised while reading it."""
+    """Name the model-file field in an ArithmeticError, IndexError,
+    TypeError or ValueError raised while reading it."""
     try:
         yield
-    except (IndexError, TypeError, ValueError) as e:
+    except (ArithmeticError, IndexError, TypeError, ValueError) as e:
         raise ValueError("field %s: %s" % (name, e)) from None
 
 

@@ -329,6 +329,9 @@ class TestConfigErrors:
         "train.hidden=[8, 0]",
         "train.basis_grid=[2, -3]",
         "train.basis_grid=[]",  # a grid search of nothing: a TypeError before
+        "evaluate.horizons=[]",  # a scores.csv of only its header before
+        "seed=-1",  # numpy's ValueError before
+        "seed=4294967296",
         "train.val_fraction=1.0",
         "grid.width=0",
         "grid.max_time=-5",
@@ -378,6 +381,10 @@ class TestConfigErrors:
             "mvi.decay=1", "mvi.corr_threshold=1", "simulate.n_test=0",
             "simulate.missing_rate=0.79"])
         assert cfg["mvi"]["eta"] == 0 and cfg["simulate"]["missing_rate"] == 0.79
+
+    def test_seed_bounds_are_accepted(self):
+        for seed in (0, 2 ** 32 - 1):
+            assert load_config(None, ["seed=%d" % seed])["seed"] == seed
 
     def test_integer_for_a_float_and_string_for_a_null_default(self):
         cfg = load_config(None, ["train.lr=1", "data.subjects=a.csv",
@@ -910,6 +917,48 @@ class TestMutatedModelFile:
         model = self._load(fitted)
         model["basis_layers"][0]["micro_depth"] = 10 ** 400
         self._assert_schema_error(fitted, model, tmp_path, capsys, "micro_depth")
+
+    def test_repeated_signal_name_is_schema_error(self, fitted, tmp_path, capsys):
+        # used to exit 0, predicting with one signal's weights and curves twice
+        model = self._load(fitted)
+        layers = model["basis_layers"]
+        layers[1]["name"] = layers[0]["name"]
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "basis_layers")
+
+    @pytest.mark.parametrize("field, value", [("hidden", [4.0]), ("hidden", [True]),
+                                              ("n_tabular", 10.0), ("n_causes", True),
+                                              ("micro_width", 16.0)])
+    def test_size_field_that_is_no_integer_is_schema_error(self, fitted, tmp_path,
+                                                           capsys, field, value):
+        # a float hidden width used to exit 3 naming no field
+        model = self._load(fitted)
+        assert model["hidden"] == [4] and model["n_tabular"] == 10
+        if field == "micro_width":
+            model["basis_layers"][0][field] = value
+        else:
+            model[field] = value
+        self._assert_schema_error(fitted, model, tmp_path, capsys, field)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_params_of_another_length_is_schema_error(self, fitted, tmp_path, capsys,
+                                                      change):
+        model = self._load(fitted)
+        model["params"] = model["params"][:-1] if change < 0 else model["params"] + [0.5]
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "params")
+
+    @pytest.mark.parametrize("version", [3, None, 2.0, "2"])
+    def test_unknown_schema_version_is_schema_error(self, fitted, tmp_path, capsys,
+                                                    version):
+        model = self._load(fitted)
+        assert model["schema_version"] == 2
+        model["schema_version"] = version
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "schema_version")
+
+    def test_top_level_value_that_is_no_object_is_schema_error(self, fitted, tmp_path,
+                                                               capsys):
+        assert predict_with_model(fitted, [1], tmp_path) == 3
+        assert "a model file holds a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.csv").exists()
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data())
