@@ -139,7 +139,7 @@ Projection = namedtuple("Projection", "coef weighted acts weights")
 Projections = namedtuple("Projections", "rows parts")
 
 # Logits of a batch and, when kept, what the backward pass reads.
-Forward = namedtuple("Forward", "logits params head xn_shape subj_idx projections inputs")
+Forward = namedtuple("Forward", "logits params head n_tab projections inputs")
 
 # Batch loss value and its gradient with respect to the logits.
 Loss = namedtuple("Loss", "value d_logits fwd")
@@ -173,7 +173,7 @@ def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
         if keep:
             inputs.append(h)
         z = dense(h, w, b)
-    return Forward(z, params, head, xn.shape, subj_idx, projections, inputs)
+    return Forward(z, params, head, xn.shape[1], projections, inputs)
 
 
 def hazards(fwd):
@@ -223,10 +223,9 @@ def head_loss(fwd, target, weight):
 def backward(loss, want_param_grad=True, want_input_grad=False):
     """Reverse pass of the graph from a batch loss.
 
-    Returns (flat parameter gradient or None, d loss / d xn or None); the
-    input gradient has one row per subject of xn, zero for subjects not in
-    the batch. want_input_grad="rows" returns it per batch row instead,
-    d loss / d xn[subj_idx], before the sum over each subject's rows.
+    Returns (flat parameter gradient or None, input gradient or None); the
+    input gradient has one row per batch row, d loss / d xn[subj_idx],
+    before the sum over each subject's rows (scatter_rows forms that sum).
     """
     fwd = loss.fwd
     if fwd.inputs is None:
@@ -245,14 +244,9 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
         d = d @ params.mlp_w[k]
         if k:
             d *= h > 0.0
-    n_tab = fwd.xn_shape[1]
-    d_xn = None
-    if want_input_grad == "rows":
-        d_xn = d[:, :n_tab]
-    elif want_input_grad:
-        d_xn = scatter_rows(fwd.subj_idx, d[:, :n_tab], fwd.xn_shape[0])
+    d_xn = d[:, :fwd.n_tab] if want_input_grad else None
     if into_basis:
-        col = n_tab
+        col = fwd.n_tab
         for part, (g_w, g_b) in zip(fwd.projections.parts, grad.basis):
             n_basis = part.coef.shape[1]
             d_coef = scatter_rows(fwd.projections.rows, d[:, col:col + n_basis],

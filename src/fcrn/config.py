@@ -67,7 +67,7 @@ RANGES = {
         "mvi.ridge", "mvi.max_epochs", "evaluate.horizons", "simulate.n")},
     **{key: (lambda v: 0 <= v < math.inf, "non-negative and finite") for key in (
         "mvi.eta", "mvi.milestones", "mvi.pred_weight", "mvi.k_max",
-        "simulate.n_train", "simulate.n_test")},
+        "simulate.n_train", "simulate.n_test", "evaluate.t0")},
 }
 
 

@@ -130,7 +130,6 @@ def signal_matrix(ds, name, taus):
 class TimeGrid:
     """Discrete interval cut points 0 = t_0 < t_1 < ... < t_L, equal width."""
 
-    width: float
     cuts: np.ndarray
 
     @property
@@ -148,7 +147,7 @@ def build_time_grid(max_time, width):
         raise ValueError("max_time and width must be positive")
     n = int(np.ceil(max_time / width - 1e-12))
     cuts = width * np.arange(n + 1, dtype=np.float64)
-    return TimeGrid(width=float(width), cuts=cuts)
+    return TimeGrid(cuts)
 
 
 def assign_intervals(times, grid):

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import scatter_rows
 # censoring_survival stays in this namespace: the benchmark's tracer wraps
 # it here (tests/test_bench_contract.py)
 from .data import censoring_survival  # noqa: F401
-from .model import fit, init_model, table_batch, train_model
+from .model import _epoch_loss, fit, init_model, train_model
 
 COND_VAR_FLOOR = 1e-8
 # sgld_impute's epochs between graphical-model refits
@@ -109,17 +110,13 @@ def grad_log_prior(X, mask, ggm):
 def grad_log_pred(model, xn, curve_mats, table, rows, batch_size=4096):
     """Gradient of the summed log-likelihood w.r.t. the covariate matrix.
 
-    Accumulates -d(sum loss)/d(xn) over the given person-period rows; the
-    returned array has one entry per covariate cell (observed cells get
-    gradients too, callers mask them out). No parameter gradient is formed.
+    -d(sum loss)/d(xn) over the given person-period rows, from one pass
+    without Adam updates, summed per subject as fit sums the RO-step's; one
+    entry per covariate cell (callers mask out observed cells).
     """
-    g = np.zeros_like(xn)
-    for start in range(0, len(rows), batch_size):
-        sel = rows[start:start + batch_size]
-        _, _, d_xn = model.loss_and_grads(table_batch(xn, curve_mats, table, sel),
-                                          want_input_grad=True, want_param_grad=False)
-        g += len(sel) * d_xn
-    return -g
+    per_row = np.empty((len(rows), xn.shape[1]))
+    _epoch_loss(model, xn, curve_mats, table, rows, batch_size, input_grad=per_row)
+    return -scatter_rows(table.subject_idx[rows], per_row, len(xn))
 
 
 def eta_at(epoch, settings):
@@ -207,12 +204,9 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     def impute_epoch(epoch, curve_mats, table, train_rows, pred_grad):
         ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
         eta = eta_at(epoch, imp)
-        if imp.pred_weight == 0.0:
-            pred_grad = None
-        else:
-            if pred_grad is None:
-                pred_grad = grad_log_pred(model, Xn, curve_mats, table, train_rows)
-            pred_grad = imp.pred_weight * pred_grad
+        if pred_grad is None and imp.pred_weight != 0.0:
+            pred_grad = grad_log_pred(model, Xn, curve_mats, table, train_rows)
+        pred_grad = None if imp.pred_weight == 0.0 else imp.pred_weight * pred_grad
         for _ in range(imp.i_repeats):
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)

@@ -194,8 +194,7 @@ class FCRNModel:
         """Batch loss, its gradient over theta, and d loss / d xn on request.
 
         Returns (loss, flat gradient or None, input gradient or None); the
-        input gradient is (n, P), or one row per batch row when
-        want_input_grad="rows" (see autodiff.backward).
+        input gradient has one row per batch row (see autodiff.backward).
         """
         projections = self.project_signals(batch.curves, batch.subj_idx)
         want = want_param_grad or want_input_grad
@@ -252,7 +251,8 @@ class FCRNModel:
             "n_tabular": self.n_tabular,
             "hidden": list(self.hidden),
             "time_encoding": self.time_encoding,
-            "grid": {"width": self.grid.width, "cuts": self.grid.cuts.tolist()},
+            "grid": {"width": float(self.grid.cuts[1] - self.grid.cuts[0]),
+                     "cuts": self.grid.cuts.tolist()},
             "norm_mean": self.norm_mean.tolist(),
             "norm_std": self.norm_std.tolist(),
             "fill_values": self.fill_values.tolist(),
@@ -266,11 +266,15 @@ class FCRNModel:
     def from_dict(cls, d):
         """The model that to_dict, or without schema_version version 1, gave
         as d. A KeyError names a missing field and a ValueError a malformed
-        one: the size fields must be integers in [0, len(params)] that give
-        len(params) parameters before the model is built, which must save d
-        back unchanged and hold finite numbers and positive std's."""
+        one: no field may hold a bool, the size fields must be integers in
+        [0, len(params)] that give len(params) parameters before the model
+        is built, which must save d back unchanged and hold finite numbers
+        and positive std's."""
         if not isinstance(d, dict):
             raise ValueError("a model file holds a JSON object")
+        for key, value in d.items():
+            if _holds_bool(value):
+                raise ValueError("field %s: a bool where a number belongs" % key)
         d, stored = (d, ()) if "schema_version" in d else _from_v1(d)
         if type(d["schema_version"]) is not int or d["schema_version"] != SCHEMA_VERSION:
             raise ValueError("field schema_version: not 1 (absent) or %d" % SCHEMA_VERSION)
@@ -278,8 +282,7 @@ class FCRNModel:
             raise ValueError("field params: not a list")
         n = len(d["params"])
         with _field("grid"):
-            grid = TimeGrid(width=d["grid"]["width"],
-                            cuts=np.asarray(d["grid"]["cuts"], dtype=np.float64))
+            grid = TimeGrid(np.asarray(d["grid"]["cuts"], dtype=np.float64))
             if grid.cuts.ndim != 1 or len(grid.cuts) < 2 or np.any(np.diff(grid.cuts) <= 0):
                 raise ValueError("cuts must be at least 2 increasing times")
         with _field("basis_layers"):
@@ -371,6 +374,13 @@ def _from_v1(d):
     return v2, stored
 
 
+def _holds_bool(value):
+    """Whether a JSON value is or holds a bool, which numpy reads as 0 or 1."""
+    if isinstance(value, (dict, list)):
+        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
+    return type(value) is bool
+
+
 @contextlib.contextmanager
 def _field(name):
     """Name the model-file field in an ArithmeticError, IndexError,
@@ -438,7 +448,7 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
         sel = rows[at]
         loss, grad, d_rows = model.loss_and_grads(
             table_batch(xn, curve_mats, table, sel),
-            want_input_grad="rows" if input_grad is not None else False,
+            want_input_grad=input_grad is not None,
             want_param_grad=adam is not None)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss (lr=%s, batch starting at row %d)"

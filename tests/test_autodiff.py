@@ -22,16 +22,18 @@ def run(params, head, xn, subj_idx, target, weight=None):
                      np.zeros((len(subj_idx), 0)))
     loss = ad.head_loss(fwd, np.asarray(target),
                         np.ones(len(target)) if weight is None else weight)
-    grad, d_xn = ad.backward(loss, want_input_grad=True)
-    return loss.value, grad, d_xn
+    grad, d_rows = ad.backward(loss, want_input_grad=True)
+    return loss.value, grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
 
 def unit_backward(params, xn, subj_idx):
-    """Reverse pass with d loss / d logits = 1 on every row."""
+    """Reverse pass with d loss / d logits = 1 on every row; returns (theta
+    grad, xn grad)."""
     fwd = ad.forward(params, "sdm", xn, None, np.asarray(subj_idx),
                      np.zeros((len(subj_idx), 0)))
-    return ad.backward(ad.Loss(0.0, np.ones_like(fwd.logits), fwd),
-                       want_input_grad=True)
+    grad, d_rows = ad.backward(ad.Loss(0.0, np.ones_like(fwd.logits), fwd),
+                               want_input_grad=True)
+    return grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
 
 class TestDense:

@@ -79,9 +79,10 @@ def test_scoring_pass_calls_the_traced_names(tmp_path, monkeypatch):
 
 
 def test_i_step_layers_are_traced(tracing):
-    """A traced imputing fit reports non-zero graphical-model, prior-gradient
-    and I-step spans and counts every missing cell of every I-step pass, so
-    the benchmark's impute.* metrics cannot fall to 0 unnoticed."""
+    """A traced imputing fit reports non-zero graphical-model, prior-gradient,
+    epoch-0 prediction-gradient and I-step spans and counts every missing
+    cell of every I-step pass, so the benchmark's impute.* metrics cannot
+    fall to 0 unnoticed."""
     import fcrn.data
     import fcrn.impute
     import fcrn.model
@@ -102,7 +103,8 @@ def test_i_step_layers_are_traced(tracing):
     finally:
         tracer.uninstall()
     incl, _ = tracer.layer_times("setup")
-    for name in ("impute.ggm_fit", "impute.prior_grad", "impute.i_step"):
+    for name in ("impute.ggm_fit", "impute.prior_grad", "impute.pred_grad",
+                 "impute.i_step"):
         assert incl[name] > 0.0, name
     counts = tracer.counts["setup"]
     assert counts["impute.rejected"] == 0

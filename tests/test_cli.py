@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import tempfile
@@ -354,6 +355,11 @@ class TestConfigErrors:
         "simulate.missing_rate=-0.1",  # apply_mar's ValueError before
         "simulate.missing_rate=0.8",
         "simulate.n=100",  # not n_train + n_test: simulate's ValueError before
+        # evaluate exited 5 for these two and scored from time 0 for the next
+        "evaluate.t0=NaN",
+        "evaluate.t0=Infinity",
+        "evaluate.t0=-Infinity",
+        "evaluate.t0=-1",  # scored exactly as t0 = 0
     ])
     def test_value_of_the_wrong_type_is_schema_error(self, tmp_path, capsys,
                                                      override):
@@ -385,6 +391,10 @@ class TestConfigErrors:
     def test_seed_bounds_are_accepted(self):
         for seed in (0, 2 ** 32 - 1):
             assert load_config(None, ["seed=%d" % seed])["seed"] == seed
+
+    def test_t0_bounds_are_accepted(self):
+        for t0 in (0, 50):
+            assert load_config(None, ["evaluate.t0=%d" % t0])["evaluate"]["t0"] == t0
 
     def test_integer_for_a_float_and_string_for_a_null_default(self):
         cfg = load_config(None, ["train.lr=1", "data.subjects=a.csv",
@@ -806,6 +816,68 @@ class TestMutatedCurvesAndPredictions:
         assert code in (0, 2, 3, 4, 5)
 
 
+def cut_columns(text, data):
+    """CSV text with one header name removed, one whole column removed, or
+    cut inside a line, as drawn from data."""
+    lines = text.split("\r\n")
+    how = data.draw(st.sampled_from(["header name", "column", "cut"]))
+    if how == "cut":
+        k = data.draw(st.integers(0, len(lines) - 2))
+        at = data.draw(st.integers(1, max(1, len(lines[k]) - 1)))
+        return "\r\n".join(lines[:k] + [lines[k][:at]])
+    rows = list(csv.reader(lines[:-1]))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    for row in rows[:1] if how == "header name" else rows:
+        del row[j]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+class TestMutatedFileShapes:
+    """A subjects, curves or predictions file with a header name removed, a
+    whole column removed, or cut mid-line, run through each command that
+    reads it; train's model then through predict."""
+
+    COMMANDS = {"train_subjects.csv": ["train", "predict"],
+                "train_curves.csv": ["train", "predict"],
+                "test_subjects.csv": ["predict", "evaluate"],
+                "test_curves.csv": ["predict"], "predictions.csv": ["evaluate"]}
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_commands_exit_with_a_documented_code(self, fitted, data):
+        name = data.draw(st.sampled_from(sorted(self.COMMANDS)))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            files = {k: fitted / k for k in self.COMMANDS}
+            files["predictions.csv"] = fitted / "pred" / "predictions.csv"
+            text = cut_columns(files[name].read_bytes().decode(), data)
+            files[name] = tmp / name
+            files[name].write_bytes(text.encode())
+            model = fitted / "run" / "model.json"
+            for command in self.COMMANDS[name]:
+                if command == "train":
+                    model = tmp / "run" / "model.json"
+                    code = run(sets(out_dir=str(tmp / "run"),
+                                    data__subjects=str(files["train_subjects.csv"]),
+                                    data__curves=str(files["train_curves.csv"]),
+                                    train__max_epochs=1, train__hidden=[4]) + ["train"])
+                elif command == "predict":
+                    if not model.exists():
+                        break  # train exited with an error code
+                    code = run(sets(out_dir=str(tmp / "pred"),
+                                    data__subjects=str(files["test_subjects.csv"]),
+                                    data__curves=str(files["test_curves.csv"]))
+                               + ["predict", "--model", str(model)])
+                else:
+                    code = run(sets(out_dir=str(tmp / "eval"),
+                                    data__subjects=str(files["test_subjects.csv"]))
+                               + ["evaluate", "--predictions",
+                                  str(files["predictions.csv"])])
+                assert code in (0, 2, 3, 4, 5)
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
     """The directory of a simulated functional cohort, its one-epoch csm
@@ -953,6 +1025,32 @@ class TestMutatedModelFile:
         assert model["schema_version"] == 2
         model["schema_version"] = version
         self._assert_schema_error(fitted, model, tmp_path, capsys, "schema_version")
+
+    @pytest.mark.parametrize("width", ["5", -3.0, 10.0])
+    def test_grid_width_that_is_not_the_spacing_is_schema_error(self, fitted, tmp_path,
+                                                                capsys, width):
+        # each loaded: the width was saved back as it was read, never checked
+        model = self._load(fitted)
+        assert model["grid"]["width"] == 5.0 and model["grid"]["cuts"][:2] == [0.0, 5.0]
+        model["grid"]["width"] = width
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "grid")
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("path", [
+        ("params", 0), ("grid", "width"), ("grid", "cuts", 0), ("grid", "cuts", 1),
+        ("norm_mean", 0), ("norm_std", 0), ("fill_values", 0),
+        ("basis_layers", 0, "taus", 0), ("basis_layers", 0, "mean"),
+        ("basis_layers", 0, "std"), ("target_cause",)],
+        ids=lambda path: ".".join(map(str, path)))
+    def test_bool_where_a_number_belongs_is_schema_error(self, fitted, tmp_path,
+                                                         capsys, path, value):
+        # a JSON true loaded as 1.0 and a false as 0.0
+        model = self._load(fitted)
+        parent = model
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        self._assert_schema_error(fitted, model, tmp_path, capsys, path[0])
 
     def test_top_level_value_that_is_no_object_is_schema_error(self, fitted, tmp_path,
                                                                capsys):

@@ -6,6 +6,7 @@ from conftest import batch_loss_fn, dataset, finite_diff, max_rel_err
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcrn import autodiff as ad
 from fcrn.data import Signal, build_time_grid, censoring_survival
 from fcrn.model import FCRNModel, build_table, table_batch
 
@@ -74,9 +75,10 @@ def test_parameter_gradient_matches_finite_differences(g):
 @given(graphs())
 def test_input_gradient_matches_finite_differences(g):
     model, batch = build(g)
-    _, grad, d_xn = model.loss_and_grads(batch, want_input_grad=True,
-                                         want_param_grad=False)
+    _, grad, d_rows = model.loss_and_grads(batch, want_input_grad=True,
+                                           want_param_grad=False)
     assert grad is None
+    d_xn = ad.scatter_rows(batch.subj_idx, d_rows, len(batch.xn))
     numeric = finite_diff(batch_loss_fn(model, batch), batch.xn.reshape(-1))
     assert max_rel_err(d_xn, numeric.reshape(batch.xn.shape)) < 1e-5
 

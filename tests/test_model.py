@@ -411,6 +411,20 @@ class TestSerialization:
         with pytest.raises(DataError, match="field %s: " % field):
             FCRNModel.load(tmp_path / "model.json")
 
+    @pytest.mark.parametrize("key, field", [("mlp_w", "mlp_w"), ("mlp_b", "mlp_b"),
+                                            ("weights", "basis_layers"),
+                                            ("biases", "basis_layers")])
+    def test_v1_file_with_a_bool_is_rejected(self, tmp_path, key, field):
+        # a JSON true in a weight array loaded as 1.0
+        d = json.loads((FIXTURES / "model_csm.json").read_text())
+        array = d["basis_layers"][0][key] if field == "basis_layers" else d[key]
+        while isinstance(array[0], list):
+            array = array[0]
+        array[0] = True
+        (tmp_path / "model.json").write_text(json.dumps(d))
+        with pytest.raises(DataError, match="field %s: " % field):
+            FCRNModel.load(tmp_path / "model.json")
+
 
 def v1_params(d):
     """The nested arrays of version 1 model file d flattened in ad.Params
