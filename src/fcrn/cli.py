@@ -21,7 +21,8 @@ from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
                    write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
 from .metrics import evaluation_columns, score_cif
-from .model import FCRNModel, NumericError, TrainSettings, train_model
+from .model import (FCRNModel, NormalizationError, NumericError, TrainSettings,
+                    train_model)
 from .simulate import SimConfig, simulate, write_manifest
 
 EXIT_IO = 2
@@ -153,8 +154,16 @@ def cmd_train(cfg):
             model, imputed = _fit_one(cfg, ds, grid, cfg["train"]["n_basis"])
     except NumericError as e:
         raise CliError(EXIT_NUMERIC, str(e))
+    except NormalizationError as e:
+        source, column = e.args
+        raise CliError(EXIT_SCHEMA, "%s column %s: its mean or standard deviation "
+                       "is not finite" % (cfg["data"][source], column))
 
-    model.save(os.path.join(out, "model.json"))
+    try:
+        model.save(os.path.join(out, "model.json"))
+    except ValueError as e:
+        raise CliError(EXIT_NUMERIC, "cannot write %s: %s"
+                       % (os.path.join(out, "model.json"), e))
     with open(os.path.join(out, "training_log.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "train_loss", "val_loss"])
@@ -294,6 +303,13 @@ def cmd_evaluate(cfg, predictions_path):
             raise CliError(EXIT_COMPAT, "evaluate.t0 %g leaves fewer than 2 grid "
                            "times up to horizon %g" % (t0, horizon))
     causes, F = read_predictions(predictions_path, ds.ids, grid)
+    # the csm form predicts every cause, so each one the subjects have is scored
+    with open_csv(predictions_path) as (_, header):
+        unpredicted = sorted(set(ds.cause[ds.cause > 0].tolist()) - set(causes))
+        if "survival" in header and unpredicted:
+            raise CliError(EXIT_SCHEMA, "%s: no column cif_%d, though a subject of %s "
+                           "has cause %d" % (predictions_path, unpredicted[0],
+                                             cfg["data"]["subjects"], unpredicted[0]))
 
     g = censoring_survival(ds, grid)
     path = os.path.join(out, "scores.csv")

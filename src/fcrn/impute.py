@@ -179,10 +179,12 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     rows only, and all i_repeats passes of an epoch share it. From epoch 1
     on it is the sum fit gathers from the previous RO-step, each row's
     term taken at the parameters of its batch; epoch 0 takes it from
-    grad_log_pred at the initial parameters. An imputing fit runs at most
-    min(settings.max_epochs, impute_settings.max_epochs) epochs and also
-    stops on a six-epoch plateau of the monitored loss (rel_tol). Falls
-    through to the plain trainer when nothing is missing.
+    grad_log_pred at the initial parameters. At pred_weight 0 there is no
+    prediction gradient, and the RO-step forms no input gradients. An
+    imputing fit runs at most min(settings.max_epochs,
+    impute_settings.max_epochs) epochs and also stops on a six-epoch
+    plateau of the monitored loss (rel_tol). Falls through to the plain
+    trainer when nothing is missing.
 
     Returns (model, imputed covariate matrix on the original scale); the
     matrix is the best epoch's, the one fit restores with the parameters.
@@ -210,6 +212,7 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
         for _ in range(imp.i_repeats):
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
+        return imp.pred_weight != 0.0
 
     fit(model, ds, Xn, settings, rng, i_step=impute_epoch,
         max_epochs=min(settings.max_epochs, imp.max_epochs), rel_tol=imp.rel_tol)

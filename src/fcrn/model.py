@@ -48,6 +48,12 @@ class NumericError(RuntimeError):
     """Raised when training hits non-finite losses."""
 
 
+class NormalizationError(DataError):
+    """A normalization mean or std that is not finite. Its args are the
+    input it comes from, "subjects" or "curves", and the column: x<j> or
+    the signal's name."""
+
+
 @dataclass
 class TrainSettings:
     """Optimizer and architecture knobs with the published defaults."""
@@ -126,9 +132,13 @@ class FCRNModel:
     # -- feature assembly ----------------------------------------------------
 
     def fit_normalization(self, X):
-        """Set tabular z-normalization statistics from a filled matrix."""
-        self.norm_mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        """Set tabular z-normalization statistics from a filled matrix;
+        NormalizationError when a column's mean or std is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.norm_mean, std = X.mean(axis=0), X.std(axis=0)
+        unusable = np.flatnonzero(~np.isfinite(self.norm_mean) | ~np.isfinite(std))
+        if len(unusable):
+            raise NormalizationError("subjects", "x%d" % (unusable[0] + 1))
         self.norm_std = np.where(std > 1e-12, std, 1.0)
         self.fill_values = np.median(X, axis=0)
 
@@ -152,9 +162,11 @@ class FCRNModel:
         raw = self.curve_matrices(ds)
         for spec in self.signal_specs:
             vals = raw[spec["name"]]
-            spec["mean"] = float(vals.mean())
-            sd = float(vals.std())
-            spec["std"] = sd if sd > 1e-12 else 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, sd = float(vals.mean()), float(vals.std())
+            if not (math.isfinite(mean) and math.isfinite(sd)):
+                raise NormalizationError("curves", spec["name"])
+            spec["mean"], spec["std"] = mean, sd if sd > 1e-12 else 1.0
 
     def _time_feature(self, intervals):
         L = self.grid.n_intervals
@@ -328,9 +340,11 @@ class FCRNModel:
         return model
 
     def save(self, path):
+        """Write the model file; ValueError, before path is opened, when a
+        number is not finite, which JSON cannot hold."""
+        text = json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path):
@@ -508,11 +522,13 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     relative; the best epoch's parameters are restored. i_step, when
     given, runs as i_step(epoch, curve_mats, table, train_rows, pred_grad)
     at the start of every epoch and may update xn in place; the best
-    epoch's xn is then restored along with its parameters. pred_grad is
-    None at epoch 0. After that it is the (n, P) gradient of the summed
-    log-likelihood of the training rows with respect to xn, gathered from
-    the previous epoch's Adam pass: each row's gradient is taken at the
-    parameters its batch saw, and validation subjects get zero rows.
+    epoch's xn is then restored along with its parameters. It returns
+    whether its next call reads pred_grad. pred_grad is None at epoch 0
+    and after a false return. Otherwise it is the (n, P) gradient of the
+    summed log-likelihood of the training rows with respect to xn,
+    gathered from the previous epoch's Adam pass: each row's gradient is
+    taken at the parameters its batch saw, and validation subjects get
+    zero rows.
     model.history gets one (epoch, train_loss, monitored_loss) row per
     epoch.
     """
@@ -531,13 +547,13 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     best_xn = input_grad = None
     if i_step is not None:
         best_xn = xn.copy()
-        input_grad = np.empty((len(train_rows), xn.shape[1]))
     history = model.history = []
     for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
         if i_step is not None:
-            pred_grad = None if epoch == 0 else -ad.scatter_rows(
+            pred_grad = None if input_grad is None else -ad.scatter_rows(
                 table.subject_idx[train_rows], input_grad, n)
-            i_step(epoch, curve_mats, table, train_rows, pred_grad)
+            reads_grad = i_step(epoch, curve_mats, table, train_rows, pred_grad)
+            input_grad = np.empty((len(train_rows), xn.shape[1])) if reads_grad else None
         tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng, input_grad=input_grad)

@@ -9,7 +9,7 @@ probabilities depend on two always-observed anchor covariates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,53 +21,33 @@ UNIFORM_PARAMS = [(-1.0, 1.0), (0.2, 2.0), (0.0, 1.0), (-2.0, 2.0), (0.5, 1.5)]
 ANCHOR_COLUMNS = (0, 5)  # never masked; drive the MAR mechanism
 # apply_mar reaches an overall rate below the share of maskable columns
 MAX_MISSING_RATE = 1 - len(ANCHOR_COLUMNS) / (len(NORMAL_PARAMS) + len(UNIFORM_PARAMS))
+SPLINE_DEGREE = 3  # the simulated curves' B-splines are cubic
 
 
-@dataclass
-class BSplineBasis:
-    """Clamped uniform B-spline basis on [0, 1]."""
-
-    degree: int = 3
-    n_basis: int = 15
-    knots: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.knots is None:
-            n_interior = self.n_basis - self.degree - 1
-            interior = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
-            self.knots = np.concatenate([
-                np.zeros(self.degree + 1), interior, np.ones(self.degree + 1)])
-
-
-def bspline_eval(basis, tau):
-    """All basis values at tau via the Cox-de Boor recursion."""
-    if tau < 0.0 or tau > 1.0:
-        raise ValueError("tau %g outside [0, 1]" % tau)
-    knots = basis.knots
-    n = basis.n_basis
-    p = basis.degree
-    if tau >= knots[-1]:
-        out = np.zeros(n)
-        out[-1] = 1.0
-        return out
-    # degree-0 indicators on half-open [t_i, t_{i+1})
-    b = np.array([1.0 if knots[i] <= tau < knots[i + 1] else 0.0
-                  for i in range(len(knots) - 1)])
+def bspline_design(taus, n_basis):
+    """The (J, n_basis) clamped uniform B-spline basis on [0, 1] at taus, by
+    the Cox-de Boor recursion over all taus at once: degree-0 indicators of
+    the half-open spans [t_i, t_{i+1}), then one array expression per
+    degree, where a zero-width span contributes 0. tau = 1 takes the last
+    function alone."""
+    taus = np.asarray(taus, dtype=np.float64)
+    outside = np.flatnonzero(~((taus >= 0.0) & (taus <= 1.0)))
+    if len(outside):
+        raise ValueError("tau %g outside [0, 1]" % taus[outside[0]])
+    p = SPLINE_DEGREE
+    interior = np.linspace(0.0, 1.0, n_basis - p + 1)[1:-1]
+    knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
+    t = taus[:, None]
+    b = ((knots[:-1] <= t) & (t < knots[1:])).astype(np.float64)
     for k in range(1, p + 1):
-        nxt = np.zeros(len(knots) - 1 - k)
-        for i in range(len(nxt)):
-            left_den = knots[i + k] - knots[i]
-            right_den = knots[i + k + 1] - knots[i + 1]
-            left = (tau - knots[i]) / left_den * b[i] if left_den > 0 else 0.0
-            right = ((knots[i + k + 1] - tau) / right_den * b[i + 1]
-                     if right_den > 0 else 0.0)
-            nxt[i] = left + right
-        b = nxt
-    return b[:n]
-
-
-def bspline_design(basis, taus):
-    return np.vstack([bspline_eval(basis, t) for t in taus])
+        lo, hi = knots[:-k - 1], knots[k + 1:]  # t_i and t_{i+k+1}
+        left_den, right_den = knots[k:-1] - lo, hi - knots[1:-k]
+        left = (t - lo) / np.where(left_den > 0, left_den, 1.0) * b[:, :-1]
+        right = (hi - t) / np.where(right_den > 0, right_den, 1.0) * b[:, 1:]
+        b = np.where(left_den > 0, left, 0.0) + np.where(right_den > 0, right, 0.0)
+    design = b[:, :n_basis].copy()
+    design[taus == 1.0] = np.arange(n_basis) == n_basis - 1
+    return design
 
 
 @dataclass
@@ -119,9 +99,8 @@ def gen_tabular(n, rng):
 def gen_functional(n, rng, config, X):
     """Spline-coefficient curves coupled to the covariates X: values
     (n_signals, n, J) on a uniform grid."""
-    basis = BSplineBasis(n_basis=config.n_spline_basis)
     taus = np.linspace(0.0, 1.0, config.n_sample_points)
-    design = bspline_design(basis, taus)  # (J, K)
+    design = bspline_design(taus, config.n_spline_basis)  # (J, K)
     curves = np.empty((config.n_signals, n, config.n_sample_points))
     for s in range(config.n_signals):
         coefs = rng.standard_normal((n, config.n_spline_basis))

@@ -109,3 +109,31 @@ def test_i_step_layers_are_traced(tracing):
     counts = tracer.counts["setup"]
     assert counts["impute.rejected"] == 0
     assert counts["impute.cells_updated"] == train.mask.sum() * epochs * repeats
+
+
+def test_per_layer_counters_read_their_arguments(tracing):
+    """The counters read BasisLayer.project's curve matrix (args[1]) and
+    FCRNModel.forward_logits's subject indices (args[3]) by position, so a
+    traced functional fit and prediction must count epochs, batches,
+    person-period rows and projected subjects, and time each step."""
+    import fcrn.data
+    import fcrn.model
+    import fcrn.simulate
+
+    train, test, _ = fcrn.simulate.simulate(fcrn.simulate.SimConfig(
+        n=40, n_train=30, n_test=10, n_signals=1, n_sample_points=11))
+    settings = fcrn.model.TrainSettings(max_epochs=2, patience=5, hidden=(4,))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = fcrn.model.train_model(train, fcrn.data.build_time_grid(100.0, 10.0),
+                                       "csm", settings, n_causes=2)
+        model.predict_cif(test)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts["setup"]
+    assert counts["model.epochs"] == 2
+    for name in ("model.batches", "data.rows", "basis.subjects_projected",
+                 "basis.subjects_needed"):
+        assert counts[name] > 0, name
+    assert tracer.batch_ms("setup")

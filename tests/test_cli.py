@@ -284,6 +284,27 @@ class TestTrainCommand:
             "train.cause=3" in err
         assert not (tmp_path / "run" / "model.json").exists()
 
+    @pytest.mark.parametrize("name", ["train_subjects.csv", "train_curves.csv"])
+    def test_normalization_that_overflows_is_schema_error(self, tmp_path, capsys,
+                                                          name):
+        # x1, or signal1's values, times 1e300 (column 3 of either file):
+        # their squares overflow, and the infinite std reached model.json
+        simulate_small(tmp_path / "sim", n=40, functional=True, seed=0)
+        with open(tmp_path / "sim" / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if name == "train_subjects.csv" or row[1] == "signal1":
+                row[3] = repr(float(row[3]) * 1e300)
+        with open(tmp_path / "sim" / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim", functional=True)) == 3
+        err = capsys.readouterr().err
+        assert "%s column %s: its mean or standard deviation is not finite" % (
+            tmp_path / "sim" / name,
+            "x1" if name == "train_subjects.csv" else "signal1") in err
+        assert "Warning" not in err
+        assert not (tmp_path / "run" / "model.json").exists()
+
     def test_one_hot_train_and_predict_at_the_interval_cap(self, tmp_path):
         simulate_small(tmp_path / "sim", n=40, seed=0)
         at_cap = sets(grid__width=100 / MAX_INTERVALS, train__time_encoding="onehot",
@@ -615,6 +636,34 @@ class TestEvaluateCommand:
                     "evaluate", "--predictions", str(junk)])
         assert code == 3
 
+    @staticmethod
+    def _keep_columns(preds, names):
+        with open(preds, newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [j for j, name in enumerate(rows[0]) if name in names]
+        with open(preds, "w", newline="") as fh:
+            csv.writer(fh).writerows([row[j] for j in keep] for row in rows)
+
+    def test_csm_predictions_lacking_a_cause_are_schema_error(self, tmp_path, capsys):
+        # a survival column marks the csm form, which must predict every
+        # cause that a subject has; cause 1 used to be scored alone
+        subjects, preds = self._pipeline(tmp_path)
+        with open(subjects, newline="") as fh:
+            assert "2" in {row["cause"] for row in csv.DictReader(fh)}
+        self._keep_columns(preds, ("id", "interval", "time", "cif_1", "survival"))
+        assert self._evaluate(tmp_path, subjects, preds) == 3
+        err = capsys.readouterr().err
+        assert "%s: no column cif_2" % preds in err and str(subjects) in err
+        assert not (tmp_path / "eval" / "scores.csv").exists()
+
+    def test_sdm_predictions_score_their_cause_alone(self, tmp_path):
+        subjects, preds = self._pipeline(tmp_path)
+        self._keep_columns(preds, ("id", "interval", "time", "cif_2"))
+        assert self._evaluate(tmp_path, subjects, preds) == 0
+        with open(tmp_path / "eval" / "scores.csv", newline="") as fh:
+            causes = {row["cause"] for row in csv.DictReader(fh)}
+        assert causes == {"2"}
+
     def _evaluate(self, tmp_path, subjects, preds, *extra):
         return run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "eval")),
                     "--set", "data.subjects=%s" % json.dumps(str(subjects))]
@@ -756,6 +805,71 @@ class TestMutatedSubjectCells:
                                 data__subjects=str(tmp / "test_subjects.csv"))
                            + ["predict", "--model", str(tmp / "run" / "model.json")])
                 assert code in (0, 2, 3, 4, 5)
+
+
+class TestExtremeMagnitudes:
+    """train never exits 0 with a model file that predict rejects: with
+    cells of any binary64 magnitude, constant columns, single-cause data
+    and curve values of any magnitude, train exits 3 (a normalization mean
+    or std that is not finite) or 4, or its model predicts valid CIFs."""
+
+    @staticmethod
+    def _magnitude(data):
+        exponent = st.one_of(st.integers(-3, 3), st.integers(-320, 308))
+        return data.draw(st.sampled_from([1.0, -1.0, 1.5, -1.5])) * float(
+            "1e%d" % data.draw(exponent))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_train_exits_0_only_with_a_model_predict_reads(self, data):
+        n, p = 10, 3
+        causes = data.draw(st.sampled_from([(1,), (2,), (0, 1), (0, 2), (0, 1, 2)]))
+        head = data.draw(st.sampled_from(["csm", "sdm"]))
+        columns = []
+        for _ in range(p):
+            how = data.draw(st.sampled_from(["constant", "one scale", "any scale"]))
+            if how == "constant":
+                columns.append([self._magnitude(data)] * n)
+            elif how == "one scale":
+                scale = self._magnitude(data)
+                columns.append([scale * data.draw(st.sampled_from([0.5, 1.0, 1.25]))
+                                for _ in range(n)])
+            else:
+                columns.append([self._magnitude(data) for _ in range(n)])
+        rows = [["id", "time", "cause"] + ["x%d" % (j + 1) for j in range(p)]]
+        for i in range(n):
+            rows.append(["s%d" % i, repr(5.0 + 9.0 * i),
+                         str(data.draw(st.sampled_from(causes)))]
+                        + [repr(col[i]) for col in columns])
+        curves = [["id", "signal_name", "tau", "value"]]
+        curve_scale = self._magnitude(data)
+        for i in range(n):
+            curves += [["s%d" % i, "signal1", repr(t),
+                        repr(curve_scale * (1 - 0.05 * i * t))] for t in (0.0, 0.5, 1.0)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, table in (("subjects.csv", rows), ("curves.csv", curves)):
+                with open(tmp / name, "w", newline="") as fh:
+                    csv.writer(fh).writerows(table)
+            files = sets(data__subjects=str(tmp / "subjects.csv"),
+                         data__curves=str(tmp / "curves.csv"))
+            code = run(sets(out_dir=str(tmp / "run"), train__max_epochs=2,
+                            train__hidden=[4], train__head=head) + files + ["train"])
+            assert code in (0, 3, 4)
+            if code:
+                return
+            assert run(sets(out_dir=str(tmp / "pred")) + files + [
+                "predict", "--model", str(tmp / "run" / "model.json")]) == 0
+            with open(tmp / "pred" / "predictions.csv", newline="") as fh:
+                header, *lines = list(csv.reader(fh))
+        values = np.array([[float(v) for v in line[3:]] for line in lines])
+        cifs = values[:, :-1] if head == "csm" else values
+        assert np.all((cifs >= 0.0) & (cifs <= 1.0))
+        # each subject's CIFs rise over its intervals
+        assert np.all(np.diff(cifs.reshape(n, -1, cifs.shape[1]), axis=1) >= 0.0)
+        if head == "csm":
+            assert header[3:] == ["cif_1", "cif_2", "survival"]
+            assert np.allclose(values.sum(axis=1), 1.0, atol=1e-9)
 
 
 def mutated_rows(rows, data, texts):

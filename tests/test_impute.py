@@ -237,6 +237,7 @@ class TestPredictionGradient:
         def record(epoch, curve_mats, table, train_rows, pred_grad):
             seen.append((pred_grad, table.subject_idx[train_rows],
                          grad_log_pred(model, xn, curve_mats, table, train_rows)))
+            return True
 
         fit(model, train, xn, settings, rng, i_step=record)
         assert len(seen) == 3 and seen[0][0] is None
@@ -437,6 +438,45 @@ class TestIroTrain:
         for g in pred_grads:
             assert np.all(g[val_ids] == 0.0)
             assert np.any(g[train_ids] != 0.0)
+
+    def test_zero_pred_weight_forms_no_input_gradient(self, monkeypatch):
+        # without a prediction gradient the I-step reads no input gradient,
+        # so no pass forms or stores one
+        import fcrn.autodiff
+        import fcrn.model
+        asked, buffers, pred_grads = [], [], []
+        real_backward, real_epoch_loss = fcrn.autodiff.backward, fcrn.model._epoch_loss
+        real_step = fcrn.impute.i_step
+
+        def backward(loss, want_param_grad=True, want_input_grad=False):
+            asked.append(want_input_grad)
+            return real_backward(loss, want_param_grad, want_input_grad)
+
+        def epoch_loss(*args, **kwargs):
+            buffers.append(kwargs.get("input_grad"))
+            return real_epoch_loss(*args, **kwargs)
+
+        def pred(*args, **kwargs):
+            raise AssertionError("grad_log_pred called at pred_weight 0")
+
+        def step(X, mask, ggm, eta, rng, pred_grad=None, noise=True):
+            pred_grads.append(pred_grad)
+            return real_step(X, mask, ggm, eta, rng, pred_grad=pred_grad, noise=noise)
+
+        monkeypatch.setattr(fcrn.autodiff, "backward", backward)
+        monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)
+        monkeypatch.setattr(fcrn.impute, "grad_log_pred", pred)
+        monkeypatch.setattr(fcrn.impute, "i_step", step)
+        rng = np.random.RandomState(15)
+        grid = build_time_grid(20, 5)
+        subjects = self._subjects(rng, 40, missing_rate=0.25)
+        settings = TrainSettings(max_epochs=3, patience=10, hidden=(4,), seed=9)
+        for head, kwargs in (("csm", {"n_causes": 2}), ("sdm", {"target_cause": 1})):
+            iro_train(subjects, grid, head, settings, impute_settings=ImputeSettings(
+                max_epochs=3, pred_weight=0.0, rel_tol=0.0), **kwargs)
+        assert asked and not any(asked)
+        assert len(buffers) == 12 and all(b is None for b in buffers)
+        assert len(pred_grads) == 6 and all(g is None for g in pred_grads)
 
     def test_imputed_matrix_is_the_best_epochs(self, monkeypatch):
         # with patience stopping the log runs past the best epoch; the

@@ -1,43 +1,70 @@
 import numpy as np
 import pytest
 
-from fcrn.simulate import (ANCHOR_COLUMNS, BSplineBasis, SimConfig, apply_mar,
-                           bspline_design, bspline_eval, gen_functional,
-                           gen_outcomes, gen_tabular, simulate)
+from fcrn.simulate import (ANCHOR_COLUMNS, SPLINE_DEGREE, SimConfig, apply_mar,
+                           bspline_design, gen_functional, gen_outcomes,
+                           gen_tabular, simulate)
+
+
+def cox_de_boor(knots, i, k, tau):
+    """Textbook B_{i,k}(tau) on the half-open spans, a zero-width span
+    contributing 0 (de Boor, J. Approx. Theory 6, 1972)."""
+    if k == 0:
+        return 1.0 if knots[i] <= tau < knots[i + 1] else 0.0
+    left_den = knots[i + k] - knots[i]
+    right_den = knots[i + k + 1] - knots[i + 1]
+    left = ((tau - knots[i]) / left_den * cox_de_boor(knots, i, k - 1, tau)
+            if left_den > 0 else 0.0)
+    right = ((knots[i + k + 1] - tau) / right_den * cox_de_boor(knots, i + 1, k - 1, tau)
+             if right_den > 0 else 0.0)
+    return left + right
 
 
 class TestBSplineBasis:
     def test_partition_of_unity(self):
-        basis = BSplineBasis()
         rng = np.random.RandomState(0)
         taus = rng.uniform(0, 1, size=1000)
-        design = bspline_design(basis, taus)
+        design = bspline_design(taus, 15)
         assert np.allclose(design.sum(axis=1), 1.0, atol=1e-12)
 
     def test_clamped_endpoints(self):
-        basis = BSplineBasis()
-        left = bspline_eval(basis, 0.0)
-        right = bspline_eval(basis, 1.0)
+        left, right = bspline_design(np.array([0.0, 1.0]), 15)
         assert left[0] == pytest.approx(1.0)
         assert np.all(left[1:] == 0.0)
         assert right[-1] == pytest.approx(1.0)
         assert np.all(right[:-1] == 0.0)
 
     def test_nonnegative(self):
-        basis = BSplineBasis()
-        design = bspline_design(basis, np.linspace(0, 1, 201))
+        design = bspline_design(np.linspace(0, 1, 201), 15)
         assert np.all(design >= 0.0)
 
     def test_local_support(self):
         # a cubic basis function is nonzero on at most degree+1 knot spans
-        basis = BSplineBasis()
-        design = bspline_design(basis, np.linspace(0, 1, 401))
+        design = bspline_design(np.linspace(0, 1, 401), 15)
         active = (design > 1e-12).sum(axis=1)
-        assert np.all(active <= basis.degree + 1)
+        assert np.all(active <= SPLINE_DEGREE + 1)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            bspline_eval(BSplineBasis(), 1.5)
+        with pytest.raises(ValueError, match="tau 1.5 outside"):
+            bspline_design(np.array([0.5, 1.5, -1.0]), 15)
+
+    def test_bit_identical_to_the_textbook_recursion(self):
+        # the clamped uniform knots; below 4 functions the design is the
+        # first n_basis of the 4 cubic functions on [0, 1]
+        edges = [0.0, 1.0, 1 - 1e-16, 5e-324, np.nextafter(1.0, 0.0), 0.5, 1 / 3]
+        rng = np.random.RandomState(16)
+        for n_basis in range(2, 31):
+            taus = np.concatenate([np.linspace(0, 1, 51), rng.uniform(0, 1, 40), edges])
+            p = SPLINE_DEGREE
+            knots = np.concatenate([np.zeros(p + 1),
+                                    np.linspace(0.0, 1.0, n_basis - p + 1)[1:-1],
+                                    np.ones(p + 1)])
+            expected = np.array([
+                [float(i == n_basis - 1) if tau == 1.0 else cox_de_boor(knots, i, p, tau)
+                 for i in range(n_basis)] for tau in taus])
+            got = bspline_design(taus, n_basis)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n_basis
 
 
 class TestTabular:
