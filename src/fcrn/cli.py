@@ -188,13 +188,19 @@ def cmd_predict(cfg, model_path):
     grid = model.grid
     _check_times(ds, grid.max_time, EXIT_COMPAT,
                  "outside model grid (max %g)" % grid.max_time)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite CIFs exit 4
+        cif = model.predict_cif(ds)
     if model.head == "csm":
         names = ["cif_%d" % m for m in range(1, model.n_causes + 1)] + ["survival"]
-        S, F = model.predict_cif(ds)
+        S, F = cif
         columns = [F[:, k] for k in range(model.n_causes)] + [S]
     else:
         names = ["cif_%d" % model.target_cause]
-        columns = [model.predict_cif(ds)]
+        columns = [cif]
+    finite = np.logical_and.reduce([np.isfinite(col).all(axis=1) for col in columns])
+    if not finite.all():
+        raise CliError(EXIT_NUMERIC, "model %s gives non-finite predictions, first "
+                       "for subject %r" % (model_path, ds.ids[np.argmin(finite)]))
     path = os.path.join(out, "predictions.csv")
     write_predictions(path, ds.ids, grid, names, columns)
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
@@ -207,12 +213,13 @@ def write_predictions(path, ids, grid, names, columns):
 
     columns holds one (n, L+1) matrix per name, column t for interval t.
     The file is what csv.writer writes for the rows [id, t, repr(time),
-    repr(value), ...]; it is formatted PREDICT_BLOCK subjects at a time,
-    by one %-format of every row of the block.
+    "%.17g" % value, ...]: 17 significant digits, so each value reads back
+    as the same binary64. It is formatted PREDICT_BLOCK subjects at a
+    time, by one %-format of every row of the block.
     """
     L = grid.n_intervals
     subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
-                           + ",%r" * len(columns) + "\r\n" for t in range(1, L + 1))
+                           + ",%.17g" * len(columns) + "\r\n" for t in range(1, L + 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
         for lo in range(0, len(ids), PREDICT_BLOCK):
@@ -221,7 +228,7 @@ def write_predictions(path, ids, grid, names, columns):
             cells[:, :, 0] = np.array([csv_field(i) for i in ids[lo:hi]],
                                       dtype=object)[:, None]
             for k, col in enumerate(columns):
-                cells[:, :, k + 1] = col[lo:hi, 1:]  # Python floats, so %r is repr
+                cells[:, :, k + 1] = col[lo:hi, 1:]
             fh.write((subject_rows * (hi - lo)) % tuple(cells.ravel().tolist()))
 
 

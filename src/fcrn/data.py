@@ -283,24 +283,28 @@ def write_subjects_csv(path, ds):
     """Subject CSV: id, time, cause, then covariates x1..xP.
 
     Missing cells are written empty. The file is what csv.writer writes
-    for the rows [id, repr(time), cause, repr(x) or "", ...]; it is
-    formatted WRITE_BLOCK subjects at a time, by one %-format of every row
-    of the block.
+    for the rows [id, "%.17g" % time, cause, "%.17g" % x or "", ...]: 17
+    significant digits, so each number reads back as the same binary64.
+    It is formatted WRITE_BLOCK subjects at a time, by one %-format of
+    every row of the block.
     """
     p = ds.X.shape[1]
-    subject_row = "%s,%r,%d" + ",%s" * p + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "time", "cause"]
                                 + ["x%d" % (j + 1) for j in range(p)])
         for lo in range(0, len(ds), WRITE_BLOCK):
             hi = min(lo + WRITE_BLOCK, len(ds))
+            missing = np.isnan(ds.X[lo:hi])
+            rows = np.full((hi - lo, p + 2), "\r\n", dtype=object)
+            rows[:, 0] = "%s,%.17g,%d"
+            rows[:, 1:-1] = np.where(missing, ",", ",%.17g")  # a missing cell stays empty
             cells = np.empty((hi - lo, 3 + p), dtype=object)
             cells[:, 0] = [csv_field(sid) for sid in ds.ids[lo:hi]]
-            cells[:, 1] = ds.time[lo:hi]  # Python floats, so %r is repr
+            cells[:, 1] = ds.time[lo:hi]
             cells[:, 2] = ds.cause[lo:hi]
-            cells[:, 3:] = ds.X[lo:hi]  # %s of a Python float is its repr too
-            cells[:, 3:][np.isnan(ds.X[lo:hi])] = ""
-            fh.write((subject_row * (hi - lo)) % tuple(cells.ravel().tolist()))
+            cells[:, 3:] = ds.X[lo:hi]
+            present = np.concatenate([np.ones((hi - lo, 3), dtype=bool), ~missing], axis=1)
+            fh.write("".join(rows.ravel().tolist()) % tuple(cells[present].tolist()))
 
 
 @contextlib.contextmanager
@@ -476,9 +480,10 @@ def write_curves_csv(path, ds):
     then signal, then sample point order.
 
     The file is what csv.writer writes for the rows [id, name, repr(tau),
-    repr(value)]; it is formatted WRITE_BLOCK subjects at a time, by one
-    %-format of every row of the block, with one repr per distinct tau of
-    the block.
+    "%.17g" % value]: 17 significant digits, so each value reads back as
+    the same binary64. It is formatted WRITE_BLOCK subjects at a time, by
+    one %-format of every row of the block, with one repr per distinct tau
+    of the block.
     """
     names = [csv_field(name) for name in ds.signals]
     signals = list(ds.signals.values())
@@ -498,13 +503,13 @@ def write_curves_csv(path, ds):
                 points = np.arange(sig.offsets[lo], sig.offsets[hi])
                 rows = points + np.repeat(starts[:, k] - sig.offsets[lo:hi], counts[:, k])
                 cells[rows, 1] = name
-                cells[rows, 3] = sig.values[points]  # Python floats, so %r is repr
+                cells[rows, 3] = sig.values[points]
                 taus[rows] = sig.taus[points]
             # one repr per distinct bit pattern, so -0.0 keeps its own text
             bits, inverse = np.unique(taus.view(np.int64), return_inverse=True)
             text = np.array([repr(t) for t in bits.view(np.float64).tolist()], dtype=object)
             cells[:, 2] = text[inverse]
-            fh.write(("%s,%s,%s,%r\r\n" * len(cells)) % tuple(cells.ravel().tolist()))
+            fh.write(("%s,%s,%s,%.17g\r\n" * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 def read_curves_csv(path, ds):

@@ -29,7 +29,11 @@ def bspline_design(taus, n_basis):
     the Cox-de Boor recursion over all taus at once: degree-0 indicators of
     the half-open spans [t_i, t_{i+1}), then one array expression per
     degree, where a zero-width span contributes 0. tau = 1 takes the last
-    function alone."""
+    function alone. n_basis is at least SPLINE_DEGREE + 1, the cubic
+    functions on [0, 1] without interior knots."""
+    if n_basis < SPLINE_DEGREE + 1:
+        raise ValueError("n_basis %d is below the %d functions of a degree-%d "
+                         "B-spline basis" % (n_basis, SPLINE_DEGREE + 1, SPLINE_DEGREE))
     taus = np.asarray(taus, dtype=np.float64)
     outside = np.flatnonzero(~((taus >= 0.0) & (taus <= 1.0)))
     if len(outside):
@@ -45,9 +49,8 @@ def bspline_design(taus, n_basis):
         left = (t - lo) / np.where(left_den > 0, left_den, 1.0) * b[:, :-1]
         right = (hi - t) / np.where(right_den > 0, right_den, 1.0) * b[:, 1:]
         b = np.where(left_den > 0, left, 0.0) + np.where(right_den > 0, right, 0.0)
-    design = b[:, :n_basis].copy()
-    design[taus == 1.0] = np.arange(n_basis) == n_basis - 1
-    return design
+    b[taus == 1.0] = np.arange(n_basis) == n_basis - 1
+    return b
 
 
 @dataclass

@@ -443,6 +443,90 @@ class TestConfigDefaults:
         assert _settings(SimConfig, cfg["simulate"]) == SimConfig()
 
 
+class TestDrawnConfigs:
+    """simulate → train → predict → evaluate under drawn configs exits 0, 2,
+    3, 4 or 5 at every command, and no exception escapes.
+
+    Each key below takes values inside its range. In about half the
+    examples one key instead takes a value of another JSON type, of
+    another key's choices, or out of its range.
+
+    The sizes are small by construction, so that no draw can ask numpy for
+    an array it cannot allocate. simulate.n is at most 40; grid.max_time
+    stays 100 and grid.width is at least 2.5, so there are at most 40
+    intervals. hidden layers are at most 8 wide, train.max_epochs and
+    mvi.max_epochs at most 2, and basis counts at most 6. The swapped-in
+    values are no larger than 3, so they cannot grow any of these. A
+    batch_size up to 100,000 takes at most the 1,200 person-period rows
+    (30 training subjects by 40 intervals) that there are.
+    """
+
+    KEYS = {
+        "seed": st.integers(0, 2 ** 32 - 1),
+        "simulate.functional": st.booleans(),
+        "simulate.missing_rate": st.sampled_from([0.0, 0.25, 0.5]),
+        "grid.width": st.sampled_from([2.5, 5.0, 10.0, 25.0]),
+        "train.head": st.sampled_from(["csm", "sdm"]),
+        "train.cause": st.integers(1, 2),
+        "train.time_encoding": st.sampled_from(["scalar", "onehot"]),
+        "train.hidden": st.lists(st.integers(1, 8), max_size=2),
+        "train.batch_size": st.integers(1, 100_000),
+        "train.lr": st.floats(1e-6, 1e6),
+        "train.val_fraction": st.floats(0.0, 0.99),
+        "train.max_epochs": st.integers(1, 2),
+        "train.patience": st.integers(1, 3),
+        "train.n_basis": st.integers(1, 6),
+        "train.basis_grid_search": st.booleans(),
+        "train.basis_grid": st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        "train.use_functional": st.booleans(),
+        "mvi.enabled": st.booleans(),
+        "mvi.eta": st.floats(0.0, 5.0),
+        "mvi.k_max": st.integers(0, 12),
+        "mvi.corr_threshold": st.floats(0.0, 1.0),
+        "mvi.pred_weight": st.floats(0.0, 100.0),
+        "mvi.max_epochs": st.integers(1, 2),
+        "evaluate.t0": st.sampled_from([0.0, 10.0, 95.0]),
+        "evaluate.horizons": st.lists(st.sampled_from([25.0, 50.0, 100.0]), min_size=1,
+                                      max_size=2),
+    }
+    SWAPS = ["x", "csm", "onehot", True, None, [], [2], [0.5], {}, -1, 0, 2.5, 3]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_pipeline_exits_with_a_documented_code(self, data):
+        n_train, n_test = data.draw(st.integers(6, 30)), data.draw(st.integers(2, 10))
+        values = {"simulate.n": n_train + n_test, "simulate.n_train": n_train,
+                  "simulate.n_test": n_test}
+        values.update({key: data.draw(strategy, label=key)
+                       for key, strategy in self.KEYS.items()})
+        if data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(values)), label="swapped key")
+            values[key] = data.draw(st.sampled_from(self.SWAPS), label="swapped value")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            common = [item for key, value in values.items()
+                      for item in ("--set", "%s=%s" % (key, json.dumps(value)))]
+            sim = tmp / "sim"
+            curves = values["simulate.functional"] is True  # else no curves files
+            data_files, test_files = (
+                sets(data__subjects=str(sim / ("%s_subjects.csv" % part)),
+                     data__curves=str(sim / ("%s_curves.csv" % part)) if curves else None)
+                for part in ("train", "test"))
+            steps = [
+                (sets(out_dir=str(sim)), ["simulate"]),
+                (sets(out_dir=str(tmp / "run")) + data_files, ["train"]),
+                (sets(out_dir=str(tmp / "pred")) + test_files,
+                 ["predict", "--model", str(tmp / "run" / "model.json")]),
+                (sets(out_dir=str(tmp / "eval")) + test_files,
+                 ["evaluate", "--predictions", str(tmp / "pred" / "predictions.csv")]),
+            ]
+            for where, command in steps:
+                code = run(common + where + command)
+                assert code in (0, 2, 3, 4, 5), command[0]
+                if code:
+                    break
+
+
 class TestPredictCommand:
     def _train(self, tmp_path, head="csm"):
         simulate_small(tmp_path / "sim", seed=6)
@@ -1165,6 +1249,20 @@ class TestMutatedModelFile:
             parent = parent[key]
         parent[path[-1]] = value
         self._assert_schema_error(fitted, model, tmp_path, capsys, path[0])
+
+    def test_weights_that_overflow_the_forward_pass_are_numeric_error(
+            self, fitted, tmp_path, capsys):
+        # used to exit 0 with nan in every cif_ and survival cell, which
+        # evaluate then rejected
+        model = self._load(fitted)
+        model["params"] = [v * 1e300 for v in model["params"]]
+        assert np.isfinite(model["params"]).all()
+        assert predict_with_model(fitted, model, tmp_path) == 4
+        with open(fitted / "test_missing.csv", newline="") as fh:
+            first = list(csv.reader(fh))[1][0]
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.json") in err and "subject %r" % first in err
+        assert not (tmp_path / "predictions.csv").exists()
 
     def test_top_level_value_that_is_no_object_is_schema_error(self, fitted, tmp_path,
                                                                capsys):

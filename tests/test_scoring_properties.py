@@ -218,8 +218,8 @@ def ref_write_subjects_csv(path, ds):
         w.writerow(["id", "time", "cause"]
                    + ["x%d" % (j + 1) for j in range(ds.X.shape[1])])
         for s in records(ds):
-            w.writerow([s.id, repr(s.time), s.cause]
-                       + ["" if m else repr(float(v)) for v, m in zip(s.x, s.missing_mask)])
+            w.writerow([s.id, "%.17g" % s.time, s.cause]
+                       + ["" if m else "%.17g" % v for v, m in zip(s.x, s.missing_mask)])
 
 
 def ref_write_curves_csv(path, ds):
@@ -229,7 +229,7 @@ def ref_write_curves_csv(path, ds):
         for s in records(ds):
             for name, taus, values in s.curves:
                 for t, v in zip(taus, values):
-                    w.writerow([s.id, name, repr(float(t)), repr(float(v))])
+                    w.writerow([s.id, name, repr(float(t)), "%.17g" % v])
 
 
 def ref_write_predictions(path, ids, grid, names, columns):
@@ -239,7 +239,7 @@ def ref_write_predictions(path, ids, grid, names, columns):
         for i, sid in enumerate(ids):
             for t in range(1, grid.n_intervals + 1):
                 w.writerow([sid, t, repr(float(grid.cuts[t]))]
-                           + [repr(float(col[i, t])) for col in columns])
+                           + ["%.17g" % col[i, t] for col in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -713,3 +713,59 @@ class TestSubjectAndCurveFiles:
         assert list(got.signals) == list(ds.signals)
         for name, sig in ds.signals.items():
             assert all(same_bits(a, b) for a, b in zip(got.signals[name], sig))
+
+
+# ---------------------------------------------------------------------------
+# the writers' float format
+# ---------------------------------------------------------------------------
+
+# signed zero, the least subnormal, the least normal, the greatest finite,
+# the float below 1, and a decimal that no binary64 holds exactly
+EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         float(np.nextafter(1.0, 0.0)), 0.1]
+FINITE = st.one_of(st.sampled_from(EDGES + [-v for v in EDGES]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestLosslessFloatFormat:
+    """Every finite binary64 that a writer formats reads back as the same
+    bits: a value cell holds 17 significant digits (%.17g), which round-trip
+    every binary64 (IEEE 754-2008 5.12.2; Steele & White, PLDI 1990)."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_every_writer_reads_back_every_value_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 5))
+        p = data.draw(st.integers(1, 3))
+
+        def draw_values(shape, strategy=FINITE):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(strategy, min_size=size, max_size=size)),
+                            dtype=np.float64).reshape(shape)
+
+        time = draw_values(n, st.one_of(st.sampled_from(EDGES), st.floats(
+            min_value=0.0, allow_infinity=False)))
+        X = draw_values((n, p), FINITE | st.just(np.nan))
+        counts = data.draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+        taus = np.concatenate([np.linspace(0.0, 1.0, c) for c in counts])
+        signals = {"hr": Signal(taus, draw_values(len(taus)),
+                                np.concatenate([[0], np.cumsum(counts)]).astype(np.intp))}
+        ds = dataset(time, [0] * n, X, signals=signals)
+        grid = data.draw(grids())
+        names = ["cif_%d" % m for m in range(1, data.draw(st.integers(1, 3)) + 1)]
+        columns = [draw_values((n, grid.n_intervals + 1)) for _ in names]
+        with tempfile.TemporaryDirectory() as tmp:
+            subjects, curves, preds = (os.path.join(tmp, name)
+                                       for name in ("s.csv", "c.csv", "p.csv"))
+            write_subjects_csv(subjects, ds)
+            write_curves_csv(curves, ds)
+            write_predictions(preds, ds.ids, grid, names, columns)
+            got = read_curves_csv(curves, read_subjects_csv(subjects))
+            causes, F = read_predictions(preds, ds.ids, grid)
+        assert same_bits(got.time, time)
+        assert (got.mask == ds.mask).all()
+        assert same_bits(got.X[~ds.mask], X[~ds.mask])
+        assert same_bits(got.signals["hr"].values, signals["hr"].values)
+        assert causes == list(range(1, len(names) + 1))
+        for F_m, col in zip(F, columns):
+            assert same_bits(F_m[:, 1:], col[:, 1:])

@@ -48,12 +48,18 @@ class TestBSplineBasis:
         with pytest.raises(ValueError, match="tau 1.5 outside"):
             bspline_design(np.array([0.5, 1.5, -1.0]), 15)
 
+    @pytest.mark.parametrize("n_basis", [1, 2, 3])
+    def test_fewer_functions_than_a_cubic_basis_rejected(self, n_basis):
+        # 2 and 3 used to give the first n_basis of the 4 cubic functions,
+        # rows that do not sum to 1; 1 failed inside np.linspace
+        with pytest.raises(ValueError, match="below the 4 functions"):
+            bspline_design(np.linspace(0, 1, 5), n_basis)
+
     def test_bit_identical_to_the_textbook_recursion(self):
-        # the clamped uniform knots; below 4 functions the design is the
-        # first n_basis of the 4 cubic functions on [0, 1]
+        # the clamped uniform knots
         edges = [0.0, 1.0, 1 - 1e-16, 5e-324, np.nextafter(1.0, 0.0), 0.5, 1 / 3]
         rng = np.random.RandomState(16)
-        for n_basis in range(2, 31):
+        for n_basis in range(SPLINE_DEGREE + 1, 31):
             taus = np.concatenate([np.linspace(0, 1, 51), rng.uniform(0, 1, 40), edges])
             p = SPLINE_DEGREE
             knots = np.concatenate([np.zeros(p + 1),
