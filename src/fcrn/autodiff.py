@@ -64,10 +64,11 @@ def micro_shapes(n_basis, width, depth):
 class Params:
     """Named views of one flat float64 vector.
 
-    `blocks` lists the views in vector order: (W, b) per MLP layer, then
-    for each signal (W, b) per micro-network sublayer. `mlp_w[k]` is
-    (fan_out, fan_in); a signal's `basis[s] = (weights, biases)` holds
-    (D, fan_out, fan_in) and (D, fan_out) stacks.
+    The vector holds, in order, (W, b) per MLP layer, then for each signal
+    (W, b) per micro-network sublayer. `weights[k]` and `biases[k]` are
+    MLP layer k's, W of shape (fan_out, fan_in); a signal's
+    `basis[s] = (weights, biases)` holds (D, fan_out, fan_in) and
+    (D, fan_out) stacks.
     """
 
     def __init__(self, mlp_shapes, basis_shapes, flat=None):
@@ -76,16 +77,16 @@ class Params:
         blocks = [s for layer in mlp_shapes for s in layer]
         blocks += [s for signal in basis_shapes for layer in signal for s in layer]
         self.flat = np.zeros(sum(math.prod(s) for s in blocks)) if flat is None else flat
-        self.blocks, offset = [], 0
+        views, offset = [], 0
         for shape in blocks:
             n = math.prod(shape)
-            self.blocks.append(self.flat[offset:offset + n].reshape(shape))
+            views.append(self.flat[offset:offset + n].reshape(shape))
             offset += n
         k = 2 * len(mlp_shapes)
-        self.mlp_w, self.mlp_b = self.blocks[0:k:2], self.blocks[1:k:2]
+        self.weights, self.biases = views[0:k:2], views[1:k:2]
         self.basis = []
         for signal in basis_shapes:
-            layer = self.blocks[k:k + 2 * len(signal)]
+            layer = views[k:k + 2 * len(signal)]
             self.basis.append((layer[0::2], layer[1::2]))
             k += len(layer)
         self._grad = None
@@ -167,7 +168,7 @@ def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
     h = np.concatenate(parts + [time_feature], axis=1)
     inputs = [] if keep else None
     z = None
-    for w, b in zip(params.mlp_w, params.mlp_b):
+    for w, b in zip(params.weights, params.biases):
         if z is not None:
             h = relu(z)
         if keep:
@@ -234,14 +235,14 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
     grad = params.grad_buffer() if want_param_grad else None
     into_basis = grad is not None and fwd.projections is not None
     d = loss.d_logits
-    for k in range(len(params.mlp_w) - 1, -1, -1):
+    for k in range(len(params.weights) - 1, -1, -1):
         h = fwd.inputs[k]
         if grad is not None:
-            np.matmul(d.T, h, out=grad.mlp_w[k])
-            d.sum(axis=0, out=grad.mlp_b[k])
+            np.matmul(d.T, h, out=grad.weights[k])
+            d.sum(axis=0, out=grad.biases[k])
         if k == 0 and not (want_input_grad or into_basis):
             break
-        d = d @ params.mlp_w[k]
+        d = d @ params.weights[k]
         if k:
             d *= h > 0.0
     d_xn = d[:, :fwd.n_tab] if want_input_grad else None

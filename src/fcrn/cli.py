@@ -232,16 +232,20 @@ def write_predictions(path, ids, grid, names, columns):
             fh.write((subject_rows * (hi - lo)) % tuple(cells.ravel().tolist()))
 
 
-def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
+def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):
     """Stream predictions.csv into one (n, L+1) CIF matrix per cause.
 
     Returns (causes, F): F[k][i, t] is column cif_<causes[k]> of subject
     ids[i] at interval t, and column 0 stays 0 (no event by time 0). Rows
     are parsed chunk_rows at a time. Exit 3 for a file that is not a
-    predictions CSV, DataError for a malformed row (see csv_columns; the
-    interval, time, cif_ and survival cells are numbers); exit 5 for a row
-    of an unknown subject, an interval outside 1..L, a time that is not its
-    interval's endpoint, or a subject whose rows do not cover 1..L exactly once.
+    predictions CSV or whose cif_ columns do not name distinct causes of 1
+    or more, DataError for a malformed row (see csv_columns; the interval,
+    time, cif_ and survival cells are numbers); exit 5 for a row of an
+    unknown subject, an interval outside 1..L, a time that is not its
+    interval's endpoint, or a subject whose rows do not cover 1..L exactly
+    once. subjects, when given, is (subjects file, its subjects' causes):
+    then exit 3 for a csm-form file, one with a survival column, that has
+    no cif_ column for one of those causes.
     """
     L = grid.n_intervals
     order = {sid: i for i, sid in enumerate(ids)}
@@ -254,6 +258,12 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
         except ValueError:
             raise CliError(EXIT_SCHEMA, "%s: bad cause column in header %r"
                            % (path, header))
+        for j, m in enumerate(causes):
+            if m < 1 or m in causes[:j]:
+                raise CliError(EXIT_SCHEMA, "%s: column %s %s" % (
+                    path, header[cif_cols[j]],
+                    "names no cause (causes count from 1)" if m < 1 else
+                    "names cause %d, as an earlier column does" % m))
         kinds = [str, int, float] + [float if h.startswith("cif_") or h == "survival"
                                      else str for h in header[3:]]
         F = np.zeros((len(causes), len(ids), L + 1))
@@ -289,6 +299,12 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS):
         raise CliError(EXIT_COMPAT, "prediction rows of %d subject(s) do not cover "
                        "intervals 1..%d exactly once, first %r"
                        % (len(uncovered), L, ids[uncovered[0]]))
+    if subjects is not None and "survival" in header:
+        source, subject_causes = subjects
+        unpredicted = sorted(set(subject_causes) - set(causes))
+        if unpredicted:
+            raise CliError(EXIT_SCHEMA, "%s: no column cif_%d, though a subject of %s "
+                           "has cause %d" % (path, unpredicted[0], source, unpredicted[0]))
     return causes, F
 
 
@@ -309,14 +325,9 @@ def cmd_evaluate(cfg, predictions_path):
         if len(evaluation_columns(grid, t0, horizon)) < 2:
             raise CliError(EXIT_COMPAT, "evaluate.t0 %g leaves fewer than 2 grid "
                            "times up to horizon %g" % (t0, horizon))
-    causes, F = read_predictions(predictions_path, ds.ids, grid)
     # the csm form predicts every cause, so each one the subjects have is scored
-    with open_csv(predictions_path) as (_, header):
-        unpredicted = sorted(set(ds.cause[ds.cause > 0].tolist()) - set(causes))
-        if "survival" in header and unpredicted:
-            raise CliError(EXIT_SCHEMA, "%s: no column cif_%d, though a subject of %s "
-                           "has cause %d" % (predictions_path, unpredicted[0],
-                                             cfg["data"]["subjects"], unpredicted[0]))
+    causes, F = read_predictions(predictions_path, ds.ids, grid, subjects=(
+        cfg["data"]["subjects"], ds.cause[ds.cause > 0].tolist()))
 
     g = censoring_survival(ds, grid)
     path = os.path.join(out, "scores.csv")

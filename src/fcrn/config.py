@@ -97,6 +97,8 @@ def load_config(path=None, overrides=()):
                 doc = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ConfigError("%s: invalid JSON: %s" % (path, e))
+            except RecursionError:
+                raise ConfigError("%s: JSON nested too deeply" % path)
         if not isinstance(doc, dict):
             raise ConfigError("%s: config must be a JSON object" % path)
         _deep_update(cfg, doc, DEFAULTS)
@@ -104,8 +106,9 @@ def load_config(path=None, overrides=()):
         if "=" not in item:
             raise ConfigError("override %r is not of the form key.path=value" % item)
         key, _, raw = item.partition("=")
-        value = _parse_value(raw.strip())
-        for part in reversed(key.strip().split(".")):
+        key = key.strip()
+        value = _parse_value(key, raw.strip())
+        for part in reversed(key.split(".")):
             value = {part: value}
         _deep_update(cfg, value, DEFAULTS)
     for key, (test, rule) in RANGES.items():
@@ -168,11 +171,14 @@ def _kind(default):
             str: "a string", list: "a list"}[type(default)]
 
 
-def _parse_value(raw):
+def _parse_value(key, raw):
+    """Override value raw as JSON, or as the string itself if it is no JSON."""
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
+    except RecursionError:
+        raise ConfigError("override %r: value nested too deeply" % key)
 
 
 def dump_config(path, cfg):

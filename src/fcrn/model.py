@@ -27,7 +27,7 @@ PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
 
-# the model.json version to_dict writes; a file without one is version 1
+# the model.json version to_dict writes and from_dict reads
 SCHEMA_VERSION = 2
 # the fields of a signal record that model.json stores
 SIGNAL_FIELDS = ("name", "taus", "n_basis", "mean", "std", "micro_width", "micro_depth")
@@ -66,7 +66,6 @@ class TrainSettings:
     hidden: tuple = (32, 64, 32)
     n_basis: int = 3
     time_encoding: str = "scalar"  # or "onehot"
-    normalize_curves: bool = True
     seed: int = 0
 
 
@@ -117,7 +116,7 @@ class FCRNModel:
             for d in range(spec["n_basis"]):
                 for w in weights:
                     w[d] = ad.glorot_uniform(w.shape[1], w.shape[2], rng)
-        for w in self.params.mlp_w:
+        for w in self.params.weights:
             w[...] = ad.glorot_uniform(w.shape[0], w.shape[1], rng)
         self.basis_layers = {spec["name"]: BasisLayer(spec, views)
                              for spec, views in zip(self.signal_specs, self.params.basis)}
@@ -154,11 +153,9 @@ class FCRNModel:
                                - spec["mean"]) / spec["std"]
                 for spec in self.signal_specs}
 
-    def fit_curve_normalization(self, ds, enabled=True):
+    def fit_curve_normalization(self, ds):
         for spec in self.signal_specs:
             spec["mean"], spec["std"] = 0.0, 1.0
-        if not enabled or not self.signal_specs:
-            return
         raw = self.curve_matrices(ds)
         for spec in self.signal_specs:
             vals = raw[spec["name"]]
@@ -276,20 +273,18 @@ class FCRNModel:
 
     @classmethod
     def from_dict(cls, d):
-        """The model that to_dict, or without schema_version version 1, gave
-        as d. A KeyError names a missing field and a ValueError a malformed
-        one: no field may hold a bool, the size fields must be integers in
-        [0, len(params)] that give len(params) parameters before the model
-        is built, which must save d back unchanged and hold finite numbers
-        and positive std's."""
+        """The model that to_dict gave as d. A KeyError names a missing field
+        and a ValueError a malformed one: no field may hold a bool, the size
+        fields must be integers in [0, len(params)] that give len(params)
+        parameters before the model is built, which must save d back
+        unchanged and hold finite numbers and positive std's."""
         if not isinstance(d, dict):
             raise ValueError("a model file holds a JSON object")
         for key, value in d.items():
             if _holds_bool(value):
                 raise ValueError("field %s: a bool where a number belongs" % key)
-        d, stored = (d, ()) if "schema_version" in d else _from_v1(d)
         if type(d["schema_version"]) is not int or d["schema_version"] != SCHEMA_VERSION:
-            raise ValueError("field schema_version: not 1 (absent) or %d" % SCHEMA_VERSION)
+            raise ValueError("field schema_version: not %d" % SCHEMA_VERSION)
         if not isinstance(d["params"], list):
             raise ValueError("field params: not a list")
         n = len(d["params"])
@@ -322,10 +317,6 @@ class FCRNModel:
                     n_causes=d["n_causes"], target_cause=d["target_cause"],
                     signal_specs=specs, hidden=d["hidden"],
                     time_encoding=d["time_encoding"])
-        for (key, array), block in zip(stored, model.params.blocks):
-            with _field(key):
-                if np.shape(array) != block.shape:
-                    raise ValueError("an array is not of the shape its sizes give")
         for key in ("params", "norm_mean", "norm_std", "fill_values"):
             with _field(key):
                 (model.params.flat if key == "params" else getattr(model, key))[...] = d[key]
@@ -355,6 +346,8 @@ class FCRNModel:
                 return cls.from_dict(json.load(fh))
             except json.JSONDecodeError as e:
                 raise DataError("%s: invalid JSON: %s" % (path, e))
+            except RecursionError:
+                raise DataError("%s: model file nested too deeply" % path)
             except KeyError as e:
                 raise DataError("%s: model file lacks field %s" % (path, e))
             except (ArithmeticError, TypeError, ValueError) as e:
@@ -370,22 +363,6 @@ def _param_shapes(head, grid, time_encoding, n_tabular, n_causes, hidden, signal
     return ([((w_out, w_in), (w_out,)) for w_in, w_out in zip(widths, widths[1:])],
             [ad.micro_shapes(s["n_basis"], s["micro_width"], s["micro_depth"])
              for s in signal_specs])
-
-
-def _from_v1(d):
-    """Version 1 model file d, with nested weight lists, as version 2, and
-    the (field, list) pairs it flattened into params in ad.Params order."""
-    v2 = {**d, "schema_version": SCHEMA_VERSION}
-    with _field("mlp_b"):
-        stored = [(key, a) for pair in zip(v2.pop("mlp_w"), v2.pop("mlp_b"), strict=True)
-                  for key, a in zip(("mlp_w", "mlp_b"), pair)]
-    with _field("basis_layers"):
-        v2["basis_layers"] = [dict(b) for b in d["basis_layers"]]
-        for b in v2["basis_layers"]:
-            stacks = [zip(*b.pop(key), strict=True) for key in ("weights", "biases")]
-            stored += [("basis_layers", a) for pair in zip(*stacks, strict=True) for a in pair]
-    v2["params"] = [x for _, a in stored for x in np.array(a, dtype=object).ravel().tolist()]
-    return v2, stored
 
 
 def _holds_bool(value):
@@ -498,7 +475,7 @@ def init_model(ds, grid, head, settings, n_causes, target_cause, rng):
                       n_causes=n_causes, target_cause=target_cause,
                       signal_specs=signal_specs, hidden=settings.hidden,
                       time_encoding=settings.time_encoding, rng=rng)
-    model.fit_curve_normalization(ds, enabled=settings.normalize_curves)
+    model.fit_curve_normalization(ds)
     return model
 
 

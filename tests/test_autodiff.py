@@ -62,11 +62,11 @@ class TestActivations:
     def test_relu_gradient_branches(self):
         # logit = relu(x + b0): d logit / d b0 is 1 above the kink, 0 at or below
         params = mlp_params([1, 1, 1])
-        params.mlp_w[0][:] = 1.0
-        params.mlp_w[1][:] = 1.0
+        params.weights[0][:] = 1.0
+        params.weights[1][:] = 1.0
         for x0, expected in ((2.0, 1.0), (-3.0, 0.0), (0.0, 0.0)):
             grad, _ = unit_backward(params, np.array([[x0]]), [0])
-            assert params.like(grad).mlp_b[0][0] == expected
+            assert params.like(grad).biases[0][0] == expected
 
     def test_softmax_uniform(self):
         assert np.allclose(ad.softmax(np.zeros((1, 3))), 1.0 / 3.0)
@@ -100,13 +100,13 @@ class TestBackward:
         # logit = w1 w0 x with w0 = w1 = 3, x = 1: each factor's gradient is
         # 3, and d(w^2)/dw = 6 is their sum
         params = mlp_params([1, 1, 1])
-        params.mlp_w[0][:] = 3.0
-        params.mlp_w[1][:] = 3.0
+        params.weights[0][:] = 3.0
+        params.weights[1][:] = 3.0
         grad, _ = unit_backward(params, np.array([[1.0]]), [0])
         g = params.like(grad)
-        assert g.mlp_w[0][0, 0] == pytest.approx(3.0)
-        assert g.mlp_w[1][0, 0] == pytest.approx(3.0)
-        assert g.mlp_w[0][0, 0] + g.mlp_w[1][0, 0] == pytest.approx(6.0)
+        assert g.weights[0][0, 0] == pytest.approx(3.0)
+        assert g.weights[1][0, 0] == pytest.approx(3.0)
+        assert g.weights[0][0, 0] + g.weights[1][0, 0] == pytest.approx(6.0)
 
     def test_constant_has_no_grad(self):
         # what is not asked for is not formed
@@ -133,7 +133,7 @@ class TestBackward:
     def test_gather_ops(self):
         # rows [1, 1, 3] of xn: the input gradient scatter-adds into them
         params = mlp_params([3, 1])
-        params.mlp_w[0][:] = 1.0
+        params.weights[0][:] = 1.0
         _, d_xn = unit_backward(params, np.arange(12.0).reshape(4, 3), [1, 1, 3])
         expected = np.zeros((4, 3))
         expected[1] = 2.0

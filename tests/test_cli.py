@@ -427,6 +427,26 @@ class TestConfigErrors:
         bad.write_text('{"train": {"batch_size": "64"}}')
         assert run(["--config", str(bad), "simulate"]) == 3
 
+    @pytest.mark.parametrize("depth", [900, 100000])
+    @pytest.mark.parametrize("source", ["config", "override", "model"])
+    def test_deeply_nested_json_is_schema_error(self, tmp_path, capsys, source, depth):
+        # json raised RecursionError from about 990 levels, and a model
+        # file's bool check from about 900; each exited 1 with a traceback
+        nested = "[" * depth + "]" * depth
+        path = tmp_path / "nested.json"
+        args = ["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o"))]
+        if source == "override":
+            args += ["--set", "train.hidden=" + nested, "simulate"]
+        elif source == "config":
+            path.write_text('{"train": {"hidden": %s}}' % nested)
+            args += ["--config", str(path), "simulate"]
+        else:
+            path.write_text('{"schema_version": 2, "params": %s}' % nested)
+            args += ["predict", "--model", str(path)]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err or "'train.hidden'" in err
+
 
 class TestConfigDefaults:
     def test_resolved_defaults_equal_the_fixture(self):
@@ -721,12 +741,15 @@ class TestEvaluateCommand:
         assert code == 3
 
     @staticmethod
-    def _keep_columns(preds, names):
+    def _keep_columns(preds, names, header=None):
+        """Rewrite predictions.csv as its named columns, in that order, under
+        header (by default the names)."""
         with open(preds, newline="") as fh:
             rows = list(csv.reader(fh))
-        keep = [j for j, name in enumerate(rows[0]) if name in names]
+        keep = [rows[0].index(name) for name in names]
         with open(preds, "w", newline="") as fh:
-            csv.writer(fh).writerows([row[j] for j in keep] for row in rows)
+            csv.writer(fh).writerows([header or names]
+                                     + [[row[j] for j in keep] for row in rows[1:]])
 
     def test_csm_predictions_lacking_a_cause_are_schema_error(self, tmp_path, capsys):
         # a survival column marks the csm form, which must predict every
@@ -738,6 +761,20 @@ class TestEvaluateCommand:
         assert self._evaluate(tmp_path, subjects, preds) == 3
         err = capsys.readouterr().err
         assert "%s: no column cif_2" % preds in err and str(subjects) in err
+        assert not (tmp_path / "eval" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("columns, header, bad", [
+        (["cif_2"], ["cif_0"], "cif_0"), (["cif_2"], ["cif_-3"], "cif_-3"),
+        (["cif_1", "cif_1", "cif_2", "survival"], None, "cif_1")],
+        ids=["cif_0", "cif_-3", "cif_1 twice"])
+    def test_cif_columns_naming_no_new_cause_are_schema_error(self, tmp_path, capsys,
+                                                             columns, header, bad):
+        # each exited 0: cif_0 scored as cause 0, a repeated cif_1 twice
+        subjects, preds = self._pipeline(tmp_path)
+        base = ["id", "interval", "time"]
+        self._keep_columns(preds, base + columns, header and base + header)
+        assert self._evaluate(tmp_path, subjects, preds) == 3
+        assert "%s: column %s " % (preds, bad) in capsys.readouterr().err
         assert not (tmp_path / "eval" / "scores.csv").exists()
 
     def test_sdm_predictions_score_their_cause_alone(self, tmp_path):
@@ -1216,13 +1253,19 @@ class TestMutatedModelFile:
         model["params"] = model["params"][:-1] if change < 0 else model["params"] + [0.5]
         self._assert_schema_error(fitted, model, tmp_path, capsys, "params")
 
-    @pytest.mark.parametrize("version", [3, None, 2.0, "2"])
+    @pytest.mark.parametrize("version", [3, None, 2.0, "2", "(absent)"])
     def test_unknown_schema_version_is_schema_error(self, fitted, tmp_path, capsys,
                                                     version):
+        # a file without schema_version was read as version 1
         model = self._load(fitted)
         assert model["schema_version"] == 2
-        model["schema_version"] = version
-        self._assert_schema_error(fitted, model, tmp_path, capsys, "schema_version")
+        if version == "(absent)":
+            del model["schema_version"]
+        else:
+            model["schema_version"] = version
+        self._assert_schema_error(fitted, model, tmp_path, capsys,
+                                  "'schema_version'" if version == "(absent)"
+                                  else "schema_version")
 
     @pytest.mark.parametrize("width", ["5", -3.0, 10.0])
     def test_grid_width_that_is_not_the_spacing_is_schema_error(self, fitted, tmp_path,

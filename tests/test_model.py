@@ -7,8 +7,8 @@ from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
                       direct_nll_sd, finite_diff, max_rel_err)
 
 from fcrn import autodiff as ad
-from fcrn.data import (DataError, build_time_grid, censoring_survival,
-                       read_curves_csv, read_subjects_csv)
+from fcrn.data import (build_time_grid, censoring_survival, read_curves_csv,
+                       read_subjects_csv)
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
                         cif_from_cause_specific, cif_from_subdistribution,
                         table_batch, train_model)
@@ -57,19 +57,19 @@ class TestFeatureAssembly:
                           signal_specs=[{"name": "s1", "n_basis": 3,
                                          "taus": np.linspace(0, 1, 11)}],
                           rng=np.random.RandomState(0))
-        assert model.params.mlp_w[0].shape[1] == 2 + 3 + 1
+        assert model.params.weights[0].shape[1] == 2 + 3 + 1
         assert model._time_feature([10])[0, 0] == pytest.approx(0.5)
         assert model._time_feature([20])[0, 0] == pytest.approx(1.0)
 
     def test_no_signals_width(self):
         model = make_model("csm", n_tabular=3)
-        assert model.params.mlp_w[0].shape[1] == 4
+        assert model.params.weights[0].shape[1] == 4
 
     def test_onehot_time_encoding(self):
         grid = build_time_grid(20, 5)
         model = FCRNModel(head="csm", grid=grid, n_tabular=1, n_causes=1,
                           time_encoding="onehot", rng=np.random.RandomState(0))
-        assert model.params.mlp_w[0].shape[1] == 1 + 4
+        assert model.params.weights[0].shape[1] == 1 + 4
         f = model._time_feature([2])
         assert f.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
@@ -98,7 +98,7 @@ class TestHeads:
         model = make_model("csm", n_causes=2, hidden=(2,))
         zero_params(model)
         g = np.array([0.0, 0.4, -1.1])
-        model.params.mlp_b[-1][:] = g
+        model.params.biases[-1][:] = g
         hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         expected = np.exp(g[1:]) / (1.0 + np.exp(g[1:]).sum())
         assert np.allclose(hz[0, 0, 1:], expected, atol=1e-14)
@@ -113,7 +113,7 @@ class TestHeads:
     def test_sdm_closed_form_logit(self):
         model = make_model("sdm", hidden=(2,))
         zero_params(model)
-        model.params.mlp_b[-1][:] = np.log(3.0)
+        model.params.biases[-1][:] = np.log(3.0)
         hz = model.predict_hazards(subj("a", 3.0, 1, [0.0, 0.0]))
         assert np.allclose(hz, 0.75)
 
@@ -372,70 +372,6 @@ class TestSerialization:
         assert np.max(np.abs(sdm.predict_cif(subjects) - expected["sdm_F"])) <= 1e-12
 
     def test_parent_model_files_save_back_byte_for_byte(self, tmp_path):
-        # a version 1 file saves as version 2, and a version 2 file saves
-        # back byte for byte
         for path in sorted(FIXTURES.glob("model_*.json")):
-            FCRNModel.load(path).save(tmp_path / "v2.json")
-            FCRNModel.load(tmp_path / "v2.json").save(tmp_path / "again.json")
-            assert json.loads((tmp_path / "v2.json").read_text())["schema_version"] == 2
-            assert ((tmp_path / "again.json").read_bytes()
-                    == (tmp_path / "v2.json").read_bytes())
-
-    def test_saved_keys_match_parent_model_file(self, tmp_path):
-        # params holds the version 1 nested arrays flattened in ad.Params
-        # order, bit for bit; every field both versions have is unchanged
-        for name in ("model_csm.json", "model_sdm.json"):
-            parent = json.loads((FIXTURES / name).read_text())
-            FCRNModel.load(FIXTURES / name).save(tmp_path / name)
-            saved = json.loads((tmp_path / name).read_text())
-            assert json.dumps(saved.pop("params")) == json.dumps(v1_params(parent))
-            for layer in parent["basis_layers"]:
-                del layer["weights"], layer["biases"]
-            del parent["mlp_w"], parent["mlp_b"]
-            assert saved == {**parent, "schema_version": 2}
-
-    @pytest.mark.parametrize("where, field", [("mlp", "mlp_w"), ("stack", "basis_layers"),
-                                              ("node", "params")])
-    def test_v1_file_with_a_transposed_matrix_is_rejected(self, tmp_path, where, field):
-        # a matrix stored transposed keeps the parameter count, not the
-        # shape; one basis node's matrix transposed, not its sublayer's
-        # whole stack, leaves the stack ragged, which flattens to another
-        # count
-        d = json.loads((FIXTURES / "model_csm.json").read_text())
-        nodes = d["basis_layers"][0]["weights"]
-        for node in {"mlp": [], "stack": nodes, "node": nodes[:1]}[where]:
-            node[0] = np.transpose(node[0]).tolist()
-        if where == "mlp":
-            d["mlp_w"][0] = np.transpose(d["mlp_w"][0]).tolist()
-        (tmp_path / "model.json").write_text(json.dumps(d))
-        with pytest.raises(DataError, match="field %s: " % field):
-            FCRNModel.load(tmp_path / "model.json")
-
-    @pytest.mark.parametrize("key, field", [("mlp_w", "mlp_w"), ("mlp_b", "mlp_b"),
-                                            ("weights", "basis_layers"),
-                                            ("biases", "basis_layers")])
-    def test_v1_file_with_a_bool_is_rejected(self, tmp_path, key, field):
-        # a JSON true in a weight array loaded as 1.0
-        d = json.loads((FIXTURES / "model_csm.json").read_text())
-        array = d["basis_layers"][0][key] if field == "basis_layers" else d[key]
-        while isinstance(array[0], list):
-            array = array[0]
-        array[0] = True
-        (tmp_path / "model.json").write_text(json.dumps(d))
-        with pytest.raises(DataError, match="field %s: " % field):
-            FCRNModel.load(tmp_path / "model.json")
-
-
-def v1_params(d):
-    """The nested arrays of version 1 model file d flattened in ad.Params
-    order: each MLP layer's weights then biases, then for each signal and
-    micro-network sublayer the weights of every basis node, then their
-    biases."""
-    flat = []
-    for w, b in zip(d["mlp_w"], d["mlp_b"]):
-        flat += np.ravel(w).tolist() + np.ravel(b).tolist()
-    for layer in d["basis_layers"]:
-        for k in range(len(layer["weights"][0])):
-            for key in ("weights", "biases"):
-                flat += np.ravel([node[k] for node in layer[key]]).tolist()
-    return flat
+            FCRNModel.load(path).save(tmp_path / path.name)
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes()
