@@ -23,7 +23,7 @@ from .impute import ImputeSettings, iro_train
 from .metrics import evaluation_columns, score_cif
 from .model import (FCRNModel, NormalizationError, NumericError, TrainSettings,
                     train_model)
-from .simulate import SimConfig, simulate, write_manifest
+from .simulate import SimConfig, simulate
 
 EXIT_IO = 2
 EXIT_SCHEMA = 3
@@ -92,7 +92,7 @@ def cmd_simulate(cfg):
     if sc.functional:
         write_curves_csv(os.path.join(out, "train_curves.csv"), train)
         write_curves_csv(os.path.join(out, "test_curves.csv"), test)
-    write_manifest(os.path.join(out, "manifest.json"), manifest)
+    dump_config(os.path.join(out, "manifest.json"), manifest)
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("wrote %d train / %d test subjects to %s" % (len(train), len(test), out))
     return 0

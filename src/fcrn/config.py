@@ -71,6 +71,9 @@ RANGES = {
 }
 
 
+# most characters of a rejected value that a ConfigError quotes
+QUOTE_CHARS = 60
+
 # most intervals grid.max_time / grid.width may give: on a 2-vCPU host a
 # 30-subject one-hot train plus predict took ~3 s and ~200 MB at 1000, and
 # ~10 s and ~540 MB at 2000 (the one-hot time feature is L columns wide)
@@ -115,7 +118,7 @@ def load_config(path=None, overrides=()):
         value = functools.reduce(dict.__getitem__, key.split("."), cfg)
         if not all(map(test, value if isinstance(value, list) else [value])):
             raise ConfigError("config key %r must be %s, not %s"
-                              % (key, rule, json.dumps(value)))
+                              % (key, rule, _quote(value)))
     for section, name in (("train", "basis_grid"), ("evaluate", "horizons")):
         if not cfg[section][name]:
             raise ConfigError("config key '%s.%s' must not be empty" % (section, name))
@@ -139,9 +142,15 @@ def _deep_update(base, update, defaults, prefix=""):
         elif not _fits(v, defaults[k]):
             raise ConfigError("config key %r must be %s like its default %s, not %s"
                               % (prefix + k, _kind(defaults[k]),
-                                 json.dumps(defaults[k]), json.dumps(v)))
+                                 json.dumps(defaults[k]), _quote(v)))
         else:
             base[k] = v
+
+
+def _quote(value):
+    """value as JSON, cut to QUOTE_CHARS characters ending in '...'."""
+    text = json.dumps(value)
+    return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS - 3] + "..."
 
 
 def _fits(value, default):

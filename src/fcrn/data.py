@@ -96,33 +96,18 @@ class Dataset:
 
 
 def signal_matrix(ds, name, taus):
-    """Every subject's curve of one signal linearly interpolated onto taus.
-
-    Returns an (n, J) matrix with np.interp's arithmetic for finite values:
-    a subject's end values hold outside its own sample range and a tau on
-    a sample point takes that point's value. DataError when the dataset
-    has no such signal.
-    """
+    """Every subject's curve of one signal resampled onto taus: an (n, J)
+    matrix whose row i is np.interp of taus on subject i's own sample
+    points and values, linear between them and held at the end values
+    outside them. DataError when the dataset has no such signal."""
     if name not in ds.signals:
         raise DataError("the dataset has no signal %r" % name)
     sig = ds.signals[name]
     taus = np.asarray(taus, dtype=np.float64)
-    first, last = sig.offsets[:-1, None], sig.offsets[1:, None] - 1
-    # rank sample points and taus together: (subject, rank) keys are sorted,
-    # so one search finds every tau's last sample point at or before it
-    uniq, rank = np.unique(np.concatenate([sig.taus, taus]), return_inverse=True)
-    subject = np.arange(len(first))
-    keys = np.repeat(subject, np.diff(sig.offsets)) * len(uniq) + rank[:len(sig.taus)]
-    j = np.searchsorted(keys, subject[:, None] * len(uniq) + rank[len(sig.taus):],
-                        side="right") - 1
-    at = np.clip(j, first, last)
-    out = sig.values[at]
-    inner = (j >= first) & (j < last) & (sig.taus[at] != taus)
-    lo = at[inner]
-    x0, y0 = sig.taus[lo], sig.values[lo]
-    with np.errstate(over="ignore"):  # a slope past float64 is inf, as in np.interp
-        slope = (sig.values[lo + 1] - y0) / (sig.taus[lo + 1] - x0)
-        out[inner] = slope * (np.broadcast_to(taus, out.shape)[inner] - x0) + y0
+    out = np.empty((len(sig.offsets) - 1, len(taus)))
+    bounds = sig.offsets.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        out[i] = np.interp(taus, sig.taus[lo:hi], sig.values[lo:hi])
     return out
 
 

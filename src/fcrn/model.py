@@ -155,10 +155,7 @@ class FCRNModel:
 
     def fit_curve_normalization(self, ds):
         for spec in self.signal_specs:
-            spec["mean"], spec["std"] = 0.0, 1.0
-        raw = self.curve_matrices(ds)
-        for spec in self.signal_specs:
-            vals = raw[spec["name"]]
+            vals = signal_matrix(ds, spec["name"], spec["taus"])
             with np.errstate(over="ignore", invalid="ignore"):
                 mean, sd = float(vals.mean()), float(vals.std())
             if not (math.isfinite(mean) and math.isfinite(sd)):
@@ -277,7 +274,8 @@ class FCRNModel:
         and a ValueError a malformed one: no field may hold a bool, the size
         fields must be integers in [0, len(params)] that give len(params)
         parameters before the model is built, which must save d back
-        unchanged and hold finite numbers and positive std's."""
+        unchanged, with no field left over, and hold finite numbers and
+        positive std's."""
         if not isinstance(d, dict):
             raise ValueError("a model file holds a JSON object")
         for key, value in d.items():
@@ -320,7 +318,11 @@ class FCRNModel:
         for key in ("params", "norm_mean", "norm_std", "fill_values"):
             with _field(key):
                 (model.params.flat if key == "params" else getattr(model, key))[...] = d[key]
-        for key, value in model.to_dict().items():
+        saved = model.to_dict()
+        unknown = sorted(d.keys() - saved.keys())
+        if unknown:
+            raise ValueError("field %s: not a field of a model file" % unknown[0])
+        for key, value in saved.items():
             if value != d[key]:
                 raise ValueError("field %s does not fit the model it describes" % key)
         stds = np.append(model.norm_std, [s["std"] for s in model.signal_specs])
@@ -491,8 +493,9 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
         rel_tol=0.0):
     """Adam mini-batch epochs with a validation holdout and early stopping.
 
-    The validation subjects are drawn from rng. The monitored loss is the
-    validation loss, or the train loss when no subject is held out.
+    The round(val_fraction * n) validation subjects, at most n - 1, are
+    drawn from rng. The monitored loss is the validation loss, or the
+    train loss when no subject is held out.
     Training stops after settings.patience epochs without a better
     monitored loss, after max_epochs (default settings.max_epochs) epochs,
     or when the last six monitored losses each moved by less than rel_tol
@@ -511,7 +514,7 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     """
     n = len(ds)
     perm = rng.permutation(n)
-    n_val = int(round(settings.val_fraction * n))
+    n_val = min(int(round(settings.val_fraction * n)), n - 1)
     table = build_table(ds, model.grid, model)
     in_val = np.isin(table.subject_idx, perm[:n_val])
     train_rows = np.where(~in_val)[0]

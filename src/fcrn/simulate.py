@@ -8,7 +8,6 @@ probabilities depend on two always-observed anchor covariates.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -205,9 +204,3 @@ def simulate(config):
                 "realized_missing_rate": float(mask.mean()),
                 "cause_counts": {str(m): int(np.sum(cause == m)) for m in (0, 1, 2)}}
     return train, test, manifest
-
-
-def write_manifest(path, manifest):
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")

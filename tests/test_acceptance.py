@@ -242,6 +242,7 @@ def test_imputation_recovery():
            "mean RMSE improvement %.1f%%, %.1fs" % (100 * mean_imp, elapsed))
 
 
+@pytest.mark.slow
 def test_comparative_experiment():
     # 20 replicates at 800 train / 200 test, CSM and SDM, 0/25/50% missing.
     # All arms get the same fixed training budget so differences reflect the

@@ -250,6 +250,20 @@ class TestTrainCommand:
         assert [int(r[0]) for r in rows[1:]] == [0, 1]
         assert all(r[1] != r[2] for r in rows[1:])
 
+    def test_holdout_leaves_a_subject_to_train_on(self, tmp_path):
+        # round(0.75 * 2) = 2 held out both subjects: train exited 0 with an
+        # untrained model and a train_loss of 0.0 in every log row
+        subjects = tmp_path / "subjects.csv"
+        subjects.write_text("id,time,cause,x1\ns0,12.0,1,0.5\ns1,30.0,2,-0.25\n")
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "run")),
+                    "--set", "data.subjects=%s" % json.dumps(str(subjects)),
+                    "--set", "train.max_epochs=3", "--set", "train.val_fraction=0.75",
+                    "train"])
+        assert code == 0
+        with open(tmp_path / "run" / "training_log.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(float(r[1]) > 0 for r in rows)
+
     def test_header_only_subjects_is_schema_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("id,time,cause,x1,x2\n")
@@ -426,6 +440,19 @@ class TestConfigErrors:
         bad = tmp_path / "bad.json"
         bad.write_text('{"train": {"batch_size": "64"}}')
         assert run(["--config", str(bad), "simulate"]) == 3
+
+    @pytest.mark.parametrize("override", [
+        "train.hidden=" + "[" * 900 + "]" * 900,  # the type check's message
+        "train.basis_grid=[%s, 0]" % ", ".join(["2"] * 400),  # the range check's
+    ], ids=["type", "range"])
+    def test_rejected_long_value_is_quoted_short(self, tmp_path, capsys, override):
+        # each message quoted the whole value: 1,876 and 1,650 characters
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                    "--set", override, "simulate"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'%s'" % override.split("=")[0] in err
+        assert err.endswith("...\n") and len(err) < 200
 
     @pytest.mark.parametrize("depth", [900, 100000])
     @pytest.mark.parametrize("source", ["config", "override", "model"])
@@ -1266,6 +1293,14 @@ class TestMutatedModelFile:
         self._assert_schema_error(fitted, model, tmp_path, capsys,
                                   "'schema_version'" if version == "(absent)"
                                   else "schema_version")
+
+    @pytest.mark.parametrize("field, value", [("mlp_w", [[1.0]]), ("schema_versoin", 3)])
+    def test_field_the_writer_does_not_write_is_schema_error(self, fitted, tmp_path,
+                                                             capsys, field, value):
+        # each loaded and saved back without the field
+        model = self._load(fitted)
+        model[field] = value
+        self._assert_schema_error(fitted, model, tmp_path, capsys, field)
 
     @pytest.mark.parametrize("width", ["5", -3.0, 10.0])
     def test_grid_width_that_is_not_the_spacing_is_schema_error(self, fitted, tmp_path,
