@@ -27,11 +27,9 @@ def glorot_uniform(fan_out, fan_in, rng):
 
 def dense(x, w, b):
     """Affine map x @ w.T + b for a batch (or single row) of inputs."""
-    return x @ w.T + b
-
-
-def relu(u):
-    return np.maximum(u, 0.0)
+    z = x @ w.T
+    z += b
+    return z
 
 
 def sigmoid(u):
@@ -170,7 +168,7 @@ def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
     z = None
     for w, b in zip(params.weights, params.biases):
         if z is not None:
-            h = relu(z)
+            h = np.maximum(z, 0.0, out=z)  # in place: backward reads only h
         if keep:
             inputs.append(h)
         z = dense(h, w, b)

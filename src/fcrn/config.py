@@ -71,7 +71,7 @@ RANGES = {
 }
 
 
-# most characters of a rejected value that a ConfigError quotes
+# most characters of a rejected value, key or override that a ConfigError quotes
 QUOTE_CHARS = 60
 
 # most intervals grid.max_time / grid.width may give: on a 2-vCPU host a
@@ -107,7 +107,8 @@ def load_config(path=None, overrides=()):
         _deep_update(cfg, doc, DEFAULTS)
     for item in overrides:
         if "=" not in item:
-            raise ConfigError("override %r is not of the form key.path=value" % item)
+            raise ConfigError("override %s is not of the form key.path=value"
+                              % _quote(item, repr))
         key, _, raw = item.partition("=")
         key = key.strip()
         value = _parse_value(key, raw.strip())
@@ -132,7 +133,7 @@ def load_config(path=None, overrides=()):
 def _deep_update(base, update, defaults, prefix=""):
     for k, v in update.items():
         if k not in base:
-            raise ConfigError("unknown config key %r" % (prefix + k))
+            raise ConfigError("unknown config key %s" % _quote(prefix + k, repr))
         is_section = isinstance(base[k], dict)
         if is_section != isinstance(v, dict):
             raise ConfigError("config key %r must %sbe an object"
@@ -147,9 +148,9 @@ def _deep_update(base, update, defaults, prefix=""):
             base[k] = v
 
 
-def _quote(value):
-    """value as JSON, cut to QUOTE_CHARS characters ending in '...'."""
-    text = json.dumps(value)
+def _quote(value, dump=json.dumps):
+    """dump(value), JSON by default, cut to QUOTE_CHARS characters ending in '...'."""
+    text = dump(value)
     return text if len(text) <= QUOTE_CHARS else text[:QUOTE_CHARS - 3] + "..."
 
 
@@ -187,7 +188,7 @@ def _parse_value(key, raw):
     except json.JSONDecodeError:
         return raw
     except RecursionError:
-        raise ConfigError("override %r: value nested too deeply" % key)
+        raise ConfigError("override %s: value nested too deeply" % _quote(key, repr))
 
 
 def dump_config(path, cfg):

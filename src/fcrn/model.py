@@ -22,7 +22,8 @@ from .data import (DataError, TimeGrid, augment_cause_specific,
                    augment_subdistribution, censoring_survival, signal_matrix)
 
 # person-period rows times time-feature columns (1 scalar, L one-hot) per
-# prediction forward pass; bounds prediction memory
+# prediction forward pass, which holds at most a block's input rows and two
+# adjacent activations
 PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101

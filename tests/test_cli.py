@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrn.cli import _settings, main
-from fcrn.config import MAX_INTERVALS, load_config
+from fcrn.config import MAX_INTERVALS, QUOTE_CHARS, load_config
 from fcrn.impute import ImputeSettings
 from fcrn.model import TrainSettings
 from fcrn.simulate import SimConfig
@@ -453,6 +453,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "'%s'" % override.split("=")[0] in err
         assert err.endswith("...\n") and len(err) < 200
+
+    @pytest.mark.parametrize("override", [
+        "train.%s=1" % ("a" * 2000),  # unknown config key
+        "a" * 2000,  # not of the form key.path=value
+        "train.%s=%s%s" % ("a" * 2000, "[" * 2000, "]" * 2000),  # nested too deeply
+    ], ids=["unknown-key", "malformed", "nested"])
+    def test_long_key_or_override_is_quoted_short(self, tmp_path, capsys, override):
+        # each message quoted the whole key or override: ~2,000 characters
+        code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
+                    "--set", override, "simulate"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("'%s..." % override[:QUOTE_CHARS - 4]) in err and len(err) < 200
 
     @pytest.mark.parametrize("depth", [900, 100000])
     @pytest.mark.parametrize("source", ["config", "override", "model"])
