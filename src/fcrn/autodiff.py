@@ -160,10 +160,9 @@ def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
     keep=False drops every intermediate as soon as it is used, so the
     result cannot be differentiated (prediction).
     """
-    parts = [xn[subj_idx]]
-    if projections is not None:
-        parts += [p.coef[projections.rows] for p in projections.parts]
-    h = np.concatenate(parts + [time_feature], axis=1)
+    coefs = [] if projections is None else projections.parts
+    h = np.concatenate([xn[subj_idx], *(p.coef[projections.rows] for p in coefs),
+                        time_feature], axis=1)
     inputs = [] if keep else None
     z = None
     for w, b in zip(params.weights, params.biases):
@@ -238,7 +237,7 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
         if grad is not None:
             np.matmul(d.T, h, out=grad.weights[k])
             d.sum(axis=0, out=grad.biases[k])
-        if k == 0 and not (want_input_grad or into_basis):
+        if (k == 0 or grad is None) and not (want_input_grad or into_basis):
             break
         d = d @ params.weights[k]
         if k:

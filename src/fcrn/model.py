@@ -22,8 +22,8 @@ from .data import (DataError, TimeGrid, augment_cause_specific,
                    augment_subdistribution, censoring_survival, signal_matrix)
 
 # person-period rows times time-feature columns (1 scalar, L one-hot) per
-# prediction forward pass, which holds at most a block's input rows and two
-# adjacent activations
+# head_probs block (prediction, validation loss), which holds at most the
+# block's input rows and two adjacent activations
 PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
@@ -204,16 +204,26 @@ class FCRNModel:
         input gradient has one row per batch row (see autodiff.backward).
         """
         projections = self.project_signals(batch.curves, batch.subj_idx)
-        want = want_param_grad or want_input_grad
-        fwd = self.forward_logits(batch.xn, projections, batch.subj_idx,
-                                  batch.interval, keep=want)
+        fwd = self.forward_logits(batch.xn, projections, batch.subj_idx, batch.interval)
         loss = self.batch_loss(fwd, batch.target, batch.weight)
-        grad = d_xn = None
-        if want:
-            grad, d_xn = ad.backward(loss, want_param_grad, want_input_grad)
+        grad, d_xn = ad.backward(loss, want_param_grad, want_input_grad)
         return loss.value, grad, d_xn
 
     # -- prediction ----------------------------------------------------------
+
+    def head_probs(self, xn, curve_mats, n_rows, rows):
+        """Head probabilities of person-period rows, (n_rows, M+1) CSM or
+        (n_rows, 1) SDM, by cache-free forward passes over blocks of whole
+        L-row spans; rows(lo, hi) gives the subjects and intervals of rows lo..hi-1."""
+        L = self.grid.n_intervals
+        step = L * max(1, PREDICT_ROWS // (L * self._time_feature([1]).shape[1]))
+        probs = np.empty((n_rows, self.n_causes + 1 if self.head == "csm" else 1))
+        for lo in range(0, n_rows, step):
+            subj_idx, intervals = rows(lo, min(lo + step, n_rows))
+            fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
+                                      subj_idx, intervals, keep=False)
+            probs[lo:lo + len(subj_idx)] = ad.hazards(fwd)
+        return probs
 
     def predict_hazards(self, ds):
         """Per-interval hazards for each subject at t = 1..L.
@@ -223,17 +233,9 @@ class FCRNModel:
         n = len(ds)
         L = self.grid.n_intervals
         xn = self.normalize(np.where(ds.mask, self.fill_values, ds.X))
-        curve_mats = self.curve_matrices(ds)
-        n_out = self.n_causes + 1 if self.head == "csm" else 1
-        probs = np.empty((n, L, n_out))
-        step = max(1, PREDICT_ROWS // (L * self._time_feature([1]).shape[1]))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            subj_idx = np.repeat(np.arange(lo, hi), L)
-            intervals = np.tile(np.arange(1, L + 1), hi - lo)
-            fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
-                                      subj_idx, intervals, keep=False)
-            probs[lo:hi] = ad.hazards(fwd).reshape(hi - lo, L, n_out)
+        probs = self.head_probs(xn, self.curve_matrices(ds), n * L, lambda lo, hi: (
+            np.arange(lo, hi) // L, np.arange(lo, hi) % L + 1))
+        probs = probs.reshape(n, L, probs.shape[1])
         return probs if self.head == "csm" else probs[:, :, 0]
 
     def predict_cif(self, ds):
@@ -427,7 +429,7 @@ def build_table(ds, grid, model, g=None):
 
 def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
                 adam=None, lr=None, shuffle_rng=None, input_grad=None):
-    """One pass over the table; updates parameters when adam is given.
+    """One pass over the rows: fit's Adam pass, or grad_log_pred's without adam.
 
     input_grad, when given, is a (len(rows), P) buffer: row k receives the
     gradient of table row rows[k]'s own loss term with respect to its
@@ -539,8 +541,12 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng, input_grad=input_grad)
         if len(val_rows):
-            monitored = _epoch_loss(model, xn, curve_mats, table,
-                                    val_rows, settings.batch_size)
+            probs = model.head_probs(xn, curve_mats, len(val_rows), lambda lo, hi: (
+                table.subject_idx[val_rows[lo:hi]], table.interval[val_rows[lo:hi]]))
+            monitored = float(ad.nll(model.head, probs, table.target[val_rows],
+                                     table.weight[val_rows]))
+            if not math.isfinite(monitored):
+                raise NumericError("non-finite validation loss at epoch %d" % epoch)
         else:
             monitored = tr_loss
         history.append((epoch, tr_loss, monitored))

@@ -135,6 +135,23 @@ class TestTrainCommand:
         assert "covariate 3 of 10 is missing for every subject" in \
             capsys.readouterr().err
 
+    def test_non_finite_validation_loss_is_numeric_error(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # theta made non-finite right after each epoch's last Adam step
+        import fcrn.model
+        real_epoch_loss = fcrn.model._epoch_loss
+
+        def epoch_loss(model, *args, **kwargs):
+            loss = real_epoch_loss(model, *args, **kwargs)
+            model.theta[0] = np.nan
+            return loss
+
+        monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)
+        simulate_small(tmp_path / "sim", seed=1)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 4
+        assert "non-finite validation loss at epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
     def test_nan_covariate_cell_is_missing_like_an_empty_one(self, tmp_path):
         # a nan cell used to parse as an observed number: train exited 4 and
         # predict crashed
@@ -588,10 +605,12 @@ class TestDrawnConfigs:
 
 
 class TestPredictCommand:
-    def _train(self, tmp_path, head="csm"):
+    def _train(self, tmp_path, head="csm", encoding="scalar"):
         simulate_small(tmp_path / "sim", seed=6)
         assert run(train_args(tmp_path / "run", tmp_path / "sim",
-                              extra=["--set", "train.head=%s" % json.dumps(head)])) == 0
+                              extra=["--set", "train.head=%s" % json.dumps(head),
+                                     "--set", "train.time_encoding=%s"
+                                     % json.dumps(encoding)])) == 0
         return tmp_path / "run" / "model.json"
 
     def _predict(self, tmp_path, model, subjects, out="pred"):
@@ -618,17 +637,16 @@ class TestPredictCommand:
         assert rows[0] == ["id", "interval", "time", "cif_1"]
 
     def test_empty_dataset_writes_header_only(self, tmp_path):
-        model = self._train(tmp_path)
         empty = tmp_path / "empty.csv"
         empty.write_text("id,time,cause,x1,x2,x3,x4,x5,x6,x7,x8,x9,x10\n")
-        assert self._predict(tmp_path, model, empty) == 0
-        lines = (tmp_path / "pred" / "predictions.csv").read_text().splitlines()
-        assert len(lines) == 1
-        # and for the sdm head
-        model = self._train(tmp_path / "sdm", head="sdm")
-        assert self._predict(tmp_path, model, empty, out="pred_sdm") == 0
-        lines = (tmp_path / "pred_sdm" / "predictions.csv").read_text().splitlines()
-        assert lines == ["id,interval,time,cif_1"]
+        for head, header in (("csm", "id,interval,time,cif_1,cif_2,survival"),
+                             ("sdm", "id,interval,time,cif_1")):
+            for encoding in ("scalar", "onehot"):
+                where = tmp_path / head / encoding
+                model = self._train(where, head=head, encoding=encoding)
+                assert self._predict(where, model, empty) == 0
+                lines = (where / "pred" / "predictions.csv").read_text().splitlines()
+                assert lines == [header]
 
     def test_grid_incompatible_time_is_compat_error(self, tmp_path):
         model = self._train(tmp_path)

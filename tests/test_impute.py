@@ -475,7 +475,7 @@ class TestIroTrain:
             iro_train(subjects, grid, head, settings, impute_settings=ImputeSettings(
                 max_epochs=3, pred_weight=0.0, rel_tol=0.0), **kwargs)
         assert asked and not any(asked)
-        assert len(buffers) == 12 and all(b is None for b in buffers)
+        assert len(buffers) == 6 and all(b is None for b in buffers)
         assert len(pred_grads) == 6 and all(g is None for g in pred_grads)
 
     def test_imputed_matrix_is_the_best_epochs(self, monkeypatch):

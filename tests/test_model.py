@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,12 +8,14 @@ import pytest
 from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
                       direct_nll_sd, finite_diff, max_rel_err)
 
+import fcrn.model
 from fcrn import autodiff as ad
 from fcrn.data import (build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv)
-from fcrn.model import (PREDICT_ROWS, FCRNModel, TrainSettings, build_table,
-                        cif_from_cause_specific, cif_from_subdistribution,
-                        init_model, table_batch, train_model)
+from fcrn.model import (PREDICT_ROWS, FCRNModel, NumericError, TrainSettings,
+                        build_table, cif_from_cause_specific,
+                        cif_from_subdistribution, init_model, table_batch,
+                        train_model)
 from fcrn.simulate import SimConfig, simulate
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
@@ -396,6 +399,104 @@ class TestTraining:
         train_model(train, grid, "sdm", settings, target_cause=1)
         assert asked and not any(asked)
         assert buffers and all(b is None for b in buffers)
+
+
+class TestValidationLoss:
+    """fit's monitored loss: the mean NLL of the validation subjects'
+    person-period rows, from the blocked forward that prediction uses."""
+
+    @staticmethod
+    def _data():
+        ds, _, _ = simulate(SimConfig(n=120, n_train=120, n_test=0, seed=5,
+                                      functional=True, n_signals=1,
+                                      n_sample_points=11))
+        return ds, build_time_grid(100.0, 10.0)
+
+    @staticmethod
+    def _train(monkeypatch, ds, grid, head, settings):
+        """train_model's model and its validation subjects, read from a copy
+        of fit's rng, whose first draw is the holdout's permutation."""
+        val_ids = []
+        real_fit = fcrn.model.fit
+
+        def fit(model, ds, xn, settings, rng, **kwargs):
+            perm = copy.deepcopy(rng).permutation(len(ds))
+            val_ids.extend(perm[:int(round(settings.val_fraction * len(ds)))])
+            return real_fit(model, ds, xn, settings, rng, **kwargs)
+
+        monkeypatch.setattr(fcrn.model, "fit", fit)
+        model = train_model(ds, grid, head, settings, n_causes=2, target_cause=2)
+        monkeypatch.setattr(fcrn.model, "fit", real_fit)
+        return model, np.sort(val_ids)
+
+    @pytest.mark.parametrize("encoding", ["scalar", "onehot"])
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_val_loss_is_the_validation_subjects_likelihood(self, monkeypatch, head,
+                                                            encoding):
+        # at lr 0 the parameters never move, so every epoch's validation
+        # loss is the likelihood oracle's at the initial parameters, here
+        # over blocks of two subjects' 2L rows
+        ds, grid = self._data()
+        L = grid.n_intervals
+        monkeypatch.setattr(fcrn.model, "PREDICT_ROWS",
+                            2 * L * (L if encoding == "onehot" else 1))
+        blocks = []
+        real_forward = FCRNModel.forward_logits
+
+        def forward_logits(self, xn, projections, subj_idx, intervals, keep=True):
+            if not keep:
+                blocks.append(len(subj_idx))
+            return real_forward(self, xn, projections, subj_idx, intervals, keep)
+
+        monkeypatch.setattr(FCRNModel, "forward_logits", forward_logits)
+        settings = TrainSettings(lr=0.0, max_epochs=3, patience=5, val_fraction=0.25,
+                                 hidden=(8, 4), time_encoding=encoding, seed=3)
+        model, val_ids = self._train(monkeypatch, ds, grid, head, settings)
+        table = build_table(ds, grid, model)
+        n_rows = int(np.isin(table.subject_idx, val_ids).sum())
+        full, last = divmod(n_rows, 2 * L)
+        assert full >= 3 and len(model.history) == 3
+        assert blocks == ([2 * L] * full + ([last] if last else [])) * 3
+        val = ds.take(val_ids)
+        hz = model.predict_hazards(val)
+        if head == "csm":
+            oracle = direct_nll_cs(hz, val, grid)
+        else:
+            oracle = direct_nll_sd(hz, val, grid, 2, censoring_survival(ds, grid))
+        for _, _, val_loss in model.history:
+            assert val_loss == pytest.approx(oracle / n_rows, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_val_loss_does_not_depend_on_the_batch_size(self, head):
+        # train.batch_size sets only the Adam batches: at lr 0 the train
+        # losses sum other batches, the validation losses stay bit-identical
+        ds, grid = self._data()
+        logs = []
+        for batch_size in (7, 64):
+            settings = TrainSettings(lr=0.0, batch_size=batch_size, max_epochs=2,
+                                     patience=5, val_fraction=0.25, hidden=(8, 4),
+                                     seed=3)
+            model = train_model(ds, grid, head, settings, n_causes=2, target_cause=2)
+            logs.append([h[2] for h in model.history])
+        assert len(logs[0]) == 2 and logs[0] == logs[1]
+
+    def test_non_finite_validation_loss_is_numeric_error(self, monkeypatch):
+        # Adam's last step of an epoch can leave theta non-finite after the
+        # epoch's train loss was taken; the validation pass then reads it
+        real_epoch_loss = fcrn.model._epoch_loss
+
+        def epoch_loss(model, *args, **kwargs):
+            loss = real_epoch_loss(model, *args, **kwargs)
+            model.theta[0] = np.nan
+            return loss
+
+        monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)
+        ds, grid = self._data()
+        for head in ("csm", "sdm"):
+            with pytest.raises(NumericError) as e:
+                train_model(ds, grid, head, TrainSettings(max_epochs=2, hidden=(4,)),
+                            n_causes=2, target_cause=2)
+            assert str(e.value) == "non-finite validation loss at epoch 0"
 
 
 class TestSerialization:
