@@ -196,12 +196,9 @@ def nll(head, probs, target, weight=None):
 
 
 def head_loss(fwd, target, weight):
-    """The batch's nll and, when the forward pass kept its cache,
-    d loss / d logits."""
+    """The batch's nll and d loss / d logits."""
     probs = hazards(fwd)
     value = nll(fwd.head, probs, target, weight)
-    if fwd.inputs is None:
-        return Loss(value, None, fwd)
     n = len(target)
     if fwd.head == "csm":
         rows = np.arange(n)

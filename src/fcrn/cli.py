@@ -1,12 +1,13 @@
 """Command-line entry point: simulate / train / predict / evaluate.
 
-Exit codes: 0 ok, 2 IO failure, 3 schema violation, 4 numeric failure,
-5 grid/horizon incompatibility. Every run writes its resolved config
+Exit codes: 0 ok, 2 I/O or memory failure, 3 schema violation, 4 numeric
+failure, 5 grid/horizon incompatibility. Every run writes its resolved config
 beside its outputs so artifacts are reproducible from config + seed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -172,6 +173,10 @@ def cmd_train(cfg):
         np.savetxt(os.path.join(out, "imputed.csv"), imputed, delimiter=",")
         np.savetxt(os.path.join(out, "imputed_mask.csv"), mask.astype(int),
                    delimiter=",", fmt="%d")
+    else:  # no earlier run's imputation stays beside this run's model
+        for name in ("imputed.csv", "imputed_mask.csv"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, name))
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("model written to %s" % os.path.join(out, "model.json"))
     return 0
@@ -382,6 +387,9 @@ def main(argv=None):
         return EXIT_SCHEMA
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as e:
+        print("error: out of memory%s" % (": %s" % e if str(e) else ""), file=sys.stderr)
         return EXIT_IO
     return 0
 

@@ -509,7 +509,7 @@ def read_curves_csv(path, ds):
     position = {sid: k for k, sid in enumerate(ds.ids.tolist())}
     code = {}  # signal name -> code, in order of first appearance
     unknown = None  # (row, id) of the first row of an unknown subject
-    parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),) * 2]
+    columns = [[np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]]
     with open_csv(path) as (fh, header):
         if header != ["id", "signal_name", "tau", "value"]:
             raise DataError("%s: expected header id,signal_name,tau,value" % path)
@@ -520,10 +520,11 @@ def read_curves_csv(path, ds):
                 k = int(np.argmax(subj < 0))
                 unknown = (line + k, ids[k])
             signal = run_codes(names, lambda name: code.setdefault(name, len(code)))
-            parts.append((subj, signal, taus, vals))
+            for k, column in enumerate((signal * len(ds.ids) + subj, taus, vals)):
+                columns[k].append(column)
     if unknown:
         raise DataError("%s row %d: unknown subject id %r" % (path, *unknown))
-    signals = _check_curves(path, ds.ids, list(code), *map(np.concatenate, zip(*parts)))
+    signals = _check_curves(path, ds.ids, list(code), columns)
     return Dataset(ds.ids, ds.time, ds.cause, ds.X, signals)
 
 
@@ -540,27 +541,26 @@ CURVE_ERRORS = (None, "curve %r needs at least 2 sample points",
                 "curve %r: sample points must lie in [0, 1]")
 
 
-def _check_curves(path, ids, names, subj, signal, taus, vals):
-    """One Signal per name from the file's points (signal k is names[k]),
-    in name order, after the per-curve and per-subject checks."""
-    order = np.lexsort((taus, subj, signal))
-    subj, signal, taus, vals = subj[order], signal[order], taus[order], vals[order]
-    starts = np.flatnonzero(np.diff(subj, prepend=-1) | np.diff(signal, prepend=-1))
-    counts = np.diff(np.append(starts, len(order)))
-    curve = np.repeat(np.arange(len(starts)), counts)
-
-    def flagged(points):
-        """Whether each curve holds one of the points flagged True."""
-        return np.bincount(curve[points], minlength=len(starts)) > 0
-    step = (np.diff(curve, prepend=-1) == 0) & ~(np.diff(taus, prepend=-np.inf) > 0)
-    problem = np.select([counts < 2, flagged(step),
-                         flagged(~((taus >= 0.0) & (taus <= 1.0)))], [1, 2, 3])
+def _check_curves(path, ids, names, columns):
+    """One Signal per name, in name order, from the lists of per-block curve
+    keys, taus and values in columns, after the per-curve and per-subject checks."""
+    for k in range(3):  # a column at a time, its blocks dropped before the next
+        columns[k] = np.concatenate(columns[k])
+    order = np.lexsort(columns[1::-1])  # by key, then by tau
+    for k in range(3):  # a column at a time, its unsorted copy dropped
+        columns[k] = columns[k][order]
+    key, taus, vals = columns
+    same = key[1:] == key[:-1]  # point j + 1 is on point j's curve
+    starts = np.flatnonzero(np.append(len(key) > 0, ~same))
+    counts = np.diff(np.append(starts, len(key)))
+    step = np.logical_or.reduceat(np.append(False, same & (taus[1:] <= taus[:-1])), starts)
+    outside = (taus[starts] < 0.0) | (taus[starts + counts - 1] > 1.0)  # sorted taus
+    problem = np.select([counts < 2, step, outside], [1, 2, 3])
     failing = np.flatnonzero(problem)
     if len(failing):
         k = failing[np.argmin(np.minimum.reduceat(order, starts)[failing])]
-        raise DataError(CURVE_ERRORS[problem[k]] % names[signal[starts[k]]])
-    lacking = np.setdiff1d(np.arange(len(names) * len(ids)),
-                           signal[starts] * len(ids) + subj[starts])
+        raise DataError(CURVE_ERRORS[problem[k]] % names[key[starts[k]] // len(ids)])
+    lacking = np.setdiff1d(np.arange(len(names) * len(ids)), key[starts])
     if len(lacking):
         k, i = divmod(lacking[0], len(ids))
         raise DataError("%s: subject %s lacks signal %r" % (path, ids[i], names[k]))

@@ -123,7 +123,6 @@ class TestBackward:
         fwd = ad.forward(params, "csm", np.ones((1, 2)), None, np.array([0]),
                          np.zeros((1, 0)), keep=False)
         loss = ad.head_loss(fwd, np.array([1]), np.ones(1))
-        assert loss.d_logits is None
         with pytest.raises(ValueError):
             ad.backward(loss)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcrn.autodiff
 from fcrn.cli import _settings, main
 from fcrn.config import MAX_INTERVALS, QUOTE_CHARS, load_config
 from fcrn.impute import ImputeSettings
@@ -113,6 +114,34 @@ class TestTrainCommand:
         imputed = np.loadtxt(tmp_path / "run" / "imputed.csv", delimiter=",")
         assert np.all(np.isfinite(imputed))
         assert (tmp_path / "run" / "imputed_mask.csv").exists()
+
+    def test_complete_data_run_removes_an_earlier_imputation(self, tmp_path):
+        # a 25% MAR run and then a complete-data run into one out_dir: the
+        # second run wrote no imputation, so none stays beside its model
+        simulate_small(tmp_path / "mar", missing_rate=0.25, seed=2)
+        simulate_small(tmp_path / "full", seed=2)
+        assert run(train_args(tmp_path / "run", tmp_path / "mar",
+                              extra=["--set", "mvi.max_epochs=3"])) == 0
+        assert (tmp_path / "run" / "imputed.csv").exists()
+        (tmp_path / "run" / "notes.txt").write_text("kept")
+        assert run(train_args(tmp_path / "run", tmp_path / "full")) == 0
+        assert sorted(os.listdir(tmp_path / "run")) == [
+            "config.resolved.json", "model.json", "notes.txt", "training_log.csv"]
+        assert (tmp_path / "run" / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 11.2 GiB for an array "
+                                         "with shape (1500000000,) and data type float64"])
+    def test_allocation_that_fails_is_io_error(self, tmp_path, capsys, monkeypatch,
+                                               message):
+        simulate_small(tmp_path / "sim", n=40, seed=0)
+        capsys.readouterr()
+
+        def grad_buffer(self):
+            raise MemoryError(message)
+        monkeypatch.setattr(fcrn.autodiff.Params, "grad_buffer", grad_buffer)
+        assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 2
+        assert capsys.readouterr().err == "error: out of memory%s\n" % (
+            ": " + message if message else "")
 
     def test_missing_data_with_mvi_disabled_is_schema_error(self, tmp_path):
         simulate_small(tmp_path / "sim", missing_rate=0.25, seed=4)

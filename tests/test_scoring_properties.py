@@ -6,6 +6,7 @@ curve CSV readers and writers and the predictions writer, over per-subject
 Records. The vectorized code must give the same bits and bytes.
 """
 import csv
+import functools
 import os
 import re
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import fcrn.data
 from fcrn.cli import read_predictions, write_predictions
 from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, Signal, assign_intervals,
-                       build_time_grid, censoring_survival, read_curves_csv,
+                       build_time_grid, censoring_survival, csv_columns, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
 from fcrn.metrics import ScoreCurve, brier, brier_ipcw, ibs, score_cif
 
@@ -503,13 +504,16 @@ class TestReadersMatchLoop:
                 w = csv.writer(fh)
                 w.writerow(["id", "signal_name", "tau", "value"])
                 w.writerows(rows)
-            got = outcome(read_curves_csv, path, cohort())
             expected = outcome(ref_read_curves_csv, path, records(cohort()))
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert not isinstance(got, str), got
-            assert_same_subjects(got, expected)
+            for chunk_rows in (1, 3, fcrn.data.CSV_CHUNK_ROWS):
+                with mock.patch.object(fcrn.data, "csv_columns", functools.partial(
+                        csv_columns, chunk_rows=chunk_rows)):
+                    got = outcome(read_curves_csv, path, cohort())
+                if isinstance(expected, str):
+                    assert got == expected, chunk_rows
+                else:
+                    assert not isinstance(got, str), (chunk_rows, got)
+                    assert_same_subjects(got, expected)
 
     def test_simulated_files(self, tmp_path):
         from fcrn.simulate import SimConfig, simulate
