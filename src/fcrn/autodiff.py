@@ -130,8 +130,8 @@ def micro_backward(weights, acts, d_basis, g_weights, g_biases):
 
 # Basis coefficients of some subjects' curves for one signal,
 # coef[i, d] = sum_j w_j B_d(tau_j) x_i(tau_j), with the trapezoid-weighted
-# curves, sublayer inputs and micro-network weights the backward pass reads.
-Projection = namedtuple("Projection", "coef weighted acts weights")
+# curves and sublayer inputs the backward pass reads.
+Projection = namedtuple("Projection", "coef weighted acts")
 
 # Per-signal projections of a set of subjects; rows maps each person-period
 # row to its subject's row in every coefficient matrix.
@@ -139,15 +139,6 @@ Projections = namedtuple("Projections", "rows parts")
 
 # Logits of a batch and, when kept, what the backward pass reads.
 Forward = namedtuple("Forward", "logits params head n_tab projections inputs")
-
-# Batch loss value and its gradient with respect to the logits.
-Loss = namedtuple("Loss", "value d_logits fwd")
-
-
-def project(weighted, weights, biases, taus):
-    """Projection of trapezoid-weighted curve rows onto the basis B(theta)."""
-    basis, acts = micro_forward(weights, biases, taus)
-    return Projection(weighted @ basis, weighted, acts, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +187,7 @@ def nll(head, probs, target, weight=None):
 
 
 def head_loss(fwd, target, weight):
-    """The batch's nll and d loss / d logits."""
+    """(value, d_logits): the batch's nll and d loss / d logits."""
     probs = hazards(fwd)
     value = nll(fwd.head, probs, target, weight)
     n = len(target)
@@ -212,23 +203,22 @@ def head_loss(fwd, target, weight):
         live = np.where(y, probs, 1.0 - probs)[:, 0] > PROB_FLOOR
         scale = live * (np.asarray(weight, dtype=np.float64) / n)
     d *= scale[:, None]
-    return Loss(value, d, fwd)
+    return value, d
 
 
-def backward(loss, want_param_grad=True, want_input_grad=False):
-    """Reverse pass of the graph from a batch loss.
+def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
+    """Reverse pass of the graph from d loss / d logits of a kept forward pass.
 
     Returns (flat parameter gradient or None, input gradient or None); the
     input gradient has one row per batch row, d loss / d xn[subj_idx],
     before the sum over each subject's rows (scatter_rows forms that sum).
     """
-    fwd = loss.fwd
     if fwd.inputs is None:
         raise ValueError("the forward pass kept no backward cache")
     params = fwd.params
     grad = params.grad_buffer() if want_param_grad else None
     into_basis = grad is not None and fwd.projections is not None
-    d = loss.d_logits
+    d = d_logits
     for k in range(len(params.weights) - 1, -1, -1):
         h = fwd.inputs[k]
         if grad is not None:
@@ -242,11 +232,12 @@ def backward(loss, want_param_grad=True, want_input_grad=False):
     d_xn = d[:, :fwd.n_tab] if want_input_grad else None
     if into_basis:
         col = fwd.n_tab
-        for part, (g_w, g_b) in zip(fwd.projections.parts, grad.basis):
+        for part, (weights, _), (g_w, g_b) in zip(fwd.projections.parts, params.basis,
+                                                   grad.basis):
             n_basis = part.coef.shape[1]
             d_coef = scatter_rows(fwd.projections.rows, d[:, col:col + n_basis],
                                   part.coef.shape[0])
-            micro_backward(part.weights, part.acts, part.weighted.T @ d_coef, g_w, g_b)
+            micro_backward(weights, part.acts, part.weighted.T @ d_coef, g_w, g_b)
             col += n_basis
     return (None if grad is None else grad.flat.copy()), d_xn
 

@@ -52,4 +52,6 @@ class BasisLayer:
         if vals.shape[1] != taus.size:
             raise ValueError("curve sampled on %d points, layer expects %d"
                              % (vals.shape[1], taus.size))
-        return ad.project(vals * self.spec["int_weights"], self.weights, self.biases, taus)
+        weighted = vals * self.spec["int_weights"]
+        basis, acts = ad.micro_forward(self.weights, self.biases, taus)
+        return ad.Projection(weighted @ basis, weighted, acts)

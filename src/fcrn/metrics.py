@@ -22,35 +22,21 @@ class ScoreCurve:
     ibs: float
 
 
-def brier(t, preds, ds, cause):
-    """Uncensored Brier score at time t for one cause's CIF predictions."""
-    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-    return float(brier_curve(np.array([t], dtype=np.float64), preds, ds, cause)[0])
-
-
-def brier_ipcw(t, preds, ds, cause, g, grid):
-    """IPCW Brier score at time t.
-
-    Subjects still at risk past t contribute (0 - F)^2 / G(t); subjects
-    with an observed event by t contribute (1{R=m} - F)^2 / G(T-1);
-    subjects censored by t contribute nothing. Normalized by N.
-    """
-    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
-    return float(brier_ipcw_curve(np.array([t], dtype=np.float64), preds, ds, cause,
-                                  g, grid)[0])
-
-
 def brier_curve(times, P, ds, cause):
-    """brier at each of times; P is (n_subjects, n_times), column k scored
-    at times[k]. Each time's mean is a pairwise sum over the subjects, as
-    np.mean of one column gives."""
+    """Uncensored Brier score of one cause's CIF predictions at each of
+    times; P is (n_subjects, n_times), column k scored at times[k]. Each
+    time's mean is a pairwise sum over the subjects, as np.mean of one
+    column gives."""
     label = ((ds.time <= times[:, None]) & (ds.cause == cause)).astype(np.float64)
     return np.mean((label - np.ascontiguousarray(P.T)) ** 2, axis=1)
 
 
 def brier_ipcw_curve(times, P, ds, cause, g, grid):
-    """brier_ipcw at each of times; P is (n_subjects, n_times).
+    """IPCW Brier score at each of times; P is (n_subjects, n_times).
 
+    At time t, subjects still at risk past t contribute (0 - F)^2 / G(t);
+    subjects with an observed event by t contribute (1{R=m} - F)^2 /
+    G(T-1); subjects censored by t contribute nothing. Normalized by N.
     Each time's terms are summed in subject order, as a running total over
     the subjects gives.
     """

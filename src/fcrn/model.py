@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +31,6 @@ CANONICAL_GRID_CAP = 101
 SCHEMA_VERSION = 2
 # the fields of a signal record that model.json stores
 SIGNAL_FIELDS = ("name", "taus", "n_basis", "mean", "std", "micro_width", "micro_depth")
-
-# Person-period rows of one step: the full normalized covariate matrix xn,
-# the normalized curve matrices by signal name, and the rows' subject
-# indices, intervals, targets and weights.
-Batch = namedtuple("Batch", "xn curves subj_idx interval target weight")
-
-
-def table_batch(xn, curve_mats, table, rows):
-    """The Batch of the given person-period table rows."""
-    return Batch(xn, curve_mats, table.subject_idx[rows], table.interval[rows],
-                 table.target[rows], table.weight[rows])
 
 
 class NumericError(RuntimeError):
@@ -194,20 +182,23 @@ class FCRNModel:
     # -- heads and losses ----------------------------------------------------
 
     def batch_loss(self, fwd, target, weight):
-        """Mean NLL of the forward pass's rows (weighted for SDM)."""
+        """(value, d_logits): the rows' mean NLL (weighted for SDM) and its gradient."""
         return ad.head_loss(fwd, target, weight)
 
-    def loss_and_grads(self, batch, want_input_grad=False, want_param_grad=True):
-        """Batch loss, its gradient over theta, and d loss / d xn on request.
+    def loss_and_grads(self, xn, curve_mats, table, rows, want_input_grad=False,
+                       want_param_grad=True):
+        """Mean loss of table rows `rows`, its theta gradient, and on request
+        d loss / d xn; xn and curve_mats hold every subject's rows.
 
         Returns (loss, flat gradient or None, input gradient or None); the
-        input gradient has one row per batch row (see autodiff.backward).
+        input gradient has one row per entry of rows (see autodiff.backward).
         """
-        projections = self.project_signals(batch.curves, batch.subj_idx)
-        fwd = self.forward_logits(batch.xn, projections, batch.subj_idx, batch.interval)
-        loss = self.batch_loss(fwd, batch.target, batch.weight)
-        grad, d_xn = ad.backward(loss, want_param_grad, want_input_grad)
-        return loss.value, grad, d_xn
+        subj_idx = table.subject_idx[rows]
+        fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
+                                  subj_idx, table.interval[rows])
+        value, d_logits = self.batch_loss(fwd, table.target[rows], table.weight[rows])
+        grad, d_xn = ad.backward(fwd, d_logits, want_param_grad, want_input_grad)
+        return value, grad, d_xn
 
     # -- prediction ----------------------------------------------------------
 
@@ -438,13 +429,12 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
     order = np.arange(len(rows))
     if shuffle_rng is not None:
         shuffle_rng.shuffle(order)
-    total, count = 0.0, 0
+    total = 0.0
     for start in range(0, len(order), batch_size):
         at = order[start:start + batch_size]
         sel = rows[at]
         loss, grad, d_rows = model.loss_and_grads(
-            table_batch(xn, curve_mats, table, sel),
-            want_input_grad=input_grad is not None,
+            xn, curve_mats, table, sel, want_input_grad=input_grad is not None,
             want_param_grad=adam is not None)
         if not np.isfinite(loss):
             raise NumericError("non-finite loss (lr=%s, batch starting at row %d)"
@@ -454,8 +444,7 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
         if adam is not None:
             ad.adam_step(model.theta, grad, adam, lr)
         total += float(loss) * len(sel)
-        count += len(sel)
-    return total / max(count, 1)
+    return total / max(len(rows), 1)
 
 
 def train_model(ds, grid, head, settings, n_causes=None, target_cause=None):
@@ -513,7 +502,7 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     taken at the parameters its batch saw, and validation subjects get
     zero rows.
     model.history gets one (epoch, train_loss, monitored_loss) row per
-    epoch.
+    epoch. DataError when no training subject has a person-period row.
     """
     n = len(ds)
     perm = rng.permutation(n)
@@ -522,6 +511,10 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
     in_val = np.isin(table.subject_idx, perm[:n_val])
     train_rows = np.where(~in_val)[0]
     val_rows = np.where(in_val)[0]
+    if not len(train_rows):  # an sdm table has rows for intervals 1..L-1 only
+        raise DataError("no person-period rows to train on: the sdm head needs a "
+                        "grid of at least 2 intervals (this one has %d)"
+                        % model.grid.n_intervals)
 
     curve_mats = model.curve_matrices(ds)
     adam = ad.AdamState(model.theta.size)

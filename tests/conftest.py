@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fcrn.data import Dataset, assign_intervals
+from fcrn.metrics import brier_curve, brier_ipcw_curve
 
 
 def dataset(time, cause, X=None, ids=None, signals=None):
@@ -56,6 +57,19 @@ def g_at(g, t):
     return 1.0 if t <= 0 else float(g.g[min(t, len(g.g) - 1)])
 
 
+def brier_at(t, preds, ds, cause):
+    """metrics.brier_curve at the one time t, one prediction per subject."""
+    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
+    return float(brier_curve(np.array([t], dtype=np.float64), preds, ds, cause)[0])
+
+
+def brier_ipcw_at(t, preds, ds, cause, g, grid):
+    """metrics.brier_ipcw_curve at the one time t, one prediction per subject."""
+    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
+    return float(brier_ipcw_curve(np.array([t], dtype=np.float64), preds, ds, cause,
+                                  g, grid)[0])
+
+
 def finite_diff(loss_fn, flat, step=1e-5):
     """Central finite-difference gradient of a scalar loss_fn() over a flat
     float64 vector, perturbed in place entry by entry and restored."""
@@ -78,14 +92,15 @@ def max_rel_err(analytic, numeric, floor=1e-3):
 
 
 def collect_grads(model, batch):
-    """Analytic gradient of the batch loss over the model's flat theta."""
-    return model.loss_and_grads(batch)[1]
+    """Analytic gradient over the model's flat theta of the loss of batch,
+    loss_and_grads' (xn, curve_mats, table, rows)."""
+    return model.loss_and_grads(*batch)[1]
 
 
 def batch_loss_fn(model, batch):
-    """The batch loss as a function of the model's current theta and the
-    batch's xn, both read at call time."""
-    return lambda: model.loss_and_grads(batch, want_param_grad=False)[0]
+    """The loss of batch, (xn, curve_mats, table, rows), as a function of the
+    model's current theta and of xn, both read at call time."""
+    return lambda: model.loss_and_grads(*batch, want_param_grad=False)[0]
 
 
 def direct_nll_cs(hazards, ds, grid):

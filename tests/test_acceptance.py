@@ -9,17 +9,17 @@ import time
 
 import numpy as np
 import pytest
-from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
-                      direct_nll_sd, finite_diff, max_rel_err)
+from conftest import (batch_loss_fn, brier_at, brier_ipcw_at, collect_grads, dataset,
+                      direct_nll_cs, direct_nll_sd, finite_diff, max_rel_err)
 
 from fcrn.baseline import intercept_only_cif
 from fcrn.cli import main as cli_main
 from fcrn.data import (Signal, augment_subdistribution, build_time_grid,
                        censoring_survival)
 from fcrn.impute import ImputeSettings, iro_train, median_init, sgld_impute
-from fcrn.metrics import brier, brier_ipcw, score_cif
+from fcrn.metrics import score_cif
 from fcrn.model import (FCRNModel, TrainSettings, build_table,
-                        cif_from_subdistribution, table_batch, train_model)
+                        cif_from_subdistribution, train_model)
 from fcrn.simulate import SimConfig, simulate
 
 
@@ -76,7 +76,7 @@ def test_gradient_oracle():
             table = build_table(subjects, grid, model, g=g)
         xn = model.normalize(subjects.X)
         curve_mats = model.curve_matrices(subjects)
-        batch = table_batch(xn, curve_mats, table, np.arange(len(table)))
+        batch = (xn, curve_mats, table, np.arange(len(table)))
         err = max_rel_err(collect_grads(model, batch),
                           finite_diff(batch_loss_fn(model, batch), model.theta))
         worst = max(worst, err)
@@ -110,7 +110,7 @@ def test_likelihood_oracle():
         xn = model.normalize(subjects.X)
         fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
         summed = float(model.batch_loss(fwd, table.target,
-                                        table.weight).value) * len(table)
+                                        table.weight)[0]) * len(table)
         hz = model.predict_hazards(subjects)
         if head == "csm":
             direct = direct_nll_cs(hz, subjects, grid)
@@ -185,8 +185,8 @@ def test_ipcw_reduction():
         g = censoring_survival(subjects, grid)
         for t in (0.0, 6.0, 14.0, 20.0):
             preds = rng.uniform(0, 1, size=n)
-            worst = max(worst, abs(brier(t, preds, subjects, 1)
-                                   - brier_ipcw(t, preds, subjects, 1, g, grid)))
+            worst = max(worst, abs(brier_at(t, preds, subjects, 1)
+                                   - brier_ipcw_at(t, preds, subjects, 1, g, grid)))
     report("IPCW reduction", worst < 1e-12, "max abs diff %.2e" % worst)
 
 

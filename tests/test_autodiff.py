@@ -20,10 +20,10 @@ def run(params, head, xn, subj_idx, target, weight=None):
     """Forward, loss and reverse pass; returns (loss, theta grad, xn grad)."""
     fwd = ad.forward(params, head, xn, None, np.asarray(subj_idx),
                      np.zeros((len(subj_idx), 0)))
-    loss = ad.head_loss(fwd, np.asarray(target),
-                        np.ones(len(target)) if weight is None else weight)
-    grad, d_rows = ad.backward(loss, want_input_grad=True)
-    return loss.value, grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
+    value, d_logits = ad.head_loss(fwd, np.asarray(target),
+                                   np.ones(len(target)) if weight is None else weight)
+    grad, d_rows = ad.backward(fwd, d_logits, want_input_grad=True)
+    return value, grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
 
 def unit_backward(params, xn, subj_idx):
@@ -31,8 +31,7 @@ def unit_backward(params, xn, subj_idx):
     grad, xn grad)."""
     fwd = ad.forward(params, "sdm", xn, None, np.asarray(subj_idx),
                      np.zeros((len(subj_idx), 0)))
-    grad, d_rows = ad.backward(ad.Loss(0.0, np.ones_like(fwd.logits), fwd),
-                               want_input_grad=True)
+    grad, d_rows = ad.backward(fwd, np.ones_like(fwd.logits), want_input_grad=True)
     return grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
 
@@ -110,10 +109,10 @@ class TestBackward:
         params = mlp_params([2, 3, 2], np.random.RandomState(1))
         fwd = ad.forward(params, "csm", np.ones((2, 2)), None, np.array([0, 1]),
                          np.zeros((2, 0)))
-        loss = ad.head_loss(fwd, np.array([0, 1]), np.ones(2))
-        grad, d_xn = ad.backward(loss)
+        _, d_logits = ad.head_loss(fwd, np.array([0, 1]), np.ones(2))
+        grad, d_xn = ad.backward(fwd, d_logits)
         assert grad is not None and d_xn is None
-        grad, d_xn = ad.backward(loss, want_param_grad=False, want_input_grad=True)
+        grad, d_xn = ad.backward(fwd, d_logits, want_param_grad=False, want_input_grad=True)
         assert grad is None and d_xn.shape == (2, 2)
 
     def test_backward_requires_scalar(self):
@@ -122,9 +121,9 @@ class TestBackward:
         params = mlp_params([2, 2], np.random.RandomState(2))
         fwd = ad.forward(params, "csm", np.ones((1, 2)), None, np.array([0]),
                          np.zeros((1, 0)), keep=False)
-        loss = ad.head_loss(fwd, np.array([1]), np.ones(1))
+        _, d_logits = ad.head_loss(fwd, np.array([1]), np.ones(1))
         with pytest.raises(ValueError):
-            ad.backward(loss)
+            ad.backward(fwd, d_logits)
 
     def test_gather_ops(self):
         # rows [1, 1, 3] of xn: the input gradient scatter-adds into them

@@ -5,7 +5,7 @@ from conftest import finite_diff, max_rel_err
 from fcrn import autodiff as ad
 from fcrn.basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, trapezoid_weights
 from fcrn.data import PersonPeriodTable, build_time_grid
-from fcrn.model import FCRNModel, table_batch
+from fcrn.model import FCRNModel
 
 
 def initialized_layer(n_basis, taus, rng, width=MICRO_WIDTH, depth=MICRO_DEPTH):
@@ -124,9 +124,8 @@ class TestProjection:
         table = PersonPeriodTable(subject_idx=np.array([0, 0, 1]),
                                   interval=np.array([1, 2, 1]),
                                   target=np.array([0, 1, 1]), weight=np.ones(3))
-        batch = table_batch(rng.randn(2, 1), {"s": rng.randn(2, 21)}, table,
-                            np.arange(3))
-        grad = model.params.like(model.loss_and_grads(batch)[1])
+        grad = model.params.like(model.loss_and_grads(
+            rng.randn(2, 1), {"s": rng.randn(2, 21)}, table, np.arange(3))[1])
         weights, biases = grad.basis[0]
         assert all(np.any(g != 0) for g in weights + biases)
 

@@ -137,3 +137,46 @@ def test_per_layer_counters_read_their_arguments(tracing):
                  "basis.subjects_needed"):
         assert counts[name] > 0, name
     assert tracer.batch_ms("setup")
+
+
+def test_each_adam_batch_calls_every_step_layer_once(monkeypatch):
+    """The benchmark's model.forward, model.loss, autodiff.backward,
+    autodiff.adam and basis.project spans, and its model.batches count,
+    assume this call pattern: a complete-data functional fit without a
+    holdout calls FCRNModel.forward_logits, FCRNModel.batch_loss,
+    autodiff.backward and autodiff.adam_step once per Adam batch,
+    ceil(training rows / batch_size) times per epoch, and
+    BasisLayer.project once per signal per batch."""
+    import math
+    from collections import Counter
+
+    import fcrn.autodiff
+    import fcrn.basis
+    import fcrn.data
+    import fcrn.model
+    import fcrn.simulate
+
+    calls = Counter()
+    for owner, attr in ((fcrn.model.FCRNModel, "forward_logits"),
+                        (fcrn.model.FCRNModel, "batch_loss"),
+                        (fcrn.autodiff, "backward"), (fcrn.autodiff, "adam_step"),
+                        (fcrn.basis.BasisLayer, "project")):
+        def counted(*args, _real=getattr(owner, attr), _name=attr, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+
+    train, _, _ = fcrn.simulate.simulate(fcrn.simulate.SimConfig(
+        n=40, n_train=30, n_test=10, n_signals=2, n_sample_points=11))
+    grid = fcrn.data.build_time_grid(100.0, 10.0)
+    epochs, batch_size = 3, 16
+    settings = fcrn.model.TrainSettings(max_epochs=epochs, patience=epochs, hidden=(4,),
+                                        val_fraction=0.0, batch_size=batch_size)
+    model = fcrn.model.train_model(train, grid, "csm", settings, n_causes=2)
+    rows = len(fcrn.model.build_table(train, grid, model))
+    assert len(model.history) == epochs
+    assert rows % batch_size  # a short last batch is counted too
+    batches = epochs * math.ceil(rows / batch_size)
+    assert calls == {"forward_logits": batches, "batch_loss": batches,
+                     "backward": batches, "adam_step": batches,
+                     "project": batches * len(train.signals)}

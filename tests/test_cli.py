@@ -344,6 +344,16 @@ class TestTrainCommand:
             "train.cause=3" in err
         assert not (tmp_path / "run" / "model.json").exists()
 
+    def test_sdm_on_a_one_interval_grid_is_schema_error(self, tmp_path, capsys):
+        # no sdm person-period row on a one-interval grid, so nothing to train
+        simulate_small(tmp_path / "sim", n=40, seed=0)
+        code = run(train_args(tmp_path / "run", tmp_path / "sim",
+                              extra=sets(train__head="sdm", grid__width=100)))
+        assert code == 3
+        assert "error: no person-period rows to train on: the sdm head needs a grid " \
+            "of at least 2 intervals (this one has 1)" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
     @pytest.mark.parametrize("name", ["train_subjects.csv", "train_curves.csv"])
     def test_normalization_that_overflows_is_schema_error(self, tmp_path, capsys,
                                                           name):

@@ -11,7 +11,7 @@ from fcrn.data import build_time_grid
 from fcrn.impute import (COND_VAR_FLOOR, GGM, ImputeSettings, eta_at, fit_ggm,
                          grad_log_pred, grad_log_prior, i_step, iro_train,
                          median_init, sgld_impute)
-from fcrn.model import TrainSettings, build_table, fit, init_model, table_batch
+from fcrn.model import TrainSettings, build_table, fit, init_model
 from fcrn.simulate import SimConfig, simulate
 
 
@@ -207,7 +207,7 @@ class TestPredictionGradient:
         model, xn, table = self._setup()
         rows = np.arange(len(table))
         analytic = -grad_log_pred(model, xn, {}, table, rows, batch_size=7)
-        mean_loss = batch_loss_fn(model, table_batch(xn, {}, table, rows))
+        mean_loss = batch_loss_fn(model, (xn, {}, table, rows))
         # finite differences of the summed loss, perturbing xn in place
         numeric = finite_diff(lambda: mean_loss() * len(rows), xn.reshape(-1))
         assert max_rel_err(analytic, numeric.reshape(xn.shape)) < 1e-5
@@ -448,9 +448,9 @@ class TestIroTrain:
         real_backward, real_epoch_loss = fcrn.autodiff.backward, fcrn.model._epoch_loss
         real_step = fcrn.impute.i_step
 
-        def backward(loss, want_param_grad=True, want_input_grad=False):
+        def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
             asked.append(want_input_grad)
-            return real_backward(loss, want_param_grad, want_input_grad)
+            return real_backward(fwd, d_logits, want_param_grad, want_input_grad)
 
         def epoch_loss(*args, **kwargs):
             buffers.append(kwargs.get("input_grad"))

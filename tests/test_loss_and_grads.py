@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fcrn import autodiff as ad
 from fcrn.data import Signal, build_time_grid, censoring_survival
-from fcrn.model import FCRNModel, build_table, table_batch
+from fcrn.model import FCRNModel, build_table
 
 
 @st.composite
@@ -26,7 +26,8 @@ def graphs(draw):
 
 
 def build(g):
-    """A model and the batch of all its person-period rows."""
+    """A model and loss_and_grads' (xn, curve_mats, table, rows) of all its
+    person-period rows."""
     rng = np.random.RandomState(g["seed"])
     L = int(rng.randint(2, 5))
     grid = build_time_grid(float(L), 1.0)
@@ -56,7 +57,7 @@ def build(g):
     table = build_table(subjects, grid, model, g=cg)
     curve_mats = model.curve_matrices(subjects) if names else {}
     rows = rng.permutation(len(table))
-    return model, table_batch(model.normalize(X), curve_mats, table, rows)
+    return model, (model.normalize(X), curve_mats, table, rows)
 
 
 # Derandomized: central differences with step 1e-5 are wrong wherever a
@@ -66,7 +67,7 @@ def build(g):
 @given(graphs())
 def test_parameter_gradient_matches_finite_differences(g):
     model, batch = build(g)
-    _, grad, d_xn = model.loss_and_grads(batch)
+    _, grad, d_xn = model.loss_and_grads(*batch)
     assert d_xn is None
     assert max_rel_err(grad, finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
 
@@ -75,22 +76,23 @@ def test_parameter_gradient_matches_finite_differences(g):
 @given(graphs())
 def test_input_gradient_matches_finite_differences(g):
     model, batch = build(g)
-    _, grad, d_rows = model.loss_and_grads(batch, want_input_grad=True,
+    xn, _, table, rows = batch
+    _, grad, d_rows = model.loss_and_grads(*batch, want_input_grad=True,
                                            want_param_grad=False)
     assert grad is None
-    d_xn = ad.scatter_rows(batch.subj_idx, d_rows, len(batch.xn))
-    numeric = finite_diff(batch_loss_fn(model, batch), batch.xn.reshape(-1))
-    assert max_rel_err(d_xn, numeric.reshape(batch.xn.shape)) < 1e-5
+    d_xn = ad.scatter_rows(table.subject_idx[rows], d_rows, len(xn))
+    numeric = finite_diff(batch_loss_fn(model, batch), xn.reshape(-1))
+    assert max_rel_err(d_xn, numeric.reshape(xn.shape)) < 1e-5
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(graphs(), st.integers(1, 12))
 def test_batch_projection_equals_project_all_then_gather(g, n_rows):
-    model, batch = build(dict(g, n_signals=max(g["n_signals"], 1)))
-    subj_idx = batch.subj_idx[:n_rows]
-    projections = model.project_signals(batch.curves, subj_idx)
+    model, (_, curve_mats, table, rows) = build(dict(g, n_signals=max(g["n_signals"], 1)))
+    subj_idx = table.subject_idx[rows][:n_rows]
+    projections = model.project_signals(curve_mats, subj_idx)
     for spec, part in zip(model.signal_specs, projections.parts):
-        everyone = model.basis_layers[spec["name"]].project(batch.curves[spec["name"]])
+        everyone = model.basis_layers[spec["name"]].project(curve_mats[spec["name"]])
         gathered = everyone.coef[subj_idx]
         assert np.max(np.abs(part.coef[projections.rows] - gathered)) <= 1e-12
         assert part.coef.shape[0] == len(np.unique(subj_idx))

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dataset
+from conftest import brier_at, brier_ipcw_at, dataset
 
 from fcrn.data import CensoringSurvival, build_time_grid, censoring_survival
-from fcrn.metrics import brier, brier_ipcw, ibs, score_cif
+from fcrn.metrics import ibs, score_cif
 
 
 def cohort(outcomes):
@@ -15,20 +15,20 @@ def cohort(outcomes):
 class TestBrier:
     def test_perfect_predictions_score_zero(self):
         subjects = cohort([(1.0, 1), (9.0, 1)])
-        assert brier(5.0, [1.0, 0.0], subjects, 1) == 0.0
+        assert brier_at(5.0, [1.0, 0.0], subjects, 1) == 0.0
 
     def test_worst_predictions_score_one(self):
         subjects = cohort([(1.0, 1), (9.0, 1)])
-        assert brier(5.0, [0.0, 1.0], subjects, 1) == 1.0
+        assert brier_at(5.0, [0.0, 1.0], subjects, 1) == 1.0
 
     def test_hand_value(self):
         # labels (1, 0), preds (0.7, 0.4): ((0.3)^2 + (0.4)^2)/2 = 0.125
         subjects = cohort([(2.0, 1), (2.0, 2)])
-        assert brier(5.0, [0.7, 0.4], subjects, 1) == pytest.approx(0.125)
+        assert brier_at(5.0, [0.7, 0.4], subjects, 1) == pytest.approx(0.125)
 
     def test_other_cause_counts_as_zero_label(self):
         subjects = cohort([(2.0, 2)])
-        assert brier(5.0, [0.0], subjects, 1) == 0.0
+        assert brier_at(5.0, [0.0], subjects, 1) == 0.0
 
 
 class TestBrierIpcw:
@@ -41,8 +41,8 @@ class TestBrierIpcw:
         assert np.all(g.g == 1.0)
         for t in (4.0, 10.0, 16.0):
             preds = rng.uniform(0, 1, size=30)
-            plain = brier(t, preds, subjects, 1)
-            ipcw = brier_ipcw(t, preds, subjects, 1, g, grid)
+            plain = brier_at(t, preds, subjects, 1)
+            ipcw = brier_ipcw_at(t, preds, subjects, 1, g, grid)
             assert abs(plain - ipcw) < 1e-12
 
     def test_four_subject_hand_example(self):
@@ -56,7 +56,7 @@ class TestBrierIpcw:
         subjects = cohort([(1.0, 1), (1.0, 0), (2.0, 2), (3.0, 1)])
         preds = [0.6, 0.3, 0.2, 0.5]
         expected = (0.16 + 0.0 + 0.04 / 0.9 + 0.25 / 0.8) / 4.0
-        assert brier_ipcw(2.0, preds, subjects, 1, g, grid) == pytest.approx(
+        assert brier_ipcw_at(2.0, preds, subjects, 1, g, grid) == pytest.approx(
             expected, abs=1e-12)
 
     def test_time_zero_everyone_at_risk(self):
@@ -64,7 +64,7 @@ class TestBrierIpcw:
         g = CensoringSurvival(g=np.array([1.0, 0.5, 0.5, 0.5, 0.5]))
         subjects = cohort([(1.0, 1), (2.0, 0)])
         # G(0) = 1 regardless of later censoring
-        assert brier_ipcw(0.0, [0.3, 0.4], subjects, 1, g, grid) == pytest.approx(
+        assert brier_ipcw_at(0.0, [0.3, 0.4], subjects, 1, g, grid) == pytest.approx(
             (0.09 + 0.16) / 2.0)
 
 

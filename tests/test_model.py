@@ -10,12 +10,11 @@ from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
 
 import fcrn.model
 from fcrn import autodiff as ad
-from fcrn.data import (build_time_grid, censoring_survival, read_curves_csv,
+from fcrn.data import (DataError, build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv)
 from fcrn.model import (PREDICT_ROWS, FCRNModel, NumericError, TrainSettings,
                         build_table, cif_from_cause_specific,
-                        cif_from_subdistribution, init_model, table_batch,
-                        train_model)
+                        cif_from_subdistribution, init_model, train_model)
 from fcrn.simulate import SimConfig, simulate
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
@@ -238,7 +237,7 @@ class TestLikelihoodOracle:
             xn = model.normalize(subjects.X)
             fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
             summed = float(model.batch_loss(fwd, table.target,
-                                            table.weight).value) * len(table)
+                                            table.weight)[0]) * len(table)
             hz = model.predict_hazards(subjects)
             assert summed == pytest.approx(direct_nll_cs(hz, subjects, grid),
                                            abs=1e-10)
@@ -258,7 +257,7 @@ class TestLikelihoodOracle:
             xn = model.normalize(subjects.X)
             fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
             summed = float(model.batch_loss(fwd, table.target,
-                                            table.weight).value) * len(table)
+                                            table.weight)[0]) * len(table)
             hz = model.predict_hazards(subjects)
             assert summed == pytest.approx(
                 direct_nll_sd(hz, subjects, grid, 1, g), abs=1e-10)
@@ -328,7 +327,7 @@ class TestHeadGradients:
         model.fit_normalization(subjects.X)
         table = build_table(subjects, grid, model)
         xn = model.normalize(subjects.X)
-        batch = table_batch(xn, {}, table, np.arange(len(table)))
+        batch = (xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
                            finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
 
@@ -341,7 +340,7 @@ class TestHeadGradients:
         g = censoring_survival(subjects, grid)
         table = build_table(subjects, grid, model, g=g)
         xn = model.normalize(subjects.X)
-        batch = table_batch(xn, {}, table, np.arange(len(table)))
+        batch = (xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
                            finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
 
@@ -381,9 +380,9 @@ class TestTraining:
         asked, buffers = [], []
         real_backward, real_epoch_loss = ad.backward, fcrn.model._epoch_loss
 
-        def backward(loss, want_param_grad=True, want_input_grad=False):
+        def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
             asked.append(want_input_grad)
-            return real_backward(loss, want_param_grad, want_input_grad)
+            return real_backward(fwd, d_logits, want_param_grad, want_input_grad)
 
         def epoch_loss(*args, **kwargs):
             buffers.append(kwargs.get("input_grad"))
@@ -399,6 +398,17 @@ class TestTraining:
         train_model(train, grid, "sdm", settings, target_cause=1)
         assert asked and not any(asked)
         assert buffers and all(b is None for b in buffers)
+
+    def test_sdm_fit_without_training_rows_is_data_error(self):
+        # the sdm table holds intervals 1..L-1, so a one-interval grid gives
+        # no row; the fit used to log zero losses and return an untrained model
+        grid = build_time_grid(20, 20)
+        subjects = random_dataset(np.random.RandomState(10), 20, 2, grid.max_time)
+        settings = TrainSettings(max_epochs=2, hidden=(4,))
+        with pytest.raises(DataError, match="sdm head needs a grid of at least 2 "
+                                            r"intervals \(this one has 1\)"):
+            train_model(subjects, grid, "sdm", settings, target_cause=1)
+        assert len(train_model(subjects, grid, "csm", settings, n_causes=2).history) == 2
 
 
 class TestValidationLoss:

@@ -15,7 +15,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from conftest import Record, dataset, g_at, records, ref_assign_interval
+from conftest import (Record, brier_at, brier_ipcw_at, dataset, g_at, records,
+                      ref_assign_interval)
 from hypothesis import strategies as st
 
 import fcrn.data
@@ -23,7 +24,7 @@ from fcrn.cli import read_predictions, write_predictions
 from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, Signal, assign_intervals,
                        build_time_grid, censoring_survival, csv_columns, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
-from fcrn.metrics import ScoreCurve, brier, brier_ipcw, ibs, score_cif
+from fcrn.metrics import ScoreCurve, ibs, score_cif
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -393,8 +394,8 @@ class TestBrierMatchesLoop:
         g = censoring(data.draw, ds, grid) or censoring_survival(ds, grid)
         t = data.draw(st.one_of(st.sampled_from(grid.cuts.tolist()),
                                 st.floats(0.0, grid.max_time)))
-        assert same_bits(brier(t, preds, ds, 1), ref_brier(t, preds, records(ds), 1))
-        assert same_bits(brier_ipcw(t, preds, ds, 1, g, grid),
+        assert same_bits(brier_at(t, preds, ds, 1), ref_brier(t, preds, records(ds), 1))
+        assert same_bits(brier_ipcw_at(t, preds, ds, 1, g, grid),
                          ref_brier_ipcw(t, preds, records(ds), 1, g, grid))
 
     def test_squares_like_the_loop_where_x_times_x_differs(self):
@@ -405,7 +406,7 @@ class TestBrierMatchesLoop:
         grid = build_time_grid(2.0, 1.0)
         ds = dataset([1.0], [1])
         g = CensoringSurvival(g=np.ones(3))
-        assert same_bits(brier_ipcw(1.0, [f], ds, 1, g, grid),
+        assert same_bits(brier_ipcw_at(1.0, [f], ds, 1, g, grid),
                          ref_brier_ipcw(1.0, [f], records(ds), 1, g, grid))
 
 
