@@ -17,6 +17,9 @@ from collections import namedtuple
 import numpy as np
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def glorot_uniform(fan_out, fan_in, rng):
@@ -258,10 +261,7 @@ def scatter_rows(idx, values, n):
 class AdamState:
     """First/second moment accumulators over the flat vector, step counter."""
 
-    def __init__(self, size, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, size):
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -270,7 +270,7 @@ class AdamState:
 def adam_step(theta, grad, state, lr):
     """Standard bias-corrected Adam update of the flat vector, in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     state.m *= b1
@@ -279,4 +279,4 @@ def adam_step(theta, grad, state, lr):
     g2 *= grad
     state.v *= b2
     state.v += g2
-    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
+    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)

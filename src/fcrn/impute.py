@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,17 +50,17 @@ GGM = namedtuple("GGM", "mu coef cond_vars")
 
 
 def median_init(X, mask):
-    """Fill each missing entry with its column's observed median."""
-    X = np.array(X, dtype=np.float64, copy=True)
-    for j in range(X.shape[1]):
-        col_missing = mask[:, j]
-        if not col_missing.any():
-            continue
-        observed = X[~col_missing, j]
-        if observed.size == 0:
-            raise ValueError("column %d is fully missing; cannot initialize" % j)
-        X[col_missing, j] = np.median(observed)
-    return X
+    """Fill each missing entry with its column's observed median; ValueError
+    for a column that has missing cells and no observed cell."""
+    X = np.asarray(X, dtype=np.float64)
+    if not mask.any():
+        return X.copy()
+    empty = np.flatnonzero(mask.all(axis=0))
+    if len(empty):
+        raise ValueError("column %d is fully missing; cannot initialize" % empty[0])
+    with np.errstate(over="ignore"):  # an odd count of values past 8.9e307 fills inf
+        medians = np.nanmedian(np.where(mask, np.nan, X), axis=0)
+    return np.where(mask, medians, X)
 
 
 def fit_ggm(X, corr_threshold=ImputeSettings.corr_threshold,
@@ -180,11 +180,11 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     on it is the sum fit gathers from the previous RO-step, each row's
     term taken at the parameters of its batch; epoch 0 takes it from
     grad_log_pred at the initial parameters. At pred_weight 0 there is no
-    prediction gradient, and the RO-step forms no input gradients. An
-    imputing fit runs at most min(settings.max_epochs,
-    impute_settings.max_epochs) epochs and also stops on a six-epoch
-    plateau of the monitored loss (rel_tol). Falls through to the plain
-    trainer when nothing is missing.
+    prediction gradient, and the RO-step forms no input gradients. fit
+    gets a copy of settings whose max_epochs is min(settings.max_epochs,
+    impute_settings.max_epochs), and also stops on a six-epoch plateau of
+    the monitored loss (rel_tol). Falls through to the plain trainer when
+    nothing is missing.
 
     Returns (model, imputed covariate matrix on the original scale); the
     matrix is the best epoch's, the one fit restores with the parameters.
@@ -214,8 +214,8 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
                    pred_grad=pred_grad, noise=imp.noise)
         return imp.pred_weight != 0.0
 
-    fit(model, ds, Xn, settings, rng, i_step=impute_epoch,
-        max_epochs=min(settings.max_epochs, imp.max_epochs), rel_tol=imp.rel_tol)
+    capped = replace(settings, max_epochs=min(settings.max_epochs, imp.max_epochs))
+    fit(model, ds, Xn, capped, rng, i_step=impute_epoch, rel_tol=imp.rel_tol)
 
     X_out = np.where(mask, model.denormalize(Xn), ds.X)
     model.fill_values = np.median(X_out, axis=0)

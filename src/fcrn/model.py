@@ -110,13 +110,6 @@ class FCRNModel:
         self.basis_layers = {spec["name"]: BasisLayer(spec, views)
                              for spec, views in zip(self.signal_specs, self.params.basis)}
 
-    # -- parameters --------------------------------------------------------
-
-    @property
-    def theta(self):
-        """The flat float64 vector holding every parameter."""
-        return self.params.flat
-
     # -- feature assembly ----------------------------------------------------
 
     def fit_normalization(self, X):
@@ -187,7 +180,7 @@ class FCRNModel:
 
     def loss_and_grads(self, xn, curve_mats, table, rows, want_input_grad=False,
                        want_param_grad=True):
-        """Mean loss of table rows `rows`, its theta gradient, and on request
+        """Mean loss of table rows `rows`, its parameter gradient, and on request
         d loss / d xn; xn and curve_mats hold every subject's rows.
 
         Returns (loss, flat gradient or None, input gradient or None); the
@@ -442,7 +435,7 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
         if input_grad is not None:
             input_grad[at] = d_rows * len(sel)
         if adam is not None:
-            ad.adam_step(model.theta, grad, adam, lr)
+            ad.adam_step(model.params.flat, grad, adam, lr)
         total += float(loss) * len(sel)
     return total / max(len(rows), 1)
 
@@ -462,7 +455,9 @@ def train_model(ds, grid, head, settings, n_causes=None, target_cause=None):
 
 def init_model(ds, grid, head, settings, n_causes, target_cause, rng):
     """An initialized model, a basis layer per signal of ds, with its curve
-    normalization fitted."""
+    normalization fitted; DataError when ds has no subjects."""
+    if not len(ds):
+        raise DataError("no subjects to train on")
     signal_specs = [{"name": name, "taus": _canonical_grid(ds, name),
                      "n_basis": settings.n_basis} for name in ds.signals]
     model = FCRNModel(head=head, grid=grid, n_tabular=ds.X.shape[1],
@@ -481,26 +476,23 @@ def _canonical_grid(ds, name):
     return taus
 
 
-def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
-        rel_tol=0.0):
+def fit(model, ds, xn, settings, rng, i_step=lambda *args: False, rel_tol=0.0):
     """Adam mini-batch epochs with a validation holdout and early stopping.
 
     The round(val_fraction * n) validation subjects, at most n - 1, are
     drawn from rng. The monitored loss is the validation loss, or the
     train loss when no subject is held out.
     Training stops after settings.patience epochs without a better
-    monitored loss, after max_epochs (default settings.max_epochs) epochs,
-    or when the last six monitored losses each moved by less than rel_tol
-    relative; the best epoch's parameters are restored. i_step, when
-    given, runs as i_step(epoch, curve_mats, table, train_rows, pred_grad)
-    at the start of every epoch and may update xn in place; the best
-    epoch's xn is then restored along with its parameters. It returns
-    whether its next call reads pred_grad. pred_grad is None at epoch 0
-    and after a false return. Otherwise it is the (n, P) gradient of the
-    summed log-likelihood of the training rows with respect to xn,
-    gathered from the previous epoch's Adam pass: each row's gradient is
-    taken at the parameters its batch saw, and validation subjects get
-    zero rows.
+    monitored loss, after settings.max_epochs epochs, or when the last six
+    monitored losses each moved by less than rel_tol relative; the best
+    epoch's parameters and xn are restored. Every epoch starts with
+    i_step(epoch, curve_mats, table, train_rows, pred_grad), which may
+    update xn in place (the default does nothing) and returns whether its
+    next call reads pred_grad. pred_grad is None at epoch 0 and after a
+    false return. Otherwise it is the (n, P) gradient of the summed
+    log-likelihood of the training rows with respect to xn, gathered from
+    the previous epoch's Adam pass: each row's gradient is taken at the
+    parameters its batch saw, and validation subjects get zero rows.
     model.history gets one (epoch, train_loss, monitored_loss) row per
     epoch. DataError when no training subject has a person-period row.
     """
@@ -517,19 +509,16 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
                         % model.grid.n_intervals)
 
     curve_mats = model.curve_matrices(ds)
-    adam = ad.AdamState(model.theta.size)
+    adam = ad.AdamState(model.params.flat.size)
     shuffle_rng = np.random.RandomState(rng.randint(2 ** 31))
-    best_loss, best_values, since_best = np.inf, model.theta.copy(), 0
-    best_xn = input_grad = None
-    if i_step is not None:
-        best_xn = xn.copy()
+    best_loss, best_values, since_best = np.inf, model.params.flat.copy(), 0
+    best_xn, input_grad = xn.copy(), None
     history = model.history = []
-    for epoch in range(settings.max_epochs if max_epochs is None else max_epochs):
-        if i_step is not None:
-            pred_grad = None if input_grad is None else -ad.scatter_rows(
-                table.subject_idx[train_rows], input_grad, n)
-            reads_grad = i_step(epoch, curve_mats, table, train_rows, pred_grad)
-            input_grad = np.empty((len(train_rows), xn.shape[1])) if reads_grad else None
+    for epoch in range(settings.max_epochs):
+        pred_grad = None if input_grad is None else -ad.scatter_rows(
+            table.subject_idx[train_rows], input_grad, n)
+        reads_grad = i_step(epoch, curve_mats, table, train_rows, pred_grad)
+        input_grad = np.empty((len(train_rows), xn.shape[1])) if reads_grad else None
         tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng, input_grad=input_grad)
@@ -545,9 +534,8 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
         history.append((epoch, tr_loss, monitored))
         if monitored < best_loss - 1e-12:
             best_loss = monitored
-            best_values = model.theta.copy()
-            if i_step is not None:
-                best_xn[:] = xn
+            best_values[:] = model.params.flat
+            best_xn[:] = xn
             since_best = 0
         else:
             since_best += 1
@@ -557,7 +545,6 @@ def fit(model, ds, xn, settings, rng, i_step=None, max_epochs=None,
         moves = np.abs(np.diff(recent)) / np.maximum(np.abs(recent[:-1]), 1e-12)
         if len(recent) == 6 and moves.max() < rel_tol:
             break
-    model.theta[:] = best_values
-    if i_step is not None:
-        xn[:] = best_xn
+    model.params.flat[:] = best_values
+    xn[:] = best_xn
     return model

@@ -78,7 +78,7 @@ def test_gradient_oracle():
         curve_mats = model.curve_matrices(subjects)
         batch = (xn, curve_mats, table, np.arange(len(table)))
         err = max_rel_err(collect_grads(model, batch),
-                          finite_diff(batch_loss_fn(model, batch), model.theta))
+                          finite_diff(batch_loss_fn(model, batch), model.params.flat))
         worst = max(worst, err)
         checked += 1
     elapsed = time.monotonic() - start

@@ -172,7 +172,7 @@ class TestTrainCommand:
 
         def epoch_loss(model, *args, **kwargs):
             loss = real_epoch_loss(model, *args, **kwargs)
-            model.theta[0] = np.nan
+            model.params.flat[0] = np.nan
             return loss
 
         monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)

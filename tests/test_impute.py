@@ -11,7 +11,7 @@ from fcrn.data import build_time_grid
 from fcrn.impute import (COND_VAR_FLOOR, GGM, ImputeSettings, eta_at, fit_ggm,
                          grad_log_pred, grad_log_prior, i_step, iro_train,
                          median_init, sgld_impute)
-from fcrn.model import TrainSettings, build_table, fit, init_model
+from fcrn.model import NormalizationError, TrainSettings, build_table, fit, init_model
 from fcrn.simulate import SimConfig, simulate
 
 
@@ -72,7 +72,67 @@ def ref_grad_log_prior(X, mask, mu, neighborhoods, coefs, cond_vars):
     return grad
 
 
+def ref_median_init(X, mask):
+    """median_init as a loop: np.median of each column's observed cells."""
+    X = np.array(X, dtype=np.float64, copy=True)
+    for j in range(X.shape[1]):
+        if mask[:, j].any():
+            X[mask[:, j], j] = np.median(X[~mask[:, j], j])
+    return X
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 != 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestMedianInit:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), p=st.integers(1, 6), seed=st.integers(0, 2 ** 31),
+           rate=st.floats(0.0, 0.9), values=st.sampled_from(["normal", "ints", "zeros"]))
+    @pytest.mark.filterwarnings("error")
+    def test_matches_the_per_column_median(self, n, p, seed, rate, values):
+        # repeated values and mixed +-0.0 included: the fill's bits are
+        # the loop's, and each column keeps at least one observed cell
+        rng = np.random.RandomState(seed)
+        X = {"normal": lambda: rng.standard_normal((n, p)),
+             "ints": lambda: rng.randint(-2, 3, (n, p)).astype(float),
+             "zeros": lambda: rng.choice([0.0, -0.0, 1.0], (n, p))}[values]()
+        mask = rng.rand(n, p) < rate
+        mask[rng.randint(n)] = False
+        X[mask] = np.nan
+        assert same_bits(median_init(X, mask), ref_median_init(X, mask))
+
+    @pytest.mark.filterwarnings("error")
+    def test_edge_cases_match_the_per_column_median(self):
+        nan = np.nan
+        cases = [
+            np.zeros((0, 3)),                                   # zero rows
+            np.array([[1.0, 2.0], [3.0, 4.0]]),                 # nothing missing
+            np.array([[1.0, 5.0], [nan, 6.0], [3.0, 7.0]]),     # a complete column
+            np.array([[nan, 1.0], [2.5, nan], [nan, 3.0]]),     # one observed cell
+            np.array([[4.0], [4.0], [nan], [4.0], [1.0]]),      # repeated values
+            np.array([[-0.0], [nan], [-0.0], [0.0]]),           # even count of +-0.0
+            np.array([[-0.0], [nan], [-0.0], [0.0], [-0.0]]),   # odd count of +-0.0
+            np.array([[-0.0, 0.0], [nan, nan]]),                # a lone -0.0 and 0.0
+        ]
+        for X in cases:
+            mask = np.isnan(X)
+            out = median_init(X, mask)
+            assert same_bits(out, ref_median_init(X, mask))
+            assert not np.shares_memory(out, X)
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_half_the_float_range_are_a_normalization_error(self):
+        # nanmedian's (x + x) / 2 fills inf where the loop filled 1e308; the
+        # imputing fit rejects the column either way, and warns of neither
+        X = np.array([[1e308, 0.0], [np.nan, 1.0], [1e308, 2.0], [1e308, 3.0]])
+        ds = dataset(np.full(4, 5.0), np.array([1, 0, 2, 1]), X=X)
+        with pytest.raises(NormalizationError) as e:
+            iro_train(ds, build_time_grid(20, 5), "csm",
+                      TrainSettings(max_epochs=1, hidden=(4,)), n_causes=2)
+        assert e.value.args == ("subjects", "x1")
+
     def test_fills_with_observed_median(self):
         X = np.array([[1.0, np.nan], [3.0, 5.0], [np.nan, 7.0]])
         mask = np.isnan(X)
@@ -86,9 +146,13 @@ class TestMedianInit:
         out = median_init(X, np.zeros((3, 2), dtype=bool))
         assert np.array_equal(out, X)
 
+    @pytest.mark.filterwarnings("error")
     def test_fully_missing_column_rejected(self):
         X = np.array([[np.nan, 1.0], [np.nan, 2.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="column 0 is fully missing"):
+            median_init(X, np.isnan(X))
+        X = np.array([[1.0, np.nan, np.nan], [2.0, np.nan, 3.0]])
+        with pytest.raises(ValueError, match="column 1 is fully missing"):
             median_init(X, np.isnan(X))
 
 
@@ -214,7 +278,7 @@ class TestPredictionGradient:
 
     def test_dead_network_gives_zero_gradient(self):
         model, xn, table = self._setup(seed=1)
-        model.theta[:] = 0.0
+        model.params.flat[:] = 0.0
         g = grad_log_pred(model, xn, {}, table, np.arange(len(table)))
         assert np.all(g == 0.0)
 
@@ -338,7 +402,7 @@ class TestIroTrain:
         s2 = TrainSettings(max_epochs=3, patience=5, seed=2)
         m1, X_out = iro_train(subjects, grid, "csm", s1, n_causes=2)
         m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
-        assert np.array_equal(m1.theta, m2.theta)
+        assert np.array_equal(m1.params.flat, m2.params.flat)
         assert np.array_equal(X_out, subjects.X)
 
     def test_observed_cells_preserved_and_missing_filled(self):
@@ -369,7 +433,7 @@ class TestIroTrain:
         m1, x1 = run()
         m2, x2 = run()
         assert np.array_equal(x1, x2)
-        assert np.array_equal(m1.theta, m2.theta)
+        assert np.array_equal(m1.params.flat, m2.params.flat)
 
     def test_validation_holdout_and_early_stopping(self):
         rng = np.random.RandomState(12)

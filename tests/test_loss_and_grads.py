@@ -49,7 +49,7 @@ def build(g):
                       time_encoding=g["time_encoding"], rng=rng)
     # random biases too: with zero biases a dead ReLU unit puts the next
     # layer's pre-activation exactly on the kink, where differences fail
-    model.theta[:] = rng.randn(model.theta.size) * 0.5
+    model.params.flat[:] = rng.randn(model.params.flat.size) * 0.5
     X = subjects.X
     model.fit_normalization(X)
     model.fit_curve_normalization(subjects)
@@ -69,7 +69,8 @@ def test_parameter_gradient_matches_finite_differences(g):
     model, batch = build(g)
     _, grad, d_xn = model.loss_and_grads(*batch)
     assert d_xn is None
-    assert max_rel_err(grad, finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
+    expected = finite_diff(batch_loss_fn(model, batch), model.params.flat)
+    assert max_rel_err(grad, expected) < 1e-5
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

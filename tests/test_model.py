@@ -1,6 +1,7 @@
 import copy
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import fcrn.model
 from fcrn import autodiff as ad
 from fcrn.data import (DataError, build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv)
+from fcrn.impute import iro_train
 from fcrn.model import (PREDICT_ROWS, FCRNModel, NumericError, TrainSettings,
                         build_table, cif_from_cause_specific,
                         cif_from_subdistribution, init_model, train_model)
@@ -34,7 +36,7 @@ def make_model(head, n_tabular=2, n_causes=2, target_cause=1, hidden=(4,),
 
 
 def zero_params(model):
-    model.theta[:] = 0.0
+    model.params.flat[:] = 0.0
 
 
 def loss_cs(probs, targets):
@@ -167,7 +169,7 @@ class TestPredictionForward:
         rng = np.random.RandomState(0)
         model = init_model(ds, build_time_grid(100.0, 5.0), head,
                            TrainSettings(time_encoding=encoding), 2, 1, rng)
-        model.theta[:] = rng.randn(model.theta.size) * 0.3  # nonzero biases too
+        model.params.flat[:] = rng.randn(model.params.flat.size) * 0.3  # nonzero biases too
         model.fill_values = rng.randn(ds.X.shape[1])
         assert len(ds) > PREDICT_ROWS // (20 * model._time_feature([1]).shape[1])
         assert np.array_equal(model.predict_hazards(ds), reference_hazards(model, ds))
@@ -329,7 +331,7 @@ class TestHeadGradients:
         xn = model.normalize(subjects.X)
         batch = (xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
-                           finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
+                           finite_diff(batch_loss_fn(model, batch), model.params.flat)) < 1e-5
 
     def test_sdm_loss_gradients_match_finite_differences(self):
         rng = np.random.RandomState(7)
@@ -342,7 +344,7 @@ class TestHeadGradients:
         xn = model.normalize(subjects.X)
         batch = (xn, {}, table, np.arange(len(table)))
         assert max_rel_err(collect_grads(model, batch),
-                           finite_diff(batch_loss_fn(model, batch), model.theta)) < 1e-5
+                           finite_diff(batch_loss_fn(model, batch), model.params.flat)) < 1e-5
 
 
 class TestTraining:
@@ -363,7 +365,7 @@ class TestTraining:
         s2 = TrainSettings(max_epochs=5, patience=10, seed=3)
         m1 = train_model(subjects, grid, "csm", s1, n_causes=2)
         m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
-        assert np.array_equal(m1.theta, m2.theta)
+        assert np.array_equal(m1.params.flat, m2.params.flat)
 
     def test_loss_decreases_after_first_epoch(self):
         rng = np.random.RandomState(9)
@@ -409,6 +411,39 @@ class TestTraining:
                                             r"intervals \(this one has 1\)"):
             train_model(subjects, grid, "sdm", settings, target_cause=1)
         assert len(train_model(subjects, grid, "csm", settings, n_causes=2).history) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_tabular", [0, 3])
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_no_subjects_is_data_error(self, head, n_tabular):
+        # init_model names the empty dataset before any NumPy warning,
+        # normalization error or sdm grid error can
+        empty = dataset(np.zeros(0), np.zeros(0, dtype=int), X=np.zeros((0, n_tabular)))
+        grid = build_time_grid(100.0, 10.0)
+        settings = TrainSettings(max_epochs=2, hidden=(4,))
+        for trainer in (train_model, iro_train):
+            with pytest.raises(DataError, match="^no subjects to train on$"):
+                trainer(empty, grid, head, settings, n_causes=2, target_cause=1)
+
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_complete_data_fit_restores_its_best_epoch(self, head):
+        # patience stops the fit epochs after its best one; it returns that
+        # epoch's parameters, the ones a run of the same seed ends with when
+        # capped right after the best epoch
+        ds, _, _ = simulate(SimConfig(n=80, n_train=80, n_test=0, seed=5,
+                                      functional=True, n_signals=1,
+                                      n_sample_points=11))
+        grid = build_time_grid(100.0, 10.0)
+        settings = TrainSettings(max_epochs=60, patience=3, val_fraction=0.3,
+                                 lr=0.01, hidden=(8,), seed=6)
+        model = train_model(ds, grid, head, settings, n_causes=2, target_cause=2)
+        val = [h[2] for h in model.history]
+        best = int(np.argmin(val))
+        assert 0 < best and len(val) == best + 1 + settings.patience
+        capped = train_model(ds, grid, head, replace(settings, max_epochs=best + 1),
+                             n_causes=2, target_cause=2)
+        assert [h[0] for h in capped.history] == list(range(best + 1))
+        assert np.array_equal(model.params.flat, capped.params.flat)
 
 
 class TestValidationLoss:
@@ -497,7 +532,7 @@ class TestValidationLoss:
 
         def epoch_loss(model, *args, **kwargs):
             loss = real_epoch_loss(model, *args, **kwargs)
-            model.theta[0] = np.nan
+            model.params.flat[0] = np.nan
             return loss
 
         monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)

@@ -1,4 +1,4 @@
-"""Run four seed-0 CLI pipelines and print a sha256 digest of every output.
+"""Run five seed-0 CLI pipelines and print a sha256 digest of every output.
 
     python3 tools/pipelines.py OUT_DIR
 
@@ -9,7 +9,9 @@ fcrn.cli.main, in process, from the src/ tree beside this script:
 - cli-cohort: 10000/10000 tabular subjects, 3 epochs;
 - sdm: an sdm head on cause 2, 300/100 subjects with signals, 5 epochs;
 - mar: 25% MAR cells imputed by IRO and a train.basis_grid=[2,3] grid
-  search, 300/100 subjects with signals, 4 epochs.
+  search, 300/100 subjects with signals, 4 epochs;
+- onehot: a one-hot time feature (train.time_encoding="onehot"),
+  300/100 subjects with signals, 4 epochs.
 
 stdout gets one "sha256  path" line per output file, the path relative to
 OUT_DIR, in path order. config.resolved.json is left out, since it holds
@@ -42,6 +44,8 @@ PIPELINES = {
              "missing_rate": 0.25},
             {"train.max_epochs": 4, "train.basis_grid_search": True,
              "train.basis_grid": [2, 3]}),
+    "onehot": ({"n": 400, "n_train": 300, "n_test": 100, "functional": True},
+               {"train.max_epochs": 4, "train.time_encoding": "onehot"}),
 }
 
 
