@@ -1,8 +1,8 @@
 """Hand-derived forward and backward of the FCRN graph, and Adam.
 
-The graph is fixed: gather the batch rows of the normalized covariates and
-of each signal's basis coefficients, append the time feature, run a ReLU
-MLP, end in a softmax (csm) or sigmoid (sdm) head and a weighted negative
+The graph is fixed: the batch rows' normalized covariates, each signal's
+basis coefficients and the time feature go through a ReLU MLP that ends
+in a softmax (csm) or sigmoid (sdm) head and a weighted negative
 log-likelihood. All parameters live in one flat float64 vector; `Params`
 hands out named views of it (and, with the same layout, of a gradient).
 Each signal's D micro-networks are stacked as (D, fan_out, fan_in)
@@ -148,15 +148,18 @@ Forward = namedtuple("Forward", "logits params head n_tab projections inputs")
 # trunk, heads, loss
 # ---------------------------------------------------------------------------
 
-def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
-    """Assemble [xn rows | coefficient rows | time] and run the ReLU MLP.
+def forward(params, head, h, n_tab, projections, keep=True):
+    """Run the ReLU MLP on first-layer inputs h, [n_tab xn columns |
+    coefficients | time], after writing each signal's coefficient rows
+    into their columns of h.
 
     keep=False drops every intermediate as soon as it is used, so the
     result cannot be differentiated (prediction).
     """
-    coefs = [] if projections is None else projections.parts
-    h = np.concatenate([xn[subj_idx], *(p.coef[projections.rows] for p in coefs),
-                        time_feature], axis=1)
+    col = n_tab
+    for part in [] if projections is None else projections.parts:
+        h[:, col:col + part.coef.shape[1]] = part.coef[projections.rows]
+        col += part.coef.shape[1]
     inputs = [] if keep else None
     z = None
     for w, b in zip(params.weights, params.biases):
@@ -165,7 +168,7 @@ def forward(params, head, xn, projections, subj_idx, time_feature, keep=True):
         if keep:
             inputs.append(h)
         z = dense(h, w, b)
-    return Forward(z, params, head, xn.shape[1], projections, inputs)
+    return Forward(z, params, head, n_tab, projections, inputs)
 
 
 def hazards(fwd):
@@ -173,37 +176,42 @@ def hazards(fwd):
     return softmax(fwd.logits) if fwd.head == "csm" else sigmoid(fwd.logits)
 
 
-def nll(head, probs, target, weight=None):
+def pick(head, probs, target):
+    """(picked, key): each row's head probability of its target, and the
+    key that picks it. csm: the target's column, key np.arange(n). sdm:
+    xi where key = (target == 1) holds, 1 - xi elsewhere."""
+    if head == "csm":
+        key = np.arange(len(target))
+        return probs[key, target], key
+    key = np.asarray(target) == 1
+    return np.where(key, probs[:, 0], 1.0 - probs[:, 0]), key
+
+
+def nll(head, probs, target, weight=None, picked=None):
     """Mean multinomial NLL (csm) or weighted binary cross-entropy averaged
     over the rows (sdm; binary targets) of head probabilities, each
-    probability floored at PROB_FLOOR."""
-    n = len(target)
-    if head == "csm":
-        picked = probs[np.arange(n), target]
-    else:
-        xi = probs.reshape(-1)
-        picked = np.where(np.asarray(target) == 1, xi, 1.0 - xi)
+    probability floored at PROB_FLOOR; picked, when given, is
+    pick(head, probs, target)[0]."""
+    picked = pick(head, probs, target)[0] if picked is None else picked
     ll = np.log(np.maximum(picked, PROB_FLOOR))
     if head == "sdm":
         ll *= weight
-    return -np.add.reduce(ll) / n
+    return -np.add.reduce(ll) / len(target)
 
 
 def head_loss(fwd, target, weight):
     """(value, d_logits): the batch's nll and d loss / d logits."""
     probs = hazards(fwd)
-    value = nll(fwd.head, probs, target, weight)
+    picked, key = pick(fwd.head, probs, target)
+    value = nll(fwd.head, probs, target, weight, picked)
     n = len(target)
+    live = picked > PROB_FLOOR  # the floor does not clamp these rows
     if fwd.head == "csm":
-        rows = np.arange(n)
-        scale = (probs[rows, target] > PROB_FLOOR) / n
+        scale = live / n
         d = probs
-        d[rows, target] -= 1.0
+        d[key, target] -= 1.0
     else:
-        # xi - y, unless the floor clamps the probability of the target
-        y = (np.asarray(target) == 1)[:, None]
-        d = probs - y
-        live = np.where(y, probs, 1.0 - probs)[:, 0] > PROB_FLOOR
+        d = probs - key[:, None]  # xi - y
         scale = live * (np.asarray(weight, dtype=np.float64) / n)
     d *= scale[:, None]
     return value, d
@@ -226,7 +234,7 @@ def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
         h = fwd.inputs[k]
         if grad is not None:
             np.matmul(d.T, h, out=grad.weights[k])
-            d.sum(axis=0, out=grad.biases[k])
+            np.add.reduce(d, axis=0, out=grad.biases[k])
         if (k == 0 or grad is None) and not (want_input_grad or into_basis):
             break
         d = d @ params.weights[k]
@@ -259,24 +267,28 @@ def scatter_rows(idx, values, n):
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """First/second moment accumulators over the flat vector, step counter."""
+    """First/second moment accumulators over the flat vector, step counter,
+    and adam_step's two scratch vectors."""
 
     def __init__(self, size):
         self.step = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self.scratch = np.empty((2, size))
 
 
 def adam_step(theta, grad, state, lr):
-    """Standard bias-corrected Adam update of the flat vector, in place."""
+    """Standard bias-corrected Adam update of the flat vector, in place:
+    theta -= lr * (m / c1) / (sqrt(v / c2) + eps), with no new array."""
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
+    a, b = state.scratch
     state.m *= b1
-    state.m += (1.0 - b1) * grad
-    g2 = (1.0 - b2) * grad
-    g2 *= grad
+    state.m += np.multiply(grad, 1.0 - b1, out=a)
     state.v *= b2
-    state.v += g2
-    theta -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    state.v += np.multiply(np.multiply(grad, 1.0 - b2, out=a), grad, out=a)
+    np.add(np.sqrt(np.divide(state.v, c2, out=a), out=a), ADAM_EPS, out=a)
+    np.multiply(np.divide(state.m, c1, out=b), lr, out=b)
+    theta -= np.divide(b, a, out=b)

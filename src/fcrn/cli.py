@@ -118,6 +118,7 @@ def _fit_one(cfg, ds, grid, n_basis):
     return model, imputed
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging fit exits 4
 def cmd_train(cfg):
     out = _ensure_outdir(cfg)
     ds = _load_dataset(cfg, need_curves=cfg["train"]["use_functional"])

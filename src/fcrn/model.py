@@ -22,7 +22,8 @@ from .data import (DataError, TimeGrid, augment_cause_specific,
 
 # person-period rows times time-feature columns (1 scalar, L one-hot) per
 # head_probs block (prediction, validation loss), which holds at most the
-# block's input rows and two adjacent activations
+# block's input rows and two adjacent activations; the input cells (rows x
+# first-layer width) of a block of whole Adam batches, unless one batch has more
 PREDICT_ROWS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
@@ -162,15 +163,21 @@ class FCRNModel:
             self.basis_layers[spec["name"]].project(curve_mats[spec["name"]][subjects])
             for spec in self.signal_specs])
 
-    def forward_logits(self, xn, projections, subj_idx, intervals, keep=True):
-        """Logits for person-period rows.
+    def input_rows(self, xn, subj_idx, intervals):
+        """First-layer inputs of person-period rows: their subjects' rows of
+        xn, the full (n_subjects, P) normalized matrix, and their time
+        feature; forward_logits fills the basis-coefficient columns."""
+        n_coef = sum(spec["n_basis"] for spec in self.signal_specs)
+        return np.concatenate([xn[subj_idx], np.empty((len(subj_idx), n_coef)),
+                               self._time_feature(intervals)], axis=1)
 
-        xn is the full (n_subjects, P) normalized matrix and projections
-        come from project_signals(curve_mats, subj_idx); keep=False skips
-        the backward cache.
-        """
-        return ad.forward(self.params, self.head, xn, projections, subj_idx,
-                          self._time_feature(intervals), keep)
+    def forward_logits(self, inputs, curve_mats, subj_idx, keep=True):
+        """Logits for person-period rows of subjects subj_idx. inputs() gives
+        their input_rows, whose coefficient columns get the subjects' curve_mats
+        projections; only the forward pass holds them, so keep=False (no
+        backward cache) frees them after the first layer."""
+        return ad.forward(self.params, self.head, inputs(), self.n_tabular,
+                          self.project_signals(curve_mats, subj_idx), keep)
 
     # -- heads and losses ----------------------------------------------------
 
@@ -187,8 +194,9 @@ class FCRNModel:
         input gradient has one row per entry of rows (see autodiff.backward).
         """
         subj_idx = table.subject_idx[rows]
-        fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
-                                  subj_idx, table.interval[rows])
+        fwd = self.forward_logits(
+            lambda: self.input_rows(xn, subj_idx, table.interval[rows]), curve_mats,
+            subj_idx)
         value, d_logits = self.batch_loss(fwd, table.target[rows], table.weight[rows])
         grad, d_xn = ad.backward(fwd, d_logits, want_param_grad, want_input_grad)
         return value, grad, d_xn
@@ -204,8 +212,8 @@ class FCRNModel:
         probs = np.empty((n_rows, self.n_causes + 1 if self.head == "csm" else 1))
         for lo in range(0, n_rows, step):
             subj_idx, intervals = rows(lo, min(lo + step, n_rows))
-            fwd = self.forward_logits(xn, self.project_signals(curve_mats, subj_idx),
-                                      subj_idx, intervals, keep=False)
+            fwd = self.forward_logits(lambda: self.input_rows(xn, subj_idx, intervals),
+                                      curve_mats, subj_idx, keep=False)
             probs[lo:lo + len(subj_idx)] = ad.hazards(fwd)
         return probs
 
@@ -415,6 +423,8 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
                 adam=None, lr=None, shuffle_rng=None, input_grad=None):
     """One pass over the rows: fit's Adam pass, or grad_log_pred's without adam.
 
+    The shuffled rows go in blocks of whole batches (see PREDICT_ROWS),
+    each block's table columns gathered and input_rows built once.
     input_grad, when given, is a (len(rows), P) buffer: row k receives the
     gradient of table row rows[k]'s own loss term with respect to its
     subject's xn row, at the parameters its batch saw before their update.
@@ -422,21 +432,28 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
     order = np.arange(len(rows))
     if shuffle_rng is not None:
         shuffle_rng.shuffle(order)
+    width = model.params.weights[0].shape[1]
+    block = batch_size * max(1, PREDICT_ROWS // (batch_size * width))
     total = 0.0
     for start in range(0, len(order), batch_size):
         at = order[start:start + batch_size]
-        sel = rows[at]
-        loss, grad, d_rows = model.loss_and_grads(
-            xn, curve_mats, table, sel, want_input_grad=input_grad is not None,
-            want_param_grad=adam is not None)
-        if not np.isfinite(loss):
-            raise NumericError("non-finite loss (lr=%s, batch starting at row %d)"
-                               % (lr, start))
+        b = slice(start % block, start % block + len(at))
+        if b.start == 0:
+            sel = rows[order[start:start + block]]
+            subj_idx, target, weight = (table.subject_idx[sel], table.target[sel],
+                                        table.weight[sel])
+            inputs = model.input_rows(xn, subj_idx, table.interval[sel])
+        fwd = model.forward_logits(lambda: inputs[b], curve_mats, subj_idx[b])
+        loss, d_logits = model.batch_loss(fwd, target[b], weight[b])
+        if not math.isfinite(loss):
+            raise NumericError("non-finite loss (lr=%s, batch %d of %d)" % (
+                lr, start // batch_size + 1, -(-len(order) // batch_size)))
+        grad, d_rows = ad.backward(fwd, d_logits, adam is not None, input_grad is not None)
         if input_grad is not None:
-            input_grad[at] = d_rows * len(sel)
+            input_grad[at] = d_rows * len(at)
         if adam is not None:
             ad.adam_step(model.params.flat, grad, adam, lr)
-        total += float(loss) * len(sel)
+        total += float(loss) * len(at)
     return total / max(len(rows), 1)
 
 

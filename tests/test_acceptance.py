@@ -108,7 +108,9 @@ def test_likelihood_oracle():
         if len(table) == 0:
             continue
         xn = model.normalize(subjects.X)
-        fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+        fwd = model.forward_logits(
+            lambda: model.input_rows(xn, table.subject_idx, table.interval), None,
+            table.subject_idx)
         summed = float(model.batch_loss(fwd, table.target,
                                         table.weight)[0]) * len(table)
         hz = model.predict_hazards(subjects)

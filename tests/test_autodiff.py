@@ -18,8 +18,7 @@ def mlp_params(widths, rng=None, scale=0.7):
 
 def run(params, head, xn, subj_idx, target, weight=None):
     """Forward, loss and reverse pass; returns (loss, theta grad, xn grad)."""
-    fwd = ad.forward(params, head, xn, None, np.asarray(subj_idx),
-                     np.zeros((len(subj_idx), 0)))
+    fwd = ad.forward(params, head, xn[np.asarray(subj_idx)], xn.shape[1], None)
     value, d_logits = ad.head_loss(fwd, np.asarray(target),
                                    np.ones(len(target)) if weight is None else weight)
     grad, d_rows = ad.backward(fwd, d_logits, want_input_grad=True)
@@ -29,8 +28,7 @@ def run(params, head, xn, subj_idx, target, weight=None):
 def unit_backward(params, xn, subj_idx):
     """Reverse pass with d loss / d logits = 1 on every row; returns (theta
     grad, xn grad)."""
-    fwd = ad.forward(params, "sdm", xn, None, np.asarray(subj_idx),
-                     np.zeros((len(subj_idx), 0)))
+    fwd = ad.forward(params, "sdm", xn[np.asarray(subj_idx)], xn.shape[1], None)
     grad, d_rows = ad.backward(fwd, np.ones_like(fwd.logits), want_input_grad=True)
     return grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
@@ -107,8 +105,7 @@ class TestBackward:
     def test_constant_has_no_grad(self):
         # what is not asked for is not formed
         params = mlp_params([2, 3, 2], np.random.RandomState(1))
-        fwd = ad.forward(params, "csm", np.ones((2, 2)), None, np.array([0, 1]),
-                         np.zeros((2, 0)))
+        fwd = ad.forward(params, "csm", np.ones((2, 2)), 2, None)
         _, d_logits = ad.head_loss(fwd, np.array([0, 1]), np.ones(2))
         grad, d_xn = ad.backward(fwd, d_logits)
         assert grad is not None and d_xn is None
@@ -119,8 +116,7 @@ class TestBackward:
         # the reverse pass needs the batch loss of a forward pass that kept
         # its cache; prediction passes keep none
         params = mlp_params([2, 2], np.random.RandomState(2))
-        fwd = ad.forward(params, "csm", np.ones((1, 2)), None, np.array([0]),
-                         np.zeros((1, 0)), keep=False)
+        fwd = ad.forward(params, "csm", np.ones((1, 2)), 2, None, keep=False)
         _, d_logits = ad.head_loss(fwd, np.array([1]), np.ones(1))
         with pytest.raises(ValueError):
             ad.backward(fwd, d_logits)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,25 @@ class TestTrainCommand:
         assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 4
         assert "non-finite validation loss at epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.json").exists()
+
+    def test_diverging_fit_names_its_batch_without_numpy_warnings(self, tmp_path,
+                                                                  capfd):
+        # lr=1e300 overflows the first layer in the second Adam batch; train
+        # used to print two RuntimeWarnings from autodiff.dense before an
+        # error naming "batch starting at row 64", a position in the
+        # shuffled epoch rather than a row of any file
+        simulate_small(tmp_path / "sim", n=40)
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(train_args(tmp_path / "run", tmp_path / "sim",
+                                  extra=sets(train__lr=1e300)))
+        err = capfd.readouterr().err
+        assert code == 4
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: non-finite loss (lr=1e+300, batch 2 of 2)"]
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_nan_covariate_cell_is_missing_like_an_empty_one(self, tmp_path):
         # a nan cell used to parse as an observed number: train exited 4 and

@@ -9,11 +9,12 @@ import pytest
 from conftest import (batch_loss_fn, collect_grads, dataset, direct_nll_cs,
                       direct_nll_sd, finite_diff, max_rel_err)
 
+import fcrn.impute
 import fcrn.model
 from fcrn import autodiff as ad
 from fcrn.data import (DataError, build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv)
-from fcrn.impute import iro_train
+from fcrn.impute import ImputeSettings, grad_log_pred, iro_train
 from fcrn.model import (PREDICT_ROWS, FCRNModel, NumericError, TrainSettings,
                         build_table, cif_from_cause_specific,
                         cif_from_subdistribution, init_model, train_model)
@@ -237,7 +238,9 @@ class TestLikelihoodOracle:
             model.fit_normalization(subjects.X)
             table = build_table(subjects, grid, model)
             xn = model.normalize(subjects.X)
-            fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+            fwd = model.forward_logits(
+                lambda: model.input_rows(xn, table.subject_idx, table.interval), None,
+                table.subject_idx)
             summed = float(model.batch_loss(fwd, table.target,
                                             table.weight)[0]) * len(table)
             hz = model.predict_hazards(subjects)
@@ -257,7 +260,9 @@ class TestLikelihoodOracle:
             if len(table) == 0:
                 continue
             xn = model.normalize(subjects.X)
-            fwd = model.forward_logits(xn, None, table.subject_idx, table.interval)
+            fwd = model.forward_logits(
+                lambda: model.input_rows(xn, table.subject_idx, table.interval), None,
+                table.subject_idx)
             summed = float(model.batch_loss(fwd, table.target,
                                             table.weight)[0]) * len(table)
             hz = model.predict_hazards(subjects)
@@ -488,10 +493,10 @@ class TestValidationLoss:
         blocks = []
         real_forward = FCRNModel.forward_logits
 
-        def forward_logits(self, xn, projections, subj_idx, intervals, keep=True):
+        def forward_logits(self, inputs, curve_mats, subj_idx, keep=True):
             if not keep:
                 blocks.append(len(subj_idx))
-            return real_forward(self, xn, projections, subj_idx, intervals, keep)
+            return real_forward(self, inputs, curve_mats, subj_idx, keep)
 
         monkeypatch.setattr(FCRNModel, "forward_logits", forward_logits)
         settings = TrainSettings(lr=0.0, max_epochs=3, patience=5, val_fraction=0.25,
@@ -542,6 +547,134 @@ class TestValidationLoss:
                 train_model(ds, grid, head, TrainSettings(max_epochs=2, hidden=(4,)),
                             n_causes=2, target_cause=2)
             assert str(e.value) == "non-finite validation loss at epoch 0"
+
+
+def per_batch_epoch_loss(model, xn, curve_mats, table, rows, batch_size,
+                         adam=None, lr=None, shuffle_rng=None, input_grad=None):
+    """_epoch_loss with one gather of table rows per batch and no blocks:
+    the loop the blocked pass replaced, kept as its reference."""
+    order = np.arange(len(rows))
+    if shuffle_rng is not None:
+        shuffle_rng.shuffle(order)
+    total = 0.0
+    for start in range(0, len(order), batch_size):
+        at = order[start:start + batch_size]
+        sel = rows[at]
+        loss, grad, d_rows = model.loss_and_grads(
+            xn, curve_mats, table, sel, want_input_grad=input_grad is not None,
+            want_param_grad=adam is not None)
+        if input_grad is not None:
+            input_grad[at] = d_rows * len(sel)
+        if adam is not None:
+            ad.adam_step(model.params.flat, grad, adam, lr)
+        total += float(loss) * len(sel)
+    return total / max(len(rows), 1)
+
+
+class TestAdamBlocks:
+    """_epoch_loss builds the inputs of a block of whole batches at once;
+    parameters, losses and input gradients equal the per-batch loop's bit
+    for bit."""
+
+    @staticmethod
+    def _model(head, encoding, n_signals):
+        """A model and its (xn, curve_mats, table), the same on every call."""
+        ds, _, _ = simulate(SimConfig(n=60, n_train=60, n_test=0, seed=3,
+                                      functional=n_signals > 0,
+                                      n_signals=max(n_signals, 1), n_sample_points=11))
+        grid = build_time_grid(100.0, 10.0)
+        model = init_model(ds, grid, head, TrainSettings(hidden=(8, 4),
+                                                         time_encoding=encoding),
+                           2, 1, np.random.RandomState(1))
+        model.fit_normalization(ds.X)
+        return model, (model.normalize(ds.X), model.curve_matrices(ds),
+                       build_table(ds, grid, model))
+
+    @pytest.mark.parametrize("n_signals", [0, 2])
+    @pytest.mark.parametrize("encoding", ["scalar", "onehot"])
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_adam_pass_equals_the_per_batch_loop(self, monkeypatch, head, encoding,
+                                                 n_signals):
+        # blocks of 3 batches of 9 rows: the last batch is short and the
+        # last block holds fewer batches than the others
+        batch_size, runs = 9, []
+        for epoch_loss in (fcrn.model._epoch_loss, per_batch_epoch_loss):
+            model, (xn, curve_mats, table) = self._model(head, encoding, n_signals)
+            monkeypatch.setattr(fcrn.model, "PREDICT_ROWS",
+                                3 * batch_size * model.params.weights[0].shape[1])
+            rows = np.flatnonzero(table.subject_idx % 5)  # a holdout's gaps
+            n_batches = -(-len(rows) // batch_size)
+            assert len(rows) % batch_size and n_batches % 3 and n_batches > 6
+            adam = ad.AdamState(model.params.flat.size)
+            shuffle_rng = np.random.RandomState(5)
+            losses, grads = [], []
+            for _ in range(3):
+                grads.append(np.empty((len(rows), xn.shape[1])))
+                losses.append(epoch_loss(model, xn, curve_mats, table, rows, batch_size,
+                                         adam=adam, lr=0.01, shuffle_rng=shuffle_rng,
+                                         input_grad=grads[-1]))
+            runs.append((model.params.flat, losses, np.array(grads)))
+        (flat, losses, grads), (ref_flat, ref_losses, ref_grads) = runs
+        assert np.array_equal(flat, ref_flat)
+        assert losses == ref_losses
+        assert np.array_equal(grads, ref_grads)
+
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_imputing_fit_equals_the_per_batch_loop(self, monkeypatch, head):
+        # fit's RO-steps gather input gradients; epoch 0 runs grad_log_pred
+        ds, _, _ = simulate(SimConfig(n=80, n_train=80, n_test=0, seed=2,
+                                      functional=False, missing_rate=0.25))
+        grid = build_time_grid(100.0, 10.0)
+        settings = TrainSettings(max_epochs=3, batch_size=16, hidden=(8,), seed=4)
+        fits = []
+        for epoch_loss in (fcrn.model._epoch_loss, per_batch_epoch_loss):
+            monkeypatch.setattr(fcrn.model, "_epoch_loss", epoch_loss)
+            monkeypatch.setattr(fcrn.impute, "_epoch_loss", epoch_loss)
+            model, X = iro_train(ds, grid, head, settings, ImputeSettings(max_epochs=3),
+                                 n_causes=2, target_cause=1)
+            fits.append((model.params.flat, model.history, X))
+        (flat, history, X), (ref_flat, ref_history, ref_X) = fits
+        assert len(history) == 3 and history == ref_history
+        assert np.array_equal(flat, ref_flat) and np.array_equal(X, ref_X)
+
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_grad_log_pred_equals_the_per_batch_loop(self, monkeypatch, head):
+        # more than 4096 rows: grad_log_pred's pass runs two one-batch blocks
+        ds, _, _ = simulate(SimConfig(n=1000, n_train=1000, n_test=0, seed=3,
+                                      functional=False))
+        grid = build_time_grid(100.0, 5.0)
+        model = init_model(ds, grid, head, TrainSettings(hidden=(8, 4)), 2, 1,
+                           np.random.RandomState(1))
+        model.fit_normalization(ds.X)
+        xn, table = model.normalize(ds.X), build_table(ds, grid, model)
+        rows = np.arange(len(table))
+        assert len(rows) > 4096
+        got = grad_log_pred(model, xn, {}, table, rows)
+        monkeypatch.setattr(fcrn.impute, "_epoch_loss", per_batch_epoch_loss)
+        assert np.array_equal(got, grad_log_pred(model, xn, {}, table, rows))
+
+    def test_one_hot_epoch_peak_memory(self):
+        # one-hot time at L = 1000: the first layer is 1010 wide, so each
+        # block is one 64-row batch. An epoch over the 5634 rows peaks at
+        # 2.31 MB, bounded at 3 MB for a ~30% margin. Gathering the whole
+        # epoch's inputs at once, 5634 x 1010 x 8 bytes, took it to 91 MB.
+        ds, _, _ = simulate(SimConfig(n=30, n_train=30, n_test=0, seed=1,
+                                      functional=False))
+        grid = build_time_grid(100.0, 0.1)
+        model = init_model(ds, grid, "csm", TrainSettings(time_encoding="onehot"),
+                           2, None, np.random.RandomState(0))
+        model.fit_normalization(ds.X)
+        xn, table = model.normalize(ds.X), build_table(ds, grid, model)
+        adam = ad.AdamState(model.params.flat.size)
+        tracemalloc.start()
+        try:
+            fcrn.model._epoch_loss(model, xn, {}, table, np.arange(len(table)), 64,
+                                   adam=adam, lr=0.001,
+                                   shuffle_rng=np.random.RandomState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 5634 and peak < 3e6
 
 
 class TestSerialization:

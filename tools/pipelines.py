@@ -1,4 +1,4 @@
-"""Run five seed-0 CLI pipelines and print a sha256 digest of every output.
+"""Run six seed-0 CLI pipelines and print a sha256 digest of every output.
 
     python3 tools/pipelines.py OUT_DIR
 
@@ -11,7 +11,11 @@ fcrn.cli.main, in process, from the src/ tree beside this script:
 - mar: 25% MAR cells imputed by IRO and a train.basis_grid=[2,3] grid
   search, 300/100 subjects with signals, 4 epochs;
 - onehot: a one-hot time feature (train.time_encoding="onehot"),
-  300/100 subjects with signals, 4 epochs.
+  300/100 subjects with signals, 4 epochs;
+- sdm-mar: an sdm head on cause 1 with 25% MAR cells imputed by IRO,
+  300/100 tabular subjects, 4 epochs. It is the one pipeline where the
+  sdm loss, the input gradient and a first layer without basis
+  coefficients meet.
 
 stdout gets one "sha256  path" line per output file, the path relative to
 OUT_DIR, in path order. config.resolved.json is left out, since it holds
@@ -46,6 +50,9 @@ PIPELINES = {
              "train.basis_grid": [2, 3]}),
     "onehot": ({"n": 400, "n_train": 300, "n_test": 100, "functional": True},
                {"train.max_epochs": 4, "train.time_encoding": "onehot"}),
+    "sdm-mar": ({"n": 400, "n_train": 300, "n_test": 100, "functional": False,
+                 "missing_rate": 0.25},
+                {"train.max_epochs": 4, "train.head": "sdm", "train.cause": 1}),
 }
 
 
