@@ -99,23 +99,16 @@ def cmd_simulate(cfg):
     return 0
 
 
-def _fit_one(cfg, ds, grid, n_basis):
+def _fit_one(cfg, ds, grid, n_basis, n_causes):
+    """An imputing fit when ds has missing cells, else a complete-data fit."""
     settings = _settings(TrainSettings, cfg["train"], seed=cfg["seed"],
                          n_basis=n_basis)
     head = cfg["train"]["head"]
-    kwargs = dict(n_causes=cfg["train"]["n_causes"],
-                  target_cause=cfg["train"]["cause"])
-    has_missing = ds.mask.any()
-    if has_missing and cfg["mvi"]["enabled"]:
-        model, imputed = iro_train(
-            ds, grid, head, settings,
-            impute_settings=_settings(ImputeSettings, cfg["mvi"]), **kwargs)
-    else:
-        if has_missing:
-            raise CliError(EXIT_SCHEMA,
-                           "dataset has missing values but mvi.enabled is false")
-        model, imputed = train_model(ds, grid, head, settings, **kwargs), None
-    return model, imputed
+    kwargs = dict(n_causes=n_causes, target_cause=cfg["train"]["cause"])
+    if ds.mask.any():
+        return iro_train(ds, grid, head, settings,
+                         impute_settings=_settings(ImputeSettings, cfg["mvi"]), **kwargs)
+    return train_model(ds, grid, head, settings, **kwargs), None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging fit exits 4
@@ -133,33 +126,40 @@ def cmd_train(cfg):
         raise CliError(EXIT_SCHEMA, "%s: covariate %d of %d is missing for every "
                        "subject" % (cfg["data"]["subjects"], unobserved[0] + 1,
                                     ds.X.shape[1]))
-    cause = cfg["train"]["cause"]
-    if cfg["train"]["head"] == "sdm" and not (ds.cause == cause).any():
-        raise CliError(EXIT_SCHEMA, "%s: no subject has the sdm target cause "
-                       "train.cause=%d" % (cfg["data"]["subjects"], cause))
+    # each cause a head learns needs a training event: train.cause for the sdm
+    # head, 1..the largest (at least 1) for the csm head
+    cause, n_causes = cfg["train"]["cause"], max(int(ds.cause.max()), 1)
+    sdm = cfg["train"]["head"] == "sdm"
+    absent = np.setdiff1d([cause] if sdm else np.arange(1, n_causes + 1), ds.cause)
+    if len(absent):
+        raise CliError(EXIT_SCHEMA, "%s: no subject has %s" % (
+            cfg["data"]["subjects"], "the sdm target cause train.cause=%d" % cause
+            if sdm else "cause %d of the csm head's causes 1..%d" % (absent[0], n_causes)))
 
     if not mask.any():
         print("no missing values; MVI skipped")
 
+    # each basis count of the grid when there are signals to fit it to; the
+    # lowest validation loss wins, the first count on a tie
+    counts = cfg["train"]["basis_grid"] if ds.signals else cfg["train"]["basis_grid"][:1]
+    best = None
     try:
-        if cfg["train"]["basis_grid_search"] and ds.signals:
-            best = None
-            for d in cfg["train"]["basis_grid"]:
-                model, imputed = _fit_one(cfg, ds, grid, d)
-                val = min(h[2] for h in model.history)
+        for d in counts:
+            model, imputed = _fit_one(cfg, ds, grid, d, n_causes)
+            val = min(h[2] for h in model.history)
+            if len(counts) > 1:
                 print("basis count %d: validation loss %.6f" % (d, val))
-                if best is None or val < best[0]:
-                    best = (val, d, model, imputed)
-            _, d, model, imputed = best
-            print("selected basis count %d" % d)
-        else:
-            model, imputed = _fit_one(cfg, ds, grid, cfg["train"]["n_basis"])
+            if best is None or val < best[0]:
+                best = (val, d, model, imputed)
     except NumericError as e:
         raise CliError(EXIT_NUMERIC, str(e))
     except NormalizationError as e:
         source, column = e.args
         raise CliError(EXIT_SCHEMA, "%s column %s: its mean or standard deviation "
                        "is not finite" % (cfg["data"][source], column))
+    _, d, model, imputed = best
+    if len(counts) > 1:
+        print("selected basis count %d" % d)
 
     try:
         model.save(os.path.join(out, "model.json"))

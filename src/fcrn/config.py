@@ -31,14 +31,12 @@ DEFAULTS = {
     "grid": {"width": 5.0, "max_time": 100.0},
     "train": {
         "head": "csm",
-        "n_causes": 2,
         "cause": 1,
-        **_defaults(TrainSettings, skip=("seed",)),
-        "basis_grid_search": False,
-        "basis_grid": [2, 3, 4, 5, 6, 7, 8],
+        **_defaults(TrainSettings, skip=("seed", "n_basis")),
+        "basis_grid": [TrainSettings.n_basis],
         "use_functional": True,
     },
-    "mvi": {"enabled": True, **_defaults(ImputeSettings, skip=("rel_tol",))},
+    "mvi": _defaults(ImputeSettings, skip=("rel_tol",)),
     "simulate": _defaults(SimConfig, only=("n", "n_train", "n_test", "functional",
                                            "missing_rate")),
     "evaluate": {
@@ -61,10 +59,10 @@ RANGES = {
     "simulate.missing_rate": (lambda v: 0 <= v < MAX_MISSING_RATE,
                               "in [0, %g)" % MAX_MISSING_RATE),
     **{key: (lambda v: 0 < v < math.inf, "positive and finite") for key in (
-        "train.batch_size", "train.max_epochs", "train.n_basis", "train.n_causes",
-        "train.cause", "train.hidden", "train.basis_grid", "train.lr",
-        "train.patience", "grid.width", "grid.max_time", "mvi.i_repeats",
-        "mvi.ridge", "mvi.max_epochs", "evaluate.horizons", "simulate.n")},
+        "train.batch_size", "train.max_epochs", "train.cause", "train.hidden",
+        "train.basis_grid", "train.lr", "train.patience", "grid.width",
+        "grid.max_time", "mvi.i_repeats", "mvi.ridge", "mvi.max_epochs",
+        "evaluate.horizons", "simulate.n")},
     **{key: (lambda v: 0 <= v < math.inf, "non-negative and finite") for key in (
         "mvi.eta", "mvi.milestones", "mvi.pred_weight", "mvi.k_max",
         "simulate.n_train", "simulate.n_test", "evaluate.t0")},

@@ -180,3 +180,41 @@ def test_each_adam_batch_calls_every_step_layer_once(monkeypatch):
     assert calls == {"forward_logits": batches, "batch_loss": batches,
                      "backward": batches, "adam_step": batches,
                      "project": batches * len(train.signals)}
+
+
+def test_cli_workload_keys_load(tmp_path, monkeypatch):
+    """Every --set key that the benchmark's CliWorkload passes to
+    fcrn.cli.main is a config key: a key removed from config.DEFAULTS
+    would otherwise show only as a run_failed benchmark. The commands are
+    recorded, not run."""
+    import fcrn.cli
+    from fcrn.config import load_config
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    argvs = []
+
+    def recorded(argv):
+        argvs.append(argv)
+        return 0
+    monkeypatch.setattr(fcrn.cli, "main", recorded)
+    workload = workloads.CliWorkload(seed=1, workdir=str(tmp_path), n_train=8, n_test=2,
+                                     functional=True, epochs=1, score_passes=1)
+    monkeypatch.setattr(workload, "_check_predictions", lambda: [])
+    monkeypatch.setattr(workload, "_read_ibs", lambda: [0.1, 0.1])
+    ops = workloads.Ops()
+    workload.setup(ops)
+    result = workload.iterate()
+    assert ops.failed == result["ops"].failed == 0
+    commands, keys = [], set()
+    for argv in argvs:
+        args = fcrn.cli.build_parser().parse_args(argv)
+        load_config(args.config, args.set)
+        commands.append(args.command)
+        keys.update(item.partition("=")[0] for item in args.set)
+    assert commands == ["simulate", "train", "predict", "evaluate"]
+    assert keys == {"seed", "out_dir", "simulate.n", "simulate.n_train",
+                    "simulate.n_test", "simulate.functional", "train.max_epochs",
+                    "train.patience", "train.use_functional", "data.subjects",
+                    "data.curves"}

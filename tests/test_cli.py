@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import fcrn.autodiff
 from fcrn.cli import _settings, main
 from fcrn.config import MAX_INTERVALS, QUOTE_CHARS, load_config
+from fcrn.data import Dataset, Signal, write_curves_csv, write_subjects_csv
 from fcrn.impute import ImputeSettings
-from fcrn.model import TrainSettings
-from fcrn.simulate import SimConfig
+from fcrn.model import CANONICAL_GRID_CAP, FCRNModel, TrainSettings
+from fcrn.simulate import SimConfig, simulate
 
 DEFAULT_CONFIG = Path(__file__).parent / "fixtures" / "default_config.json"
 
@@ -144,11 +145,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: out of memory%s\n" % (
             ": " + message if message else "")
 
-    def test_missing_data_with_mvi_disabled_is_schema_error(self, tmp_path):
+    @pytest.mark.parametrize("override", [
+        "mvi.enabled=false", "train.basis_grid_search=true", "train.n_basis=4",
+        "train.n_causes=3"])
+    def test_removed_key_is_an_unknown_key(self, tmp_path, capsys, override):
+        # the data decide these: imputation runs when a cell is missing, the
+        # causes are 1..the largest, and train.basis_grid lists the counts
         simulate_small(tmp_path / "sim", missing_rate=0.25, seed=4)
         code = run(train_args(tmp_path / "run", tmp_path / "sim",
-                              extra=["--set", "mvi.enabled=false"]))
+                              extra=["--set", override]))
         assert code == 3
+        assert "unknown config key %r" % override.split("=")[0] in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_covariate_missing_for_every_subject_is_schema_error(self, tmp_path,
                                                                  capsys):
@@ -244,12 +253,46 @@ class TestTrainCommand:
         assert run(sets(out_dir=str(tmp_path / "eval")) + data + [
             "evaluate", "--predictions", str(tmp_path / "pred" / "predictions.csv")]) == 0
 
-    def test_cause_beyond_n_causes_is_schema_error(self, tmp_path, capsys):
+    @staticmethod
+    def _with_causes(tmp_path, causes):
+        """A 40-subject simulated train_subjects.csv with its causes mapped
+        by the dict causes; returns the simulation's directory."""
         simulate_small(tmp_path / "sim", n=40, seed=0)
-        code = run(train_args(tmp_path / "run", tmp_path / "sim",
-                              extra=["--set", "train.n_causes=1"]))
-        assert code == 3
-        assert "cause 2 > M=1" in capsys.readouterr().err
+        subjects = tmp_path / "sim" / "train_subjects.csv"
+        with open(subjects, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[2] = str(causes.get(int(row[2]), row[2]))
+        with open(subjects, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return tmp_path / "sim"
+
+    @pytest.mark.parametrize("causes, message", [
+        ({1: 3}, "no subject has cause 1 of the csm head's causes 1..3"),
+        ({1: 0, 2: 0}, "no subject has cause 1 of the csm head's causes 1..1"),
+    ], ids=["lacks-cause-1", "all-censored"])
+    def test_csm_cause_without_events_is_schema_error(self, tmp_path, capsys, causes,
+                                                      message):
+        # cause 1 renamed 3, so causes 1..3 lack 1; every subject censored:
+        # both trained a head for a cause no subject has and exited 0
+        sim = self._with_causes(tmp_path, causes)
+        assert run(train_args(tmp_path / "run", sim)) == 3
+        assert "train_subjects.csv: %s" % message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    @pytest.mark.parametrize("causes, columns", [
+        ({2: 1}, ["cif_1", "survival"]),
+        ({2: 3, 1: 2, 0: 1}, ["cif_1", "cif_2", "cif_3", "survival"]),
+    ], ids=["only-cause-1", "causes-1-to-3"])
+    def test_csm_learns_causes_up_to_the_largest(self, tmp_path, causes, columns):
+        # one cause gave a dead cif_2 column, and a cause of 3 exited 3
+        sim = self._with_causes(tmp_path, causes)
+        assert run(train_args(tmp_path / "run", sim)) == 0
+        assert run(sets(out_dir=str(tmp_path / "pred"),
+                        data__subjects=str(sim / "train_subjects.csv"))
+                   + ["predict", "--model", str(tmp_path / "run" / "model.json")]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            assert next(csv.reader(fh))[3:] == columns
 
     def test_missing_input_file_is_io_error(self, tmp_path):
         code = run(["--set", "out_dir=%s" % json.dumps(str(tmp_path / "o")),
@@ -290,13 +333,26 @@ class TestTrainCommand:
         simulate_small(tmp_path / "sim", n=40, functional=True, seed=5)
         code = run(train_args(
             tmp_path / "run", tmp_path / "sim", functional=True,
-            extra=["--set", "train.basis_grid_search=true",
-                   "--set", "train.basis_grid=[2,3]",
+            extra=["--set", "train.basis_grid=[2,3]",
                    "--set", "train.max_epochs=2"]))
         assert code == 0
         out = capsys.readouterr().out
         assert "basis count 2" in out and "basis count 3" in out
         assert "selected basis count" in out
+
+    @pytest.mark.parametrize("functional", [True, False])
+    def test_one_basis_count_logs_no_selection(self, tmp_path, capsys, functional):
+        # tabular data fit the grid's first count alone, so no search either
+        simulate_small(tmp_path / "sim", n=40, functional=functional, seed=5)
+        grid = "[4]" if functional else "[4, 2]"
+        code = run(train_args(tmp_path / "run", tmp_path / "sim", functional=functional,
+                              extra=["--set", "train.basis_grid=%s" % grid,
+                                     "--set", "train.max_epochs=1"]))
+        assert code == 0
+        assert "basis count" not in capsys.readouterr().out
+        model = json.loads((tmp_path / "run" / "model.json").read_text())
+        assert [s["n_basis"] for s in model["basis_layers"]] == (
+            [4, 4, 4] if functional else [])
 
     def test_basis_grid_search_with_missing_data(self, tmp_path, capsys):
         # the imputation path logs one row per epoch and holds out validation
@@ -305,8 +361,7 @@ class TestTrainCommand:
                        seed=5)
         code = run(train_args(
             tmp_path / "run", tmp_path / "sim", functional=True,
-            extra=["--set", "train.basis_grid_search=true",
-                   "--set", "train.basis_grid=[2,3]",
+            extra=["--set", "train.basis_grid=[2,3]",
                    "--set", "mvi.max_epochs=2"]))
         assert code == 0
         assert "selected basis count" in capsys.readouterr().out
@@ -435,8 +490,6 @@ class TestConfigErrors:
         'train.time_encoding="linear"',
         "train.batch_size=0",
         "train.max_epochs=0",
-        "train.n_basis=-1",
-        "train.n_causes=0",
         "train.cause=0",
         "train.hidden=[8, 0]",
         "train.basis_grid=[2, -3]",
@@ -611,11 +664,8 @@ class TestDrawnConfigs:
         "train.val_fraction": st.floats(0.0, 0.99),
         "train.max_epochs": st.integers(1, 2),
         "train.patience": st.integers(1, 3),
-        "train.n_basis": st.integers(1, 6),
-        "train.basis_grid_search": st.booleans(),
         "train.basis_grid": st.lists(st.integers(1, 6), min_size=1, max_size=3),
         "train.use_functional": st.booleans(),
-        "mvi.enabled": st.booleans(),
         "mvi.eta": st.floats(0.0, 5.0),
         "mvi.k_max": st.integers(0, 12),
         "mvi.corr_threshold": st.floats(0.0, 1.0),
@@ -706,6 +756,39 @@ class TestPredictCommand:
                 assert self._predict(where, model, empty) == 0
                 lines = (where / "pred" / "predictions.csv").read_text().splitlines()
                 assert lines == [header]
+
+    def test_irregular_sample_times_take_a_capped_canonical_grid(self, tmp_path):
+        # each subject samples its curve at 0, 1 and 8 times of its own:
+        # more distinct times than CANONICAL_GRID_CAP, so the model
+        # resamples every curve on that many evenly spaced taus
+        train, _, _ = simulate(SimConfig(n=60, n_train=60, n_test=0, seed=7,
+                                         functional=False))
+        rng = np.random.RandomState(7)
+        taus = np.concatenate([np.r_[0.0, np.sort(rng.uniform(0, 1, 8)), 1.0]
+                               for _ in range(len(train))])
+        values = np.sin(2 * np.pi * taus) + rng.normal(0, 0.1, len(taus))
+        ds = Dataset(train.ids, train.time, train.cause, train.X,
+                     {"signal1": Signal(taus, values, np.arange(0, len(taus) + 1, 10))})
+        assert len(np.unique(taus)) > CANONICAL_GRID_CAP
+        write_subjects_csv(tmp_path / "subjects.csv", ds)
+        write_curves_csv(tmp_path / "curves.csv", ds)
+        files = sets(data__subjects=str(tmp_path / "subjects.csv"),
+                     data__curves=str(tmp_path / "curves.csv"))
+        assert run(sets(out_dir=str(tmp_path / "run"), train__max_epochs=1)
+                   + files + ["train"]) == 0
+        with open(tmp_path / "run" / "model.json") as fh:
+            stored = json.load(fh)["basis_layers"][0]["taus"]
+        assert np.array_equal(stored, np.linspace(0.0, 1.0, CANONICAL_GRID_CAP))
+        model = FCRNModel.load(tmp_path / "run" / "model.json")
+        assert np.array_equal(model.signal_specs[0]["taus"], stored)
+        assert run(sets(out_dir=str(tmp_path / "pred")) + files + [
+            "predict", "--model", str(tmp_path / "run" / "model.json")]) == 0
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[3:] == ["cif_1", "cif_2", "survival"]
+        vals = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_grid_incompatible_time_is_compat_error(self, tmp_path):
         model = self._train(tmp_path)
@@ -1106,7 +1189,9 @@ class TestExtremeMagnitudes:
         # each subject's CIFs rise over its intervals
         assert np.all(np.diff(cifs.reshape(n, -1, cifs.shape[1]), axis=1) >= 0.0)
         if head == "csm":
-            assert header[3:] == ["cif_1", "cif_2", "survival"]
+            largest = max(int(row[2]) for row in rows[1:])
+            assert header[3:] == ["cif_%d" % m for m in range(1, largest + 1)] + [
+                "survival"]
             assert np.allclose(values.sum(axis=1), 1.0, atol=1e-9)
 
 

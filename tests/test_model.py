@@ -179,7 +179,7 @@ class TestPredictionForward:
         # one full block (819 subjects x 20 intervals = 16,380 rows) of an
         # untrained hidden-(32, 64, 32) tabular csm model. The forward pass
         # holds the block's input rows and two adjacent activations (4.2
-        # and 8.4 MB here): the peak is 14.8 MB, bounded at 18 MB for a
+        # and 8.4 MB here): the peak is 13.37 MB, bounded at 16 MB for a
         # ~20% margin. Allocating each layer's product, its sum with the
         # bias and its ReLU output anew took the peak to 27.4 MB.
         ds, _, _ = simulate(SimConfig(n=819, n_train=819, n_test=0, seed=4,
@@ -193,7 +193,7 @@ class TestPredictionForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18e6
+        assert peak < 16e6
 
 
 class TestLosses:

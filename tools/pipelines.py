@@ -8,8 +8,8 @@ fcrn.cli.main, in process, from the src/ tree beside this script:
 - cli-functional: 800/200 subjects with three signals, 5 epochs;
 - cli-cohort: 10000/10000 tabular subjects, 3 epochs;
 - sdm: an sdm head on cause 2, 300/100 subjects with signals, 5 epochs;
-- mar: 25% MAR cells imputed by IRO and a train.basis_grid=[2,3] grid
-  search, 300/100 subjects with signals, 4 epochs;
+- mar: 25% MAR cells imputed by IRO and a search of the basis counts
+  train.basis_grid=[2, 3], 300/100 subjects with signals, 4 epochs;
 - onehot: a one-hot time feature (train.time_encoding="onehot"),
   300/100 subjects with signals, 4 epochs;
 - sdm-mar: an sdm head on cause 1 with 25% MAR cells imputed by IRO,
@@ -46,8 +46,7 @@ PIPELINES = {
             {"train.max_epochs": 5, "train.head": "sdm", "train.cause": 2}),
     "mar": ({"n": 400, "n_train": 300, "n_test": 100, "functional": True,
              "missing_rate": 0.25},
-            {"train.max_epochs": 4, "train.basis_grid_search": True,
-             "train.basis_grid": [2, 3]}),
+            {"train.max_epochs": 4, "train.basis_grid": [2, 3]}),
     "onehot": ({"n": 400, "n_train": 300, "n_test": 100, "functional": True},
                {"train.max_epochs": 4, "train.time_encoding": "onehot"}),
     "sdm-mar": ({"n": 400, "n_train": 300, "n_test": 100, "functional": False,
