@@ -54,17 +54,14 @@ RANGES = {
     "train.time_encoding": (lambda v: v in ("scalar", "onehot"),
                             'one of "scalar", "onehot"'),
     "train.val_fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "mvi.decay": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "mvi.corr_threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "simulate.missing_rate": (lambda v: 0 <= v < MAX_MISSING_RATE,
                               "in [0, %g)" % MAX_MISSING_RATE),
     **{key: (lambda v: 0 < v < math.inf, "positive and finite") for key in (
         "train.batch_size", "train.max_epochs", "train.cause", "train.hidden",
         "train.basis_grid", "train.lr", "train.patience", "grid.width",
-        "grid.max_time", "mvi.i_repeats", "mvi.ridge", "mvi.max_epochs",
-        "evaluate.horizons", "simulate.n")},
+        "grid.max_time", "mvi.i_repeats", "mvi.max_epochs", "evaluate.horizons",
+        "simulate.n")},
     **{key: (lambda v: 0 <= v < math.inf, "non-negative and finite") for key in (
-        "mvi.eta", "mvi.milestones", "mvi.pred_weight", "mvi.k_max",
         "simulate.n_train", "simulate.n_test", "evaluate.t0")},
 }
 

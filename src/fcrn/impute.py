@@ -26,19 +26,21 @@ from .model import _epoch_loss, fit, init_model, train_model
 COND_VAR_FLOOR = 1e-8
 # sgld_impute's epochs between graphical-model refits
 GGM_REFIT_EVERY = 10
+# SGLD step size, multiplied by ETA_DECAY at each milestone epoch
+ETA = 0.003
+ETA_DECAY = 0.1
+ETA_MILESTONES = (50, 100)
+# fit_ggm's graph: up to K_MAX neighbours of absolute correlation at least
+# CORR_THRESHOLD, and the ridge added to each neighbourhood's covariance
+CORR_THRESHOLD = 0.2
+K_MAX = 5
+RIDGE = 1e-3
 
 
 @dataclass
 class ImputeSettings:
-    eta: float = 0.003
-    decay: float = 0.1
-    milestones: tuple = (50, 100)
     noise: bool = True
-    pred_weight: float = 1.0
     i_repeats: int = 1
-    corr_threshold: float = 0.2
-    k_max: int = 5
-    ridge: float = 1e-3
     max_epochs: int = 150
     rel_tol: float = 1e-4
 
@@ -63,8 +65,7 @@ def median_init(X, mask):
     return np.where(mask, medians, X)
 
 
-def fit_ggm(X, corr_threshold=ImputeSettings.corr_threshold,
-            k_max=ImputeSettings.k_max, ridge=ImputeSettings.ridge):
+def fit_ggm(X, corr_threshold=CORR_THRESHOLD, k_max=K_MAX, ridge=RIDGE):
     """Learn the graph by correlation thresholding and fit its conditionals.
 
     x_j's neighbourhood is the k_max strongest other covariates whose
@@ -119,12 +120,12 @@ def grad_log_pred(model, xn, curve_mats, table, rows, batch_size=4096):
     return -scatter_rows(table.subject_idx[rows], per_row, len(xn))
 
 
-def eta_at(epoch, settings):
+def eta_at(epoch):
     """SGLD learning rate after multiplicative decay at schedule milestones."""
-    eta = settings.eta
-    for m in settings.milestones:
+    eta = ETA
+    for m in ETA_MILESTONES:
         if epoch >= m:
-            eta *= settings.decay
+            eta *= ETA_DECAY
     return eta
 
 
@@ -134,8 +135,6 @@ def i_step(X, mask, ggm, eta, rng, pred_grad=None, noise=True):
     x_mis <- x_mis + eta (grad_prior + grad_pred) + sqrt(2 eta) e.
     Non-finite proposals are rejected cell by cell.
     """
-    if eta == 0.0:
-        return X
     grad = grad_log_prior(X, mask, ggm)
     if pred_grad is not None:
         grad = grad + np.where(mask, pred_grad, 0.0)
@@ -157,13 +156,13 @@ def sgld_impute(X, mask, settings, rng):
     Returns the filled matrix; observed cells are never touched.
     """
     X = median_init(X, mask)
-    ggm = fit_ggm(X, settings.corr_threshold, settings.k_max, settings.ridge)
+    ggm = fit_ggm(X)
     for epoch in range(settings.max_epochs):
-        eta = eta_at(epoch, settings)
+        eta = eta_at(epoch)
         for _ in range(settings.i_repeats):
             i_step(X, mask, ggm, eta, rng, noise=settings.noise)
         if (epoch + 1) % GGM_REFIT_EVERY == 0:
-            ggm = fit_ggm(X, settings.corr_threshold, settings.k_max, settings.ridge)
+            ggm = fit_ggm(X)
     return X
 
 
@@ -179,12 +178,10 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     rows only, and all i_repeats passes of an epoch share it. From epoch 1
     on it is the sum fit gathers from the previous RO-step, each row's
     term taken at the parameters of its batch; epoch 0 takes it from
-    grad_log_pred at the initial parameters. At pred_weight 0 there is no
-    prediction gradient, and the RO-step forms no input gradients. fit
-    gets a copy of settings whose max_epochs is min(settings.max_epochs,
-    impute_settings.max_epochs), and also stops on a six-epoch plateau of
-    the monitored loss (rel_tol). Falls through to the plain trainer when
-    nothing is missing.
+    grad_log_pred at the initial parameters. fit gets a copy of settings
+    whose max_epochs is min(settings.max_epochs, impute_settings.max_epochs),
+    and also stops on a six-epoch plateau of the monitored loss (rel_tol).
+    Falls through to the plain trainer when nothing is missing.
 
     Returns (model, imputed covariate matrix on the original scale); the
     matrix is the best epoch's, the one fit restores with the parameters.
@@ -204,15 +201,14 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     Xn = model.normalize(X_filled)
 
     def impute_epoch(epoch, curve_mats, table, train_rows, pred_grad):
-        ggm = fit_ggm(Xn, imp.corr_threshold, imp.k_max, imp.ridge)
-        eta = eta_at(epoch, imp)
-        if pred_grad is None and imp.pred_weight != 0.0:
+        ggm = fit_ggm(Xn)
+        eta = eta_at(epoch)
+        if pred_grad is None:
             pred_grad = grad_log_pred(model, Xn, curve_mats, table, train_rows)
-        pred_grad = None if imp.pred_weight == 0.0 else imp.pred_weight * pred_grad
         for _ in range(imp.i_repeats):
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
-        return imp.pred_weight != 0.0
+        return True
 
     capped = replace(settings, max_epochs=min(settings.max_epochs, imp.max_epochs))
     fit(model, ds, Xn, capped, rng, i_step=impute_epoch, rel_tol=imp.rel_tol)

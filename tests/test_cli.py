@@ -147,10 +147,12 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("override", [
         "mvi.enabled=false", "train.basis_grid_search=true", "train.n_basis=4",
-        "train.n_causes=3"])
+        "train.n_causes=3", "mvi.eta=-1", "mvi.decay=1.5", "mvi.milestones=[50, -1]",
+        "mvi.pred_weight=-1", "mvi.corr_threshold=1.5", "mvi.k_max=-1", "mvi.ridge=0"])
     def test_removed_key_is_an_unknown_key(self, tmp_path, capsys, override):
-        # the data decide these: imputation runs when a cell is missing, the
-        # causes are 1..the largest, and train.basis_grid lists the counts
+        # the data decide the first four: imputation runs when a cell is
+        # missing, the causes are 1..the largest, and train.basis_grid lists
+        # the counts; the other seven are constants of fcrn.impute
         simulate_small(tmp_path / "sim", missing_rate=0.25, seed=4)
         code = run(train_args(tmp_path / "run", tmp_path / "sim",
                               extra=["--set", override]))
@@ -503,14 +505,7 @@ class TestConfigErrors:
         "train.lr=-1",
         "train.lr=0",
         "train.patience=0",
-        "mvi.eta=-1",
-        "mvi.decay=1.5",
-        "mvi.milestones=[50, -1]",
-        "mvi.pred_weight=-1",
         "mvi.i_repeats=0",
-        "mvi.corr_threshold=1.5",
-        "mvi.k_max=-1",
-        "mvi.ridge=0",
         "mvi.max_epochs=0",
         "evaluate.horizons=[50, 0]",
         "simulate.n=0",
@@ -546,11 +541,8 @@ class TestConfigErrors:
             assert "more than %d intervals" % MAX_INTERVALS in err
 
     def test_inclusive_range_bounds_are_accepted(self):
-        cfg = load_config(None, [
-            "mvi.eta=0", "mvi.pred_weight=0", "mvi.k_max=0", "mvi.milestones=[0]",
-            "mvi.decay=1", "mvi.corr_threshold=1", "simulate.n_test=0",
-            "simulate.missing_rate=0.79"])
-        assert cfg["mvi"]["eta"] == 0 and cfg["simulate"]["missing_rate"] == 0.79
+        cfg = load_config(None, ["simulate.n_test=0", "simulate.missing_rate=0.79"])
+        assert cfg["simulate"]["n_test"] == 0 and cfg["simulate"]["missing_rate"] == 0.79
 
     def test_seed_bounds_are_accepted(self):
         for seed in (0, 2 ** 32 - 1):
@@ -644,10 +636,11 @@ class TestDrawnConfigs:
     an array it cannot allocate. simulate.n is at most 40; grid.max_time
     stays 100 and grid.width is at least 2.5, so there are at most 40
     intervals. hidden layers are at most 8 wide, train.max_epochs and
-    mvi.max_epochs at most 2, and basis counts at most 6. The swapped-in
-    values are no larger than 3, so they cannot grow any of these. A
-    batch_size up to 100,000 takes at most the 1,200 person-period rows
-    (30 training subjects by 40 intervals) that there are.
+    mvi.max_epochs (the one mvi key drawn) at most 2, and basis counts at
+    most 6. The swapped-in values are no larger than 3, so they cannot
+    grow any of these. A batch_size up to 100,000 takes at most the 1,200
+    person-period rows (30 training subjects by 40 intervals) that there
+    are.
     """
 
     KEYS = {
@@ -666,16 +659,23 @@ class TestDrawnConfigs:
         "train.patience": st.integers(1, 3),
         "train.basis_grid": st.lists(st.integers(1, 6), min_size=1, max_size=3),
         "train.use_functional": st.booleans(),
-        "mvi.eta": st.floats(0.0, 5.0),
-        "mvi.k_max": st.integers(0, 12),
-        "mvi.corr_threshold": st.floats(0.0, 1.0),
-        "mvi.pred_weight": st.floats(0.0, 100.0),
         "mvi.max_epochs": st.integers(1, 2),
         "evaluate.t0": st.sampled_from([0.0, 10.0, 95.0]),
         "evaluate.horizons": st.lists(st.sampled_from([25.0, 50.0, 100.0]), min_size=1,
                                       max_size=2),
     }
     SWAPS = ["x", "csm", "onehot", True, None, [], [2], [0.5], {}, -1, 0, 2.5, 3]
+
+    def test_every_drawn_key_is_a_config_key(self):
+        # the test below accepts exit 3, so a key that load_config rejects
+        # would make every example stop at simulate
+        def leaves(section, prefix=""):
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + key + ".")
+                else:
+                    yield prefix + key
+        assert set(self.KEYS) <= set(leaves(load_config()))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(data=st.data())
