@@ -31,8 +31,6 @@ EXIT_SCHEMA = 3
 EXIT_NUMERIC = 4
 EXIT_COMPAT = 5
 
-PREDICT_BLOCK = 1024  # subjects formatted per write of predictions.csv
-
 
 class CliError(Exception):
     def __init__(self, code, message):
@@ -194,48 +192,67 @@ def cmd_predict(cfg, model_path):
     grid = model.grid
     _check_times(ds, grid.max_time, EXIT_COMPAT,
                  "outside model grid (max %g)" % grid.max_time)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite CIFs exit 4
-        cif = model.predict_cif(ds)
     if model.head == "csm":
         names = ["cif_%d" % m for m in range(1, model.n_causes + 1)] + ["survival"]
-        S, F = cif
-        columns = [F[:, k] for k in range(model.n_causes)] + [S]
     else:
         names = ["cif_%d" % model.target_cause]
-        columns = [cif]
-    finite = np.logical_and.reduce([np.isfinite(col).all(axis=1) for col in columns])
-    if not finite.all():
-        raise CliError(EXIT_NUMERIC, "model %s gives non-finite predictions, first "
-                       "for subject %r" % (model_path, ds.ids[np.argmin(finite)]))
+
+    def blocks():
+        """Each block of subjects' ids and CIF columns: the subjects of one
+        of the model's row blocks. No subjects make one empty block, so
+        predict_cif still rejects a dataset that lacks a model signal."""
+        L = grid.n_intervals
+        for lo, hi in model.row_blocks(len(ds) * L) or [(0, 0)]:
+            block = ds.take(np.arange(lo // L, hi // L))
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite CIFs exit 4
+                cif = model.predict_cif(block)
+            columns = [*cif[1].swapaxes(0, 1), cif[0]] if model.head == "csm" else [cif]
+            finite = np.logical_and.reduce([np.isfinite(col).all(axis=1)
+                                            for col in columns])
+            if not finite.all():
+                raise CliError(EXIT_NUMERIC, "model %s gives non-finite predictions, "
+                               "first for subject %r"
+                               % (model_path, block.ids[np.argmin(finite)]))
+            yield block.ids, columns
+
     path = os.path.join(out, "predictions.csv")
-    write_predictions(path, ds.ids, grid, names, columns)
+    write_predictions(path, grid, names, blocks())
     dump_config(os.path.join(out, "config.resolved.json"), cfg)
     print("predictions written to %s" % path)
     return 0
 
 
-def write_predictions(path, ids, grid, names, columns):
+def write_predictions(path, grid, names, blocks):
     """predictions.csv: a row id,interval,time,<names> per subject and interval.
 
-    columns holds one (n, L+1) matrix per name, column t for interval t.
-    The file is what csv.writer writes for the rows [id, t, repr(time),
-    "%.17g" % value, ...]: 17 significant digits, so each value reads back
-    as the same binary64. It is formatted PREDICT_BLOCK subjects at a
-    time, by one %-format of every row of the block.
+    blocks yields (ids, columns) for consecutive blocks of subjects, columns
+    one (len(ids), L+1) matrix per name, column t for interval t. The file
+    is what csv.writer writes for the rows [id, t, repr(time), "%.17g" %
+    value, ...]: 17 significant digits, so each value reads back as the
+    same binary64. Each block is formatted by one %-format of all its rows.
+    The rows go to path + ".tmp", which replaces path after the last block;
+    an exception, from blocks or from the write, removes it instead, so any
+    earlier file at path stays as it was.
     """
     L = grid.n_intervals
     subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
-                           + ",%.17g" * len(columns) + "\r\n" for t in range(1, L + 1))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
-        for lo in range(0, len(ids), PREDICT_BLOCK):
-            hi = min(lo + PREDICT_BLOCK, len(ids))
-            cells = np.empty((hi - lo, L, len(columns) + 1), dtype=object)
-            cells[:, :, 0] = np.array([csv_field(i) for i in ids[lo:hi]],
-                                      dtype=object)[:, None]
-            for k, col in enumerate(columns):
-                cells[:, :, k + 1] = col[lo:hi, 1:]
-            fh.write((subject_rows * (hi - lo)) % tuple(cells.ravel().tolist()))
+                           + ",%.17g" * len(names) + "\r\n" for t in range(1, L + 1))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
+            for ids, columns in blocks:
+                cells = np.empty((len(ids), L, len(columns) + 1), dtype=object)
+                cells[:, :, 0] = np.array([csv_field(i) for i in ids],
+                                          dtype=object)[:, None]
+                for k, col in enumerate(columns):
+                    cells[:, :, k + 1] = col[:, 1:]
+                fh.write((subject_rows * len(ids)) % tuple(cells.ravel().tolist()))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):

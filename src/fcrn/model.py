@@ -20,11 +20,12 @@ from .basis import MICRO_DEPTH, MICRO_WIDTH, BasisLayer, trapezoid_weights
 from .data import (DataError, TimeGrid, augment_cause_specific,
                    augment_subdistribution, censoring_survival, signal_matrix)
 
-# person-period rows times time-feature columns (1 scalar, L one-hot) per
-# head_probs block (prediction, validation loss), which holds at most the
-# block's input rows and two adjacent activations; the input cells (rows x
-# first-layer width) of a block of whole Adam batches, unless one batch has more
-PREDICT_ROWS = 16384
+# person-period rows times the widest sum of two adjacent layer widths per
+# head_probs block (prediction, validation loss; see FCRNModel.row_blocks)
+PREDICT_CELLS = 2 ** 18
+# input cells (rows x first-layer width) of a block of whole Adam batches,
+# unless one batch has more
+BATCH_BLOCK_CELLS = 16384
 # most points of a signal's canonical sample grid
 CANONICAL_GRID_CAP = 101
 
@@ -203,18 +204,31 @@ class FCRNModel:
 
     # -- prediction ----------------------------------------------------------
 
+    def row_blocks(self, n_rows):
+        """The (lo, hi) ranges of n_rows person-period rows that head_probs
+        runs the network over: L * max(1, PREDICT_CELLS // (L * w)) rows
+        each, where w is the largest sum of two adjacent layer widths, since a
+        cache-free forward pass holds at most two adjacent activations. The
+        last block also takes a remainder shorter than one block, so n_rows
+        a multiple of L gives blocks of whole subjects."""
+        L = self.grid.n_intervals
+        weights = self.params.weights
+        widths = [weights[0].shape[1]] + [w.shape[0] for w in weights]
+        w = max(a + b for a, b in zip(widths, widths[1:]))
+        step = L * max(1, PREDICT_CELLS // (L * w))
+        cuts = list(range(0, n_rows, step))[:max(1, n_rows // step)] + [n_rows]
+        return list(zip(cuts, cuts[1:]))
+
     def head_probs(self, xn, curve_mats, n_rows, rows):
         """Head probabilities of person-period rows, (n_rows, M+1) CSM or
-        (n_rows, 1) SDM, by cache-free forward passes over blocks of whole
-        L-row spans; rows(lo, hi) gives the subjects and intervals of rows lo..hi-1."""
-        L = self.grid.n_intervals
-        step = L * max(1, PREDICT_ROWS // (L * self._time_feature([1]).shape[1]))
+        (n_rows, 1) SDM, by cache-free forward passes over row_blocks(n_rows);
+        rows(lo, hi) gives the subjects and intervals of rows lo..hi-1."""
         probs = np.empty((n_rows, self.n_causes + 1 if self.head == "csm" else 1))
-        for lo in range(0, n_rows, step):
-            subj_idx, intervals = rows(lo, min(lo + step, n_rows))
+        for lo, hi in self.row_blocks(n_rows):
+            subj_idx, intervals = rows(lo, hi)
             fwd = self.forward_logits(lambda: self.input_rows(xn, subj_idx, intervals),
                                       curve_mats, subj_idx, keep=False)
-            probs[lo:lo + len(subj_idx)] = ad.hazards(fwd)
+            probs[lo:hi] = ad.hazards(fwd)
         return probs
 
     def predict_hazards(self, ds):
@@ -423,7 +437,7 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
                 adam=None, lr=None, shuffle_rng=None, input_grad=None):
     """One pass over the rows: fit's Adam pass, or grad_log_pred's without adam.
 
-    The shuffled rows go in blocks of whole batches (see PREDICT_ROWS),
+    The shuffled rows go in blocks of whole batches (see BATCH_BLOCK_CELLS),
     each block's table columns gathered and input_rows built once.
     input_grad, when given, is a (len(rows), P) buffer: row k receives the
     gradient of table row rows[k]'s own loss term with respect to its
@@ -433,7 +447,7 @@ def _epoch_loss(model, xn, curve_mats, table, rows, batch_size,
     if shuffle_rng is not None:
         shuffle_rng.shuffle(order)
     width = model.params.weights[0].shape[1]
-    block = batch_size * max(1, PREDICT_ROWS // (batch_size * width))
+    block = batch_size * max(1, BATCH_BLOCK_CELLS // (batch_size * width))
     total = 0.0
     for start in range(0, len(order), batch_size):
         at = order[start:start + batch_size]

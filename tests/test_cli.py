@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcrn.autodiff
+import fcrn.cli
+import fcrn.model
 from fcrn.cli import _settings, main
 from fcrn.config import MAX_INTERVALS, QUOTE_CHARS, load_config
-from fcrn.data import Dataset, Signal, write_curves_csv, write_subjects_csv
+from fcrn.data import (Dataset, Signal, build_time_grid, read_curves_csv,
+                       read_subjects_csv, write_curves_csv, write_subjects_csv)
 from fcrn.impute import ImputeSettings
-from fcrn.model import CANONICAL_GRID_CAP, FCRNModel, TrainSettings
+from fcrn.model import CANONICAL_GRID_CAP, FCRNModel, TrainSettings, init_model
 from fcrn.simulate import SimConfig, simulate
 
 DEFAULT_CONFIG = Path(__file__).parent / "fixtures" / "default_config.json"
@@ -756,6 +760,8 @@ class TestPredictCommand:
                 assert self._predict(where, model, empty) == 0
                 lines = (where / "pred" / "predictions.csv").read_text().splitlines()
                 assert lines == [header]
+                assert sorted(os.listdir(where / "pred")) == ["config.resolved.json",
+                                                              "predictions.csv"]
 
     def test_irregular_sample_times_take_a_capped_canonical_grid(self, tmp_path):
         # each subject samples its curve at 0, 1 and 8 times of its own:
@@ -844,6 +850,149 @@ class TestPredictCommand:
         assert self._predict(tmp_path, model, subjects, out="p2") == 0
         assert (tmp_path / "p1" / "predictions.csv").read_bytes() == \
             (tmp_path / "p2" / "predictions.csv").read_bytes()
+
+
+def untrained_model(where, head="csm", encoding="scalar", functional=False, n=45):
+    """An untrained model of random weights, saved as where/model.json, and
+    n test subjects with 25% MAR cells in where/subjects.csv (and their
+    signal in where/curves.csv); returns predict's file arguments."""
+    train, test, _ = simulate(SimConfig(n=40 + n, n_train=40, n_test=n, seed=3,
+                                        functional=functional, n_signals=1,
+                                        n_sample_points=11, missing_rate=0.25))
+    rng = np.random.RandomState(1)
+    model = init_model(train, build_time_grid(100.0, 5.0), head,
+                       TrainSettings(time_encoding=encoding), 2, 1, rng)
+    model.fit_normalization(np.where(train.mask, 0.0, train.X))
+    model.params.flat[:] = rng.randn(model.params.flat.size) * 0.3
+    model.save(where / "model.json")
+    write_subjects_csv(where / "subjects.csv", test)
+    files = sets(data__subjects=str(where / "subjects.csv"))
+    if functional:
+        write_curves_csv(where / "curves.csv", test)
+        files += sets(data__curves=str(where / "curves.csv"))
+    return files + ["predict", "--model", str(where / "model.json")]
+
+
+class TestStreamedPredictions:
+    """predict runs one of the model's row blocks of subjects at a time
+    from the forward pass to the CSV text, into a temporary file that
+    replaces predictions.csv only when every block is written."""
+
+    @staticmethod
+    def _blocks_of(monkeypatch, model, subjects):
+        """Make the model's row blocks 4 subjects each; return them."""
+        L = model.grid.n_intervals
+        widths = [model.params.weights[0].shape[1]] + [
+            w.shape[0] for w in model.params.weights]
+        monkeypatch.setattr(fcrn.model, "PREDICT_CELLS",
+                            4 * L * max(a + b for a, b in zip(widths, widths[1:])))
+        return model.row_blocks(subjects * L)
+
+    @pytest.mark.parametrize("functional", [False, True], ids=["tabular", "signal"])
+    @pytest.mark.parametrize("encoding", ["scalar", "onehot"])
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_streamed_file_is_one_prediction_written_by_csv_writer(
+            self, tmp_path, monkeypatch, head, encoding, functional):
+        # 45 subjects: 10 blocks of 4, the last taking the 5 left over
+        args = untrained_model(tmp_path, head, encoding, functional)
+        model = FCRNModel.load(tmp_path / "model.json")
+        L = model.grid.n_intervals
+        blocks = self._blocks_of(monkeypatch, model, 45)
+        assert blocks == [(4 * k * L, 4 * (k + 1) * L) for k in range(10)] + [
+            (40 * L, 45 * L)]
+        assert run(sets(out_dir=str(tmp_path / "pred")) + args) == 0
+        ds = read_subjects_csv(tmp_path / "subjects.csv")
+        if functional:
+            ds = read_curves_csv(tmp_path / "curves.csv", ds)
+        assert ds.mask.any()
+        cif = model.predict_cif(ds)
+        if head == "csm":
+            names, columns = ["cif_1", "cif_2", "survival"], [cif[1][:, 0],
+                                                              cif[1][:, 1], cif[0]]
+        else:
+            names, columns = ["cif_1"], [cif]
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["id", "interval", "time"] + names)
+        for i, sid in enumerate(ds.ids):
+            for t in range(1, L + 1):
+                w.writerow([sid, t, repr(float(model.grid.cuts[t]))]
+                           + ["%.17g" % col[i, t] for col in columns])
+        assert (tmp_path / "pred" / "predictions.csv").read_bytes() == \
+            expected.getvalue().encode()
+
+    def _earlier_run(self, tmp_path, args):
+        """A fresh out_dir and one that holds an earlier run's outputs;
+        returns both with their files' bytes."""
+        assert run(sets(out_dir=str(tmp_path / "earlier")) + args) == 0
+        dirs = {tmp_path / "fresh": {}, tmp_path / "earlier": {
+            name: (tmp_path / "earlier" / name).read_bytes()
+            for name in os.listdir(tmp_path / "earlier")}}
+        assert sorted(dirs[tmp_path / "earlier"]) == ["config.resolved.json",
+                                                      "predictions.csv"]
+        return dirs
+
+    def test_non_finite_cif_in_a_later_block_leaves_out_dir_as_it_was(
+            self, tmp_path, monkeypatch, capsys):
+        args = untrained_model(tmp_path)
+        dirs = self._earlier_run(tmp_path, args)
+        model = FCRNModel.load(tmp_path / "model.json")
+        assert len(self._blocks_of(monkeypatch, model, 45)) == 11
+        # the 43rd subject's x1 overflows the forward pass
+        rows = (tmp_path / "subjects.csv").read_text().splitlines()
+        sid, rest = rows[43].split(",", 1)
+        cells = rest.split(",")
+        cells[2] = "1e308"
+        rows[43] = ",".join([sid] + cells)
+        (tmp_path / "subjects.csv").write_text("\n".join(rows) + "\n")
+        for out, files in dirs.items():
+            assert run(sets(out_dir=str(out)) + args) == 4
+            assert "first for subject %r" % sid in capsys.readouterr().err
+            assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
+
+    def test_write_that_fails_after_the_first_block_leaves_out_dir_as_it_was(
+            self, tmp_path, monkeypatch, capsys):
+        args = untrained_model(tmp_path)
+        dirs = self._earlier_run(tmp_path, args)
+        model = FCRNModel.load(tmp_path / "model.json")
+        assert len(self._blocks_of(monkeypatch, model, 45)) == 11
+        writes = []
+
+        def open_failing(*a, **kw):  # the third write, after the header and a block
+            fh = open(*a, **kw)
+            real_write = fh.write
+
+            def write(text):
+                writes.append(len(text))
+                if len(writes) == 3:
+                    raise OSError(28, "No space left on device")
+                return real_write(text)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(fcrn.cli, "open", open_failing, raising=False)
+        for out, files in dirs.items():
+            writes.clear()
+            assert run(sets(out_dir=str(out)) + args) == 2
+            assert "No space left on device" in capsys.readouterr().err
+            assert len(writes) == 3 and writes[1] > 4 * 20 * 20
+            assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
+
+    def test_peak_memory(self, tmp_path):
+        # 10,000 tabular subjects of an untrained hidden-(32, 64, 32) csm
+        # model: blocks of 136 subjects from the forward pass to the CSV
+        # text. The whole command peaks at 5.52 MB, bounded for a ~20%
+        # margin; building every subject's CIFs before writing them took
+        # it to 20.6 MB.
+        args = untrained_model(tmp_path, n=10000)
+        tracemalloc.start()
+        try:
+            code = run(sets(out_dir=str(tmp_path / "pred")) + args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 6.6e6
 
 
 class TestEvaluateCommand:

@@ -15,9 +15,9 @@ from fcrn import autodiff as ad
 from fcrn.data import (DataError, build_time_grid, censoring_survival, read_curves_csv,
                        read_subjects_csv)
 from fcrn.impute import ImputeSettings, grad_log_pred, iro_train
-from fcrn.model import (PREDICT_ROWS, FCRNModel, NumericError, TrainSettings,
-                        build_table, cif_from_cause_specific,
-                        cif_from_subdistribution, init_model, train_model)
+from fcrn.model import (FCRNModel, NumericError, TrainSettings, build_table,
+                        cif_from_cause_specific, cif_from_subdistribution,
+                        init_model, train_model)
 from fcrn.simulate import SimConfig, simulate
 
 FIXTURES = Path(__file__).parent / "fixtures" / "parent_model"
@@ -137,10 +137,9 @@ def reference_hazards(model, ds):
     L = model.grid.n_intervals
     xn = model.normalize(np.where(ds.mask, model.fill_values, ds.X))
     curve_mats = model.curve_matrices(ds)
-    step = PREDICT_ROWS // (L * model._time_feature([1]).shape[1])
     blocks = []
-    for lo in range(0, len(ds), step):
-        subj_idx = np.repeat(np.arange(lo, min(lo + step, len(ds))), L)
+    for lo, hi in model.row_blocks(len(ds) * L):
+        subj_idx = np.repeat(np.arange(lo // L, hi // L), L)
         parts = [xn[subj_idx]]
         projections = model.project_signals(curve_mats, subj_idx)
         if projections is not None:
@@ -163,7 +162,8 @@ class TestPredictionForward:
     @pytest.mark.parametrize("head", ["csm", "sdm"])
     def test_hazards_equal_a_textbook_forward_bit_for_bit(self, head, encoding,
                                                           functional):
-        # 900 subjects x 20 intervals: 2 blocks with scalar time, 23 one-hot
+        # 900 subjects x 20 intervals and a widest layer pair of 32 + 64:
+        # six blocks of 136 subjects, the last also taking the 84 left over
         ds, _, _ = simulate(SimConfig(n=900, n_train=900, n_test=0, seed=4,
                                       functional=functional, n_signals=1,
                                       n_sample_points=11, missing_rate=0.25))
@@ -172,20 +172,43 @@ class TestPredictionForward:
                            TrainSettings(time_encoding=encoding), 2, 1, rng)
         model.params.flat[:] = rng.randn(model.params.flat.size) * 0.3  # nonzero biases too
         model.fill_values = rng.randn(ds.X.shape[1])
-        assert len(ds) > PREDICT_ROWS // (20 * model._time_feature([1]).shape[1])
+        assert model.row_blocks(900 * 20) == [(k * 2720, (k + 1) * 2720)
+                                              for k in range(5)] + [(13600, 18000)]
         assert np.array_equal(model.predict_hazards(ds), reference_hazards(model, ds))
 
-    def test_prediction_peak_memory(self):
-        # one full block (819 subjects x 20 intervals = 16,380 rows) of an
-        # untrained hidden-(32, 64, 32) tabular csm model. The forward pass
-        # holds the block's input rows and two adjacent activations (4.2
-        # and 8.4 MB here): the peak is 13.37 MB, bounded at 16 MB for a
-        # ~20% margin. Allocating each layer's product, its sum with the
-        # bias and its ReLU output anew took the peak to 27.4 MB.
+    def test_row_blocks_are_sized_by_the_widest_layer_pair(self, monkeypatch):
+        # one-hot time at L = 20, 10 covariates and hidden (8, 50): widths
+        # 30, 8, 50 and 3, so the widest pair is 8 + 50 = 58
+        ds, _, _ = simulate(SimConfig(n=10, n_train=10, n_test=0, seed=4,
+                                      functional=False))
+        model = init_model(ds, build_time_grid(100.0, 5.0), "csm",
+                           TrainSettings(hidden=(8, 50), time_encoding="onehot"),
+                           2, None, np.random.RandomState(0))
+        monkeypatch.setattr(fcrn.model, "PREDICT_CELLS", 3 * 20 * 58 + 57)
+        assert model.row_blocks(0) == []
+        assert model.row_blocks(20) == [(0, 20)]
+        assert model.row_blocks(60) == [(0, 60)]
+        assert model.row_blocks(100) == [(0, 100)]  # a remainder joins the last block
+        assert model.row_blocks(120) == [(0, 60), (60, 120)]
+        assert model.row_blocks(173) == [(0, 60), (60, 173)]  # validation rows
+        monkeypatch.setattr(fcrn.model, "PREDICT_CELLS", 20 * 58 - 1)
+        assert model.row_blocks(50) == [(0, 20), (20, 50)]  # at least one subject
+
+    @pytest.mark.parametrize("hidden, bound", [((32, 64, 32), 3.3e6),
+                                               ((256, 256), 5e6)])
+    def test_prediction_peak_memory(self, hidden, bound):
+        # 819 subjects x 20 intervals of an untrained tabular csm model. A
+        # block holds its input rows and two adjacent activations, sized by
+        # the widest pair (96 or 512 columns): 6 blocks of 136 subjects, or
+        # 32 of 25, the last taking the rest. The peak is 2.77 MB with
+        # hidden (32, 64, 32) and 4.16 MB with (256, 256), bounded for a
+        # ~20% margin. Blocks of 16,384 rows, whatever the network's width,
+        # took them to 13.4 and 67.9 MB.
         ds, _, _ = simulate(SimConfig(n=819, n_train=819, n_test=0, seed=4,
                                       functional=False))
-        model = init_model(ds, build_time_grid(100.0, 5.0), "csm", TrainSettings(),
-                           2, None, np.random.RandomState(0))
+        model = init_model(ds, build_time_grid(100.0, 5.0), "csm",
+                           TrainSettings(hidden=hidden), 2, None,
+                           np.random.RandomState(0))
         model.fit_normalization(ds.X)
         tracemalloc.start()
         try:
@@ -193,7 +216,7 @@ class TestPredictionForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < bound
 
 
 class TestLosses:
@@ -485,11 +508,13 @@ class TestValidationLoss:
                                                             encoding):
         # at lr 0 the parameters never move, so every epoch's validation
         # loss is the likelihood oracle's at the initial parameters, here
-        # over blocks of two subjects' 2L rows
+        # over blocks of two subjects' 2L rows, the last one taking the rest
         ds, grid = self._data()
         L = grid.n_intervals
-        monkeypatch.setattr(fcrn.model, "PREDICT_ROWS",
-                            2 * L * (L if encoding == "onehot" else 1))
+        widths = [ds.X.shape[1] + 3 + (L if encoding == "onehot" else 1), 8, 4,
+                  3 if head == "csm" else 1]
+        monkeypatch.setattr(fcrn.model, "PREDICT_CELLS",
+                            2 * L * max(a + b for a, b in zip(widths, widths[1:])))
         blocks = []
         real_forward = FCRNModel.forward_logits
 
@@ -506,7 +531,7 @@ class TestValidationLoss:
         n_rows = int(np.isin(table.subject_idx, val_ids).sum())
         full, last = divmod(n_rows, 2 * L)
         assert full >= 3 and len(model.history) == 3
-        assert blocks == ([2 * L] * full + ([last] if last else [])) * 3
+        assert blocks == ([2 * L] * (full - 1) + [2 * L + last]) * 3
         val = ds.take(val_ids)
         hz = model.predict_hazards(val)
         if head == "csm":
@@ -600,7 +625,7 @@ class TestAdamBlocks:
         batch_size, runs = 9, []
         for epoch_loss in (fcrn.model._epoch_loss, per_batch_epoch_loss):
             model, (xn, curve_mats, table) = self._model(head, encoding, n_signals)
-            monkeypatch.setattr(fcrn.model, "PREDICT_ROWS",
+            monkeypatch.setattr(fcrn.model, "BATCH_BLOCK_CELLS",
                                 3 * batch_size * model.params.weights[0].shape[1])
             rows = np.flatnonzero(table.subject_idx % 5)  # a holdout's gaps
             n_batches = -(-len(rows) // batch_size)

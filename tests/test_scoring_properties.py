@@ -554,12 +554,17 @@ def prediction_sets(draw):
 
 class TestPredictionsFile:
     @PROPERTY
-    @given(prediction_sets())
-    def test_writer_matches_csv_writer(self, case):
+    @given(prediction_sets(), st.data())
+    def test_writer_matches_csv_writer(self, case, data):
+        # the subjects split into consecutive blocks, empty ones too
         grid, ids, names, columns = case
+        cuts = [0, *sorted(data.draw(st.lists(st.integers(0, len(ids)), max_size=3))),
+                len(ids)]
+        blocks = [(ids[lo:hi], [col[lo:hi] for col in columns])
+                  for lo, hi in zip(cuts, cuts[1:])]
         with tempfile.TemporaryDirectory() as tmp:
             got, expected = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
-            write_predictions(got, ids, grid, names, columns)
+            write_predictions(got, grid, names, blocks)
             ref_write_predictions(expected, ids, grid, names, columns)
             with open(got, "rb") as a, open(expected, "rb") as b:
                 assert a.read() == b.read()
@@ -567,8 +572,8 @@ class TestPredictionsFile:
     def test_empty_dataset_is_header_only(self, tmp_path):
         grid = build_time_grid(10, 5)
         empty = [np.zeros((0, 3))] * 3
-        write_predictions(tmp_path / "a.csv", [], grid,
-                          ["cif_1", "cif_2", "survival"], empty)
+        write_predictions(tmp_path / "a.csv", grid, ["cif_1", "cif_2", "survival"],
+                          [([], empty)])
         assert (tmp_path / "a.csv").read_bytes() == \
             b"id,interval,time,cif_1,cif_2,survival\r\n"
 
@@ -580,7 +585,7 @@ class TestPredictionsFile:
             return
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "p.csv")
-            write_predictions(path, ids, grid, names, columns)
+            write_predictions(path, grid, names, [(ids, columns)])
             causes, F = read_predictions(path, ids, grid, chunk_rows=chunk_rows)
         cifs = [k for k, name in enumerate(names) if name.startswith("cif_")]
         assert causes == [int(names[k][4:]) for k in cifs]
@@ -592,8 +597,8 @@ class TestPredictionsFile:
     def test_reader_reports_the_row_of_a_bad_cell(self, tmp_path):
         grid = build_time_grid(10, 5)
         columns = [np.full((3, 3), 0.25)]
-        write_predictions(tmp_path / "p.csv", ["a", "b", "c"], grid, ["cif_1"],
-                          columns)
+        write_predictions(tmp_path / "p.csv", grid, ["cif_1"],
+                          [(["a", "b", "c"], columns)])
         lines = (tmp_path / "p.csv").read_text().splitlines()
         lines[5] = lines[5].replace("0.25", "oops")
         (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
@@ -615,7 +620,7 @@ class TestPredictionsFile:
                                "1e400"])
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "p.csv")
-            write_predictions(path, ids, grid, names, columns)
+            write_predictions(path, grid, names, [(ids, columns)])
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
             for _ in range(data.draw(st.integers(1, 3))):
@@ -764,7 +769,7 @@ class TestLosslessFloatFormat:
                                        for name in ("s.csv", "c.csv", "p.csv"))
             write_subjects_csv(subjects, ds)
             write_curves_csv(curves, ds)
-            write_predictions(preds, ds.ids, grid, names, columns)
+            write_predictions(preds, grid, names, [(ds.ids, columns)])
             got = read_curves_csv(curves, read_subjects_csv(subjects))
             causes, F = read_predictions(preds, ds.ids, grid)
         assert same_bits(got.time, time)
