@@ -222,6 +222,22 @@ def cmd_predict(cfg, model_path):
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file opened at path + ".tmp", which replaces path when the
+    block exits; an exception, from the block or from the write, removes it
+    instead, so any earlier file at path stays as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_predictions(path, grid, names, blocks):
     """predictions.csv: a row id,interval,time,<names> per subject and interval.
 
@@ -230,29 +246,22 @@ def write_predictions(path, grid, names, blocks):
     is what csv.writer writes for the rows [id, t, repr(time), "%.17g" %
     value, ...]: 17 significant digits, so each value reads back as the
     same binary64. Each block is formatted by one %-format of all its rows.
-    The rows go to path + ".tmp", which replaces path after the last block;
-    an exception, from blocks or from the write, removes it instead, so any
-    earlier file at path stays as it was.
+    The rows go to path + ".tmp", which replaces path after the last block
+    (see _replacing); an exception, from blocks or from the write, removes
+    it instead, so any earlier file at path stays as it was.
     """
     L = grid.n_intervals
     subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
                            + ",%.17g" * len(names) + "\r\n" for t in range(1, L + 1))
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
-            for ids, columns in blocks:
-                cells = np.empty((len(ids), L, len(columns) + 1), dtype=object)
-                cells[:, :, 0] = np.array([csv_field(i) for i in ids],
-                                          dtype=object)[:, None]
-                for k, col in enumerate(columns):
-                    cells[:, :, k + 1] = col[:, 1:]
-                fh.write((subject_rows * len(ids)) % tuple(cells.ravel().tolist()))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with _replacing(path) as fh:
+        csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
+        for ids, columns in blocks:
+            cells = np.empty((len(ids), L, len(columns) + 1), dtype=object)
+            cells[:, :, 0] = np.array([csv_field(i) for i in ids],
+                                      dtype=object)[:, None]
+            for k, col in enumerate(columns):
+                cells[:, :, k + 1] = col[:, 1:]
+            fh.write((subject_rows * len(ids)) % tuple(cells.ravel().tolist()))
 
 
 def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):
@@ -353,8 +362,7 @@ def cmd_evaluate(cfg, predictions_path):
         cfg["data"]["subjects"], ds.cause[ds.cause > 0].tolist()))
 
     g = censoring_survival(ds, grid)
-    path = os.path.join(out, "scores.csv")
-    with open(path, "w", newline="") as fh:
+    with _replacing(os.path.join(out, "scores.csv")) as fh:
         w = csv.writer(fh)
         w.writerow(["horizon", "cause", "time", "bs", "cum_ibs"])
         for horizon in cfg["evaluate"]["horizons"]:

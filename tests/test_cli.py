@@ -995,6 +995,66 @@ class TestStreamedPredictions:
         assert code == 0 and peak < 6.6e6
 
 
+class TestScoresInBlocks:
+    """evaluate scores the subjects in blocks of metrics.SCORE_CELLS cells
+    and writes scores.csv through a temporary file, as predict does."""
+
+    @staticmethod
+    def _predicted(tmp_path, n=45):
+        """Predictions of an untrained model for n subjects; returns evaluate's
+        arguments but out_dir."""
+        assert run(sets(out_dir=str(tmp_path / "pred")) + untrained_model(tmp_path, n=n)) == 0
+        return sets(data__subjects=str(tmp_path / "subjects.csv")) + [
+            "evaluate", "--predictions", str(tmp_path / "pred" / "predictions.csv")]
+
+    def test_write_that_fails_part_way_leaves_out_dir_as_it_was(
+            self, tmp_path, monkeypatch, capsys):
+        args = self._predicted(tmp_path)
+        earlier = tmp_path / "earlier"
+        assert run(sets(out_dir=str(earlier)) + args) == 0
+        dirs = {tmp_path / "fresh": {}, earlier: {
+            name: (earlier / name).read_bytes() for name in os.listdir(earlier)}}
+        assert sorted(dirs[earlier]) == ["config.resolved.json", "scores.csv"]
+        writes = []
+
+        def open_failing(*a, **kw):  # the third write, after the header and a row
+            fh = open(*a, **kw)
+            real_write = fh.write
+
+            def write(text):
+                writes.append(text)
+                if len(writes) == 3:
+                    raise OSError(28, "No space left on device")
+                return real_write(text)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(fcrn.cli, "open", open_failing, raising=False)
+        for out, files in dirs.items():
+            writes.clear()
+            assert run(sets(out_dir=str(out)) + args) == 2
+            assert "No space left on device" in capsys.readouterr().err
+            assert writes[0] == "horizon,cause,time,bs,cum_ibs\r\n"
+            assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
+
+    def test_peak_memory(self, tmp_path):
+        # 10,000 tabular subjects of an untrained csm model, two causes at 21
+        # times: blocks of 780 subjects. The whole command peaks at 7.50 MB,
+        # bounded for a ~20% margin, inside read_predictions, whose CIF
+        # matrices are most of it; scoring every subject at once took it to
+        # 18.7 MB (on the 10,000 cli-cohort test subjects of
+        # tools/pipelines.py, 18.8 MB before and 7.67 MB after)
+        args = self._predicted(tmp_path, n=10000)
+        tracemalloc.start()
+        try:
+            code = run(sets(out_dir=str(tmp_path / "eval")) + args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 9e6
+
+
 class TestEvaluateCommand:
     def _pipeline(self, tmp_path):
         simulate_small(tmp_path / "sim", seed=7)

@@ -14,12 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from conftest import (Record, brier_at, brier_ipcw_at, dataset, g_at, records,
                       ref_assign_interval)
 from hypothesis import strategies as st
 
 import fcrn.data
+import fcrn.metrics
 from fcrn.cli import read_predictions, write_predictions
 from fcrn.data import (G_FLOOR, CensoringSurvival, DataError, Signal, assign_intervals,
                        build_time_grid, censoring_survival, csv_columns, read_curves_csv,
@@ -368,6 +369,39 @@ class TestBrierMatchesLoop:
         assert same_bits(got.times, expected.times)
         assert same_bits(got.values, expected.values)
         assert same_bits(got.ibs, expected.ibs)
+
+    @PROPERTY
+    @given(st.data())
+    def test_score_cif_in_blocks(self, data):
+        # budgets of one subject a block, two (a cell short of three) and
+        # seven, over cohorts whose first subjects are censored (so whole
+        # blocks hold no event) or that are all at risk at every time
+        grid = data.draw(grids())
+        L = grid.n_intervals
+        ds = data.draw(cohorts(grid))
+        first = data.draw(st.integers(0, L - 1))
+        last = data.draw(st.integers(first + 1, L))
+        kind = data.draw(st.sampled_from(["drawn", "censored first", "at risk"]))
+        if kind == "censored first":
+            cause = ds.cause.copy()
+            cause[:data.draw(st.integers(1, len(ds)))] = 0
+            ds = dataset(ds.time, cause)
+        elif kind == "at risk":
+            assume(last < L)
+            ds = dataset(data.draw(st.lists(
+                st.floats(grid.cuts[last], grid.max_time, exclude_min=True),
+                min_size=len(ds), max_size=len(ds))), ds.cause)
+        F = cif_matrix(data.draw, len(ds), L)
+        g = censoring(data.draw, ds, grid) or censoring_survival(ds, grid)
+        cause = data.draw(st.integers(1, 2))
+        t0, t_max = grid.cuts[first], grid.cuts[last]
+        expected = ref_score_cif(F, records(ds), cause, grid, g=g, t0=t0, t_max=t_max)
+        T = last - first + 1
+        for cells in (T, 2 * T + 1, 7 * T):
+            with mock.patch.object(fcrn.metrics, "SCORE_CELLS", cells):
+                got = score_cif(F, ds, cause, grid, g=g, t0=t0, t_max=t_max)
+            assert same_bits(got.values, expected.values)
+            assert same_bits(got.ibs, expected.ibs)
 
     def test_large_cohort(self):
         # past 128 subjects np.mean's pairwise sum splits into blocks
