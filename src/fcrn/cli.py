@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, dump_config, load_config
 from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
-                   csv_columns, csv_field, open_csv, read_curves_csv,
+                   csv_columns, csv_fields, open_csv, read_curves_csv,
                    read_subjects_csv, run_codes, write_curves_csv,
                    write_subjects_csv, censoring_survival)
 from .impute import ImputeSettings, iro_train
@@ -257,8 +257,7 @@ def write_predictions(path, grid, names, blocks):
         csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
         for ids, columns in blocks:
             cells = np.empty((len(ids), L, len(columns) + 1), dtype=object)
-            cells[:, :, 0] = np.array([csv_field(i) for i in ids],
-                                      dtype=object)[:, None]
+            cells[:, :, 0] = np.asarray(csv_fields(ids), dtype=object)[:, None]
             for k, col in enumerate(columns):
                 cells[:, :, k + 1] = col[:, 1:]
             fh.write((subject_rows * len(ids)) % tuple(cells.ravel().tolist()))
@@ -299,7 +298,9 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):
         kinds = [str, int, float] + [float if h.startswith("cif_") or h == "survival"
                                      else str for h in header[3:]]
         F = np.zeros((len(causes), len(ids), L + 1))
-        seen = np.zeros((len(ids), L + 1), dtype=np.int64)
+        # a subject's L rows cover 1..L once each when they cover them all
+        covered = np.zeros((len(ids), L + 1), dtype=bool)
+        rows = np.zeros(len(ids), dtype=np.int64)
         for _, cols in csv_columns(path, fh, header, kinds, chunk_rows):
             interval, time = cols[1], cols[2]
             subj = run_codes(cols[0], lambda sid: order.get(sid, -1))
@@ -320,13 +321,13 @@ def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):
                 raise CliError(EXIT_COMPAT, message)
             for F_m, k in zip(F, cif_cols):
                 F_m[subj, interval] = cols[k]
-            np.add.at(seen, (subj, interval), 1)
-    seen = seen[:, 1:]
-    unpredicted = np.flatnonzero(seen.sum(axis=1) == 0)
+            covered[subj, interval] = True
+            np.add.at(rows, subj, 1)
+    unpredicted = np.flatnonzero(rows == 0)
     if len(unpredicted):
         raise CliError(EXIT_COMPAT, "no predictions for %d subject(s), first %r"
                        % (len(unpredicted), ids[unpredicted[0]]))
-    uncovered = np.flatnonzero((seen != 1).any(axis=1))
+    uncovered = np.flatnonzero((rows != L) | ~covered[:, 1:].all(axis=1))
     if len(uncovered):
         raise CliError(EXIT_COMPAT, "prediction rows of %d subject(s) do not cover "
                        "intervals 1..%d exactly once, first %r"

@@ -26,13 +26,13 @@ GRID_TOL = 1e-9
 # their peak memory; 128-line blocks take a third longer and 8192-line
 # blocks twice as long.
 CSV_CHUNK_ROWS = 512
-# subjects formatted per write of a subjects or curves file. A block holds
-# each of its cells as a Python object at once, so peak memory grows with
-# the block. On an 800-subject curves file of three 51-point signals and a
-# 10000-subject file of 10 covariates (2-vCPU host) blocks of 16 to 1024
-# subjects write equally fast within noise; a 32-subject curves block peaks
-# at 0.9 MB traced, a 128-subject one at 3.4 MB and a 1024-subject one at 21.
-WRITE_BLOCK = 32
+# cells (rows x columns) formatted per write of a subjects or curves file:
+# 1260 subjects of 10 covariates or 26 of three 51-point signals, traced at
+# 1.1 and 0.7 MB (each cell of a block is a Python object at once). On such
+# files (10000, 800 subjects; 2-vCPU host) the subjects write takes 0.050 s
+# at any budget from 2^10 cells, near its 0.045 s %-format; the curves write
+# takes 0.13 s at 2^10, 0.080 at 2^12, 0.073 at 2^14, 0.068 at 2^16 (2.8 MB).
+WRITE_CELLS = 2 ** 14
 
 
 class DataError(ValueError):
@@ -257,11 +257,12 @@ def augment_subdistribution(ds, grid, target_cause, g, drop_zero_weight=True):
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def csv_field(text):
-    """text as a field of csv.writer's default dialect (minimal quoting)."""
-    if any(c in text for c in ',"\r\n'):
-        return '"%s"' % text.replace('"', '""')
-    return text
+def csv_fields(texts):
+    """texts as csv.writer's fields (minimal quoting), checked one by one if need be."""
+    if any(c in "".join(texts) for c in ',"\r\n'):
+        return ['"%s"' % t.replace('"', '""') if any(c in t for c in ',"\r\n') else t
+                for t in texts]
+    return texts
 
 
 def write_subjects_csv(path, ds):
@@ -270,26 +271,31 @@ def write_subjects_csv(path, ds):
     Missing cells are written empty. The file is what csv.writer writes
     for the rows [id, "%.17g" % time, cause, "%.17g" % x or "", ...]: 17
     significant digits, so each number reads back as the same binary64.
-    It is formatted WRITE_BLOCK subjects at a time, by one %-format of
-    every row of the block.
+    It is formatted about WRITE_CELLS cells at a time, by one %-format of
+    every row of the block: the complete rows share one template, and a
+    row with a missing cell gets its own.
     """
     p = ds.X.shape[1]
+    complete = "%s,%.17g,%d" + ",%.17g" * p + "\r\n"
+    step = max(1, WRITE_CELLS // (3 + p))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "time", "cause"]
                                 + ["x%d" % (j + 1) for j in range(p)])
-        for lo in range(0, len(ds), WRITE_BLOCK):
-            hi = min(lo + WRITE_BLOCK, len(ds))
+        for lo in range(0, len(ds), step):
+            hi = min(lo + step, len(ds))
             missing = np.isnan(ds.X[lo:hi])
-            rows = np.full((hi - lo, p + 2), "\r\n", dtype=object)
-            rows[:, 0] = "%s,%.17g,%d"
-            rows[:, 1:-1] = np.where(missing, ",", ",%.17g")  # a missing cell stays empty
             cells = np.empty((hi - lo, 3 + p), dtype=object)
-            cells[:, 0] = [csv_field(sid) for sid in ds.ids[lo:hi]]
+            cells[:, 0] = csv_fields(ds.ids[lo:hi])
             cells[:, 1] = ds.time[lo:hi]
             cells[:, 2] = ds.cause[lo:hi]
             cells[:, 3:] = ds.X[lo:hi]
-            present = np.concatenate([np.ones((hi - lo, 3), dtype=bool), ~missing], axis=1)
-            fh.write("".join(rows.ravel().tolist()) % tuple(cells[present].tolist()))
+            rows = [complete] * (hi - lo)
+            gaps = np.flatnonzero(missing.any(axis=1))
+            for i, xs in zip(gaps.tolist(), np.where(missing[gaps], ",", ",%.17g").tolist()):
+                rows[i] = "%s,%.17g,%d" + "".join(xs) + "\r\n"
+            if len(gaps):
+                cells = cells[np.hstack([np.ones((hi - lo, 3), dtype=bool), ~missing])]
+            fh.write("".join(rows) % tuple(cells.ravel().tolist()))
 
 
 @contextlib.contextmanager
@@ -466,35 +472,38 @@ def write_curves_csv(path, ds):
 
     The file is what csv.writer writes for the rows [id, name, repr(tau),
     "%.17g" % value]: 17 significant digits, so each value reads back as
-    the same binary64. It is formatted WRITE_BLOCK subjects at a time, by
-    one %-format of every row of the block, with one repr per distinct tau
-    of the block.
+    the same binary64. It is formatted about WRITE_CELLS cells at a time,
+    by one %-format of every row of the block, with one repr per distinct
+    tau of the block. Each run of rows of one subject and signal shares a
+    template that holds their id and name, each % doubled.
     """
-    names = [csv_field(name) for name in ds.signals]
+    names = [name.replace("%", "%%") for name in csv_fields(list(ds.signals))]
     signals = list(ds.signals.values())
+    step = max(1, WRITE_CELLS * len(ds) // max(1, 4 * sum(len(s.taus) for s in signals)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id", "signal_name", "tau", "value"])
-        for lo in range(0, len(ds) if signals else 0, WRITE_BLOCK):
-            hi = min(lo + WRITE_BLOCK, len(ds))
+        for lo in range(0, len(ds) if signals else 0, step):
+            hi = min(lo + step, len(ds))
             # counts[i, k] points of subject lo + i's curve of signal k, whose
             # first row is starts[i, k] in file order
             counts = np.column_stack([np.diff(sig.offsets[lo:hi + 1]) for sig in signals])
             starts = np.cumsum(counts).reshape(counts.shape) - counts
-            cells = np.empty((counts.sum(), 4), dtype=object)
+            cells = np.empty((counts.sum(), 2), dtype=object)
             taus = np.empty(len(cells))
-            cells[:, 0] = np.repeat(np.array([csv_field(sid) for sid in ds.ids[lo:hi]],
-                                             dtype=object), counts.sum(axis=1))
-            for k, (name, sig) in enumerate(zip(names, signals)):
+            for k, sig in enumerate(signals):
                 points = np.arange(sig.offsets[lo], sig.offsets[hi])
                 rows = points + np.repeat(starts[:, k] - sig.offsets[lo:hi], counts[:, k])
-                cells[rows, 1] = name
-                cells[rows, 3] = sig.values[points]
+                cells[rows, 1] = sig.values[points]
                 taus[rows] = sig.taus[points]
             # one repr per distinct bit pattern, so -0.0 keeps its own text
             bits, inverse = np.unique(taus.view(np.int64), return_inverse=True)
             text = np.array([repr(t) for t in bits.view(np.float64).tolist()], dtype=object)
-            cells[:, 2] = text[inverse]
-            fh.write(("%s,%s,%s,%.17g\r\n" * len(cells)) % tuple(cells.ravel().tolist()))
+            cells[:, 0] = text[inverse]
+            ids = csv_fields(ds.ids[lo:hi])
+            template = "".join(("%s,%s,%%s,%%.17g\r\n" % (sid.replace("%", "%%"), name)) * c
+                               for sid, row in zip(ids, counts.tolist())
+                               for name, c in zip(names, row))
+            fh.write(template % tuple(cells.ravel().tolist()))
 
 
 def read_curves_csv(path, ds):

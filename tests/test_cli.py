@@ -1040,10 +1040,11 @@ class TestScoresInBlocks:
 
     def test_peak_memory(self, tmp_path):
         # 10,000 tabular subjects of an untrained csm model, two causes at 21
-        # times: blocks of 780 subjects. The whole command peaks at 7.50 MB,
+        # times: blocks of 780 subjects. The whole command peaks at 6.41 MB,
         # bounded for a ~20% margin, inside read_predictions, whose CIF
         # matrices are most of it; scoring every subject at once took it to
-        # 18.7 MB (on the 10,000 cli-cohort test subjects of
+        # 18.7 MB, and counting each (subject, interval)'s rows in an int64
+        # matrix to 7.50 MB (on the 10,000 cli-cohort test subjects of
         # tools/pipelines.py, 18.8 MB before and 7.67 MB after)
         args = self._predicted(tmp_path, n=10000)
         tracemalloc.start()
@@ -1052,7 +1053,7 @@ class TestScoresInBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 9e6
+        assert code == 0 and peak < 7.7e6
 
 
 class TestEvaluateCommand:
@@ -1245,6 +1246,24 @@ class TestEvaluateCommand:
         assert self._evaluate(tmp_path, subjects, preds) == 5
         err = capsys.readouterr().err
         assert "exactly once" in err and repr(edited[0]) in err
+
+    @pytest.mark.parametrize("chunk_rows", range(1, 18))
+    def test_repeated_and_missing_intervals_name_every_such_subject(self, tmp_path,
+                                                                    chunk_rows):
+        # a lacks interval 3, b repeats 2, c repeats 2 and lacks 3 in as
+        # many rows as intervals; at each block size a repeat falls within
+        # a block or across two
+        grid = build_time_grid(20.0, 5.0)
+        kept = {"a": [1, 2, 4], "b": [1, 2, 2, 3, 4], "c": [1, 2, 2, 4], "d": [1, 2, 3, 4]}
+        path = tmp_path / "predictions.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "interval", "time", "cif_1"]] + [
+                [sid, t, repr(5.0 * t), "0.1"] for sid, ts in kept.items() for t in ts])
+        with pytest.raises(fcrn.cli.CliError) as e:
+            fcrn.cli.read_predictions(path, list(kept), grid, chunk_rows)
+        assert e.value.code == 5
+        assert str(e.value) == ("prediction rows of 3 subject(s) do not cover "
+                                "intervals 1..4 exactly once, first 'a'")
 
     def test_predictions_on_a_coarser_grid_are_compat_error(self, tmp_path):
         # a 20-interval model's rows do not fill a 40-interval evaluation grid

@@ -218,6 +218,27 @@ class TestCsvRoundTrip:
         assert sum(len(sig.taus) for sig in got.signals.values()) == 61200
         assert peak < 3.5 * sum(a.nbytes for sig in got.signals.values() for a in sig)
 
+    @pytest.mark.parametrize("functional, n, bound", [(False, 10000, 1.3e6),
+                                                      (True, 800, 0.82e6)],
+                             ids=["subjects", "curves"])
+    def test_writer_peak_memory(self, tmp_path, functional, n, bound):
+        # the simulate writers on 10,000 subjects of 10 covariates and on
+        # 800 subjects x 3 signals x 51 points, in blocks of WRITE_CELLS
+        # cells: traced peaks of 1.07 and 0.68 MB, bounded for a ~20%
+        # margin. 32-subject blocks of a template per cell peaked at 0.14
+        # and 0.87 MB but wrote 25% and 9% slower.
+        ds, _, _ = simulate(SimConfig(n=n, n_train=n, n_test=0, seed=0,
+                                      functional=functional))
+        write = write_curves_csv if functional else write_subjects_csv
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write(tmp_path / "out.csv", ds)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_subject_lacking_a_signal_is_named(self, tmp_path):
         cp = tmp_path / "curves.csv"
         cp.write_text("id,signal_name,tau,value\n"

@@ -567,7 +567,7 @@ class TestReadersMatchLoop:
 # predictions writer and streaming reader
 # ---------------------------------------------------------------------------
 
-IDS = st.text(alphabet=st.sampled_from('ab1 ,"\r\n;\'x'), max_size=6)
+IDS = st.text(alphabet=st.sampled_from('ab1 ,"\r\n;\'x%'), max_size=6)
 
 
 @st.composite
@@ -691,19 +691,20 @@ TAU = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
 
 @st.composite
 def written_datasets(draw, readable=False):
-    """Datasets for the writers: ids that need quoting or are empty, missing
-    (NaN) covariate cells, signed zeros among times, covariates, taus and
-    values, and signals whose point counts differ by subject. A readable
-    one is what the readers give back: every curve has 2 or more strictly
-    increasing taus in [0, 1], and the signals are in name order; one of
-    no subjects has no signal, as a curves file of no rows holds none."""
+    """Datasets for the writers: ids and names that need quoting, hold % or
+    are empty, missing (NaN) covariate cells, signed zeros among times,
+    covariates, taus and values, and signals whose point counts differ by
+    subject. A readable one is what the readers give back: every curve has
+    2 or more strictly increasing taus in [0, 1], and the signals are in
+    name order; one of no subjects has no signal, as a curves file of no
+    rows holds none."""
     n = draw(st.integers(0, 6))
     p = draw(st.integers(0, 3))
     ids = draw(st.lists(IDS, min_size=n, max_size=n, unique=True))
     time = st.one_of(st.floats(0.0, 100.0), st.sampled_from([-0.0, 0.0]))
     cells = st.lists(st.one_of(NUMBER, st.just(np.nan)), min_size=p, max_size=p)
     X = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
-    names = draw(st.lists(st.sampled_from(["hr", "b,p", 'q"t', "", "x\ny"]),
+    names = draw(st.lists(st.sampled_from(["hr", "b,p", 'q"t', "", "x\ny", "%s %%"]),
                           max_size=3 if n or not readable else 0, unique=True))
     signals = {}
     for name in sorted(names) if readable else names:
@@ -739,11 +740,12 @@ class TestSubjectAndCurveFiles:
                 ref_write(expected, ds)
                 with open(expected, "rb") as fh:
                     text = fh.read()
-                for block in (1, 2, fcrn.data.WRITE_BLOCK):
-                    with mock.patch.object(fcrn.data, "WRITE_BLOCK", block):
+                # one subject per block, 2-4 per subjects block, the default
+                for cells in (1, 12, fcrn.data.WRITE_CELLS):
+                    with mock.patch.object(fcrn.data, "WRITE_CELLS", cells):
                         write(got, ds)
                     with open(got, "rb") as fh:
-                        assert fh.read() == text, (write.__name__, block)
+                        assert fh.read() == text, (write.__name__, cells)
 
     @PROPERTY
     @given(written_datasets(readable=True))

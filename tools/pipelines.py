@@ -22,7 +22,8 @@ that irregular writes its subjects and curves itself:
   [0, 1], 4 epochs. The cause-1 hazard reads the curve. The union of the
   sample times exceeds CANONICAL_GRID_CAP, so the model resamples every
   curve, by np.interp between its sample points, onto an evenly spaced
-  grid.
+  grid. Four subjects' ids, s,1 s"2 p%d and "q%s, need quoting or hold
+  %, so the writers' quoting and %-templates meet them.
 
 stdout gets one "sha256  path" line per output file, the path relative to
 OUT_DIR, in path order. config.resolved.json is left out, since it holds
@@ -75,8 +76,11 @@ def irregular(sim_dir):
     stacked = np.column_stack([c, t1, t2])
     cause = np.argmin(stacked, axis=1)
     signal = Signal(np.concatenate(taus), np.concatenate(values), offsets)
-    ds = Dataset(["s%04d" % i for i in range(n)], stacked[np.arange(n), cause], cause,
-                 X, {"signal1": signal})
+    ids = ["s%04d" % i for i in range(n)]
+    # ids that csv quotes or that hold %, in both the train and test parts
+    for i, sid in zip((0, 7, 150, 333), ('s,1', 's"2', 'p%d', '"q%s,')):
+        ids[i] = sid
+    ds = Dataset(ids, stacked[np.arange(n), cause], cause, X, {"signal1": signal})
     os.makedirs(sim_dir, exist_ok=True)
     for part, rows in (("train", np.arange(n_train)), ("test", np.arange(n_train, n))):
         subjects = ds.take(rows)
