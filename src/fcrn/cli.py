@@ -20,8 +20,8 @@ from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
                    csv_columns, csv_fields, open_csv, read_curves_csv,
                    read_subjects_csv, run_codes, write_curves_csv,
                    write_subjects_csv, censoring_survival)
-from .impute import ImputeSettings, iro_train
-from .metrics import evaluation_columns, score_cif
+from .impute import iro_train
+from .metrics import evaluation_columns, ibs, score_cif
 from .model import (FCRNModel, NormalizationError, NumericError, TrainSettings,
                     train_model)
 from .simulate import SimConfig, simulate
@@ -104,8 +104,7 @@ def _fit_one(cfg, ds, grid, n_basis, n_causes):
     head = cfg["train"]["head"]
     kwargs = dict(n_causes=n_causes, target_cause=cfg["train"]["cause"])
     if ds.mask.any():
-        return iro_train(ds, grid, head, settings,
-                         impute_settings=_settings(ImputeSettings, cfg["mvi"]), **kwargs)
+        return iro_train(ds, grid, head, settings, **kwargs)
     return train_model(ds, grid, head, settings, **kwargs), None
 
 
@@ -370,8 +369,7 @@ def cmd_evaluate(cfg, predictions_path):
             for m, F_m in zip(causes, F):
                 curve = score_cif(F_m, ds, m, grid, g=g, t0=t0, t_max=horizon)
                 for k, t in enumerate(curve.times):
-                    cum = (np.trapezoid(curve.values[:k + 1], curve.times[:k + 1])
-                           / (t - curve.times[0]) if k else 0.0)
+                    cum = ibs(curve.times[:k + 1], curve.values[:k + 1]) if k else 0.0
                     w.writerow([horizon, m, repr(float(t)),
                                 repr(float(curve.values[k])), repr(float(cum))])
                 print("horizon %g cause %d: IBS %.6f" % (horizon, m, curve.ibs))

@@ -7,7 +7,6 @@ import functools
 import json
 import math
 
-from .impute import ImputeSettings
 from .model import TrainSettings
 from .simulate import MAX_MISSING_RATE, SimConfig
 
@@ -20,7 +19,7 @@ def _defaults(settings, skip=(), only=None):
             if f.name not in skip and (only is None or f.name in only)}
 
 
-# train, mvi and simulate take their defaults from the settings dataclasses
+# train and simulate take their defaults from the settings dataclasses
 DEFAULTS = {
     "seed": 0,
     "out_dir": "out",
@@ -36,7 +35,6 @@ DEFAULTS = {
         "basis_grid": [TrainSettings.n_basis],
         "use_functional": True,
     },
-    "mvi": _defaults(ImputeSettings, skip=("rel_tol",)),
     "simulate": _defaults(SimConfig, only=("n", "n_train", "n_test", "functional",
                                            "missing_rate")),
     "evaluate": {
@@ -59,8 +57,7 @@ RANGES = {
     **{key: (lambda v: 0 < v < math.inf, "positive and finite") for key in (
         "train.batch_size", "train.max_epochs", "train.cause", "train.hidden",
         "train.basis_grid", "train.lr", "train.patience", "grid.width",
-        "grid.max_time", "mvi.i_repeats", "mvi.max_epochs", "evaluate.horizons",
-        "simulate.n")},
+        "grid.max_time", "evaluate.horizons", "simulate.n")},
     **{key: (lambda v: 0 <= v < math.inf, "non-negative and finite") for key in (
         "simulate.n_train", "simulate.n_test", "evaluate.t0")},
 }
@@ -127,7 +124,10 @@ def load_config(path=None, overrides=()):
 
 def _deep_update(base, update, defaults, prefix=""):
     for k, v in update.items():
-        if k not in base:
+        if k not in base:  # an unknown section is named down to its first leaf
+            while isinstance(v, dict) and v:
+                sub, v = next(iter(v.items()))
+                k += "." + sub
             raise ConfigError("unknown config key %s" % _quote(prefix + k, repr))
         is_section = isinstance(base[k], dict)
         if is_section != isinstance(v, dict):

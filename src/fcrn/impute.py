@@ -21,7 +21,7 @@ from .autodiff import scatter_rows
 # censoring_survival stays in this namespace: the benchmark's tracer wraps
 # it here (tests/test_bench_contract.py)
 from .data import censoring_survival  # noqa: F401
-from .model import _epoch_loss, fit, init_model, train_model
+from .model import _epoch_loss, fit, init_model
 
 COND_VAR_FLOOR = 1e-8
 # sgld_impute's epochs between graphical-model refits
@@ -180,18 +180,12 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
     term taken at the parameters of its batch; epoch 0 takes it from
     grad_log_pred at the initial parameters. fit gets a copy of settings
     whose max_epochs is min(settings.max_epochs, impute_settings.max_epochs),
-    and also stops on a six-epoch plateau of the monitored loss (rel_tol).
-    Falls through to the plain trainer when nothing is missing.
+    150 by default; fit also stops on a six-epoch plateau (rel_tol).
 
     Returns (model, imputed covariate matrix on the original scale); the
     matrix is the best epoch's, the one fit restores with the parameters.
     """
     mask = ds.mask
-    if not mask.any():
-        model = train_model(ds, grid, head, settings, n_causes=n_causes,
-                            target_cause=target_cause)
-        return model, ds.X.copy()
-
     imp = impute_settings or ImputeSettings()
     rng = np.random.RandomState(settings.seed)
     model = init_model(ds, grid, head, settings, n_causes, target_cause, rng)
@@ -208,7 +202,6 @@ def iro_train(ds, grid, head, settings, impute_settings=None,
         for _ in range(imp.i_repeats):
             i_step(Xn, mask, ggm, eta, sgld_rng,
                    pred_grad=pred_grad, noise=imp.noise)
-        return True
 
     capped = replace(settings, max_epochs=min(settings.max_epochs, imp.max_epochs))
     fit(model, ds, Xn, capped, rng, i_step=impute_epoch, rel_tol=imp.rel_tol)

@@ -72,6 +72,8 @@ class FCRNModel:
             raise ValueError("CSM head needs the cause count")
         if head == "sdm" and not (isinstance(target_cause, int) and target_cause > 0):
             raise ValueError("SDM head needs the target cause")
+        if head == "sdm" and isinstance(n_causes, int) and target_cause > n_causes:
+            raise ValueError("SDM target cause %d exceeds n_causes %d" % (target_cause, n_causes))
         if time_encoding not in ("scalar", "onehot"):
             raise ValueError("time_encoding must be 'scalar' or 'onehot'")
         rng = rng or np.random.RandomState(0)
@@ -306,7 +308,7 @@ class FCRNModel:
             if len({s["name"] for s in specs}) < len(specs):
                 raise ValueError("two signals share a name")
         sizes = [("n_tabular", [d["n_tabular"]]), ("hidden", d["hidden"])]
-        if d["head"] == "csm":
+        if d["head"] == "csm" or d["n_causes"] is not None:  # sdm: None from the library
             sizes.append(("n_causes", [d["n_causes"]]))
         sizes += [(key, [s[key]]) for s in specs
                   for key in ("n_basis", "micro_width", "micro_depth")]
@@ -507,7 +509,7 @@ def _canonical_grid(ds, name):
     return taus
 
 
-def fit(model, ds, xn, settings, rng, i_step=lambda *args: False, rel_tol=0.0):
+def fit(model, ds, xn, settings, rng, i_step=None, rel_tol=0.0):
     """Adam mini-batch epochs with a validation holdout and early stopping.
 
     The round(val_fraction * n) validation subjects, at most n - 1, are
@@ -516,14 +518,13 @@ def fit(model, ds, xn, settings, rng, i_step=lambda *args: False, rel_tol=0.0):
     Training stops after settings.patience epochs without a better
     monitored loss, after settings.max_epochs epochs, or when the last six
     monitored losses each moved by less than rel_tol relative; the best
-    epoch's parameters and xn are restored. Every epoch starts with
-    i_step(epoch, curve_mats, table, train_rows, pred_grad), which may
-    update xn in place (the default does nothing) and returns whether its
-    next call reads pred_grad. pred_grad is None at epoch 0 and after a
-    false return. Otherwise it is the (n, P) gradient of the summed
-    log-likelihood of the training rows with respect to xn, gathered from
-    the previous epoch's Adam pass: each row's gradient is taken at the
-    parameters its batch saw, and validation subjects get zero rows.
+    epoch's parameters and xn are restored. When i_step is given, every
+    epoch starts with i_step(epoch, curve_mats, table, train_rows,
+    pred_grad), which may update xn in place. pred_grad is None at epoch 0.
+    Otherwise it is the (n, P) gradient of the summed log-likelihood of the
+    training rows with respect to xn, gathered from the previous epoch's
+    Adam pass: each row's gradient is taken at the parameters its batch
+    saw, and validation subjects get zero rows.
     model.history gets one (epoch, train_loss, monitored_loss) row per
     epoch. DataError when no training subject has a person-period row.
     """
@@ -546,10 +547,10 @@ def fit(model, ds, xn, settings, rng, i_step=lambda *args: False, rel_tol=0.0):
     best_xn, input_grad = xn.copy(), None
     history = model.history = []
     for epoch in range(settings.max_epochs):
-        pred_grad = None if input_grad is None else -ad.scatter_rows(
-            table.subject_idx[train_rows], input_grad, n)
-        reads_grad = i_step(epoch, curve_mats, table, train_rows, pred_grad)
-        input_grad = np.empty((len(train_rows), xn.shape[1])) if reads_grad else None
+        if i_step is not None:
+            i_step(epoch, curve_mats, table, train_rows, None if input_grad is None
+                   else -ad.scatter_rows(table.subject_idx[train_rows], input_grad, n))
+            input_grad = np.empty((len(train_rows), xn.shape[1]))
         tr_loss = _epoch_loss(model, xn, curve_mats, table, train_rows,
                               settings.batch_size, adam=adam, lr=settings.lr,
                               shuffle_rng=shuffle_rng, input_grad=input_grad)

@@ -320,7 +320,6 @@ def test_cli_determinism(tmp_path):
                     "--set", "data.subjects=%s" % json.dumps(
                         str(root / "sim" / "train_subjects.csv")),
                     "--set", "train.max_epochs=3",
-                    "--set", "mvi.max_epochs=3",
                     "--set", "train.use_functional=false", "train") == 0
         assert args("--set", "out_dir=%s" % json.dumps(str(root / "pred")),
                     "--set", "data.subjects=%s" % json.dumps(

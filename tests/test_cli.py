@@ -19,7 +19,6 @@ from fcrn.cli import _settings, main
 from fcrn.config import MAX_INTERVALS, QUOTE_CHARS, load_config
 from fcrn.data import (Dataset, Signal, build_time_grid, read_curves_csv,
                        read_subjects_csv, write_curves_csv, write_subjects_csv)
-from fcrn.impute import ImputeSettings
 from fcrn.model import CANONICAL_GRID_CAP, FCRNModel, TrainSettings, init_model
 from fcrn.simulate import SimConfig, simulate
 
@@ -114,9 +113,7 @@ class TestTrainCommand:
 
     def test_missing_data_trains_imputer(self, tmp_path):
         simulate_small(tmp_path / "sim", missing_rate=0.25, seed=2)
-        code = run(train_args(tmp_path / "run", tmp_path / "sim",
-                              extra=["--set", "mvi.max_epochs=3"]))
-        assert code == 0
+        assert run(train_args(tmp_path / "run", tmp_path / "sim")) == 0
         imputed = np.loadtxt(tmp_path / "run" / "imputed.csv", delimiter=",")
         assert np.all(np.isfinite(imputed))
         assert (tmp_path / "run" / "imputed_mask.csv").exists()
@@ -126,8 +123,7 @@ class TestTrainCommand:
         # second run wrote no imputation, so none stays beside its model
         simulate_small(tmp_path / "mar", missing_rate=0.25, seed=2)
         simulate_small(tmp_path / "full", seed=2)
-        assert run(train_args(tmp_path / "run", tmp_path / "mar",
-                              extra=["--set", "mvi.max_epochs=3"])) == 0
+        assert run(train_args(tmp_path / "run", tmp_path / "mar")) == 0
         assert (tmp_path / "run" / "imputed.csv").exists()
         (tmp_path / "run" / "notes.txt").write_text("kept")
         assert run(train_args(tmp_path / "run", tmp_path / "full")) == 0
@@ -152,11 +148,13 @@ class TestTrainCommand:
     @pytest.mark.parametrize("override", [
         "mvi.enabled=false", "train.basis_grid_search=true", "train.n_basis=4",
         "train.n_causes=3", "mvi.eta=-1", "mvi.decay=1.5", "mvi.milestones=[50, -1]",
-        "mvi.pred_weight=-1", "mvi.corr_threshold=1.5", "mvi.k_max=-1", "mvi.ridge=0"])
+        "mvi.pred_weight=-1", "mvi.corr_threshold=1.5", "mvi.k_max=-1", "mvi.ridge=0",
+        "mvi.noise=false", "mvi.i_repeats=2", "mvi.max_epochs=3"])
     def test_removed_key_is_an_unknown_key(self, tmp_path, capsys, override):
         # the data decide the first four: imputation runs when a cell is
         # missing, the causes are 1..the largest, and train.basis_grid lists
-        # the counts; the other seven are constants of fcrn.impute
+        # the counts; the next seven are constants of fcrn.impute, and the
+        # last three ImputeSettings fields that only library callers set
         simulate_small(tmp_path / "sim", missing_rate=0.25, seed=4)
         code = run(train_args(tmp_path / "run", tmp_path / "sim",
                               extra=["--set", override]))
@@ -241,7 +239,7 @@ class TestTrainCommand:
         subjects.write_text("id,time,cause,x1\na,10.0,1,0.5\nb,20.0,2,\n"
                             "c,30.0,0,1.5\nd,40.0,1,-0.5\ne,50.0,2,0.1\n")
         assert run(sets(out_dir=str(tmp_path / "run"), data__subjects=str(subjects),
-                        train__max_epochs=2, mvi__max_epochs=2) + ["train"]) == 0
+                        train__max_epochs=2) + ["train"]) == 0
         imputed = np.loadtxt(tmp_path / "run" / "imputed.csv", delimiter=",")
         assert imputed.shape == (5,) and np.all(np.isfinite(imputed))
 
@@ -368,7 +366,7 @@ class TestTrainCommand:
         code = run(train_args(
             tmp_path / "run", tmp_path / "sim", functional=True,
             extra=["--set", "train.basis_grid=[2,3]",
-                   "--set", "mvi.max_epochs=2"]))
+                   "--set", "train.max_epochs=2"]))
         assert code == 0
         assert "selected basis count" in capsys.readouterr().out
         with open(tmp_path / "run" / "training_log.csv", newline="") as fh:
@@ -482,6 +480,17 @@ class TestConfigErrors:
                     "--set", "train.lr_typo=0.1", "simulate"])
         assert code == 3
         assert "train.lr_typo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [('{"mvi": {"noise": false}}', "mvi.noise"),
+                                           ('{"mvi": {}}', "mvi")])
+    def test_unknown_section_in_a_config_file_names_its_first_key(self, tmp_path,
+                                                                  capsys, text, key):
+        # named as the override --set mvi.noise=false names it
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert run(["--config", str(path), "--set",
+                    "out_dir=%s" % json.dumps(str(tmp_path / "o")), "simulate"]) == 3
+        assert "unknown config key %r\n" % key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [
@@ -509,8 +518,6 @@ class TestConfigErrors:
         "train.lr=-1",
         "train.lr=0",
         "train.patience=0",
-        "mvi.i_repeats=0",
-        "mvi.max_epochs=0",
         "evaluate.horizons=[50, 0]",
         "simulate.n=0",
         "simulate.n_train=-1",
@@ -615,7 +622,7 @@ class TestConfigErrors:
 
 class TestConfigDefaults:
     def test_resolved_defaults_equal_the_fixture(self):
-        # the train, mvi and simulate defaults are derived from the settings
+        # the train and simulate defaults are derived from the settings
         # dataclasses; the fixture holds them as an earlier load_config wrote
         expected = json.loads(DEFAULT_CONFIG.read_text())
         assert json.dumps(load_config(), sort_keys=True) == \
@@ -624,7 +631,6 @@ class TestConfigDefaults:
     def test_default_sections_build_default_settings(self):
         cfg = load_config()
         assert _settings(TrainSettings, cfg["train"]) == TrainSettings()
-        assert _settings(ImputeSettings, cfg["mvi"]) == ImputeSettings()
         assert _settings(SimConfig, cfg["simulate"]) == SimConfig()
 
 
@@ -639,12 +645,11 @@ class TestDrawnConfigs:
     The sizes are small by construction, so that no draw can ask numpy for
     an array it cannot allocate. simulate.n is at most 40; grid.max_time
     stays 100 and grid.width is at least 2.5, so there are at most 40
-    intervals. hidden layers are at most 8 wide, train.max_epochs and
-    mvi.max_epochs (the one mvi key drawn) at most 2, and basis counts at
-    most 6. The swapped-in values are no larger than 3, so they cannot
-    grow any of these. A batch_size up to 100,000 takes at most the 1,200
-    person-period rows (30 training subjects by 40 intervals) that there
-    are.
+    intervals. hidden layers are at most 8 wide, train.max_epochs at most
+    2, and basis counts at most 6. The swapped-in values are no larger
+    than 3, so they cannot grow any of these. A batch_size up to 100,000
+    takes at most the 1,200 person-period rows (30 training subjects by
+    40 intervals) that there are.
     """
 
     KEYS = {
@@ -663,7 +668,6 @@ class TestDrawnConfigs:
         "train.patience": st.integers(1, 3),
         "train.basis_grid": st.lists(st.integers(1, 6), min_size=1, max_size=3),
         "train.use_functional": st.booleans(),
-        "mvi.max_epochs": st.integers(1, 2),
         "evaluate.t0": st.sampled_from([0.0, 10.0, 95.0]),
         "evaluate.horizons": st.lists(st.sampled_from([25.0, 50.0, 100.0]), min_size=1,
                                       max_size=2),
@@ -1603,6 +1607,14 @@ class TestUnreadableInputFiles:
             "error: %s row 3: field larger than field limit (%d)\n" % (path, limit))
 
 
+@pytest.fixture(scope="module")
+def fitted_sdm(fitted):
+    """The fitted cohort's one-epoch sdm model on cause 1 (sdm_run/model.json)."""
+    assert run(train_args(fitted / "sdm_run", fitted, functional=True, extra=sets(
+        train__max_epochs=1, train__hidden=[4], train__head="sdm", train__cause=1))) == 0
+    return fitted / "sdm_run" / "model.json"
+
+
 def predict_with_model(fitted, model, out):
     """predict's exit code on the fitted cohort's test files with the model
     dict written to out/model.json."""
@@ -1743,6 +1755,39 @@ class TestMutatedModelFile:
             first = list(csv.reader(fh))[1][0]
         err = capsys.readouterr().err
         assert str(tmp_path / "model.json") in err and "subject %r" % first in err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    def test_sdm_target_cause_beyond_its_cause_count_is_schema_error(
+            self, fitted, fitted_sdm, tmp_path, capsys):
+        # used to exit 0 with a cif_3 column for a cause the model never learned
+        model = json.loads(fitted_sdm.read_text())
+        assert model["n_causes"] == 2 and model["target_cause"] == 1
+        model["target_cause"] = 3
+        assert predict_with_model(fitted, model, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.json") in err
+        assert "SDM target cause 3 exceeds n_causes 2" in err
+        assert not (tmp_path / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("n_causes", ["x", 2.5, [2]])
+    def test_sdm_cause_count_that_is_no_integer_is_schema_error(
+            self, fitted, fitted_sdm, tmp_path, capsys, n_causes):
+        # each used to load: only a csm file's n_causes was read as a size
+        model = json.loads(fitted_sdm.read_text())
+        model["n_causes"] = n_causes
+        self._assert_schema_error(fitted, model, tmp_path, capsys, "n_causes")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("time_encoding", "foo", "time_encoding must be 'scalar' or 'onehot'"),
+        ("target_cause", 0, "SDM head needs the target cause")])
+    def test_value_only_the_model_rejects_is_schema_error(
+            self, fitted, fitted_sdm, tmp_path, capsys, field, value, message):
+        # no check of from_dict's own meets these: FCRNModel.__init__'s do
+        model = json.loads(fitted_sdm.read_text())
+        model[field] = value
+        assert predict_with_model(fitted, model, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "model.json") in err and message in err
         assert not (tmp_path / "predictions.csv").exists()
 
     def test_top_level_value_that_is_no_object_is_schema_error(self, fitted, tmp_path,

@@ -302,7 +302,6 @@ class TestPredictionGradient:
         def record(epoch, curve_mats, table, train_rows, pred_grad):
             seen.append((pred_grad, table.subject_idx[train_rows],
                          grad_log_pred(model, xn, curve_mats, table, train_rows)))
-            return True
 
         fit(model, train, xn, settings, rng, i_step=record)
         assert len(seen) == 3 and seen[0][0] is None
@@ -397,18 +396,6 @@ class TestIroTrain:
         causes = rng.randint(0, 3, size=n)
         mask = np.array([rng.rand(p) < missing_rate for _ in range(n)])
         return dataset(times, causes, X=np.where(mask, np.nan, X))
-
-    def test_no_missing_falls_through_to_plain_trainer(self):
-        from fcrn.model import train_model
-        rng = np.random.RandomState(9)
-        grid = build_time_grid(20, 5)
-        subjects = self._subjects(rng, 30)
-        s1 = TrainSettings(max_epochs=3, patience=5, seed=2)
-        s2 = TrainSettings(max_epochs=3, patience=5, seed=2)
-        m1, X_out = iro_train(subjects, grid, "csm", s1, n_causes=2)
-        m2 = train_model(subjects, grid, "csm", s2, n_causes=2)
-        assert np.array_equal(m1.params.flat, m2.params.flat)
-        assert np.array_equal(X_out, subjects.X)
 
     def test_observed_cells_preserved_and_missing_filled(self):
         rng = np.random.RandomState(10)

@@ -16,7 +16,7 @@ from fcrn.data import (DataError, build_time_grid, censoring_survival, read_curv
                        read_subjects_csv)
 from fcrn.impute import ImputeSettings, grad_log_pred, iro_train
 from fcrn.model import (FCRNModel, NumericError, TrainSettings, build_table,
-                        cif_from_cause_specific, cif_from_subdistribution,
+                        cif_from_cause_specific, cif_from_subdistribution, fit,
                         init_model, train_model)
 from fcrn.simulate import SimConfig, simulate
 
@@ -472,6 +472,21 @@ class TestTraining:
                              n_causes=2, target_cause=2)
         assert [h[0] for h in capped.history] == list(range(best + 1))
         assert np.array_equal(model.params.flat, capped.params.flat)
+
+    @pytest.mark.parametrize("rel_tol, epochs", [(1e-4, 6), (0.0, 12)])
+    def test_plateau_of_six_losses_stops_the_fit(self, rel_tol, epochs):
+        # lr = 0 keeps the monitored loss constant, so the last six losses
+        # move by 0 relative; with patience at max_epochs the plateau is the
+        # one stop before the cap
+        train, _, _ = simulate(SimConfig(n=40, n_train=30, n_test=10, functional=False))
+        settings = TrainSettings(lr=0.0, max_epochs=12, patience=12, hidden=(4,))
+        rng = np.random.RandomState(settings.seed)
+        model = init_model(train, build_time_grid(100.0, 10.0), "csm", settings, 2,
+                           None, rng)
+        model.fit_normalization(train.X)
+        fit(model, train, model.normalize(train.X), settings, rng, rel_tol=rel_tol)
+        assert [h[0] for h in model.history] == list(range(epochs))
+        assert len({h[2] for h in model.history}) == 1
 
 
 class TestValidationLoss:

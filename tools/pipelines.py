@@ -1,6 +1,6 @@
-"""Run seven seed-0 CLI pipelines and print a sha256 digest of every output.
+"""Run eight seed-0 CLI pipelines and print a sha256 digest of every output.
 
-    python3 tools/pipelines.py OUT_DIR
+    python3 tools/pipelines.py [--reach] OUT_DIR
 
 Each pipeline runs simulate -> train -> predict -> evaluate through
 fcrn.cli.main, in process, from the src/ tree beside this script, except
@@ -24,6 +24,9 @@ that irregular writes its subjects and curves itself:
   curve, by np.interp between its sample points, onto an evenly spaced
   grid. Four subjects' ids, s,1 s"2 p%d and "q%s, need quoting or hold
   %, so the writers' quoting and %-templates meet them.
+- patience: 300/100 tabular subjects, train.patience=2 and
+  train.max_epochs=40, so the fit stops on patience and restores its
+  best epoch.
 
 stdout gets one "sha256  path" line per output file, the path relative to
 OUT_DIR, in path order. config.resolved.json is left out, since it holds
@@ -33,14 +36,25 @@ give the same outputs when
     diff <(python3 tools/pipelines.py A) <(python3 tools/pipelines.py B)
 
 prints nothing. A command that exits non-zero stops the run with exit 1.
+
+With --reach, the pipelines run under sys.settrace, and stdout instead
+gets "file:line: text" for every statement inside a function of
+src/fcrn that no pipeline ran. Module-level lines are left out: they
+run at import, before the trace starts.
 """
+import ast
 import contextlib
+import glob
 import hashlib
+import inspect
 import json
 import os
 import sys
+import types
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+PACKAGE = os.path.normpath(os.path.join(SRC, "fcrn"))
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -106,6 +120,8 @@ PIPELINES = {
                  "missing_rate": 0.25},
                 {"train.max_epochs": 4, "train.head": "sdm", "train.cause": 1}),
     "irregular": (irregular, {"train.max_epochs": 4}),
+    "patience": ({"n": 400, "n_train": 300, "n_test": 100, "functional": False},
+                 {"train.max_epochs": 40, "train.patience": 2}),
 }
 
 
@@ -151,10 +167,76 @@ def digests(out_dir):
             yield hashlib.sha256(fh.read()).hexdigest(), path
 
 
+def statements(path):
+    """{line: first line of the innermost statement that holds it} for each
+    line of code inside path's functions. A def line runs in the enclosing
+    scope, so each function's own first line is left out unless it is a
+    lambda's."""
+    with open(path) as fh:
+        text = fh.read()
+    start = {}
+    for node in ast.walk(ast.parse(text)):  # outer statements before inner ones
+        if isinstance(node, ast.stmt):
+            start.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1),
+                                       node.lineno))
+    todo, lines = [compile(text, path, "exec")], set()
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_OPTIMIZED:  # not a module or class body
+            lines |= {line for _, _, line in code.co_lines() if line and (
+                line != code.co_firstlineno or code.co_name == "<lambda>")}
+    return {line: start[line] for line in lines}
+
+
+def unreached(out_dir):
+    """Run the pipelines, tracing every line of src/fcrn that they run.
+
+    Returns the (path, first line) of each statement inside a function that
+    none ran, and the count of such statements. co_filename holds SRC's
+    "..", so paths are compared normalized. A function that only runs at
+    import, such as config._defaults, is listed too."""
+    ran = set()
+
+    def trace(frame, event, arg):
+        if os.path.normpath(frame.f_code.co_filename).startswith(PACKAGE + os.sep):
+            return trace_lines
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    sys.settrace(trace)
+    try:
+        for name, (sim, train) in PIPELINES.items():
+            run(out_dir, name, sim, train)
+    finally:
+        sys.settrace(None)
+    missed, total = [], 0
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        starts = statements(path)
+        every = set(starts.values())
+        reached = {starts.get(line) for p, line in ran if os.path.normpath(p) == path}
+        missed += [(path, start) for start in sorted(every - reached)]
+        total += len(every)
+    return missed, total
+
+
 def main(argv):
-    if len(argv) != 1:
-        raise SystemExit("usage: python3 tools/pipelines.py OUT_DIR")
-    out_dir = argv[0]
+    reach = argv[:1] == ["--reach"]
+    if len(argv) != 1 + reach:
+        raise SystemExit("usage: python3 tools/pipelines.py [--reach] OUT_DIR")
+    out_dir = argv[-1]
+    if reach:
+        missed, total = unreached(out_dir)
+        for path, line in missed:
+            with open(path) as fh:
+                text = fh.read().splitlines()[line - 1].strip()
+            print("%s:%d: %s" % (os.path.relpath(path, os.path.dirname(SRC)), line, text))
+        print("%d of %d statements inside functions never ran" % (len(missed), total),
+              file=sys.stderr)
+        return
     for name, (sim, train) in PIPELINES.items():
         run(out_dir, name, sim, train)
     for digest, path in digests(out_dir):
