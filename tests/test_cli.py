@@ -480,6 +480,7 @@ class TestConfigErrors:
                     "--set", "train.lr_typo=0.1", "simulate"])
         assert code == 3
         assert "train.lr_typo" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text, key", [('{"mvi": {"noise": false}}', "mvi.noise"),
                                            ('{"mvi": {}}', "mvi")])
