@@ -223,6 +223,9 @@ def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
     Returns (flat parameter gradient or None, input gradient or None); the
     input gradient has one row per batch row, d loss / d xn[subj_idx],
     before the sum over each subject's rows (scatter_rows forms that sum).
+    The parameter gradient is the parameters' grad_buffer, which the next
+    backward pass overwrites: a caller that keeps it across two passes
+    copies it.
     """
     if fwd.inputs is None:
         raise ValueError("the forward pass kept no backward cache")
@@ -250,7 +253,7 @@ def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
                                   part.coef.shape[0])
             micro_backward(weights, part.acts, part.weighted.T @ d_coef, g_w, g_b)
             col += n_basis
-    return (None if grad is None else grad.flat.copy()), d_xn
+    return (None if grad is None else grad.flat), d_xn
 
 
 def scatter_rows(idx, values, n):

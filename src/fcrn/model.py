@@ -33,6 +33,8 @@ CANONICAL_GRID_CAP = 101
 SCHEMA_VERSION = 2
 # the fields of a signal record that model.json stores
 SIGNAL_FIELDS = ("name", "taus", "n_basis", "mean", "std", "micro_width", "micro_depth")
+# the types of model.json's leaves other than bool
+JSON_SCALARS = {int, float, str, type(None)}
 
 
 class NumericError(RuntimeError):
@@ -194,7 +196,8 @@ class FCRNModel:
         d loss / d xn; xn and curve_mats hold every subject's rows.
 
         Returns (loss, flat gradient or None, input gradient or None); the
-        input gradient has one row per entry of rows (see autodiff.backward).
+        gradient is a copy, the caller's to keep, and the input gradient has
+        one row per entry of rows (see autodiff.backward).
         """
         subj_idx = table.subject_idx[rows]
         fwd = self.forward_logits(
@@ -202,7 +205,7 @@ class FCRNModel:
             subj_idx)
         value, d_logits = self.batch_loss(fwd, table.target[rows], table.weight[rows])
         grad, d_xn = ad.backward(fwd, d_logits, want_param_grad, want_input_grad)
-        return value, grad, d_xn
+        return value, (None if grad is None else grad.copy()), d_xn
 
     # -- prediction ----------------------------------------------------------
 
@@ -379,10 +382,16 @@ def _param_shapes(head, grid, time_encoding, n_tabular, n_causes, hidden, signal
 
 
 def _holds_bool(value):
-    """Whether a JSON value is or holds a bool, which numpy reads as 0 or 1."""
-    if isinstance(value, (dict, list)):
-        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
-    return type(value) is bool
+    """Whether a JSON value is or holds a bool, which numpy reads as 0 or 1.
+    A list's or dict's element types are read in one pass, and its elements
+    are visited one by one only when one of them is a list or a dict."""
+    if not isinstance(value, (dict, list)):
+        return type(value) is bool
+    items = value.values() if isinstance(value, dict) else value
+    types = set(map(type, items))
+    if bool in types:
+        return True
+    return not types <= JSON_SCALARS and any(map(_holds_bool, items))
 
 
 @contextlib.contextmanager

@@ -136,12 +136,41 @@ def gen_outcomes(X, hidden, rng, config):
     return time, cause.astype(int)
 
 
+def mar_intercept(score, target):
+    """The intercept alpha at which the mean of sigmoid(alpha + score) meets
+    target, by at most 200 bisection steps of [-30, 30].
+
+    The loop stops early once mid = (lo + hi) / 2 is no longer strictly
+    between lo and hi: lo and hi are then adjacent floats, after 58 steps
+    for a root near 1 and one more per halving of the root's magnitude
+    below that, so a root within about 1e-43 of 0 still meets the
+    200-step cap. No later step could change the answer: a mid equal to
+    one bound either leaves both bounds as they are or moves the other
+    bound onto it, and either way (lo + hi) / 2 is that mid from then on.
+    """
+    def mean_prob(alpha):
+        return float(np.mean(1.0 / (1.0 + np.exp(-(alpha + score)))))
+
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mean_prob(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def apply_mar(X, rate, rng):
     """MAR mask over the non-anchor columns calibrated to an overall rate.
 
     Per-cell missingness probability is logistic in the summed standardized
-    ANCHOR_COLUMNS covariates; the intercept is found by bisection so the
-    expected overall rate over all columns matches the target.
+    ANCHOR_COLUMNS covariates; the intercept is found by bisection
+    (mar_intercept) so the expected overall rate over all columns matches
+    the target. The bisection stops once its midpoint equals a bound, since
+    from then on every step leaves the returned intercept as it is.
     """
     n, p = X.shape
     if rate == 0.0:
@@ -156,18 +185,7 @@ def apply_mar(X, rate, rng):
     z = X[:, list(ANCHOR_COLUMNS)]
     z = (z - z.mean(axis=0)) / np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
     score = z.sum(axis=1)
-
-    def mean_prob(alpha):
-        return float(np.mean(1.0 / (1.0 + np.exp(-(alpha + score)))))
-
-    lo, hi = -30.0, 30.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_prob(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = mar_intercept(score, target)
     probs = 1.0 / (1.0 + np.exp(-(alpha + score)))
     mask = np.zeros((n, p), dtype=bool)
     for j in maskable:

@@ -17,12 +17,13 @@ def mlp_params(widths, rng=None, scale=0.7):
 
 
 def run(params, head, xn, subj_idx, target, weight=None):
-    """Forward, loss and reverse pass; returns (loss, theta grad, xn grad)."""
+    """Forward, loss and reverse pass; returns (loss, theta grad, xn grad),
+    the theta grad a copy, since the next pass overwrites params' buffer."""
     fwd = ad.forward(params, head, xn[np.asarray(subj_idx)], xn.shape[1], None)
     value, d_logits = ad.head_loss(fwd, np.asarray(target),
                                    np.ones(len(target)) if weight is None else weight)
     grad, d_rows = ad.backward(fwd, d_logits, want_input_grad=True)
-    return value, grad, ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
+    return value, grad.copy(), ad.scatter_rows(np.asarray(subj_idx), d_rows, len(xn))
 
 
 def unit_backward(params, xn, subj_idx):

@@ -182,6 +182,27 @@ def test_each_adam_batch_calls_every_step_layer_once(monkeypatch):
                      "project": batches * len(train.signals)}
 
 
+def test_mar_sweep_runs_one_short_iteration(monkeypatch):
+    """The benchmark's MarSweep calls simulate, train_model, iro_train,
+    intercept_only_cif and score_cif with keywords and settings fields by
+    name: a renamed one would otherwise show only as a run_failed
+    benchmark. One iteration at one epoch and one scoring pass runs every
+    call without a failed operation and gives a finite IBS."""
+    import math
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    monkeypatch.setattr(workloads.MarSweep, "EPOCHS", 1)
+    monkeypatch.setattr(workloads.MarSweep, "SCORE_PASSES", 1)
+    workload = workloads.MarSweep(seed=1)
+    ops = workloads.Ops()
+    workload.setup(ops)
+    result = workload.iterate()
+    assert ops.failed == result["ops"].failed == 0, ops.errors + result["ops"].errors
+    assert math.isfinite(result["ibs"])
+
+
 def test_cli_workload_keys_load(tmp_path, monkeypatch):
     """Every --set key that the benchmark's CliWorkload passes to
     fcrn.cli.main is a config key: a key removed from config.DEFAULTS

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fcrn.simulate
 from fcrn.simulate import (ANCHOR_COLUMNS, SPLINE_DEGREE, SimConfig, apply_mar,
                            bspline_design, gen_functional, gen_outcomes,
-                           gen_tabular, simulate)
+                           gen_tabular, mar_intercept, simulate)
 
 
 def cox_de_boor(knots, i, k, tau):
@@ -18,6 +21,54 @@ def cox_de_boor(knots, i, k, tau):
     right = ((knots[i + k + 1] - tau) / right_den * cox_de_boor(knots, i + 1, k - 1, tau)
              if right_den > 0 else 0.0)
     return left + right
+
+
+def mean_prob(alpha, score):
+    return float(np.mean(1.0 / (1.0 + np.exp(-(alpha + score)))))
+
+
+def bisect_200(score, target):
+    """mar_intercept without its early exit: all 200 bisection steps of
+    [-30, 30] run."""
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_prob(mid, score) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def mar_scores_and_targets(draw):
+    """apply_mar's anchor score of n = 1 to 1,200 subjects, each anchor
+    normal, uniform or constant, and a target in (0, 1): drawn freely, as
+    a missing rate between 1% and 99%, or below the mean probability at -30
+    or above it at 30, where one bound collapses onto the other."""
+    n = draw(st.integers(1, 1200))
+    rng = np.random.RandomState(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in ANCHOR_COLUMNS:
+        kind = draw(st.sampled_from(["normal", "uniform", "constant"]))
+        scale = draw(st.floats(1e-3, 1e3))
+        columns.append(rng.normal(0.0, scale, n) if kind == "normal"
+                       else rng.uniform(-scale, scale, n) if kind == "uniform"
+                       else np.full(n, scale))
+    z = np.column_stack(columns)
+    z = (z - z.mean(axis=0)) / np.where(z.std(axis=0) > 0, z.std(axis=0), 1.0)
+    score = z.sum(axis=1)
+    where = draw(st.sampled_from(["free", "rate", "below", "above"]))
+    if where == "free":
+        target = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    elif where == "rate":
+        target = draw(st.floats(0.01, 0.99))
+    elif where == "below":
+        target = mean_prob(-30.0, score) * draw(st.floats(1e-6, 0.999))
+    else:
+        p30 = mean_prob(30.0, score)
+        target = min(p30 + (1.0 - p30) * draw(st.floats(0.0, 1.0)), np.nextafter(1.0, 0.0))
+    return score, target
 
 
 class TestBSplineBasis:
@@ -184,6 +235,29 @@ class TestMar:
         X, _ = gen_tabular(10, np.random.RandomState(14))
         with pytest.raises(ValueError):
             apply_mar(X, 1.0, np.random.RandomState(14))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mar_scores_and_targets())
+    @example((np.zeros(5), 0.5))
+    @example((np.zeros(1), 1e-300))
+    @example((np.zeros(3), np.nextafter(1.0, 0.0)))
+    def test_early_exit_keeps_the_intercept_bit_identical(self, score_and_target):
+        # a shift of 1e-12 in the intercept almost never flips a mask cell,
+        # so the intercepts themselves are compared, bit for bit
+        score, target = score_and_target
+        got = np.float64(mar_intercept(score, target))
+        expected = np.float64(bisect_200(score, target))
+        assert got.view(np.int64) == expected.view(np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 15])
+    def test_early_exit_keeps_the_mask(self, seed, monkeypatch):
+        X, _ = gen_tabular(1000, np.random.RandomState(seed))
+        for rate in (0.1, 0.25, 0.5, 0.79):
+            got = apply_mar(X, rate, np.random.RandomState(seed))
+            with monkeypatch.context() as m:
+                m.setattr(fcrn.simulate, "mar_intercept", bisect_200)
+                expected = apply_mar(X, rate, np.random.RandomState(seed))
+            assert np.array_equal(got, expected), rate
 
 
 class TestSimulatePipeline:
