@@ -228,14 +228,14 @@ def censoring_survival(ds, grid):
     return CensoringSurvival(g=g)
 
 
-def augment_subdistribution(ds, grid, target_cause, g, drop_zero_weight=True):
+def augment_subdistribution(ds, grid, target_cause, g):
     """Person-period rows for the sub-distribution model of one target cause.
 
     Each subject contributes rows t = 1..L-1 in interval order, with binary
     targets and IPCW weights (Fine & Gray): a subject at risk (t <= l*), or
     past a competing event (l* <= t - 1), weighs G(t-1) / G(min(l*, t) - 1);
-    any other row weighs 0. Zero-weight rows are dropped by default since
-    they carry no loss contribution.
+    any other row weighs 0 and is dropped, since it carries no loss
+    contribution.
     """
     if target_cause < 1:
         raise ValueError("target cause must be >= 1")
@@ -246,7 +246,7 @@ def augment_subdistribution(ds, grid, target_cause, g, drop_zero_weight=True):
     ratio = g.at_intervals(t - 1) / g.at_intervals(np.minimum(l_star, t) - 1)
     weight = np.where(weighted, ratio, 0.0)
     target = (t == l_star) & (ds.cause == target_cause)[:, None]
-    keep = weight != 0.0 if drop_zero_weight else np.ones(weight.shape, dtype=bool)
+    keep = weight != 0.0
     subj_idx, col = np.nonzero(keep)
     return PersonPeriodTable(subject_idx=subj_idx, interval=col + 1,
                              target=target[keep].astype(np.intp),

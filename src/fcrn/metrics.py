@@ -1,4 +1,4 @@
-"""Brier score, IPCW-censored Brier score, and Integrated Brier Score.
+"""IPCW-censored Brier score and Integrated Brier Score.
 
 Competing-risks CIF predictions are scored with the Graf-style IPCW
 decomposition: still-at-risk subjects are weighted by 1/G(t), observed
@@ -24,15 +24,6 @@ class ScoreCurve:
     times: np.ndarray
     values: np.ndarray
     ibs: float
-
-
-def brier_curve(times, P, ds, cause):
-    """Uncensored Brier score of one cause's CIF predictions at each of
-    times; P is (n_subjects, n_times), column k scored at times[k]. Each
-    time's mean is a pairwise sum over the subjects, as np.mean of one
-    column gives."""
-    label = ((ds.time <= times[:, None]) & (ds.cause == cause)).astype(np.float64)
-    return np.mean((label - np.ascontiguousarray(P.T)) ** 2, axis=1)
 
 
 def brier_ipcw_curve(times, P, ds, cause, g, grid):
@@ -96,19 +87,15 @@ def evaluation_columns(grid, t0=0.0, t_max=None):
     return np.flatnonzero((t0 - GRID_TOL <= grid.cuts) & (grid.cuts <= t_max + GRID_TOL))
 
 
-def score_cif(F, ds, cause, grid, g=None, t0=0.0, t_max=None):
+def score_cif(F, ds, cause, grid, g, t0=0.0, t_max=None):
     """Score one cause's CIF matrix (n, L+1, column t = endpoint t) as a curve.
 
-    Uses the IPCW form when a censoring survival g is given, the plain
-    Brier score otherwise. Evaluation times are the interval endpoints
-    intersected with [t0, t_max].
+    The IPCW Brier score under the censoring survival g, at the interval
+    endpoints intersected with [t0, t_max].
     """
     cols = evaluation_columns(grid, t0, t_max)
     times = grid.cuts[cols]
     # the scored columns are consecutive, so P is a view of F, not a copy
     P = F[:, cols[0]:cols[-1] + 1] if len(cols) else F[:, cols]
-    if g is None:
-        values = brier_curve(times, P, ds, cause)
-    else:
-        values = brier_ipcw_curve(times, P, ds, cause, g, grid)
+    values = brier_ipcw_curve(times, P, ds, cause, g, grid)
     return ScoreCurve(times=times, values=values, ibs=ibs(times, values))

@@ -21,6 +21,20 @@ ANCHOR_COLUMNS = (0, 5)  # never masked; drive the MAR mechanism
 # apply_mar reaches an overall rate below the share of maskable columns
 MAX_MISSING_RATE = 1 - len(ANCHOR_COLUMNS) / (len(NORMAL_PARAMS) + len(UNIFORM_PARAMS))
 SPLINE_DEGREE = 3  # the simulated curves' B-splines are cubic
+N_SPLINE_BASIS = 15  # coefficients per simulated curve
+CURVE_COVARIATE_COUPLING = 0.5  # curve coefficient shift per unit of a covariate
+# cause 1: lognormal baseline, Gamma frailty (mean 1)
+LOGNORMAL_MU, LOGNORMAL_SIGMA = 4.2, 0.8
+GAMMA_SHAPE, GAMMA_SCALE = 2.0, 0.5
+# cause 2: Weibull baseline, Exponential frailty of rate 1 (mean 1)
+WEIBULL_SHAPE, WEIBULL_SCALE = 1.5, 130.0
+CENSOR_MAX = 150.0  # censoring times are uniform on [0, CENSOR_MAX)
+MAX_TIME = 100.0  # administrative end: later times are censored here
+# linear predictors over [10 visible | 5 hidden] features
+COEF_CAUSE1 = (0.30, 0.0, 0.20, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0, 0.0,
+               0.15, 0.0, 0.10, 0.10, 0.0)
+COEF_CAUSE2 = (0.0, 0.20, 0.0, 0.25, 0.0, 0.0, 0.30, 0.0, 0.15, 0.0,
+               0.0, 0.15, 0.0, 0.0, 0.10)
 
 
 def bspline_design(taus, n_basis):
@@ -54,32 +68,16 @@ def bspline_design(taus, n_basis):
 
 @dataclass
 class SimConfig:
+    """What sizes or switches a simulated run; the design is the constants above."""
+
     n: int = 1000
     seed: int = 0
     n_train: int = 800
     n_test: int = 200
     functional: bool = True
     n_signals: int = 3
-    n_spline_basis: int = 15
     n_sample_points: int = 51
-    curve_covariate_coupling: float = 0.5
-    # cause 1: lognormal baseline, Gamma frailty (mean 1)
-    lognormal_mu: float = 4.2
-    lognormal_sigma: float = 0.8
-    gamma_shape: float = 2.0
-    gamma_scale: float = 0.5
-    # cause 2: Weibull baseline, Exponential frailty (mean 1)
-    weibull_shape: float = 1.5
-    weibull_scale: float = 130.0
-    exp_frailty_rate: float = 1.0
-    censor_max: float = 150.0
-    max_time: float = 100.0
     missing_rate: float = 0.0
-    # linear predictors over [10 visible | 5 hidden] features
-    coef_cause1: tuple = (0.30, 0.0, 0.20, 0.0, 0.0, 0.25, 0.0, 0.15, 0.0, 0.0,
-                          0.15, 0.0, 0.10, 0.10, 0.0)
-    coef_cause2: tuple = (0.0, 0.20, 0.0, 0.25, 0.0, 0.0, 0.30, 0.0, 0.15, 0.0,
-                          0.0, 0.15, 0.0, 0.0, 0.10)
 
 
 def gen_tabular(n, rng):
@@ -102,34 +100,33 @@ def gen_functional(n, rng, config, X):
     """Spline-coefficient curves coupled to the covariates X: values
     (n_signals, n, J) on a uniform grid."""
     taus = np.linspace(0.0, 1.0, config.n_sample_points)
-    design = bspline_design(taus, config.n_spline_basis)  # (J, K)
+    design = bspline_design(taus, N_SPLINE_BASIS)  # (J, K)
     curves = np.empty((config.n_signals, n, config.n_sample_points))
     for s in range(config.n_signals):
-        coefs = rng.standard_normal((n, config.n_spline_basis))
-        if config.curve_covariate_coupling:
-            # first coefficients shift with two tabular covariates so the
-            # signals carry outcome-relevant information
-            coefs[:, 0] += config.curve_covariate_coupling * X[:, s % 2]
-            coefs[:, 1] += config.curve_covariate_coupling * X[:, (s + 1) % 2]
+        coefs = rng.standard_normal((n, N_SPLINE_BASIS))
+        # first coefficients shift with two tabular covariates so the
+        # signals carry outcome-relevant information
+        coefs[:, 0] += CURVE_COVARIATE_COUPLING * X[:, s % 2]
+        coefs[:, 1] += CURVE_COVARIATE_COUPLING * X[:, (s + 1) % 2]
         curves[s] = coefs @ design.T
     return taus, curves
 
 
-def gen_outcomes(X, hidden, rng, config):
+def gen_outcomes(X, hidden, rng):
     """Latent race between a lognormal and a Weibull process plus censoring."""
     n = len(X)
     features = np.hstack([X, hidden])
-    eta1 = features @ np.asarray(config.coef_cause1)
-    eta2 = features @ np.asarray(config.coef_cause2)
-    frailty1 = rng.gamma(config.gamma_shape, config.gamma_scale, size=n)
-    frailty2 = rng.exponential(1.0 / config.exp_frailty_rate, size=n)
-    t1 = np.exp(config.lognormal_mu - eta1
-                + config.lognormal_sigma * rng.standard_normal(n)) * frailty1
+    eta1 = features @ np.asarray(COEF_CAUSE1)
+    eta2 = features @ np.asarray(COEF_CAUSE2)
+    frailty1 = rng.gamma(GAMMA_SHAPE, GAMMA_SCALE, size=n)
+    frailty2 = rng.exponential(1.0, size=n)
+    t1 = np.exp(LOGNORMAL_MU - eta1
+                + LOGNORMAL_SIGMA * rng.standard_normal(n)) * frailty1
     u = rng.uniform(size=n)
-    t2 = (config.weibull_scale * np.exp(-eta2 / config.weibull_shape)
-          * (-np.log(u)) ** (1.0 / config.weibull_shape)) * frailty2
-    c = rng.uniform(0.0, config.censor_max, size=n)
-    c = np.minimum(c, config.max_time)
+    t2 = (WEIBULL_SCALE * np.exp(-eta2 / WEIBULL_SHAPE)
+          * (-np.log(u)) ** (1.0 / WEIBULL_SHAPE)) * frailty2
+    c = rng.uniform(0.0, CENSOR_MAX, size=n)
+    c = np.minimum(c, MAX_TIME)
     stacked = np.column_stack([c, t1, t2])
     cause = np.argmin(stacked, axis=1)
     time = stacked[np.arange(n), cause]
@@ -202,9 +199,9 @@ def simulate(config):
     taus, curves = (None, None)
     if config.functional:
         taus, curves = gen_functional(config.n, rng, config, X=X)
-    time, cause = gen_outcomes(X, hidden, rng, config)
-    time = np.minimum(time, config.max_time)
-    cause = np.where(time >= config.max_time, 0, cause)
+    time, cause = gen_outcomes(X, hidden, rng)
+    time = np.minimum(time, MAX_TIME)
+    cause = np.where(time >= MAX_TIME, 0, cause)
     mask = apply_mar(X, config.missing_rate, rng)
 
     signals = {}
@@ -218,7 +215,7 @@ def simulate(config):
     order = rng.permutation(config.n)
     train = ds.take(order[:config.n_train])
     test = ds.take(order[config.n_train:])
-    manifest = {"config": asdict(config),  # json writes its tuples as lists
+    manifest = {"config": asdict(config),
                 "realized_missing_rate": float(mask.mean()),
                 "cause_counts": {str(m): int(np.sum(cause == m)) for m in (0, 1, 2)}}
     return train, test, manifest

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fcrn.data import Dataset, assign_intervals
-from fcrn.metrics import brier_curve, brier_ipcw_curve
+from fcrn.metrics import brier_ipcw_curve
 
 
 def dataset(time, cause, X=None, ids=None, signals=None):
@@ -57,8 +57,17 @@ def g_at(g, t):
     return 1.0 if t <= 0 else float(g.g[min(t, len(g.g) - 1)])
 
 
+def brier_curve(times, P, ds, cause):
+    """Uncensored Brier score of one cause's CIF predictions at each of
+    times, the reference the IPCW score meets without censoring; P is
+    (n_subjects, n_times), column k scored at times[k]. Each time's mean is
+    a pairwise sum over the subjects, as np.mean of one column gives."""
+    label = ((ds.time <= times[:, None]) & (ds.cause == cause)).astype(np.float64)
+    return np.mean((label - np.ascontiguousarray(P.T)) ** 2, axis=1)
+
+
 def brier_at(t, preds, ds, cause):
-    """metrics.brier_curve at the one time t, one prediction per subject."""
+    """brier_curve at the one time t, one prediction per subject."""
     preds = np.asarray(preds, dtype=np.float64).reshape(-1, 1)
     return float(brier_curve(np.array([t], dtype=np.float64), preds, ds, cause)[0])
 

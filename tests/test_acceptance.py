@@ -158,9 +158,8 @@ def test_weight_correctness():
     g = censoring_survival(subjects, grid)
     # one censoring among five subjects at risk in interval 2: G drops to 0.8
     assert g.at_intervals([0, 1, 2]).tolist() == [1.0, 1.0, 0.8]
-    table = augment_subdistribution(subjects, grid, 1, g,
-                                    drop_zero_weight=False)
-    # hand-computed weights, rows t = 1..4 per subject
+    table = augment_subdistribution(subjects, grid, 1, g)
+    # hand-computed weights, rows t = 1..4 per subject; a dropped row weighs 0
     expected = {
         "A": [1.0, 0.0, 0.0, 0.0],
         "B": [1.0, 1.0, 0.0, 0.0],

@@ -18,9 +18,11 @@ def random_cohort(rng, n, max_time):
 
 
 def sd_weights(time, cause, target_cause, g, grid):
-    """IPCW weights of one subject's rows t = 1..L-1."""
-    return augment_subdistribution(dataset([time], [cause]), grid, target_cause, g,
-                                   drop_zero_weight=False).weight
+    """IPCW weights of one subject's rows t = 1..L-1, 0 for a dropped row."""
+    table = augment_subdistribution(dataset([time], [cause]), grid, target_cause, g)
+    weights = np.zeros(grid.n_intervals - 1)
+    weights[table.interval - 1] = table.weight
+    return weights
 
 
 class TestTimeGrid:
@@ -157,8 +159,8 @@ class TestSubdistributionWeights:
     def test_augmentation_covers_l_minus_one(self):
         grid = build_time_grid(5, 1)
         g = CensoringSurvival(g=np.ones(6))
-        t = augment_subdistribution(dataset([5.0], [1]), grid, 1, g,
-                                    drop_zero_weight=False)
+        # at risk in every row, so none is dropped
+        t = augment_subdistribution(dataset([5.0], [1]), grid, 1, g)
         assert t.interval.tolist() == [1, 2, 3, 4]
 
     def test_target_cause_zero_rejected(self):

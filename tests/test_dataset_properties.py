@@ -45,13 +45,13 @@ def ref_sd_weight(t, t_interval, cause, target_cause, g):
     return g_at(g, t - 1) / g_at(g, min(t_interval, t) - 1) * (at_risk + past_competing)
 
 
-def ref_augment_subdistribution(subjects, grid, target_cause, g, drop_zero_weight=True):
+def ref_augment_subdistribution(subjects, grid, target_cause, g):
     subj_idx, intervals, targets, weights = [], [], [], []
     for i, s in enumerate(subjects):
         l_star = ref_assign_interval(s.time, grid)
         for t in range(1, grid.n_intervals):
             w = ref_sd_weight(t, l_star, s.cause, target_cause, g)
-            if drop_zero_weight and w == 0.0:
+            if w == 0.0:
                 continue
             subj_idx.append(i)
             intervals.append(t)
@@ -129,10 +129,8 @@ class TestAugmentationsMatchLoops:
         ds = data.draw(cohorts(grid))
         g = censoring(data.draw, ds, grid)
         target = data.draw(st.integers(1, 2))
-        drop = data.draw(st.booleans())
-        same_table(augment_subdistribution(ds, grid, target, g, drop_zero_weight=drop),
-                   ref_augment_subdistribution(records(ds), grid, target, g,
-                                               drop_zero_weight=drop))
+        same_table(augment_subdistribution(ds, grid, target, g),
+                   ref_augment_subdistribution(records(ds), grid, target, g))
 
     def test_simulated_cohort(self):
         from fcrn.simulate import SimConfig, simulate
@@ -143,10 +141,8 @@ class TestAugmentationsMatchLoops:
         same_table(augment_cause_specific(train, grid, 2),
                    ref_augment_cause_specific(records(train), grid, 2))
         for target in (1, 2):
-            for drop in (True, False):
-                same_table(augment_subdistribution(train, grid, target, g, drop),
-                           ref_augment_subdistribution(records(train), grid, target,
-                                                       g, drop))
+            same_table(augment_subdistribution(train, grid, target, g),
+                       ref_augment_subdistribution(records(train), grid, target, g))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brier_at, brier_ipcw_at, dataset
+from conftest import brier_at, brier_curve, brier_ipcw_at, dataset
 
 from fcrn.data import CensoringSurvival, build_time_grid, censoring_survival
 from fcrn.metrics import ibs, score_cif
@@ -95,15 +95,17 @@ class TestScoreCif:
         grid = build_time_grid(10, 2)
         subjects = cohort([(3.0, 1), (7.0, 2)])
         F = np.zeros((2, grid.n_intervals + 1))
-        curve = score_cif(F, subjects, 1, grid, t0=2.0, t_max=8.0)
+        g = censoring_survival(subjects, grid)
+        curve = score_cif(F, subjects, 1, grid, g=g, t0=2.0, t_max=8.0)
         assert curve.times.tolist() == [2.0, 4.0, 6.0, 8.0]
 
     def test_zero_cif_scores_event_rate(self):
-        # predicting F=0 everywhere: BS(t) = fraction with cause-1 event by t
+        # predicting F=0 everywhere without censoring (G = 1): BS(t) =
+        # fraction with cause-1 event by t
         grid = build_time_grid(4, 1)
         subjects = cohort([(1.0, 1), (2.0, 2), (3.0, 1), (4.0, 1)])
         F = np.zeros((4, grid.n_intervals + 1))
-        curve = score_cif(F, subjects, 1, grid)
+        curve = score_cif(F, subjects, 1, grid, g=censoring_survival(subjects, grid))
         assert curve.values.tolist() == [0.0, 0.25, 0.25, 0.5, 0.75]
 
     def test_ibs_matches_manual_trapezoid(self):
@@ -111,7 +113,7 @@ class TestScoreCif:
         subjects = cohort([(1.0, 1), (3.0, 2)])
         rng = np.random.RandomState(1)
         F = rng.uniform(0, 1, size=(2, grid.n_intervals + 1))
-        curve = score_cif(F, subjects, 1, grid)
+        curve = score_cif(F, subjects, 1, grid, g=censoring_survival(subjects, grid))
         assert curve.ibs == pytest.approx(
             np.trapezoid(curve.values, curve.times)
             / (curve.times[-1] - curve.times[0]))
@@ -123,6 +125,6 @@ class TestScoreCif:
                            for i in range(20)])
         g = censoring_survival(subjects, grid)
         F = rng.uniform(0, 1, size=(20, grid.n_intervals + 1))
-        plain = score_cif(F, subjects, 1, grid)
         weighted = score_cif(F, subjects, 1, grid, g=g)
-        assert np.allclose(plain.values, weighted.values, atol=1e-12)
+        plain = brier_curve(weighted.times, F, subjects, 1)
+        assert np.allclose(plain, weighted.values, atol=1e-12)

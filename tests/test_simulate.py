@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fcrn.simulate
-from fcrn.simulate import (ANCHOR_COLUMNS, SPLINE_DEGREE, SimConfig, apply_mar,
-                           bspline_design, gen_functional, gen_outcomes,
-                           gen_tabular, mar_intercept, simulate)
+from fcrn.simulate import (ANCHOR_COLUMNS, COEF_CAUSE1, MAX_TIME, SPLINE_DEGREE,
+                           SimConfig, apply_mar, bspline_design, gen_functional,
+                           gen_outcomes, gen_tabular, mar_intercept, simulate)
 
 
 def cox_de_boor(knots, i, k, tau):
@@ -156,13 +158,12 @@ class TestFunctional:
         assert taus.shape == (51,)
         assert curves.shape == (3, 40, 51)
 
-    def test_coupling_shifts_curves(self):
+    def test_coupling_shifts_curves(self, monkeypatch):
         config = SimConfig(n=200, n_train=150, n_test=50)
         X, _ = gen_tabular(200, np.random.RandomState(5))
         _, with_c = gen_functional(200, np.random.RandomState(6), config, X=X)
-        config0 = SimConfig(n=200, n_train=150, n_test=50,
-                            curve_covariate_coupling=0.0)
-        _, without = gen_functional(200, np.random.RandomState(6), config0, X=X)
+        monkeypatch.setattr(fcrn.simulate, "CURVE_COVARIATE_COUPLING", 0.0)
+        _, without = gen_functional(200, np.random.RandomState(6), config, X=X)
         diff = with_c[0] - without[0]
         # the shift is deterministic in X, so it correlates with x0
         start_diff = diff[:, 0]
@@ -172,30 +173,29 @@ class TestFunctional:
 
 class TestOutcomes:
     def test_all_causes_represented(self):
-        config = SimConfig()
         X, hidden = gen_tabular(5000, np.random.RandomState(7))
-        time, cause = gen_outcomes(X, hidden, np.random.RandomState(7), config)
-        time = np.minimum(time, config.max_time)
-        cause = np.where(time >= config.max_time, 0, cause)
+        time, cause = gen_outcomes(X, hidden, np.random.RandomState(7))
+        time = np.minimum(time, MAX_TIME)
+        cause = np.where(time >= MAX_TIME, 0, cause)
         fracs = [np.mean(cause == m) for m in (0, 1, 2)]
         assert all(f >= 0.05 for f in fracs)
         assert np.all(time > 0.0)
 
-    def test_zero_coefficient_independence(self):
+    def test_zero_coefficient_independence(self, monkeypatch):
         # with all coefficients zero, event times are independent of X:
         # correlation with every covariate should be near zero
-        config = SimConfig(coef_cause1=(0.0,) * 15, coef_cause2=(0.0,) * 15)
+        monkeypatch.setattr(fcrn.simulate, "COEF_CAUSE1", (0.0,) * 15)
+        monkeypatch.setattr(fcrn.simulate, "COEF_CAUSE2", (0.0,) * 15)
         X, hidden = gen_tabular(20000, np.random.RandomState(8))
-        time, _ = gen_outcomes(X, hidden, np.random.RandomState(8), config)
+        time, _ = gen_outcomes(X, hidden, np.random.RandomState(8))
         for j in range(10):
             r = np.corrcoef(np.log(time), X[:, j])[0, 1]
             assert abs(r) < 0.03
 
     def test_larger_risk_score_shortens_cause1_times(self):
-        config = SimConfig()
         X, hidden = gen_tabular(20000, np.random.RandomState(9))
-        time, cause = gen_outcomes(X, hidden, np.random.RandomState(9), config)
-        eta1 = np.hstack([X, hidden]) @ np.asarray(config.coef_cause1)
+        time, cause = gen_outcomes(X, hidden, np.random.RandomState(9))
+        eta1 = np.hstack([X, hidden]) @ np.asarray(COEF_CAUSE1)
         sel = cause == 1
         r = np.corrcoef(eta1[sel], np.log(time[sel]))[0, 1]
         assert r < -0.1
@@ -290,9 +290,23 @@ class TestSimulatePipeline:
         cfg = SimConfig(n=100, n_train=80, n_test=20, functional=False,
                         missing_rate=0.25)
         _, _, manifest = simulate(cfg)
+        assert list(manifest["config"]) == [f.name for f in dataclasses.fields(SimConfig)]
         assert manifest["config"]["n"] == 100
         assert 0.15 < manifest["realized_missing_rate"] < 0.35
         assert sum(manifest["cause_counts"].values()) == 100
+
+    @pytest.mark.parametrize("rate, realized", [(0.0, 0.0), (0.25, 0.2547)])
+    def test_default_design_at_seed_0(self, rate, realized):
+        # a change to a design constant or to the order of the draws moves
+        # these figures; the curves feed no outcome, so their sum is checked
+        train, test, manifest = simulate(SimConfig(missing_rate=rate))
+        assert manifest["cause_counts"] == {"0": 190, "1": 340, "2": 470}
+        assert manifest["realized_missing_rate"] == realized
+        both = (train, test)
+        assert sum(ds.time.sum() for ds in both) == pytest.approx(22422.27639619401,
+                                                                 rel=1e-12)
+        assert sum(sig.values.sum() for ds in both for sig in ds.signals.values()) == \
+            pytest.approx(4862.496554181911 + 41.26521314601024, rel=1e-12)
 
     def test_times_within_horizon(self):
         train, test, _ = simulate(SimConfig(n=200, n_train=150, n_test=50,
