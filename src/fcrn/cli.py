@@ -17,9 +17,9 @@ import numpy as np
 
 from .config import ConfigError, dump_config, load_config
 from .data import (CSV_CHUNK_ROWS, GRID_TOL, DataError, build_time_grid,
-                   csv_columns, csv_fields, open_csv, read_curves_csv,
-                   read_subjects_csv, run_codes, write_curves_csv,
-                   write_subjects_csv, censoring_survival)
+                   csv_columns, csv_fields, fraction_digits, open_csv,
+                   read_curves_csv, read_subjects_csv, run_codes,
+                   write_curves_csv, write_subjects_csv, censoring_survival)
 from .impute import iro_train
 from .metrics import evaluation_columns, ibs, score_cif
 from .model import (FCRNModel, NormalizationError, NumericError, TrainSettings,
@@ -237,6 +237,12 @@ def _replacing(path):
         raise
 
 
+# a predictions cell's %-format by fraction_digits' -k: "%.17g" of the value
+# at k = 0, else "0.", -k - 1 zeros and its digits; 5 more ending its row
+CELL_FORMATS = np.array([cell + end for end in ("", "\r\n") for cell in
+                         (",%.17g", ",0.%d", ",0.0%d", ",0.00%d", ",0.000%d")], dtype=object)
+
+
 def write_predictions(path, grid, names, blocks):
     """predictions.csv: a row id,interval,time,<names> per subject and interval.
 
@@ -244,22 +250,40 @@ def write_predictions(path, grid, names, blocks):
     one (len(ids), L+1) matrix per name, column t for interval t. The file
     is what csv.writer writes for the rows [id, t, repr(time), "%.17g" %
     value, ...]: 17 significant digits, so each value reads back as the
-    same binary64. Each block is formatted by one %-format of all its rows.
+    same binary64. Each block is formatted by one %-format of all its rows
+    (see _rows_template), in which a value in [1e-4, 1), as nearly every
+    CIF and survival is, is written as "0.", its zeros and its significant
+    digits as one integer (fraction_digits), the very text "%.17g" gives;
+    any other value is written by "%.17g" itself.
     The rows go to path + ".tmp", which replaces path after the last block
     (see _replacing); an exception, from blocks or from the write, removes
     it instead, so any earlier file at path stays as it was.
     """
-    L = grid.n_intervals
-    subject_rows = "".join("%s," + "%d,%r" % (t, float(grid.cuts[t]))
-                           + ",%.17g" * len(names) + "\r\n" for t in range(1, L + 1))
+    heads = np.array(["%s," + "%d,%r" % (t, float(grid.cuts[t]))
+                      for t in range(1, grid.n_intervals + 1)], dtype=object)
     with _replacing(path) as fh:
         csv.writer(fh).writerow(["id", "interval", "time"] + list(names))
         for ids, columns in blocks:
-            cells = np.empty((len(ids), L, len(columns) + 1), dtype=object)
-            cells[:, :, 0] = np.asarray(csv_fields(ids), dtype=object)[:, None]
-            for k, col in enumerate(columns):
-                cells[:, :, k + 1] = col[:, 1:]
-            fh.write((subject_rows * len(ids)) % tuple(cells.ravel().tolist()))
+            template, cells = _rows_template(heads, ids, columns)
+            fh.write(template % cells)
+
+
+def _rows_template(heads, ids, columns):
+    """A block's rows as one %-template, heads[t - 1] then each cell's
+    CELL_FORMATS entry per row, and the tuple of its arguments. The
+    block's arrays are freed when it returns, before the text is made."""
+    values = np.stack([col[:, 1:] for col in columns], axis=-1)
+    k, digits = fraction_digits(values)
+    codes = -k
+    codes[:, :, -1] += 5
+    formats = np.empty((len(ids), len(heads), len(columns) + 1), dtype=object)
+    formats[:, :, 0] = heads
+    formats[:, :, 1:] = CELL_FORMATS[codes]
+    cells = np.empty_like(formats)
+    cells[:, :, 0] = np.asarray(csv_fields(ids), dtype=object)[:, None]
+    cells[:, :, 1:] = digits
+    cells[:, :, 1:][k == 0] = values[k == 0]
+    return "".join(formats.ravel().tolist()), tuple(cells.ravel().tolist())
 
 
 def read_predictions(path, ids, grid, chunk_rows=CSV_CHUNK_ROWS, subjects=None):

@@ -265,6 +265,51 @@ def csv_fields(texts):
     return texts
 
 
+# the binary64 1e-3, 1e-2 and 0.1, which part fraction_digits' decimal
+# exponents -4..-1; then 10^(16 - k) at k = -1..-4, exact in binary64, which
+# scales a value of [10^k, 10^(k+1)) to 17 integer digits
+FRACTION_EDGES = np.array([1e-3, 1e-2, 0.1])
+FRACTION_SCALES = np.array([1e17, 1e18, 1e19, 1e20])
+# Veltkamp's splitter: x * VELTKAMP - (x * VELTKAMP - x) is x's high 26 bits
+VELTKAMP = 2.0 ** 27 + 1
+
+
+def fraction_digits(values):
+    """The "%.17g" text of each value in [1e-4, 1) as two integers.
+
+    Returns (k, digits), int64 arrays of values' shape. For v in [1e-4, 1),
+    "%.17g" % v is "0.", then -k - 1 zeros, then "%d" % digits: k in -4..-1
+    is v's decimal exponent and digits its 17 significant digits, rounded
+    half to even, without trailing zeros. k is 0 for every other value (0,
+    1, below 1e-4, above 1, negative or not finite), whose text it leaves
+    to "%.17g".
+
+    k counts the binary64 powers 1e-3, 1e-2, 0.1 at or below v; each lies
+    above the real power, as 1e-4 does, so the count is exact. v * 10^(16
+    - k) is hi + lo exactly (Dekker's product of Veltkamp halves), and hi
+    >= 10^16 > 2^53 is an even integer, so the rounded digits are hi +
+    rint(lo). They never round up to 10^17: they grow with v, and the
+    largest double below each power of ten gives at most 99999999999999992.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    inside = (v >= 1e-4) & (v < 1.0)
+    x = np.where(inside, v, 0.5)
+    k = np.searchsorted(FRACTION_EDGES, x, side="right") - 4
+    scale = FRACTION_SCALES[-1 - k]
+    hi = x * scale
+    xh = x * VELTKAMP - (x * VELTKAMP - x)
+    sh = scale * VELTKAMP - (scale * VELTKAMP - scale)
+    xl, sl = x - xh, scale - sh
+    lo = ((xh * sh - hi) + xh * sl + xl * sh) + xl * sl
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    flat = digits.reshape(-1)
+    tens = np.flatnonzero(flat % 10 == 0)
+    while len(tens):
+        flat[tens] //= 10
+        tens = tens[flat[tens] % 10 == 0]
+    return np.where(inside, k, 0), digits
+
+
 def write_subjects_csv(path, ds):
     """Subject CSV: id, time, cause, then covariates x1..xP.
 

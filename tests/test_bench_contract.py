@@ -239,3 +239,25 @@ def test_cli_workload_keys_load(tmp_path, monkeypatch):
                     "simulate.n_test", "simulate.functional", "train.max_epochs",
                     "train.patience", "train.use_functional", "data.subjects",
                     "data.curves"}
+
+
+def test_cli_cohort_runs_one_short_iteration(tmp_path, monkeypatch):
+    """The benchmark's CliWorkload runs simulate, train, predict and
+    evaluate through fcrn.cli.main and checks predictions.csv and
+    scores.csv with its own readers: a predictions file it would count as
+    a failed output fails here too. One small tabular iteration with two
+    scoring passes fails no operation and gives a finite IBS, equal across
+    the passes."""
+    import math
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    import workloads
+
+    workload = workloads.CliWorkload(seed=1, workdir=str(tmp_path), n_train=40, n_test=20,
+                                     functional=False, epochs=1, score_passes=2)
+    ops = workloads.Ops()
+    workload.setup(ops)
+    result = workload.iterate()
+    assert ops.failed == result["ops"].failed == 0, ops.errors + result["ops"].errors
+    assert result["ops"].attempted == 5  # train and two predict -> evaluate passes
+    assert math.isfinite(result["ibs"])

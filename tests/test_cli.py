@@ -926,6 +926,41 @@ class TestStreamedPredictions:
         assert (tmp_path / "pred" / "predictions.csv").read_bytes() == \
             expected.getvalue().encode()
 
+    @pytest.mark.parametrize("head", ["csm", "sdm"])
+    def test_cells_across_the_fraction_range_edges(self, tmp_path, head):
+        """write_predictions writes a cell in [1e-4, 1) from its digits and
+        any other cell by "%.17g": at 0, 1e-5, the double below 1e-4, 1e-4,
+        a value in each decade up to 1 and a survival of exactly 1.0, in
+        both a row's middle and its last column, the file is csv.writer's
+        with "%.17g" byte for byte. The ids need quoting or hold %."""
+        grid = build_time_grid(35.0, 5.0)
+        edge = [0.0, 0.0, 1e-5, np.nextafter(1e-4, 0.0), 1e-4, 0.003, 0.05, 0.5]
+        ids = ["a,b", 'q"x', "100%", "%s", "s4"]
+        cif = np.array([np.roll(edge, i) for i in range(len(ids))])
+        if head == "csm":
+            names = ["cif_1", "cif_2", "survival"]
+            columns = [cif, cif[::-1] / 2, 1.0 - cif]
+        else:
+            names, columns = ["cif_1"], [cif]
+        blocks = [(ids[:2], [c[:2] for c in columns]), (ids[2:2], [c[2:2] for c in columns]),
+                  (ids[2:], [c[2:] for c in columns])]
+        path = tmp_path / "predictions.csv"
+        fcrn.cli.write_predictions(path, grid, names, iter(blocks))
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["id", "interval", "time"] + names)
+        for i, sid in enumerate(ids):
+            for t in range(1, grid.n_intervals + 1):
+                w.writerow([sid, t, repr(float(grid.cuts[t]))]
+                           + ["%.17g" % col[i, t] for col in columns])
+        text = expected.getvalue()
+        end = "," if head == "csm" else "\r\n"  # csm's cif_1 is mid-row
+        for cell in ("0", "1.0000000000000001e-05", "9.9999999999999991e-05",
+                     "0.0001", "0.0030000000000000001", "0.050000000000000003", "0.5"):
+            assert "," + cell + end in text
+        assert (",1\r\n" in text) == (head == "csm")
+        assert path.read_bytes() == text.encode()
+
     def _earlier_run(self, tmp_path, args):
         """A fresh out_dir and one that holds an earlier run's outputs;
         returns both with their files' bytes."""
@@ -987,7 +1022,7 @@ class TestStreamedPredictions:
     def test_peak_memory(self, tmp_path):
         # 10,000 tabular subjects of an untrained hidden-(32, 64, 32) csm
         # model: blocks of 136 subjects from the forward pass to the CSV
-        # text. The whole command peaks at 5.52 MB, bounded for a ~20%
+        # text. The whole command peaks at 5.64 MB, bounded for a ~17%
         # margin; building every subject's CIFs before writing them took
         # it to 20.6 MB.
         args = untrained_model(tmp_path, n=10000)

@@ -1,13 +1,17 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrn.data import (CensoringSurvival, DataError, Dataset, Signal, assign_intervals,
                        augment_cause_specific, augment_subdistribution,
-                       build_time_grid, censoring_survival, read_curves_csv,
-                       read_subjects_csv, write_curves_csv, write_subjects_csv)
+                       build_time_grid, censoring_survival, fraction_digits,
+                       read_curves_csv, read_subjects_csv, write_curves_csv,
+                       write_subjects_csv)
 from fcrn.simulate import SimConfig, simulate
 
 
@@ -262,3 +266,95 @@ class TestCsvRoundTrip:
         p.write_text("id,time,cause,x1\na,1.0,1,oops\n")
         with pytest.raises(DataError, match="x1"):
             read_subjects_csv(p)
+
+
+def fraction_texts(values):
+    """Each value's text as the predictions writer makes it from
+    fraction_digits: "0.", -k - 1 zeros and the digits, or "%.17g"."""
+    k, digits = fraction_digits(values)
+    return ["%.17g" % v if e == 0 else "0." + "0" * (-e - 1) + "%d" % d
+            for v, e, d in zip(np.ravel(values).tolist(), k.ravel().tolist(),
+                               digits.ravel().tolist())]
+
+
+def ulps_around(x, count):
+    """The count doubles below x, x and the count doubles above it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestFractionDigits:
+    """fraction_digits gives exactly "%.17g"'s text of every value in
+    [1e-4, 1) and leaves every other value to "%.17g". A numpy warning
+    would fail these tests (the suite makes warnings errors)."""
+
+    @staticmethod
+    def assert_exact(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert fraction_texts(values) == ["%.17g" % v for v in values.ravel().tolist()]
+
+    def test_a_million_uniform_draws(self):
+        values = np.random.default_rng(0).uniform(1e-4, 1.0, 10 ** 6)
+        assert (fraction_digits(values)[0] != 0).all()
+        self.assert_exact(values)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=64))
+    def test_floats_in_range(self, values):
+        self.assert_exact(values)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float(self, values):
+        k, _ = fraction_digits(values)
+        inside = [1e-4 <= v < 1.0 for v in values]
+        assert (k != 0).tolist() == inside
+        self.assert_exact(values)
+
+    def test_ulps_around_each_power_of_ten(self):
+        """Where the exponent changes, and where rounding up could carry
+        the digits to 10^17: the doubles just below 1e-3, 1e-2, 0.1 and 1
+        stay at most 99999999999999992, so no carry is needed."""
+        for power in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
+            values = np.array(ulps_around(power, 16))
+            self.assert_exact(values)
+            k, digits = fraction_digits(values)
+            assert (k[16:] != 0).all() == (power < 1.0)
+            assert (k[:16] != 0).all() == (power > 1e-4)
+            assert digits[k != 0].max() <= 99999999999999992
+
+    def test_every_tie_at_the_seventeenth_digit(self):
+        """v = i / 2^(17 - k) with i odd is v * 10^(16 - k) = i * 5^(16 - k)
+        / 2, halfway between two 17-digit decimals of the decade [10^k,
+        10^(k+1)), and rounds to the even one; these are every such double
+        in [1e-4, 1)."""
+        for k in range(-4, 0):
+            j = 17 - k
+            odd = np.arange(math.ceil(10.0 ** k * 2 ** j) | 1, 10 ** (k + 1) * 2 ** j, 2)
+            values = odd / 2.0 ** j
+            assert (fraction_digits(values)[0] == k).all()
+            self.assert_exact(values)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 62).flatmap(
+        lambda j: st.tuples(st.integers(1, min(2 ** j - 1, 2 ** 53)), st.just(j))))
+    def test_dyadic_rationals(self, ij):
+        i, j = ij
+        self.assert_exact([i / 2.0 ** j])
+
+    def test_other_values_fall_back(self):
+        values = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 5e-5,
+                  math.nextafter(1e-4, 0.0), math.nextafter(1.0, 2.0), 1.5, 100.0,
+                  1e300, -1e-3, -0.5, -1.0, math.nan, math.inf, -math.inf]
+        k, _ = fraction_digits(values)
+        assert (k == 0).all()
+        self.assert_exact(values)
+
+    def test_keeps_the_shape(self):
+        values = np.random.default_rng(1).uniform(0.0, 1.0, (3, 4, 5))
+        k, digits = fraction_digits(values)
+        assert k.shape == digits.shape == values.shape
+        self.assert_exact(values)
