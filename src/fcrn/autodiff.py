@@ -6,8 +6,9 @@ in a softmax (csm) or sigmoid (sdm) head and a weighted negative
 log-likelihood. All parameters live in one flat float64 vector; `Params`
 hands out named views of it (and, with the same layout, of a gradient).
 Each signal's D micro-networks are stacked as (D, fan_out, fan_in)
-tensors, so its (J, D) basis matrix B(theta) is one evaluation. All
-arithmetic is 64-bit for reproducibility.
+tensors, concatenated across signals of one tau grid and network size, so
+their (J, sum D) basis matrix B(theta) is one evaluation. All arithmetic
+is 64-bit for reproducibility.
 """
 from __future__ import annotations
 
@@ -114,7 +115,9 @@ def micro_forward(weights, biases, taus):
     h = np.asarray(taus, dtype=np.float64).reshape(1, -1, 1)
     acts = [h]
     for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.tanh(h @ w.transpose(0, 2, 1) + b[:, None, :])
+        z = h @ w.transpose(0, 2, 1)
+        z += b[:, None, :]
+        h = np.tanh(z)
         acts.append(h)
     out = h @ weights[-1].transpose(0, 2, 1) + biases[-1][:, None, :]
     return out[:, :, 0].T, acts
@@ -128,17 +131,19 @@ def micro_backward(weights, acts, d_basis, g_weights, g_biases):
         d.sum(axis=1, out=g_biases[k])
         if k:
             h = acts[k]
-            d = (d @ weights[k]) * (1.0 - h * h)
+            d = d @ weights[k]
+            d *= 1.0 - h * h
 
 
 # Basis coefficients of some subjects' curves for one signal,
 # coef[i, d] = sum_j w_j B_d(tau_j) x_i(tau_j), with the trapezoid-weighted
-# curves and sublayer inputs the backward pass reads.
-Projection = namedtuple("Projection", "coef weighted acts")
+# curves the backward pass reads.
+Projection = namedtuple("Projection", "coef weighted")
 
 # Per-signal projections of a set of subjects; rows maps each person-period
-# row to its subject's row in every coefficient matrix.
-Projections = namedtuple("Projections", "rows parts")
+# row to its subject's row in every coefficient matrix, and groups holds a
+# (members, stacked weights, sublayer inputs) triple per micro_forward.
+Projections = namedtuple("Projections", "rows parts groups")
 
 # Logits of a batch and, when kept, what the backward pass reads.
 Forward = namedtuple("Forward", "logits params head n_tab projections inputs")
@@ -245,24 +250,32 @@ def backward(fwd, d_logits, want_param_grad=True, want_input_grad=False):
             d *= h > 0.0
     d_xn = d[:, :fwd.n_tab] if want_input_grad else None
     if into_basis:
-        col = fwd.n_tab
-        for part, (weights, _), (g_w, g_b) in zip(fwd.projections.parts, params.basis,
-                                                   grad.basis):
-            n_basis = part.coef.shape[1]
-            d_coef = scatter_rows(fwd.projections.rows, d[:, col:col + n_basis],
-                                  part.coef.shape[0])
-            micro_backward(weights, part.acts, part.weighted.T @ d_coef, g_w, g_b)
-            col += n_basis
+        parts = fwd.projections.parts
+        cols = np.cumsum([0] + [part.coef.shape[1] for part in parts])
+        d_coef = scatter_rows(fwd.projections.rows, d[:, fwd.n_tab:fwd.n_tab + cols[-1]],
+                              len(parts[0].coef))
+        for members, weights, acts in fwd.projections.groups:
+            # each signal's columns contiguous: numpy multiplies a lone
+            # strided column in another order
+            d_basis = np.hstack([
+                parts[s].weighted.T @ np.ascontiguousarray(d_coef[:, cols[s]:cols[s + 1]])
+                for s, _, _ in members])
+            g_w = [np.empty_like(w) for w in weights]
+            g_b = [np.empty(w.shape[:2]) for w in weights]
+            micro_backward(weights, acts, d_basis, g_w, g_b)
+            for s, lo, hi in members:
+                for view, stacked in zip(grad.basis[s][0] + grad.basis[s][1], g_w + g_b):
+                    view[...] = stacked[lo:hi]
     return (None if grad is None else grad.flat), d_xn
 
 
 def scatter_rows(idx, values, n):
     """(n, k) sums of the rows of values by target row idx (a gather's
-    backward), accumulated in row order."""
-    out = np.empty((n, values.shape[1]))
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=n)
-    return out
+    backward): one bincount over the cells idx * k + column, each bin
+    summed in row order."""
+    k = values.shape[1]
+    cells = (idx[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(cells, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,13 @@ class BasisLayer:
         self.spec = spec
         self.weights, self.biases = views
 
-    def project(self, curve_values):
+    def project(self, curve_values, basis):
         """Project curves sampled on the canonical grid onto the learned basis.
 
         curve_values: (n, J) array of x(tau_j), one row per subject to
-        project. Returns a Projection whose (n, D) coef holds
-        a_d = sum_j w_j B_d(tau_j) x(tau_j).
+        project; basis: the (J, D) values B_d(tau_j) of this signal's
+        micro-networks (ad.micro_forward). Returns a Projection whose (n, D)
+        coef holds a_d = sum_j w_j B_d(tau_j) x(tau_j).
         """
         vals = np.atleast_2d(np.asarray(curve_values, dtype=np.float64))
         taus = self.spec["taus"]
@@ -53,5 +54,4 @@ class BasisLayer:
             raise ValueError("curve sampled on %d points, layer expects %d"
                              % (vals.shape[1], taus.size))
         weighted = vals * self.spec["int_weights"]
-        basis, acts = ad.micro_forward(self.weights, self.biases, taus)
-        return ad.Projection(weighted @ basis, weighted, acts)
+        return ad.Projection(weighted @ basis, weighted)

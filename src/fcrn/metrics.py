@@ -6,6 +6,8 @@ events by 1/G(T-1), and censored-before-t subjects drop out.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +59,12 @@ def brier_ipcw_curve(times, P, ds, cause, g, grid):
         terms[at_risk] = (P_b * P_b / g_t)[at_risk]
         # the per-subject form squares with C pow(), which rounds about one
         # square in 1000 differently from x * x (what ndarray ** 2 computes);
-        # ** on Python floats is C pow() too. np.power takes the x * x path
-        # for a scalar 2 and rounds apart from pow() with an array of 2s,
-        # so no numpy call stands in for it
+        # math.pow is C pow() too. np.power takes the x * x path for a
+        # scalar 2 and rounds apart from pow() with an array of 2s, so no
+        # numpy call stands in for it
         residual = (label[block] - P_b)[event].tolist()
-        terms[event] = (np.array([r ** 2 for r in residual], dtype=np.float64)
+        terms[event] = (np.fromiter(map(math.pow, residual, itertools.repeat(2.0)), float,
+                                    len(residual))
                         / np.broadcast_to(g_event[block, None], P_b.shape)[event])
         # terms are >= 0, so 0.0 + the first row is that row, bit for bit
         total = np.cumsum(np.vstack([total, terms]), axis=0)[-1]

@@ -115,6 +115,17 @@ class FCRNModel:
             w[...] = ad.glorot_uniform(w.shape[0], w.shape[1], rng)
         self.basis_layers = {spec["name"]: BasisLayer(spec, views)
                              for spec, views in zip(self.signal_specs, self.params.basis)}
+        # (signal, first column, end column) of each micro_forward's signals:
+        # those of one taus and network size, each one-node signal alone
+        # (numpy sums its lone gradient column in another order)
+        groups = {}
+        for s, spec in enumerate(self.signal_specs):
+            key = ((spec["taus"].tobytes(), spec["micro_width"], spec["micro_depth"])
+                   if spec["n_basis"] > 1 else s)
+            members = groups.setdefault(key, [])
+            lo = members[-1][2] if members else 0
+            members.append((s, lo, lo + spec["n_basis"]))
+        self.basis_groups = list(groups.values())
 
     # -- feature assembly ----------------------------------------------------
 
@@ -160,13 +171,23 @@ class FCRNModel:
 
     def project_signals(self, curve_mats, subj_idx):
         """Basis coefficients of the subjects subj_idx names, each projected
-        once; None without signals."""
+        once, with one micro_forward per basis group; None without signals."""
         if not self.signal_specs:
             return None
         subjects, rows = np.unique(subj_idx, return_inverse=True)
-        return ad.Projections(rows, [
-            self.basis_layers[spec["name"]].project(curve_mats[spec["name"]][subjects])
-            for spec in self.signal_specs])
+        parts, groups = [None] * len(self.signal_specs), []
+        for members in self.basis_groups:
+            views = [self.params.basis[s] for s, _, _ in members]
+            weights = [np.concatenate(stack) for stack in zip(*(w for w, _ in views))]
+            biases = [np.concatenate(stack) for stack in zip(*(b for _, b in views))]
+            basis, acts = ad.micro_forward(weights, biases,
+                                           self.signal_specs[members[0][0]]["taus"])
+            groups.append((members, weights, acts))
+            for s, lo, hi in members:
+                name = self.signal_specs[s]["name"]
+                parts[s] = self.basis_layers[name].project(curve_mats[name][subjects],
+                                                           basis[:, lo:hi])
+        return ad.Projections(rows, parts, groups)
 
     def input_rows(self, xn, subj_idx, intervals):
         """First-layer inputs of person-period rows: their subjects' rows of

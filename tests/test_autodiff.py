@@ -3,6 +3,8 @@ pass over the flat parameter vector, and Adam."""
 import numpy as np
 import pytest
 from conftest import finite_diff, max_rel_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcrn import autodiff as ad
 
@@ -159,6 +161,30 @@ class TestBackward:
             return run(params, "csm", rng.randn(3, 2), [0, 2, 1], [0, 1, 2])
         (l1, g1, x1), (l2, g2, x2) = once(), once()
         assert l1 == l2 and np.array_equal(g1, g2) and np.array_equal(x1, x2)
+
+
+class TestScatterRows:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_a_bincount_per_column(self, data):
+        # repeated, unsorted indices, n past the largest, and zero rows;
+        # magnitudes 1e-8..1e8 make every bin's sum depend on its order
+        k = data.draw(st.integers(1, 12))
+        n_rows = data.draw(st.integers(0, 40))
+        idx = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n_rows,
+                                          max_size=n_rows)), dtype=np.intp)
+        n = data.draw(st.integers(int(idx.max()) + 1 if n_rows else 0, 14))
+        scale = 10.0 ** np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n_rows * k,
+                                                    max_size=n_rows * k)))
+        seed = data.draw(st.integers(0, 2 ** 31 - 1))
+        values = np.random.RandomState(seed).randn(n_rows, k) * scale.reshape(n_rows, k)
+        if data.draw(st.booleans()):  # a column slice, as backward passes
+            values = np.hstack([values, np.ones((n_rows, 2))])[:, :k]
+        expected = np.empty((n, k))
+        for j in range(k):
+            expected[:, j] = np.bincount(idx, weights=values[:, j], minlength=n)
+        got = ad.scatter_rows(idx, values, n)
+        assert got.shape == (n, k) and got.tobytes() == expected.tobytes()
 
 
 class TestAdam:

@@ -87,12 +87,15 @@ class TestProjection:
         taus = np.linspace(0, 1, 51)
         layer = frozen_constant_layer(2, taus)
         c = 3.7
-        out = layer.project(np.full((1, 51), c))
+        out = layer.project(np.full((1, 51), c),
+                            ad.micro_forward(layer.weights, layer.biases, taus)[0])
         assert np.allclose(out.coef, c, atol=1e-12)
 
     def test_zero_curve_projects_to_zero(self):
-        layer = initialized_layer(3, np.linspace(0, 1, 21), np.random.RandomState(4))
-        out = layer.project(np.zeros((2, 21)))
+        taus = np.linspace(0, 1, 21)
+        layer = initialized_layer(3, taus, np.random.RandomState(4))
+        out = layer.project(np.zeros((2, 21)),
+                            ad.micro_forward(layer.weights, layer.biases, taus)[0])
         assert np.all(out.coef == 0.0)
 
     def test_linear_basis_against_exact_integral(self):
@@ -109,9 +112,10 @@ class TestProjection:
         layer = initialized_layer(3, taus, rng)
         x1, x2 = rng.randn(31), rng.randn(31)
         a, b = 1.7, -0.4
-        combo = layer.project((a * x1 + b * x2).reshape(1, -1)).coef
-        parts = (a * layer.project(x1.reshape(1, -1)).coef
-                 + b * layer.project(x2.reshape(1, -1)).coef)
+        basis = ad.micro_forward(layer.weights, layer.biases, taus)[0]
+        combo = layer.project((a * x1 + b * x2).reshape(1, -1), basis).coef
+        parts = (a * layer.project(x1.reshape(1, -1), basis).coef
+                 + b * layer.project(x2.reshape(1, -1), basis).coef)
         assert np.allclose(combo, parts, atol=1e-10)
 
     def test_gradient_flows_to_micro_weights(self):
@@ -130,6 +134,8 @@ class TestProjection:
         assert all(np.any(g != 0) for g in weights + biases)
 
     def test_grid_mismatch_rejected(self):
-        layer = zero_layer(2, np.linspace(0, 1, 21))
+        taus = np.linspace(0, 1, 21)
+        layer = zero_layer(2, taus)
         with pytest.raises(ValueError):
-            layer.project(np.zeros((1, 20)))
+            layer.project(np.zeros((1, 20)),
+                          ad.micro_forward(layer.weights, layer.biases, taus)[0])

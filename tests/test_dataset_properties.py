@@ -5,6 +5,8 @@ augmentations (with the sub-distribution weight as a per-row function) and
 of curve resampling by np.interp, over per-subject Records. The array code
 must give the same bits.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import dataset, g_at, records, ref_assign_interval
@@ -185,6 +187,50 @@ class TestSignals:
         got = signal_matrix(ds, "s", taus)
         assert got.shape == (n, len(taus))
         assert got.tobytes() == expected.reshape(n, len(taus)).tobytes()
+
+    @staticmethod
+    def resample(ds, taus):
+        """(signal_matrix, its np.interp calls, the per-subject loop's matrix)."""
+        expected = np.array([np.interp(taus, r.curves[0][1], r.curves[0][2])
+                             for r in records(ds)]).reshape(len(ds), len(taus))
+        with mock.patch.object(np, "interp", wraps=np.interp) as interp:
+            got = signal_matrix(ds, "s", taus)
+        return got, interp.call_count, expected
+
+    @PROPERTY
+    @given(st.data())
+    def test_on_grid_curves_are_their_values(self, data):
+        # every subject sampled at the target taus, a zero of either sign
+        # on either side: the values as they are, with no np.interp call
+        n = data.draw(st.integers(0, 6))
+        taus = np.array(sorted(set(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=8)))))
+        signed = [np.where(taus == 0.0, data.draw(st.sampled_from([0.0, -0.0])), taus)
+                  for _ in range(n + 1)]
+        values = np.array(data.draw(st.lists(VALUE, min_size=n * len(taus),
+                                             max_size=n * len(taus))))
+        ds = dataset([1.0] * n, [0] * n, signals={"s": Signal(
+            np.concatenate(signed[1:] + [taus[:0]]), values, len(taus) * np.arange(n + 1))})
+        got, calls, expected = self.resample(ds, signed[0])
+        assert calls == 0
+        assert got.tobytes() == expected.tobytes()
+        assert not np.shares_memory(got, ds.signals["s"].values)
+
+    @pytest.mark.parametrize("change", ["moved", "dropped"])
+    def test_one_subject_off_the_grid_takes_the_loop(self, change):
+        rng = np.random.RandomState(3)
+        taus = np.linspace(0.0, 1.0, 11)
+        points = [taus.copy() for _ in range(5)]
+        if change == "moved":
+            points[2][4] += 0.01
+        else:
+            points[2] = np.delete(points[2], 4)
+        ds = dataset([1.0] * 5, [0] * 5, signals={"s": Signal(
+            np.concatenate(points), rng.randn(sum(map(len, points))),
+            np.concatenate([[0], np.cumsum([len(p) for p in points])]))})
+        got, calls, expected = self.resample(ds, taus)
+        assert calls == 5
+        assert got.tobytes() == expected.tobytes()
 
     @PROPERTY
     @given(st.data())

@@ -435,6 +435,21 @@ class TestBrierMatchesLoop:
         assert same_bits(brier_ipcw_at(1.0, [f], ds, 1, g, grid),
                          ref_brier_ipcw(1.0, [f], records(ds), 1, g, grid))
 
+    @pytest.mark.parametrize("cause", [1, 2])
+    def test_squares_like_the_loop_at_every_cell_where_x_times_x_differs(self, cause):
+        # one subject with an event, scored for cause 1 at ~170 times, each
+        # column's residual (1 - f or -f) one that C pow() and x * x round
+        # apart: every column's score is its square alone, as ** gives it
+        fs = np.random.RandomState(1).uniform(0, 1, 200000).tolist()
+        label = float(cause == 1)
+        fs = [f for f in fs if (label - f) ** 2 != (label - f) * (label - f)]
+        assert len(fs) > 100
+        grid = build_time_grid(2.0, 1.0)
+        times = np.full(len(fs), 1.5)
+        got = fcrn.metrics.brier_ipcw_curve(times, np.array([fs]), dataset([1.0], [cause]),
+                                            1, CensoringSurvival(g=np.ones(3)), grid)
+        assert same_bits(got, [(label - f) ** 2 for f in fs])
+
 
 # ---------------------------------------------------------------------------
 # CSV readers
